@@ -30,7 +30,7 @@ from .core import (
     VerifyBudgetExceeded,
     verify_n_minimal,
 )
-from .proc import CommandOracleSpec, OracleExecutionError, kill_active_process_tree
+from .proc import CommandOracleSpec, OracleExecutionError
 
 PROGRESS_EVERY = 25
 VERIFY_FINAL_LIMIT = 64  # skip spawning per-delta re-tests above this size
@@ -364,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _install_signal_handlers() -> None:
+    # The SystemExit unwinds through the running test, whose cleanup kills
+    # its process group and removes its workspace.
     def handler(signum, frame):
-        kill_active_process_tree()
         print(f"interrupted by signal {signum}", file=sys.stderr)
         raise SystemExit(1)
 

@@ -13,11 +13,16 @@ through its exit status:
 
 The 0/125 convention matches common bisection tooling so existing test
 scripts can be reused unchanged.
+
+The command runs as the leader of its own process group.  When it exits,
+times out or is interrupted, the whole group is killed, so background
+children never outlive a test.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import shutil
 import signal
 import subprocess
@@ -33,9 +38,6 @@ DEFAULT_TIMEOUT_MS = 60_000
 
 STDOUT_NAME = ".ddmin-stdout.log"
 STDERR_NAME = ".ddmin-stderr.log"
-
-# Process group of the currently running test command, for signal handlers.
-_active_pgid: Optional[int] = None
 
 
 class MaterializeConflict(Exception):
@@ -117,25 +119,44 @@ class ExecutionEvidence:
     conflict: Optional[str] = None
 
 
-def _kill_tree(proc: subprocess.Popen) -> None:
-    # The child runs in its own session, so its pid names the whole group.
+def _wait_for_exit(proc: subprocess.Popen, timeout_ms: int) -> bool:
+    """Block until the command exits or ``timeout_ms`` passes; True if it
+    exited.
+
+    Where the kernel offers pidfds, sleep on one until the leader exits,
+    leaving it an unreaped zombie; otherwise fall back to ``Popen.wait``,
+    which polls and reaps.
+    """
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):  # not Linux, kernel < 5.3, seccomp
+        try:
+            proc.wait(timeout=timeout_ms / 1000.0)
+        except subprocess.TimeoutExpired:
+            return False
+        return True
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        return bool(poller.poll(timeout_ms))
+    finally:
+        os.close(pidfd)
+
+
+def _kill_group_and_reap(proc: subprocess.Popen) -> int:
+    """Kill the command's whole process group, then reap the leader.
+
+    The command runs in its own session, so its pid names the group.
+    Killing before reaping keeps the group id from being reused by an
+    unrelated process: a zombie's pid stays taken.  (On the fallback wait
+    the leader is already reaped; the id then stays taken only while some
+    member of the group lives.)
+    """
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
         pass
-    try:
-        proc.wait(timeout=5)
-    except subprocess.TimeoutExpired:  # pragma: no cover - kernel refused SIGKILL
-        pass
-
-
-def kill_active_process_tree() -> None:
-    """Kill the process group of the currently running test, if any."""
-    if _active_pgid is not None:
-        try:
-            os.killpg(_active_pgid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+    return proc.wait()
 
 
 def evaluate_command(
@@ -146,10 +167,11 @@ def evaluate_command(
     """Materialize ``config`` into a fresh workspace and run the command.
 
     The workspace is deleted afterwards unless ``keep_failing`` is set and
-    the outcome is FAIL.  A materializer conflict yields UNRESOLVED without
-    spawning a process; a command that cannot be executed at all raises.
+    the outcome is FAIL, also when an exception or signal interrupts the
+    test; the command's process group is killed whenever it ends.  A
+    materializer conflict yields UNRESOLVED without spawning a process; a
+    command that cannot be executed at all raises.
     """
-    global _active_pgid
     if spec.materializer is None:
         raise ValueError("spec has no materializer")
     # Resolve the root: the command's cwd is the workspace itself, so the
@@ -163,66 +185,66 @@ def evaluate_command(
     def elapsed_ms() -> float:
         return (time.perf_counter() - started) * 1000.0
 
+    outcome: Optional[Outcome] = None
     try:
-        extra = spec.materializer(config, workspace)
-    except MaterializeConflict as exc:
-        evidence = ExecutionEvidence(
-            exit_status=None,
-            stdout_path=None,
-            stderr_path=None,
+        try:
+            extra = spec.materializer(config, workspace)
+        except MaterializeConflict as exc:
+            return Outcome.UNRESOLVED, ExecutionEvidence(
+                exit_status=None,
+                stdout_path=None,
+                stderr_path=None,
+                workspace=str(workspace),
+                duration_ms=elapsed_ms(),
+                conflict=str(exc),
+            )
+
+        argv = list(spec.argv) + [str(a) for a in (extra or [])]
+        env = dict(os.environ) if spec.env_passthrough else {
+            "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+            "HOME": os.environ.get("HOME", str(workspace)),
+        }
+        env["DDMIN_TEST_SEQ"] = str(test_seq)
+        env["DDMIN_CONFIG_SIZE"] = str(len(config))
+        env["DDMIN_UNIVERSE_SIZE"] = str(config.universe_size)
+
+        stdout_path = workspace / STDOUT_NAME
+        stderr_path = workspace / STDERR_NAME
+        with open(stdout_path, "wb") as out, open(stderr_path, "wb") as err:
+            try:
+                proc = subprocess.Popen(
+                    argv,
+                    cwd=workspace,
+                    env=env,
+                    stdin=subprocess.DEVNULL,
+                    stdout=out,
+                    stderr=err,
+                    start_new_session=True,
+                )
+            except OSError as exc:
+                raise OracleExecutionError(f"cannot execute {argv[0]!r}: {exc}") from exc
+        try:
+            exited = _wait_for_exit(proc, spec.timeout_ms)
+        finally:
+            returncode = _kill_group_and_reap(proc)
+        if not exited:
+            status = EXIT_TIMEOUT
+        elif returncode < 0:
+            status = exit_signal(-returncode)
+        else:
+            status = exit_code(returncode)
+
+        outcome = map_exit_status(status)
+        return outcome, ExecutionEvidence(
+            exit_status=status,
+            stdout_path=str(stdout_path),
+            stderr_path=str(stderr_path),
             workspace=str(workspace),
             duration_ms=elapsed_ms(),
-            conflict=str(exc),
         )
-        shutil.rmtree(workspace, ignore_errors=True)
-        return Outcome.UNRESOLVED, evidence
-
-    argv = list(spec.argv) + [str(a) for a in (extra or [])]
-    env = dict(os.environ) if spec.env_passthrough else {
-        "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-        "HOME": os.environ.get("HOME", str(workspace)),
-    }
-    env["DDMIN_TEST_SEQ"] = str(test_seq)
-    env["DDMIN_CONFIG_SIZE"] = str(len(config))
-    env["DDMIN_UNIVERSE_SIZE"] = str(config.universe_size)
-
-    stdout_path = workspace / STDOUT_NAME
-    stderr_path = workspace / STDERR_NAME
-    with open(stdout_path, "wb") as out, open(stderr_path, "wb") as err:
-        try:
-            proc = subprocess.Popen(
-                argv,
-                cwd=workspace,
-                env=env,
-                stdin=subprocess.DEVNULL,
-                stdout=out,
-                stderr=err,
-                start_new_session=True,
-            )
-        except OSError as exc:
+    finally:
+        if not (spec.keep_failing and outcome == Outcome.FAIL):
             shutil.rmtree(workspace, ignore_errors=True)
-            raise OracleExecutionError(f"cannot execute {argv[0]!r}: {exc}") from exc
-        _active_pgid = proc.pid
-        try:
-            returncode = proc.wait(timeout=spec.timeout_ms / 1000.0)
-            status = exit_signal(-returncode) if returncode < 0 else exit_code(returncode)
-        except subprocess.TimeoutExpired:
-            _kill_tree(proc)
-            status = EXIT_TIMEOUT
-        finally:
-            _active_pgid = None
-
-    outcome = map_exit_status(status)
-    evidence = ExecutionEvidence(
-        exit_status=status,
-        stdout_path=str(stdout_path),
-        stderr_path=str(stderr_path),
-        workspace=str(workspace),
-        duration_ms=elapsed_ms(),
-    )
-    if not (spec.keep_failing and outcome == Outcome.FAIL):
-        shutil.rmtree(workspace, ignore_errors=True)
-    return outcome, evidence
 
 
 class CommandOracle:

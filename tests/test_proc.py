@@ -1,3 +1,7 @@
+import errno
+import os
+import select
+import subprocess
 import time
 from pathlib import Path
 
@@ -26,6 +30,54 @@ def spec_for(argv, workspace_root, **kwargs):
     return CommandOracleSpec(argv=argv, workspace_root=workspace_root, **kwargs)
 
 
+@pytest.fixture(params=["pidfd", "fallback"])
+def wait_path(request, monkeypatch):
+    """Run a test over each way ``evaluate_command`` can wait for the command:
+    sleeping on a pidfd, or polling ``Popen.wait`` where pidfds are missing."""
+    if request.param == "fallback":
+        def no_pidfd(pid, flags=0):
+            raise OSError(errno.ENOSYS, "pidfd_open is not available")
+
+        monkeypatch.setattr(os, "pidfd_open", no_pidfd, raising=False)
+    else:
+        try:
+            os.close(os.pidfd_open(os.getpid()))
+        except (AttributeError, OSError):
+            pytest.skip("pidfds are not available here")
+
+
+def interrupt_wait_when(ready: Path, monkeypatch) -> None:
+    """Make the wait for the command raise KeyboardInterrupt, as Ctrl-C
+    would, once the command has created ``ready``."""
+
+    def interrupt():
+        deadline = time.monotonic() + 5
+        while not ready.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    real_wait = subprocess.Popen.wait
+    real_poll = select.poll
+
+    def wait(self, timeout=None):
+        if timeout is not None:
+            interrupt()
+        return real_wait(self, timeout)
+
+    class Poll:
+        def __init__(self):
+            self._poll = real_poll()
+
+        def register(self, *args):
+            self._poll.register(*args)
+
+        def poll(self, timeout=None):
+            interrupt()
+
+    monkeypatch.setattr(subprocess.Popen, "wait", wait)
+    monkeypatch.setattr(select, "poll", Poll)
+
+
 class TestMapExitStatus:
     @pytest.mark.parametrize(
         "status,expected",
@@ -49,13 +101,17 @@ class TestMapExitStatus:
 
 
 class TestEvaluateCommand:
-    def test_exit_zero_is_fail_regardless_of_config(self, make_script, workspace_root):
+    def test_exit_zero_is_fail_regardless_of_config(
+        self, make_script, workspace_root, wait_path
+    ):
         spec = spec_for([make_script("exit 0")], workspace_root)
         for members in ([], [0], [0, 1]):
             outcome, _ = evaluate_command(spec, Configuration(2, members))
             assert outcome == Outcome.FAIL
 
-    def test_timeout_returns_unresolved_with_duration(self, make_script, workspace_root):
+    def test_timeout_returns_unresolved_with_duration(
+        self, make_script, workspace_root, wait_path
+    ):
         spec = spec_for([make_script("sleep 30")], workspace_root, timeout_ms=300)
         start = time.monotonic()
         outcome, evidence = evaluate_command(spec, Configuration(1, [0]))
@@ -65,7 +121,9 @@ class TestEvaluateCommand:
         assert evidence.duration_ms >= 300
         assert elapsed < 2.3  # timeout + 2000 ms leeway
 
-    def test_timeout_kills_whole_process_tree(self, make_script, workspace_root, tmp_path):
+    def test_timeout_kills_whole_process_tree(
+        self, make_script, workspace_root, tmp_path, wait_path
+    ):
         marker = tmp_path / "marker"
         # The child spawns a grandchild that would write after 2 s.
         body = f"(sleep 2; echo alive > {marker}) &\nsleep 30"
@@ -73,6 +131,34 @@ class TestEvaluateCommand:
         outcome, _ = evaluate_command(spec, Configuration(1, [0]))
         assert outcome == Outcome.UNRESOLVED
         time.sleep(2.2)
+        assert not marker.exists()
+
+    def test_exit_kills_background_children(
+        self, make_script, workspace_root, tmp_path, wait_path
+    ):
+        marker = tmp_path / "marker"
+        # The command exits at once, leaving a child that would write after 1 s.
+        body = f"(sleep 1; echo alive > {marker}) &\nexit 1"
+        spec = spec_for([make_script(body)], workspace_root)
+        outcome, _ = evaluate_command(spec, Configuration(1, [0]))
+        assert outcome == Outcome.PASS
+        time.sleep(1.5)
+        assert not marker.exists()
+
+    def test_interrupt_kills_the_test_and_removes_its_workspace(
+        self, make_script, workspace_root, tmp_path, wait_path, monkeypatch
+    ):
+        marker = tmp_path / "marker"
+        ready = tmp_path / "ready"
+        body = f"(sleep 1; echo alive > {marker}) &\ntouch {ready}\nsleep 30"
+        # An interrupted test has no outcome, so even keep_failing drops it.
+        spec = spec_for([make_script(body)], workspace_root, keep_failing=True)
+        interrupt_wait_when(ready, monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_command(spec, Configuration(1, [0]))
+        assert ready.exists()
+        assert list(workspace_root.iterdir()) == []
+        time.sleep(1.5)
         assert not marker.exists()
 
     def test_materializer_conflict_is_unresolved_without_spawn(self, workspace_root, tmp_path):
