@@ -5,7 +5,6 @@ from .core import (
     AxiomViolation,
     CachedOracle,
     Configuration,
-    Delta,
     DeltaDebugError,
     EngineOptions,
     EngineState,
@@ -20,7 +19,6 @@ from .core import (
     ddmin,
     partition,
     verify_n_minimal,
-    wrap_cached,
 )
 
 __version__ = "0.1.0"
@@ -29,7 +27,6 @@ __all__ = [
     "AxiomViolation",
     "CachedOracle",
     "Configuration",
-    "Delta",
     "DeltaDebugError",
     "EngineOptions",
     "EngineState",
@@ -44,5 +41,4 @@ __all__ = [
     "ddmin",
     "partition",
     "verify_n_minimal",
-    "wrap_cached",
 ]

@@ -23,14 +23,14 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import (
     Configuration,
-    Delta,
     EngineOptions,
     MinimizationResult,
     Outcome,
     SOURCE_FEASIBILITY,
-    TestOracle,
+    _evaluate_ex,
     as_oracle,
     ddmin,
+    next_pass_options,
 )
 from .proc import CommandOracle, CommandOracleSpec, MaterializeConflict
 
@@ -83,12 +83,6 @@ class ChangeSet:
 
     def __len__(self) -> int:
         return len(self.changes)
-
-    def deltas(self) -> list[Delta]:
-        return [
-            Delta(id=i, label=f"{ch.file}:{ch.anchor}", payload=ch)
-            for i, ch in enumerate(self.changes)
-        ]
 
 
 def _check_ordering(changes: Sequence[AtomicChange], strict: bool = True) -> None:
@@ -456,27 +450,11 @@ class GroupedUniverse:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def deltas(self) -> list[Delta]:
-        return [
-            Delta(id=i, label=key, payload=members)
-            for i, (key, members) in enumerate(zip(self.keys, self.members))
-        ]
-
     def expand(self, group_config: Configuration, universe_size: int) -> Configuration:
         ids: list[int] = []
         for g in group_config.members:
             ids.extend(self.members[g])
         return Configuration(universe_size, sorted(ids))
-
-    def project(self, change_ids: Sequence[int]) -> Configuration:
-        """Group configuration containing every group that owns one of the
-        given change ids."""
-        wanted = set(change_ids)
-        groups = [
-            g for g, members in enumerate(self.members)
-            if wanted.intersection(members)
-        ]
-        return Configuration(len(self.keys), groups)
 
 
 def group_deltas(changeset: ChangeSet, key: GroupKey) -> GroupedUniverse:
@@ -522,11 +500,7 @@ class MappedOracle:
         return self.evaluate_ex(config)[0]
 
     def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
-        expanded = self._expand(config)
-        ex = getattr(self._oracle, "evaluate_ex", None)
-        if ex is not None:
-            return ex(expanded)
-        return self._oracle.evaluate(expanded), "oracle"
+        return _evaluate_ex(self._oracle, self._expand(config))
 
 
 # --- dependencies / feasibility ---------------------------------------------
@@ -588,19 +562,7 @@ class FeasibilityOracle:
     def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
         if not is_closed(config, self.dependencies):
             return Outcome.UNRESOLVED, SOURCE_FEASIBILITY
-        ex = getattr(self._oracle, "evaluate_ex", None)
-        if ex is not None:
-            return ex(config)
-        return self._oracle.evaluate(config), "oracle"
-
-
-def feasibility_filter(changeset: ChangeSet) -> Callable[[TestOracle], FeasibilityOracle]:
-    """Decorator rejecting subsets that violate the dependency order."""
-
-    def decorate(oracle) -> FeasibilityOracle:
-        return FeasibilityOracle(oracle, changeset.dependencies)
-
-    return decorate
+        return _evaluate_ex(self._oracle, config)
 
 
 # --- driver -------------------------------------------------------------------
@@ -633,9 +595,9 @@ def minimize_changes(
     """Shrink the change set to a 1-minimal failure-inducing subset.
 
     With ``groups``, a first pass minimizes over group deltas and a second
-    pass then minimizes over the winning groups' member changes.  Infeasible
-    subsets (per the dependency relation) are rejected before any process
-    is spawned.
+    pass then minimizes over the winning groups' member changes, taking both
+    axiom answers from the group pass.  Infeasible subsets (per the
+    dependency relation) are rejected before any process is spawned.
     """
     n = len(changeset)
     command = CommandOracle(spec.with_materializer(change_materializer(baseline, changeset)))
@@ -657,7 +619,10 @@ def minimize_changes(
     member_oracle = MappedOracle(
         oracle, lambda cfg: Configuration(n, [mapping[i] for i in cfg.members])
     )
-    member_result = ddmin(Configuration.full(len(mapping)), member_oracle, options)
+    members = Configuration.full(len(mapping))
+    if passes:
+        options = next_pass_options(options, members)
+    member_result = ddmin(members, member_oracle, options)
     passes.append(ChangePass("changes", member_result))
     final = Configuration(n, [mapping[i] for i in member_result.final.members])
     diff_text = render_unified_diff([changeset.changes[i] for i in final.members])

@@ -22,18 +22,14 @@ from . import tracered
 from . import toylang
 from .core import (
     AxiomViolation,
-    Configuration,
     DeltaDebugError,
     EngineOptions,
     MinimizationResult,
     Outcome,
-    VerifyBudgetExceeded,
-    verify_n_minimal,
 )
 from .proc import CommandOracleSpec, OracleExecutionError
 
 PROGRESS_EVERY = 25
-VERIFY_FINAL_LIMIT = 64  # skip spawning per-delta re-tests above this size
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,12 +110,10 @@ def _command_spec(args) -> CommandOracleSpec:
     )
 
 
-def _write_run_report(
-    args, result: Optional[MinimizationResult], log=None, verified=None
-) -> None:
+def _write_run_report(args, result: Optional[MinimizationResult], log=None) -> None:
     if not getattr(args, "report", None):
         return
-    doc = report_mod.build_report(result, log_=log, verified=verified)
+    doc = report_mod.build_report(result, log_=log)
     report_mod.write_report(
         doc, args.report, deterministic=getattr(args, "deterministic_report", False)
     )
@@ -154,37 +148,15 @@ def cmd_minimize_input(args) -> int:
     for p in outcome.passes:
         _summarize(p.result, f"{p.granularity} pass")
     print(f"minimized input: {output} ({len(outcome.minimized)} bytes)")
-
-    verified = None
-    if not args.no_verify_final:
-        verified = _verify_final_input(outcome, spec, Path(args.input).name)
     last = outcome.passes[-1]
+    print(
+        f"verified 1-minimal at {last.granularity} granularity: "
+        f"{last.result.verified_1_minimal}"
+    )
     if last.oracle.kept_workspace:
         print(f"failing workspace kept: {last.oracle.kept_workspace}")
-    _write_run_report(args, last.result, verified=verified)
+    _write_run_report(args, last.result)
     return 0
-
-
-def _verify_final_input(
-    outcome: inputmin.InputMinimization, spec: CommandOracleSpec, name: str
-) -> Optional[bool]:
-    granularity = outcome.passes[-1].granularity
-    tokenized = inputmin.tokenize(outcome.minimized, granularity)
-    if len(tokenized) == 0 or len(tokenized) > VERIFY_FINAL_LIMIT:
-        return None
-    oracle = inputmin.CommandOracle(
-        spec.with_materializer(inputmin.candidate_materializer(tokenized, name))
-    )
-    full = Configuration.full(len(tokenized))
-    if oracle.evaluate(full) != Outcome.FAIL:
-        print("warning: minimized input no longer fails on re-test", file=sys.stderr)
-        return False
-    try:
-        verified = verify_n_minimal(full, oracle, 1)
-    except VerifyBudgetExceeded:
-        return None
-    print(f"verified 1-minimal at {granularity} granularity: {verified}")
-    return verified
 
 
 # --- minimize-changes --------------------------------------------------------
@@ -253,9 +225,7 @@ def cmd_reduce_trace(args) -> int:
     print(f"critical slice ({len(reduction.slice_events)} events): {labels}")
     print(f"trace file: {trace_out}")
     print(f"slice: {slice_out}")
-    _write_run_report(
-        args, reduction.result, verified=reduction.result.verified_1_minimal
-    )
+    _write_run_report(args, reduction.result)
     return 0
 
 
@@ -299,8 +269,6 @@ def _add_common(p: argparse.ArgumentParser, command_oracle: bool) -> None:
         p.add_argument("--workspace", help="directory for per-test workspaces")
         p.add_argument("--keep-failing", action="store_true",
                        help="keep the workspace of the last failing test")
-        p.add_argument("--no-verify-final", action="store_true",
-                       help="skip the final 1-minimality re-test")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ the same oracle behavior produce identical run logs.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 import math
@@ -67,15 +68,6 @@ class NondeterminismDetected(DeltaDebugError):
 
 class VerifyBudgetExceeded(DeltaDebugError):
     """Exhaustive minimality verification would exceed the subset budget."""
-
-
-@dataclass(frozen=True)
-class Delta:
-    """An atomic change: dense ordinal id, display label, opaque payload."""
-
-    id: int
-    label: str = ""
-    payload: object = None
 
 
 class Configuration:
@@ -159,9 +151,6 @@ class Configuration:
 
     def minus(self, other: "Configuration") -> "Configuration":
         return Configuration.from_bits(self.universe_size, self.bits & ~other.bits)
-
-    def union(self, other: "Configuration") -> "Configuration":
-        return Configuration.from_bits(self.universe_size, self.bits | other.bits)
 
     def without(self, delta_ids: Iterable[int]) -> "Configuration":
         bits = self.bits
@@ -298,15 +287,6 @@ class CachedOracle:
         if outcome == Outcome.PASS and bits not in self._passed:
             self._passed.append(bits)
 
-    def snapshot(self) -> dict[int, Outcome]:
-        """Copy of the exact cache, keyed by configuration bitmap."""
-        return dict(self._exact)
-
-
-def wrap_cached(oracle: OracleLike, monotone: bool = False) -> CachedOracle:
-    """Decorate an oracle with exact-duplicate caching (and monotony)."""
-    return CachedOracle(oracle, monotone=monotone)
-
 
 @dataclass
 class EngineState:
@@ -402,10 +382,24 @@ class MinimizationResult:
 class EngineOptions:
     verify_axioms: bool = True
     monotone: bool = False
-    verify_budget: int = DEFAULT_VERIFY_BUDGET
     preloaded_cache: Optional[dict[int, Outcome]] = None
     cache_sink: Optional[Callable[[Configuration, Outcome], None]] = None
     on_record: Optional[Callable[[TestRecord, Optional[EngineState]], None]] = None
+
+
+def next_pass_options(
+    options: Optional[EngineOptions], universe: Configuration
+) -> EngineOptions:
+    """Options for a pass that starts from the previous pass's result.
+
+    Both axiom answers of such a pass are known: the empty configuration
+    passed and ``universe``, the previous result, failed.  They replace any
+    preloaded cache, whose bitmaps belong to the previous universe.
+    """
+    return dataclasses.replace(
+        options or EngineOptions(),
+        preloaded_cache={0: Outcome.PASS, universe.bits: Outcome.FAIL},
+    )
 
 
 def ddmin(
@@ -429,7 +423,8 @@ def ddmin(
     tallied separately.  With ``verify_axioms`` the empty and the full
     configuration are tested first and must come out PASS and FAIL
     respectively; these checks are logged under their own source tag and
-    excluded from the worst-case test accounting.
+    excluded from the worst-case test accounting.  The result's
+    ``verified_1_minimal`` is read off the log, without further tests.
     """
     opts = options or EngineOptions()
     cached = CachedOracle(
@@ -502,7 +497,39 @@ def ddmin(
             continue
         break
 
-    return MinimizationResult(final=current, log=log)
+    return MinimizationResult(
+        final=current, log=log, verified_1_minimal=_verified_1_minimal(log, current)
+    )
+
+
+def _verified_1_minimal(log: RunLog, final: Configuration) -> Optional[bool]:
+    """Read the 1-minimality of ``final`` off the run log; tests nothing.
+
+    The witnesses are the first record of ``final`` and of each ``final``
+    minus one member (for a one-member result, the empty set of the axiom
+    check).  A finished ddmin run has answered every such complement in its
+    last round.  True when ``final`` FAILed and no other witness did; None
+    when a witness is missing or was a monotony answer, which is an
+    assumption, not a test; False only when the log contradicts itself.
+    """
+    witnesses = {final.bits}
+    rest = final.bits
+    while rest:
+        low = rest & -rest
+        witnesses.add(final.bits ^ low)
+        rest ^= low
+    first: dict[int, TestRecord] = {}
+    for rec in log.records:
+        if rec.config.bits in witnesses:
+            first.setdefault(rec.config.bits, rec)
+    if len(first) < len(witnesses) or any(
+        rec.source == SOURCE_MONOTONY for rec in first.values()
+    ):
+        return None
+    own = first.pop(final.bits)
+    return own.outcome == Outcome.FAIL and all(
+        rec.outcome != Outcome.FAIL for rec in first.values()
+    )
 
 
 def verify_n_minimal(

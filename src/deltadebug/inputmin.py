@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 from .core import (
     AxiomViolation,
     Configuration,
-    Delta,
     EngineOptions,
     MinimizationResult,
     ddmin,
+    next_pass_options,
 )
 from .proc import CommandOracle, CommandOracleSpec
 
@@ -39,17 +39,6 @@ class TokenizedInput:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def deltas(self) -> list[Delta]:
-        return [
-            Delta(id=i, label=_token_label(tok), payload=tok)
-            for i, tok in enumerate(self.tokens)
-        ]
-
-
-def _token_label(token: bytes) -> str:
-    text = token.decode("utf-8", errors="replace")
-    return text if len(text) <= 20 else text[:17] + "..."
 
 
 def _split_lines(data: bytes) -> list[bytes]:
@@ -144,8 +133,8 @@ def minimize_input(
     """Run one ddmin pass per schedule entry, re-tokenizing between passes.
 
     The test command must declare the original input failing and the empty
-    input passing; an axiom violation on any pass aborts with a diagnostic
-    naming the pass.
+    input passing; an axiom violation aborts with a diagnostic naming the
+    pass.  Later passes take both axiom answers from the first.
     """
     if not schedule:
         raise ValueError("schedule must contain at least one granularity")
@@ -157,8 +146,9 @@ def minimize_input(
             candidate_materializer(tokenized, candidate_name)
         ))
         universe = Configuration.full(len(tokenized))
+        pass_options = next_pass_options(options, universe) if passes else options
         try:
-            result = ddmin(universe, oracle, options)
+            result = ddmin(universe, oracle, pass_options)
         except AxiomViolation as exc:
             raise AxiomViolation(
                 f"{granularity} pass: {exc}", exc.log

@@ -79,17 +79,6 @@ def _record_to_dict(record: TestRecord) -> dict:
     }
 
 
-def record_from_dict(entry: dict, universe_size: int) -> TestRecord:
-    return TestRecord(
-        config=Configuration.from_bitmap_hex(universe_size, entry["config"]),
-        granularity=entry["granularity"],
-        outcome=Outcome(entry["outcome"]),
-        cached=entry["cached"],
-        source=entry["source"],
-        duration_ms=entry["duration_ms"],
-    )
-
-
 def build_report(
     result: Union[MinimizationResult, None],
     log_: Optional[RunLog] = None,

@@ -16,12 +16,10 @@ from typing import Optional, Sequence
 
 from .core import (
     Configuration,
-    DEFAULT_VERIFY_BUDGET,
     EngineOptions,
     MinimizationResult,
     Outcome,
     ddmin,
-    verify_n_minimal,
 )
 from .toylang import (
     DEFAULT_STEP_BUDGET,
@@ -118,7 +116,6 @@ def reduce_trace(
     expectation: OutputExpectation,
     options: Optional[EngineOptions] = None,
     budget: int = DEFAULT_STEP_BUDGET,
-    verify: bool = True,
 ) -> TraceReduction:
     """Trace the program, then shrink the event set to a critical slice.
 
@@ -131,9 +128,6 @@ def reduce_trace(
     oracle = ReplayOracle(program, trace, stdin_tokens, expectation, budget)
     universe = Configuration.full(len(trace))
     result = ddmin(universe, oracle, options)
-    if verify:
-        limit = options.verify_budget if options else DEFAULT_VERIFY_BUDGET
-        result.verified_1_minimal = verify_n_minimal(result.final, oracle, 1, budget=limit)
     slice_events = [trace[i] for i in result.final.members]
     return TraceReduction(
         program=program,

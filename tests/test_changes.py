@@ -12,7 +12,6 @@ from deltadebug.changes import (
     FeasibilityOracle,
     apply_subset,
     digest_tree,
-    feasibility_filter,
     group_deltas,
     is_closed,
     minimize_changes,
@@ -21,7 +20,7 @@ from deltadebug.changes import (
     render_unified_diff,
     split_unified_diff,
 )
-from deltadebug.core import SOURCE_FEASIBILITY, SOURCE_ORACLE
+from deltadebug.core import SOURCE_EXACT_CACHE, SOURCE_FEASIBILITY, SOURCE_ORACLE
 from deltadebug.oracles import CountingOracle
 from deltadebug.proc import CommandOracleSpec
 
@@ -240,8 +239,6 @@ class TestGrouping:
         grouped = group_deltas(cs, "file")
         assert grouped.keys == ("a", "b", "c")
         assert grouped.members == ((0, 1), (2, 3, 4), (5,))
-        assert [d.label for d in grouped.deltas()] == ["a", "b", "c"]
-        assert [d.label for d in cs.deltas()][0].startswith("a:")
 
     def test_group_expansion_is_exact(self):
         cs, _, _ = self.changeset_six()
@@ -319,7 +316,7 @@ class TestDependencies:
             if rec.source == SOURCE_ORACLE:
                 assert is_closed(rec.config, deps)
 
-    def test_feasibility_filter_decorator(self):
+    def test_feasibility_oracle_over_a_changeset(self):
         cs = ChangeSet(
             baseline_digest="0" * 64,
             changes=tuple(
@@ -329,9 +326,9 @@ class TestDependencies:
             ),
             dependencies=self.chain(4),
         )
-        decorated = feasibility_filter(cs)(lambda c: Outcome.PASS)
-        assert decorated.evaluate(Configuration(4, [2])) == Outcome.UNRESOLVED
-        assert decorated.evaluate(Configuration(4, [0, 1, 2])) == Outcome.PASS
+        oracle = FeasibilityOracle(lambda c: Outcome.PASS, cs.dependencies)
+        assert oracle.evaluate(Configuration(4, [2])) == Outcome.UNRESOLVED
+        assert oracle.evaluate(Configuration(4, [0, 1, 2])) == Outcome.PASS
 
 
 class TestRenderUnifiedDiff:
@@ -381,6 +378,18 @@ class TestMinimizeChanges(ShOracleMixin):
         assert direct.final == grouped.final
         assert len(direct.final) == 1
         assert "BUG" in direct.diff_text
+
+    def test_member_pass_takes_axiom_answers_from_the_group_pass(
+        self, make_script, workspace_root
+    ):
+        baseline, cs = self.fixture_20()
+        spec = self.bug_spec(make_script, workspace_root)
+        groups, members = minimize_changes(baseline, cs, spec, groups="file").passes
+        assert groups.result.log.axiom_test_count == 2
+        assert members.result.log.axiom_test_count == 0
+        head = [(r.source, r.outcome) for r in members.result.log.records[:2]]
+        assert head == [(SOURCE_EXACT_CACHE, Outcome.PASS), (SOURCE_EXACT_CACHE, Outcome.FAIL)]
+        assert members.result.verified_1_minimal is True
 
     def test_emitted_diff_contains_exactly_the_culprit(self, make_script, workspace_root):
         baseline, cs = self.fixture_20()

@@ -1,5 +1,6 @@
 import difflib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,23 @@ class TestMinimizeInputCommand:
         assert Path(f"{crash_input}.min").read_bytes() == b"78"
         doc = json.loads(report.read_text())
         assert doc["verified_1_minimal"] is True
+
+    def test_no_test_runs_after_the_passes(self, tmp_path, crash_input, make_script, capsys):
+        # Every spawn of the script is a test some pass logged: the result
+        # is not re-tested once the passes are done.
+        runs = tmp_path / "runs"
+        script = make_script(f'echo >> "{runs}"\ngrep -q 78 "$1"')
+        code = run([
+            "minimize-input", "--input", str(crash_input), "--test", script,
+            *common_flags(tmp_path),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verified 1-minimal at char granularity: True" in out
+        logged = re.findall(r"\((\d+) oracle tests, \d+ cached, (\d+) axiom checks\)", out)
+        assert len(logged) == 2
+        spawned = len(runs.read_text().splitlines())
+        assert spawned == sum(int(oracle) + int(axiom) for oracle, axiom in logged)
 
     def test_missing_test_flag_is_a_usage_error(self, crash_input):
         assert run(["minimize-input", "--input", str(crash_input)]) == 1
@@ -126,6 +144,7 @@ class TestMinimizeChangesCommand:
         assert sum(1 for l in text.splitlines() if l.startswith("@@")) == 1
         doc = json.loads(report.read_text())
         assert len(doc["final"]) == 1
+        assert doc["verified_1_minimal"] is True
 
     def test_grouping_pass_gives_the_same_answer(self, tmp_path, change_fixture):
         baseline_dir, diff_path, test_script = change_fixture

@@ -13,7 +13,6 @@ from deltadebug import (
     ddmin,
     partition,
     verify_n_minimal,
-    wrap_cached,
 )
 from deltadebug.core import (
     SOURCE_EXACT_CACHE,
@@ -232,7 +231,7 @@ class TestVerifyNMinimal:
 class TestCachedOracle:
     def test_exact_duplicates_not_reinvoked(self):
         counting = CountingOracle(conjunction(4, [1]))
-        cached = wrap_cached(counting)
+        cached = CachedOracle(counting)
         c = cfg(4, 1, 2)
         assert cached.evaluate(c) == Outcome.FAIL
         assert cached.evaluate(c) == Outcome.FAIL
@@ -240,7 +239,7 @@ class TestCachedOracle:
 
     def test_monotony_answers_subsets_of_passed(self):
         counting = CountingOracle(conjunction(4, [3]))
-        cached = wrap_cached(counting, monotone=True)
+        cached = CachedOracle(counting, monotone=True)
         assert cached.evaluate(cfg(4, 0, 1, 2)) == Outcome.PASS
         outcome, source = cached.evaluate_ex(cfg(4, 1, 2))
         assert outcome == Outcome.PASS
@@ -249,14 +248,14 @@ class TestCachedOracle:
 
     def test_non_subset_still_invokes(self):
         counting = CountingOracle(conjunction(4, [3]))
-        cached = wrap_cached(counting, monotone=True)
+        cached = CachedOracle(counting, monotone=True)
         cached.evaluate(cfg(4, 0, 1, 2))
         outcome, source = cached.evaluate_ex(cfg(4, 1, 3))
         assert source == SOURCE_ORACLE
         assert counting.calls == 2
 
     def test_nondeterminism_detected_on_contradictory_store(self):
-        cached = wrap_cached(lambda c: Outcome.PASS)
+        cached = CachedOracle(lambda c: Outcome.PASS)
         cached.store(cfg(4, 1), Outcome.PASS)
         with pytest.raises(NondeterminismDetected):
             cached.store(cfg(4, 1), Outcome.FAIL)
@@ -307,6 +306,50 @@ class TestCachedOracle:
             )
             off = ddmin(Configuration.full(24), random_monotone(24, seed))
             assert on.final == off.final
+
+
+class TestVerifiedFromLog:
+    """``verified_1_minimal`` is read off the run log; no oracle call."""
+
+    @staticmethod
+    def draws():
+        rng = random.Random(31)
+        for i in range(300):
+            n = rng.randint(1, 12)
+            yield random_table(n, seed=5000 + i)
+            yield random_monotone(n, seed=6000 + i)
+
+    def test_matches_the_reference_without_monotony(self):
+        for oracle in self.draws():
+            counting = CountingOracle(oracle)
+            result = ddmin(Configuration.full(oracle.universe_size), counting)
+            log = result.log
+            assert counting.calls == log.oracle_test_count + log.axiom_test_count
+            assert result.verified_1_minimal is True
+            assert result.verified_1_minimal == verify_n_minimal(result.final, oracle, 1)
+
+    def test_monotony_answers_are_never_reported_as_proof(self):
+        unproved = 0
+        for oracle in self.draws():
+            result = ddmin(
+                Configuration.full(oracle.universe_size), oracle,
+                EngineOptions(monotone=True),
+            )
+            reference = verify_n_minimal(result.final, oracle, 1)
+            assert result.verified_1_minimal in (True, None)
+            if not reference:
+                assert result.verified_1_minimal is None
+            unproved += result.verified_1_minimal is None
+        assert unproved > 0
+
+    def test_untested_empty_set_is_not_proof(self):
+        # Without axiom checks nothing tests the empty set, the only
+        # complement of a one-member result.
+        result = ddmin(
+            Configuration.full(8), single_cause(8, 5), EngineOptions(verify_axioms=False)
+        )
+        assert result.final == cfg(8, 5)
+        assert result.verified_1_minimal is None
 
 
 class TestDdminProperty:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from deltadebug import AxiomViolation, Configuration
+from deltadebug import AxiomViolation, Configuration, Outcome
+from deltadebug.core import SOURCE_EXACT_CACHE
 from deltadebug.inputmin import (
     minimize_input,
     render,
@@ -34,12 +35,6 @@ class TestTokenize:
 
     def test_empty_input_has_empty_universe(self):
         assert tokenize(b"", "line").tokens == ()
-
-    def test_deltas_have_dense_ids_in_token_order(self):
-        t = tokenize(b"a\nb\nc\n", "line")
-        deltas = t.deltas()
-        assert [d.id for d in deltas] == [0, 1, 2]
-        assert deltas[1].payload == b"b\n"
 
     def test_unknown_granularity(self):
         with pytest.raises(ValueError):
@@ -113,6 +108,21 @@ class TestMinimizeInput:
         spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
         outcome = minimize_input(b"x\ny\n", spec, schedule=["line"])
         assert outcome.minimized == b"x\n"
+
+    def test_later_pass_takes_axiom_answers_from_the_first(self, substring_spec):
+        data = "".join(f"{i}\n" for i in range(100)).encode()
+        line, char = minimize_input(data, substring_spec).passes
+        assert line.result.log.axiom_test_count == 2
+        assert char.result.log.axiom_test_count == 0
+        head = [(r.source, r.outcome) for r in char.result.log.records[:2]]
+        assert head == [(SOURCE_EXACT_CACHE, Outcome.PASS), (SOURCE_EXACT_CACHE, Outcome.FAIL)]
+        # Only those two records differ from a char pass run on its own.
+        alone = minimize_input(line.minimized, substring_spec, schedule=["char"])
+        assert alone.passes[0].result.log.axiom_test_count == 2
+        assert (
+            char.result.log.fingerprint()[2:]
+            == alone.passes[0].result.log.fingerprint()[2:]
+        )
 
     def test_axiom_violation_names_the_pass(self, make_script, workspace_root):
         script = make_script("exit 1")  # never fails
