@@ -70,6 +70,24 @@ class VerifyBudgetExceeded(DeltaDebugError):
     """Exhaustive minimality verification would exceed the subset budget."""
 
 
+def bit_string(bits: int, width: int) -> str:
+    """The low ``width`` bits of ``bits`` as ``0``/``1`` digits, lowest first.
+
+    One ``bin()`` call, so reading a bitmap costs O(width), not a shift
+    per bit.
+    """
+    return bin(bits)[:1:-1].ljust(width, "0")[:width]
+
+
+# Maps the ASCII digits of ``bit_string`` to false/true selector bytes.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def range_mask(lo: int, hi: int) -> int:
+    """The bitmap of delta ids ``lo`` to ``hi - 1``."""
+    return (1 << hi) - (1 << lo)
+
+
 class Configuration:
     """An ordered subset of a delta universe, canonically a bitmap.
 
@@ -113,15 +131,9 @@ class Configuration:
 
     @property
     def members(self) -> tuple[int, ...]:
-        bits = self.bits
-        out = []
-        i = 0
-        while bits:
-            if bits & 1:
-                out.append(i)
-            bits >>= 1
-            i += 1
-        return tuple(out)
+        digits = bit_string(self.bits, self.bits.bit_length())
+        flags = digits.encode().translate(_DIGIT_FLAGS)
+        return tuple(itertools.compress(itertools.count(), flags))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -183,9 +195,10 @@ def partition(config: Configuration, n: int) -> list[Configuration]:
     chunks = []
     start = 0
     for i in range(n):
-        size = q + (1 if i < r else 0)
-        chunks.append(Configuration(config.universe_size, members[start:start + size]))
-        start += size
+        end = start + q + (1 if i < r else 0)
+        mask = range_mask(members[start], members[end - 1] + 1)
+        chunks.append(Configuration.from_bits(config.universe_size, config.bits & mask))
+        start = end
     return chunks
 
 
@@ -235,7 +248,10 @@ class CachedOracle:
     Exact duplicates are answered from the cache without re-invoking the
     underlying oracle.  With ``monotone=True``, a configuration that is a
     subset of any previously passed configuration is answered PASS without
-    invocation: under monotony, subsets of passing sets always pass.
+    invocation: under monotony, subsets of passing sets always pass.  Only
+    the maximal passed bitmaps are kept for that lookup (an antichain): a
+    subset of a kept one adds no answer, and a new one replaces every kept
+    one it contains.
     """
 
     def __init__(
@@ -248,7 +264,7 @@ class CachedOracle:
         self._oracle = as_oracle(oracle)
         self.monotone = monotone
         self._exact: dict[int, Outcome] = dict(preload or {})
-        self._passed: list[int] = []
+        self._passed: set[int] = set()  # maximal passed bitmaps, if monotone
         self._sink = sink
 
     def evaluate(self, config: Configuration) -> Outcome:
@@ -260,7 +276,7 @@ class CachedOracle:
         if hit is not None:
             self._note_pass(bits, hit)
             return hit, SOURCE_EXACT_CACHE
-        if self.monotone and any(bits & p == bits for p in self._passed):
+        if self.monotone and self._covered(bits):
             self.store(config, Outcome.PASS)
             return Outcome.PASS, SOURCE_MONOTONY
         outcome, source = _evaluate_ex(self._oracle, config)
@@ -283,9 +299,14 @@ class CachedOracle:
         if self._sink is not None:
             self._sink(config, outcome)
 
+    def _covered(self, bits: int) -> bool:
+        return any(bits & p == bits for p in self._passed)
+
     def _note_pass(self, bits: int, outcome: Outcome) -> None:
-        if outcome == Outcome.PASS and bits not in self._passed:
-            self._passed.append(bits)
+        if not self.monotone or outcome != Outcome.PASS or self._covered(bits):
+            return
+        self._passed.difference_update([p for p in self._passed if p & bits == p])
+        self._passed.add(bits)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Run-log rendering and machine-readable result/cache persistence.
 
-The report is a single JSON document; the outcome cache is line-oriented
-(`<hex bitmap><TAB><F|P|U>`) so it can be appended between tests and
-reloaded to restore exact-cache behavior bit for bit.
+The report is a single JSON document with one test record per line; the
+outcome cache is line-oriented (`<hex bitmap><TAB><F|P|U>`) so it can be
+appended between tests and reloaded to restore exact-cache behavior bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .core import (
     Outcome,
     RunLog,
     TestRecord,
+    bit_string,
 )
 
 log = logging.getLogger(__name__)
@@ -26,6 +28,7 @@ log = logging.getLogger(__name__)
 _OUTCOME_MARK = {Outcome.FAIL: "F", Outcome.PASS: "P", Outcome.UNRESOLVED: "?"}
 _CACHE_LETTER = {Outcome.FAIL: "F", Outcome.PASS: "P", Outcome.UNRESOLVED: "U"}
 _CACHE_OUTCOME = {v: k for k, v in _CACHE_LETTER.items()}
+_CELLS = str.maketrans("01", ".*")
 
 
 def render_log_line(record: TestRecord, universe_size: int) -> str:
@@ -38,9 +41,7 @@ def render_log_line(record: TestRecord, universe_size: int) -> str:
             f"record is over a universe of {record.config.universe_size}, "
             f"not {universe_size}"
         )
-    cells = "".join(
-        "*" if i in record.config else "." for i in range(universe_size)
-    )
+    cells = bit_string(record.config.bits, universe_size).translate(_CELLS)
     mark = _OUTCOME_MARK[record.outcome]
     return f"{cells} {mark}#" if record.cached else f"{cells} {mark}"
 
@@ -116,11 +117,28 @@ def write_report(
     path = Path(path)
     try:
         path.write_text(
-            json.dumps(doc.to_json_dict(deterministic=deterministic), indent=2) + "\n",
+            _dump_report(doc.to_json_dict(deterministic=deterministic)),
             encoding="utf-8",
         )
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
+
+
+def _dump_report(data: dict) -> str:
+    """Top-level keys indented, each test record on one line of its own.
+
+    An ``indent`` keeps ``json.dumps`` on its pure-Python encoder, so the
+    records, which are nearly all of a report, are encoded without one.
+    """
+    fields = []
+    for key, value in data.items():
+        if key == "tests" and value:
+            records = ",\n".join("    " + json.dumps(record) for record in value)
+            text = f"[\n{records}\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def read_report(path: Union[str, Path]) -> ReportDocument:

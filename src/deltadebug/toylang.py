@@ -25,9 +25,9 @@ spelled out by the trace, and skipped reads consume no input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .core import Configuration
 
@@ -133,6 +133,10 @@ Stmt = Union[Assign, Read, PrintStmt, While, LoopEnd]
 class Program:
     statements: tuple[Stmt, ...]
     source_lines: tuple[str, ...]
+    # Closures of the statements run so far, by line; see ``_compiled``.
+    _compiled: dict[int, "_Compiled"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def flattened(self) -> list[Stmt]:
         out: list[Stmt] = []
@@ -388,70 +392,7 @@ def parse_program(text: str) -> Program:
     return Program(statements=statements, source_lines=tuple(text.split("\n")))
 
 
-# --- values and evaluation ---------------------------------------------------
-
-class _UndefType:
-    _instance: Optional["_UndefType"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Undef"
-
-
-UNDEF = _UndefType()
-Value = Union[int, _UndefType]
-Store = dict[str, Value]
-
-
-def _as_int(value: Value) -> int:
-    return 0 if value is UNDEF else value
-
-
-def _render(value: Value) -> str:
-    return "" if value is UNDEF else str(value)
-
-
-def _eval(expr: Expr, store: Store) -> int:
-    if isinstance(expr, IntLit):
-        return expr.value
-    if isinstance(expr, VarRef):
-        return _as_int(store.get(expr.name, UNDEF))
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, store)
-    if isinstance(expr, BinOp):
-        left = _eval(expr.left, store)
-        right = _eval(expr.right, store)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0:
-                raise ToyRuntimeError("division by zero")
-            # Integer division truncating toward zero.
-            return int(left / right)
-        if expr.op == "<=":
-            return int(left <= right)
-        if expr.op == "<":
-            return int(left < right)
-        if expr.op == "==":
-            return int(left == right)
-        if expr.op == "!=":
-            return int(left != right)
-        if expr.op == ">":
-            return int(left > right)
-        if expr.op == ">=":
-            return int(left >= right)
-    raise ToyRuntimeError(f"cannot evaluate {expr!r}")
-
-
-# --- tracing and replay ------------------------------------------------------
+# --- trace events ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Event:
@@ -474,51 +415,166 @@ class ReplayOutput:
     error: Optional[str] = None
 
 
+# --- compiled evaluation -----------------------------------------------------
+#
+# Each statement and expression is compiled once, on first use, into a
+# closure; tracing and replay both run those closures.  Variables that were
+# never assigned are absent from the store: they read as 0 in arithmetic
+# and comparisons and print as the empty string.
+
+Store = dict[str, int]
+Evaluator = Callable[[Store], int]
+
+
+def _divide(left: int, right: int) -> int:
+    """Integer division truncating toward zero, exact for any size."""
+    if right == 0:
+        raise ToyRuntimeError("division by zero")
+    quotient = abs(left) // abs(right)
+    return -quotient if (left < 0) != (right < 0) else quotient
+
+
+_BINARY: dict[str, Callable[[Evaluator, Evaluator], Evaluator]] = {
+    "+": lambda l, r: lambda store: l(store) + r(store),
+    "-": lambda l, r: lambda store: l(store) - r(store),
+    "*": lambda l, r: lambda store: l(store) * r(store),
+    "/": lambda l, r: lambda store: _divide(l(store), r(store)),
+    "<=": lambda l, r: lambda store: int(l(store) <= r(store)),
+    "<": lambda l, r: lambda store: int(l(store) < r(store)),
+    "==": lambda l, r: lambda store: int(l(store) == r(store)),
+    "!=": lambda l, r: lambda store: int(l(store) != r(store)),
+    ">": lambda l, r: lambda store: int(l(store) > r(store)),
+    ">=": lambda l, r: lambda store: int(l(store) >= r(store)),
+}
+
+
+def _compile_expr(expr: Expr) -> Evaluator:
+    match expr:
+        case IntLit(value):
+            return lambda store: value
+        case VarRef(name):
+            return lambda store: store.get(name, 0)
+        case Neg(operand):
+            inner = _compile_expr(operand)
+            return lambda store: -inner(store)
+        case BinOp(op, left, right):
+            return _BINARY[op](_compile_expr(left), _compile_expr(right))
+    raise ToyRuntimeError(f"cannot evaluate {expr!r}")
+
+
+def _compile_print_arg(arg: PrintArg) -> Callable[[Store], str]:
+    match arg:
+        case StrLit(text):
+            return lambda store: text
+        case VarRef(name):
+            # Print shows the raw variable: undefined renders empty, not 0.
+            return lambda store: str(store[name]) if name in store else ""
+    value = _compile_expr(arg)
+    return lambda store: str(value(store))
+
+
 class _Machine:
+    """The state a program runs against: variables, output, input, events."""
+
+    __slots__ = ("store", "out", "tokens", "next_token", "events", "budget")
+
     def __init__(self, stdin_tokens: Sequence[int], budget: int):
         self.store: Store = {}
         self.out: list[str] = []
         self.tokens = list(stdin_tokens)
         self.next_token = 0
+        self.events: Trace = []
         self.budget = budget
-        self.steps = 0
 
-    def step(self) -> None:
-        self.steps += 1
-        if self.steps > self.budget:
+    def emit(self, line: int, kind: str) -> None:
+        """Record the next trace event; the budget caps their number."""
+        if len(self.events) >= self.budget:
             raise _Budget()
-
-    def execute(self, stmt: Stmt) -> None:
-        """Run the effect of one non-control statement."""
-        if isinstance(stmt, Assign):
-            self.store[stmt.name] = _eval(stmt.expr, self.store)
-        elif isinstance(stmt, Read):
-            self.out.append(stmt.prompt)
-            if self.next_token >= len(self.tokens):
-                raise ToyRuntimeError(f"line {stmt.line}: input underrun")
-            self.store[stmt.name] = self.tokens[self.next_token]
-            self.next_token += 1
-        elif isinstance(stmt, PrintStmt):
-            for arg in stmt.args:
-                if isinstance(arg, StrLit):
-                    self.out.append(arg.value)
-                else:
-                    self.out.append(_render_eval(arg, self.store))
-        elif isinstance(stmt, LoopEnd):
-            pass
-        else:
-            raise ToyRuntimeError(f"cannot execute {stmt!r}")
+        self.events.append(Event(line=line, seq=len(self.events) + 1, kind=kind))
 
     def output(self) -> str:
         return "".join(self.out)
 
 
-def _render_eval(expr: Expr, store: Store) -> str:
-    # Print shows the raw variable: undefined renders empty, not 0.
-    if isinstance(expr, VarRef):
-        return _render(store.get(expr.name, UNDEF))
-    return str(_eval(expr, store))
+Action = Callable[[_Machine], None]
 
+
+class _Compiled(NamedTuple):
+    effect: Optional[Action]  # what a replayed statement event does; None: nothing
+    trace: Action  # runs the statement and records its events
+
+
+def _compiled(program: Program, stmt: Stmt) -> _Compiled:
+    """The closures of ``stmt``, compiled on first use and kept with ``program``."""
+    found = program._compiled.get(stmt.line)
+    if found is None:
+        found = program._compiled[stmt.line] = _compile_statement(program, stmt)
+    return found
+
+
+def _not_a_statement(line: int) -> Action:
+    def effect(machine: _Machine) -> None:
+        raise ToyRuntimeError(f"event at line {line} is not a statement")
+
+    return effect
+
+
+def _compile_statement(program: Program, stmt: Stmt) -> _Compiled:
+    line = stmt.line
+    match stmt:
+        case Assign(_, name, expr):
+            value = _compile_expr(expr)
+
+            def effect(machine: _Machine) -> None:
+                machine.store[name] = value(machine.store)
+
+        case Read(_, name, prompt):
+            def effect(machine: _Machine) -> None:
+                machine.out.append(prompt)
+                if machine.next_token >= len(machine.tokens):
+                    raise ToyRuntimeError(f"line {line}: input underrun")
+                machine.store[name] = machine.tokens[machine.next_token]
+                machine.next_token += 1
+
+        case PrintStmt(_, args):
+            renders = tuple(_compile_print_arg(arg) for arg in args)
+
+            def effect(machine: _Machine) -> None:
+                out, store = machine.out, machine.store
+                for render in renders:
+                    out.append(render(store))
+
+        case LoopEnd():
+            def trace_end(machine: _Machine) -> None:
+                machine.emit(line, KIND_LOOP_END)
+
+            return _Compiled(effect=None, trace=trace_end)
+
+        case While(_, cond, body):
+            test = _compile_expr(cond)
+            steps = tuple(_compiled(program, s).trace for s in body)
+
+            def run(machine: _Machine) -> None:
+                while True:
+                    machine.emit(line, KIND_LOOP_HEAD)
+                    if test(machine.store) == 0:
+                        return
+                    for step in steps:
+                        step(machine)
+
+            return _Compiled(effect=_not_a_statement(line), trace=run)
+
+        case _:
+            raise ToyRuntimeError(f"cannot execute {stmt!r}")
+
+    def trace(machine: _Machine) -> None:
+        machine.emit(line, KIND_STATEMENT)
+        effect(machine)
+
+    return _Compiled(effect=effect, trace=trace)
+
+
+# --- tracing and replay ------------------------------------------------------
 
 def trace_program(
     program: Program,
@@ -527,39 +583,62 @@ def trace_program(
 ) -> tuple[Trace, ReplayOutput]:
     """Execute the program, recording the sequence of events."""
     machine = _Machine(stdin_tokens, budget)
-    events: Trace = []
-
-    def emit(line: int, kind: str) -> None:
-        machine.step()
-        events.append(Event(line=line, seq=len(events) + 1, kind=kind))
-
-    def run(stmts: Sequence[Stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, While):
-                while True:
-                    emit(stmt.line, KIND_LOOP_HEAD)
-                    if _eval(stmt.cond, machine.store) == 0:
-                        break
-                    run(stmt.body)
-            elif isinstance(stmt, LoopEnd):
-                emit(stmt.line, KIND_LOOP_END)
-            else:
-                emit(stmt.line, KIND_STATEMENT)
-                machine.execute(stmt)
-
     try:
-        run(program.statements)
+        for stmt in program.statements:
+            _compiled(program, stmt).trace(machine)
         status, error = STATUS_COMPLETED, None
     except ToyRuntimeError as exc:
         status, error = STATUS_RUNTIME_ERROR, str(exc)
     except _Budget:
         status, error = STATUS_BUDGET_EXHAUSTED, f"exceeded {budget} events"
-    return events, ReplayOutput(stdout=machine.output(), status=status, error=error)
+    output = ReplayOutput(stdout=machine.output(), status=status, error=error)
+    return machine.events, output
+
+
+class ResolvedTrace(tuple):
+    """A trace whose events are paired with what replaying them does.
+
+    ``actions[i]`` is the effect of event ``i`` under ``program``, or None
+    for an event that only counts against the budget (loop heads and loop
+    ends).  Built by ``resolve_trace``; a replayer holding one does not
+    resolve the trace again for every configuration.
+    """
+
+    program: Program
+    actions: tuple[Optional[Action], ...]
+
+    def __new__(
+        cls,
+        program: Program,
+        events: Sequence[Event],
+        actions: tuple[Optional[Action], ...],
+    ) -> "ResolvedTrace":
+        resolved = super().__new__(cls, events)
+        resolved.program = program
+        resolved.actions = actions
+        return resolved
+
+
+def resolve_trace(program: Program, trace: Sequence[Event]) -> ResolvedTrace:
+    """Pair each event with its compiled effect, once per trace."""
+    if isinstance(trace, ResolvedTrace) and trace.program is program:
+        return trace
+    line_map = program.line_map()
+    actions = []
+    for event in trace:
+        stmt = line_map.get(event.line)
+        if event.kind != KIND_STATEMENT:
+            actions.append(None)
+        elif stmt is None:
+            actions.append(_not_a_statement(event.line))
+        else:
+            actions.append(_compiled(program, stmt).effect)
+    return ResolvedTrace(program, trace, tuple(actions))
 
 
 def replay_events(
     program: Program,
-    trace: Trace,
+    trace: Sequence[Event],
     config: Configuration,
     stdin_tokens: Sequence[int],
     budget: int = DEFAULT_STEP_BUDGET,
@@ -568,33 +647,28 @@ def replay_events(
 
     Loop heads and loop ends are no-ops (conditions are never evaluated;
     the trace already dictates the flow).  Skipped events have no effect
-    at all, and skipped reads consume no stdin tokens.
+    at all, and skipped reads consume no stdin tokens.  Every included
+    event counts against ``budget``.  Pass a ``resolve_trace`` result to
+    replay many configurations of one trace without resolving it each time.
     """
     if config.universe_size != len(trace):
         raise ValueError(
             f"configuration is over {config.universe_size} deltas, "
             f"trace has {len(trace)} events"
         )
-    line_map = program.line_map()
+    actions = resolve_trace(program, trace).actions
+    included = config.members
     machine = _Machine(stdin_tokens, budget)
-    included = config.bits
     try:
-        for event in trace:
-            if not included >> (event.seq - 1) & 1:
-                continue
-            machine.step()
-            if event.kind != KIND_STATEMENT:
-                continue
-            stmt = line_map.get(event.line)
-            if stmt is None or isinstance(stmt, While):
-                raise ToyRuntimeError(f"event at line {event.line} is not a statement")
-            machine.execute(stmt)
-        status, error = STATUS_COMPLETED, None
+        for effect in filter(None, map(actions.__getitem__, included[:budget])):
+            effect(machine)
     except ToyRuntimeError as exc:
-        status, error = STATUS_RUNTIME_ERROR, str(exc)
-    except _Budget:
-        status, error = STATUS_BUDGET_EXHAUSTED, f"exceeded {budget} events"
-    return ReplayOutput(stdout=machine.output(), status=status, error=error)
+        return ReplayOutput(machine.output(), STATUS_RUNTIME_ERROR, str(exc))
+    if len(included) > budget:
+        return ReplayOutput(
+            machine.output(), STATUS_BUDGET_EXHAUSTED, f"exceeded {budget} events"
+        )
+    return ReplayOutput(machine.output(), STATUS_COMPLETED)
 
 
 # --- trace file format -------------------------------------------------------

@@ -29,6 +29,7 @@ from .toylang import (
     STATUS_COMPLETED,
     Trace,
     replay_events,
+    resolve_trace,
     trace_program,
 )
 
@@ -77,7 +78,7 @@ class ReplayOracle:
         budget: int = DEFAULT_STEP_BUDGET,
     ):
         self.program = program
-        self.trace = trace
+        self.trace = resolve_trace(program, trace)
         self.stdin_tokens = list(stdin_tokens)
         self.expectation = expectation
         self.budget = budget

@@ -97,6 +97,58 @@ class TestPartition:
             assert concat == list(members)  # disjoint, ordered, union = c
 
 
+def shift_loop_members(bits: int) -> tuple[int, ...]:
+    """Reference reader: one shift per bit."""
+    out = []
+    i = 0
+    while bits:
+        if bits & 1:
+            out.append(i)
+        bits >>= 1
+        i += 1
+    return tuple(out)
+
+
+def reference_partition(config: Configuration, n: int) -> list[Configuration]:
+    """Reference chunking: each chunk rebuilt member by member."""
+    members = shift_loop_members(config.bits)
+    q, r = divmod(len(members), n)
+    chunks = []
+    start = 0
+    for i in range(n):
+        size = q + (1 if i < r else 0)
+        chunks.append(Configuration(config.universe_size, members[start:start + size]))
+        start += size
+    return chunks
+
+
+def seeded_bitmaps(rng: random.Random):
+    """Dense, half-full and sparse bitmaps, then wide ones with only high bits."""
+    for _ in range(60):
+        universe = rng.randint(2, 120)
+        density = rng.choice([0.05, 0.5, 0.95])
+        members = [m for m in range(universe) if rng.random() < density]
+        yield Configuration(universe, members or [universe - 1])
+    for universe in (5000, 8191, 9000):
+        members = rng.sample(range(universe - 64, universe), rng.randint(2, 24))
+        yield Configuration(universe, members)
+
+
+class TestBitmapReadingMatchesShiftLoop:
+    def test_members(self):
+        rng = random.Random(4401)
+        assert Configuration.empty(7).members == ()
+        assert Configuration.empty(0).members == ()
+        for config in seeded_bitmaps(rng):
+            assert config.members == shift_loop_members(config.bits)
+
+    def test_partition_at_every_granularity(self):
+        rng = random.Random(4402)
+        for config in seeded_bitmaps(rng):
+            for n in range(2, len(config) + 1):
+                assert partition(config, n) == reference_partition(config, n)
+
+
 class TestDdmin:
     def test_single_cause_example(self):
         oracle = single_cause(8, 5)
@@ -306,6 +358,73 @@ class TestCachedOracle:
             )
             off = ddmin(Configuration.full(24), random_monotone(24, seed))
             assert on.final == off.final
+
+
+class ListScanCache:
+    """Reference monotony cache: every passed bitmap kept in a list."""
+
+    def __init__(self, oracle, monotone, preload):
+        self.oracle = oracle
+        self.monotone = monotone
+        self.exact = dict(preload)
+        self.passed: list[int] = []
+
+    def evaluate_ex(self, config):
+        bits = config.bits
+        hit = self.exact.get(bits)
+        if hit is not None:
+            self.note_pass(bits, hit)
+            return hit, SOURCE_EXACT_CACHE
+        if self.monotone and any(bits & p == bits for p in self.passed):
+            self.store(config, Outcome.PASS)
+            return Outcome.PASS, SOURCE_MONOTONY
+        outcome = self.oracle.evaluate(config)
+        self.store(config, outcome)
+        return outcome, SOURCE_ORACLE
+
+    def store(self, config, outcome):
+        known = self.exact.get(config.bits)
+        if known is not None:
+            if known != outcome:
+                raise NondeterminismDetected("contradiction")
+            return
+        self.exact[config.bits] = outcome
+        self.note_pass(config.bits, outcome)
+
+    def note_pass(self, bits, outcome):
+        if outcome == Outcome.PASS and bits not in self.passed:
+            self.passed.append(bits)
+
+
+def call(fn, *args):
+    try:
+        return fn(*args)
+    except NondeterminismDetected:
+        return "nondeterminism"
+
+
+class TestAntichainCacheMatchesListScan:
+    def test_seeded_store_and_evaluate_sequences(self):
+        rng = random.Random(4403)
+        outcomes = list(Outcome)
+        for trial in range(40):
+            n = rng.randint(3, 9)
+            oracle = random_table(n, seed=trial, fail_p=0.2, unresolved_p=0.1)
+            preload = {
+                rng.getrandbits(n): rng.choice(outcomes) for _ in range(rng.randint(0, 6))
+            }
+            monotone = trial % 4 != 0
+            antichain = CachedOracle(oracle, monotone=monotone, preload=preload)
+            reference = ListScanCache(oracle, monotone, preload)
+            for _ in range(150):
+                config = Configuration.from_bits(n, rng.getrandbits(n))
+                if rng.random() < 0.75:
+                    got = call(antichain.evaluate_ex, config)
+                    assert got == call(reference.evaluate_ex, config)
+                else:
+                    outcome = rng.choice(outcomes)
+                    got = call(antichain.store, config, outcome)
+                    assert got == call(reference.store, config, outcome)
 
 
 class TestVerifiedFromLog:

@@ -38,6 +38,12 @@ class TestRenderLogLine:
         )
         assert line == "**** ?#"
 
+    def test_wide_sparse_row_matches_per_cell_rendering(self):
+        config = Configuration(20000, [0, 3, 64, 12345, 19998, 19999])
+        rec = TestRecord(config, 2, Outcome.PASS, False, SOURCE_ORACLE, 0.0)
+        cells = "".join("*" if i in config else "." for i in range(20000))
+        assert render_log_line(rec, 20000) == cells + " P"
+
     def test_universe_size_mismatch(self):
         with pytest.raises(ValueError):
             render_log_line(record(4, [0], Outcome.PASS), 5)

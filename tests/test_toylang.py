@@ -5,6 +5,7 @@ import pytest
 from deltadebug import Configuration
 from deltadebug.toylang import (
     Assign,
+    Event,
     LoopEnd,
     PrintStmt,
     Read,
@@ -121,6 +122,27 @@ class TestTraceProgram:
         _, out = trace_program(program, [])
         assert out.status == "runtime-error"
 
+    def test_division_is_exact_for_large_integers(self):
+        program = parse_program("a = 100000000000000000001;\nb = a / 1;\nprint(b);\n")
+        _, out = trace_program(program, [])
+        assert out.stdout == "100000000000000000001"
+
+    def test_division_truncates_toward_zero(self):
+        program = parse_program(
+            "print(-7 / 2, \" \", 7 / -2, \" \", -7 / -2, \" \", 7 / 2);\n"
+        )
+        _, out = trace_program(program, [])
+        assert out.stdout == "-3 -3 3 3"
+
+    def test_division_of_a_400_digit_dividend(self):
+        dividend = int("9" * 400)
+        program = parse_program(f"a = -{dividend};\nb = a / 7;\nprint(b);\n")
+        trace, out = trace_program(program, [])
+        assert out.status == "completed"
+        assert out.stdout == str(-(dividend // 7))
+        replayed = replay_events(program, trace, Configuration.full(len(trace)), [])
+        assert replayed.stdout == out.stdout
+
     def test_budget_converts_hangs(self):
         program = parse_program("x = 0;\nwhile (x < 1) {\ny = 1;\n}\n")
         trace, out = trace_program(program, [], budget=500)
@@ -170,6 +192,46 @@ class TestReplayEvents:
         replayed = replay_events(program, trace, Configuration(37, heads), [0, 5])
         assert replayed.stdout == ""
         assert replayed.status == "completed"
+
+    def test_division_by_zero_in_a_replay(self):
+        # Skipping "a = 1" leaves the divisor at its first value, 0.
+        program = parse_program("a = 0;\nprint(\"x\");\na = 1;\nc = 5 / a;\n")
+        trace, traced = trace_program(program, [])
+        assert traced.status == "completed"
+        replayed = replay_events(program, trace, Configuration(4, [0, 1, 3]), [])
+        assert replayed.status == "runtime-error"
+        assert replayed.error == "division by zero"
+        assert replayed.stdout == "x"
+
+    def test_input_underrun_in_a_replay(self, sample_source):
+        program = parse_program(sample_source)
+        trace, _ = trace_program(program, [0, 5])
+        replayed = replay_events(program, trace, Configuration.full(37), [0])
+        assert replayed.status == "runtime-error"
+        assert replayed.error == "line 4: input underrun"
+        assert replayed.stdout == "a? b? "
+
+    def test_budget_exhausted_in_a_replay(self, sample_source):
+        program = parse_program(sample_source)
+        trace, _ = trace_program(program, [0, 5])
+        replayed = replay_events(
+            program, trace, Configuration.full(37), [0, 5], budget=10
+        )
+        assert replayed.status == "budget-exhausted"
+        assert replayed.error == "exceeded 10 events"
+        assert replayed.stdout == "a? b? "
+        exact = replay_events(program, trace, Configuration(37, range(10)), [0, 5], budget=10)
+        assert exact.status == "completed"
+
+    def test_statement_event_off_a_statement_line(self, sample_source):
+        # Line 5 is a loop head and line 99 does not exist.
+        program = parse_program(sample_source)
+        for line in (5, 99):
+            trace = [Event(line=1, seq=1, kind="statement"),
+                     Event(line=line, seq=2, kind="statement")]
+            replayed = replay_events(program, trace, Configuration.full(2), [])
+            assert replayed.status == "runtime-error"
+            assert replayed.error == f"event at line {line} is not a statement"
 
     def test_universe_mismatch_rejected(self, sample_source):
         program = parse_program(sample_source)
