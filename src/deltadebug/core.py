@@ -13,10 +13,12 @@ the same oracle behavior produce identical run logs.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
@@ -44,6 +46,12 @@ class Outcome(enum.Enum):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Outcome.{self.name}"
+
+
+_OUTCOME_VALUES = tuple(o.value for o in Outcome)
+# A record's source and outcome value; ``_value_`` is the plain attribute
+# behind the ``value`` descriptor, so the getter stays in C.
+_SOURCE_AND_OUTCOME = operator.attrgetter("source", "outcome._value_")
 
 
 class DeltaDebugError(Exception):
@@ -318,7 +326,7 @@ class EngineState:
     phase: str  # subset-scan | complement-scan | regranulate | done
 
 
-@dataclass
+@dataclass(slots=True)
 class TestRecord:
     __test__ = False  # not a pytest class, despite the name
 
@@ -347,10 +355,11 @@ class RunLog:
         return iter(self.records)
 
     def counts_by_source(self) -> dict[str, dict[str, int]]:
+        """Outcome tallies per source, sources in order of first appearance."""
         out: dict[str, dict[str, int]] = {}
-        for rec in self.records:
-            per = out.setdefault(rec.source, {o.value: 0 for o in Outcome})
-            per[rec.outcome.value] += 1
+        pairs = collections.Counter(map(_SOURCE_AND_OUTCOME, self.records))
+        for (source, outcome), count in pairs.items():
+            out.setdefault(source, dict.fromkeys(_OUTCOME_VALUES, 0))[outcome] = count
         return out
 
     def counts_by_outcome(self) -> dict[str, int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -51,33 +52,9 @@ class ReportDocument:
     universe_size: int
     final: list[int]
     counters: dict[str, dict[str, int]]
-    tests: list[dict] = field(default_factory=list)
+    records: list[TestRecord] = field(default_factory=list)
     ratio: float = 0.0
     verified_1_minimal: Optional[bool] = None
-
-    def to_json_dict(self, deterministic: bool = False) -> dict:
-        tests = self.tests
-        if deterministic:
-            tests = [dict(t, duration_ms=0.0) for t in tests]
-        return {
-            "universe_size": self.universe_size,
-            "final": list(self.final),
-            "counters": self.counters,
-            "tests": tests,
-            "ratio": self.ratio,
-            "verified_1_minimal": self.verified_1_minimal,
-        }
-
-
-def _record_to_dict(record: TestRecord) -> dict:
-    return {
-        "config": record.config.bitmap_hex(),
-        "granularity": record.granularity,
-        "outcome": record.outcome.value,
-        "cached": record.cached,
-        "source": record.source,
-        "duration_ms": record.duration_ms,
-    }
 
 
 def build_report(
@@ -89,6 +66,7 @@ def build_report(
 
     Pass a ``MinimizationResult`` for completed runs; for aborted runs
     (axiom violations) pass ``result=None`` with the partial ``log_``.
+    The document shares the log's records; nothing is copied per test.
     """
     if result is not None:
         log_ = result.log
@@ -105,7 +83,7 @@ def build_report(
         universe_size=log_.universe_size,
         final=final,
         counters=log_.counts_by_source(),
-        tests=[_record_to_dict(r) for r in log_.records],
+        records=log_.records,
         ratio=ratio,
         verified_1_minimal=verified,
     )
@@ -114,31 +92,62 @@ def build_report(
 def write_report(
     doc: ReportDocument, path: Union[str, Path], deterministic: bool = False
 ) -> None:
+    """Write ``doc`` as JSON; ``deterministic`` writes every duration as 0.0."""
     path = Path(path)
     try:
-        path.write_text(
-            _dump_report(doc.to_json_dict(deterministic=deterministic)),
-            encoding="utf-8",
-        )
+        path.write_text(_dump_report(doc, deterministic), encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
 
 
-def _dump_report(data: dict) -> str:
-    """Top-level keys indented, each test record on one line of its own.
+# One test record per line, exactly as ``json.dumps`` renders its dict:
+# outcome values and the hex bitmap need no escaping, and ``%r`` of a float
+# is ``float.__repr__``, which is what the JSON encoder writes.
+_TEST_LINE = (
+    '    {"config": "%s", "granularity": %d, "outcome": "%s", '
+    '"cached": %s, "source": %s, "duration_ms": %r}'
+)
+_TEST_FIELDS = operator.attrgetter(
+    "config.bits", "granularity", "outcome._value_", "cached", "source", "duration_ms"
+)
+_JSON_BOOL = ("false", "true")
+_SOURCE = operator.attrgetter("source")
 
-    An ``indent`` keeps ``json.dumps`` on its pure-Python encoder, so the
-    records, which are nearly all of a report, are encoded without one.
-    """
-    fields = []
-    for key, value in data.items():
-        if key == "tests" and value:
-            records = ",\n".join("    " + json.dumps(record) for record in value)
-            text = f"[\n{records}\n  ]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+def _test_lines(doc: ReportDocument, deterministic: bool) -> str:
+    nbytes = (doc.universe_size + 7) // 8
+    quoted = {s: json.dumps(s) for s in set(map(_SOURCE, doc.records))}
+    return ",\n".join(
+        _TEST_LINE % (
+            bits.to_bytes(nbytes, "little").hex(),
+            granularity,
+            outcome,
+            _JSON_BOOL[cached],
+            quoted[source],
+            0.0 if deterministic else duration,
+        )
+        for bits, granularity, outcome, cached, source, duration
+        in map(_TEST_FIELDS, doc.records)
+    )
+
+
+def _indented(value) -> str:
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _dump_report(doc: ReportDocument, deterministic: bool) -> str:
+    """Top-level keys indented, each test record on one line of its own."""
+    tests = f"[\n{_test_lines(doc, deterministic)}\n  ]" if doc.records else "[]"
+    fields = {
+        "universe_size": _indented(doc.universe_size),
+        "final": _indented(doc.final),
+        "counters": _indented(doc.counters),
+        "tests": tests,
+        "ratio": _indented(doc.ratio),
+        "verified_1_minimal": _indented(doc.verified_1_minimal),
+    }
+    body = ",\n".join(f'  "{key}": {text}' for key, text in fields.items())
+    return "{\n" + body + "\n}\n"
 
 
 def read_report(path: Union[str, Path]) -> ReportDocument:
@@ -147,11 +156,22 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise OSError(f"cannot read report {path}: {exc}") from exc
+    universe_size = data["universe_size"]
     return ReportDocument(
-        universe_size=data["universe_size"],
+        universe_size=universe_size,
         final=data["final"],
         counters=data["counters"],
-        tests=data["tests"],
+        records=[
+            TestRecord(
+                config=Configuration.from_bitmap_hex(universe_size, t["config"]),
+                granularity=t["granularity"],
+                outcome=Outcome(t["outcome"]),
+                cached=t["cached"],
+                source=t["source"],
+                duration_ms=t["duration_ms"],
+            )
+            for t in data["tests"]
+        ],
         ratio=data["ratio"],
         verified_1_minimal=data["verified_1_minimal"],
     )

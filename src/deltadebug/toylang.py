@@ -11,7 +11,8 @@ Grammar (statements end with ';', one statement per line):
     arg     := STRING | expr
     expr    := integer arithmetic and comparisons with the usual precedence
 
-Strings support \\n, \\t, \\" and \\\\ escapes.  Variables hold integers and
+Strings support \\n, \\t, \\" and \\\\ escapes.  Expressions nest to any
+depth; loops nest at most MAX_LOOP_NESTING deep.  Variables hold integers and
 start out undefined; an undefined value coerces to 0 in arithmetic and
 comparisons and prints as the empty string.  Reading consumes the next
 stdin token and echoes the prompt (if any) to the output.
@@ -25,6 +26,7 @@ spelled out by the trace, and skipped reads consume no input.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -32,6 +34,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .core import Configuration
 
 DEFAULT_STEP_BUDGET = 1_000_000
+# Parsing, compiling and running a loop recurse once per enclosing loop.
+MAX_LOOP_NESTING = 200
 
 KIND_STATEMENT = "statement"
 KIND_LOOP_HEAD = "loop-head"
@@ -133,7 +137,7 @@ Stmt = Union[Assign, Read, PrintStmt, While, LoopEnd]
 class Program:
     statements: tuple[Stmt, ...]
     source_lines: tuple[str, ...]
-    # Closures of the statements run so far, by line; see ``_compiled``.
+    # Functions of the statements run so far, by line; see ``_compiled``.
     _compiled: dict[int, "_Compiled"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -173,6 +177,13 @@ _KEYWORDS = {"while", "input", "print"}
 _TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
 _ONE_CHAR_OPS = "=+-*/<>(){},;"
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_BINARY_PRECEDENCE = {
+    "<=": 1, "<": 1, "==": 1, "!=": 1, ">": 1, ">=": 1,
+    "+": 2, "-": 2,
+    "*": 3, "/": 3,
+}
+_NEG = "neg"  # unary minus on the parser's operator stack
+_PRECEDENCE = {**_BINARY_PRECEDENCE, _NEG: 4}
 
 
 def _lex(text: str) -> list[_Token]:
@@ -253,6 +264,7 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._used_lines: set[int] = set()
+        self._loops = 0  # loops open around the statement being parsed
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -329,6 +341,9 @@ class _Parser:
     def _while(self) -> Stmt:
         tok = self._next()
         line = self._claim_line(tok)
+        if self._loops == MAX_LOOP_NESTING:
+            raise ToyParseError("loops nested too deeply", tok.line, tok.col)
+        self._loops += 1
         self._expect("op", "(")
         cond = self._expr()
         self._expect("op", ")")
@@ -340,49 +355,66 @@ class _Parser:
             body.append(self._statement())
         brace = self._next()
         body.append(LoopEnd(line=self._claim_line(brace)))
+        self._loops -= 1
         return While(line=line, cond=cond, body=tuple(body))
 
-    # Precedence: comparison < additive < multiplicative < unary < primary.
+    # Operator precedence parsing with explicit stacks: nesting and long
+    # operator chains cost no recursion.  Precedence: comparison < additive
+    # < multiplicative < unary minus; binary operators are left-associative.
     def _expr(self) -> Expr:
-        left = self._additive()
-        while self._peek().kind == "op" and self._peek().value in ("<=", "<", "==", "!=", ">", ">="):
-            op = self._next().value
-            left = BinOp(op, left, self._additive())
-        return left
+        operands: list[Expr] = []
+        pending: list[str] = []  # binary operators, _NEG and "(" not yet applied
 
-    def _additive(self) -> Expr:
-        left = self._multiplicative()
-        while self._peek().kind == "op" and self._peek().value in ("+", "-"):
-            op = self._next().value
-            left = BinOp(op, left, self._multiplicative())
-        return left
+        def apply(precedence: int) -> None:
+            """Apply the pending operators that bind at least this tightly."""
+            while pending and pending[-1] != "(" and _PRECEDENCE[pending[-1]] >= precedence:
+                op = pending.pop()
+                if op == _NEG:
+                    operands.append(Neg(operands.pop()))
+                else:
+                    right = operands.pop()
+                    operands.append(BinOp(op, operands.pop(), right))
 
-    def _multiplicative(self) -> Expr:
-        left = self._unary()
-        while self._peek().kind == "op" and self._peek().value in ("*", "/"):
-            op = self._next().value
-            left = BinOp(op, left, self._unary())
-        return left
-
-    def _unary(self) -> Expr:
-        if self._peek().kind == "op" and self._peek().value == "-":
-            self._next()
-            return Neg(self._unary())
-        return self._primary()
+        open_parens = 0
+        while True:
+            tok = self._peek()
+            if tok.kind == "op" and tok.value in ("-", "("):
+                self._next()
+                pending.append(_NEG if tok.value == "-" else "(")
+                open_parens += tok.value == "("
+                continue
+            operands.append(self._primary())
+            tok = self._peek()
+            while open_parens and tok.kind == "op" and tok.value == ")":
+                self._next()
+                apply(1)
+                pending.pop()
+                open_parens -= 1
+                tok = self._peek()
+            if tok.kind == "op" and tok.value in _BINARY_PRECEDENCE:
+                self._next()
+                apply(_PRECEDENCE[tok.value])
+                pending.append(tok.value)
+                continue
+            if open_parens:
+                self._expect("op", ")")
+            apply(1)
+            return operands.pop()
 
     def _primary(self) -> Expr:
         tok = self._peek()
         if tok.kind == "int":
             self._next()
-            return IntLit(int(tok.value))
+            try:
+                return IntLit(int(tok.value))
+            except ValueError:  # past the interpreter's int/str digit limit
+                raise ToyParseError(
+                    f"integer literal of {len(tok.value)} digits is too long",
+                    tok.line, tok.col,
+                ) from None
         if tok.kind == "ident" and tok.value not in _KEYWORDS:
             self._next()
             return VarRef(tok.value)
-        if tok.kind == "op" and tok.value == "(":
-            self._next()
-            inner = self._expr()
-            self._expect("op", ")")
-            return inner
         raise ToyParseError(f"expected an expression, found {tok.value!r}", tok.line, tok.col)
 
 
@@ -417,13 +449,15 @@ class ReplayOutput:
 
 # --- compiled evaluation -----------------------------------------------------
 #
-# Each statement and expression is compiled once, on first use, into a
-# closure; tracing and replay both run those closures.  Variables that were
-# never assigned are absent from the store: they read as 0 in arithmetic
-# and comparisons and print as the empty string.
+# Each statement is compiled once, on first use, into one Python function:
+# its toy expressions are translated into a Python ``ast`` tree, spliced
+# into a fixed template and compiled.  Toy names and strings enter that
+# tree only as constants, so no toy text is ever parsed as Python.  Tracing
+# and replay both run these functions.  Variables that were never assigned
+# are absent from the store: they read as 0 in arithmetic and comparisons
+# and print as the empty string.
 
 Store = dict[str, int]
-Evaluator = Callable[[Store], int]
 
 
 def _divide(left: int, right: int) -> int:
@@ -434,43 +468,12 @@ def _divide(left: int, right: int) -> int:
     return -quotient if (left < 0) != (right < 0) else quotient
 
 
-_BINARY: dict[str, Callable[[Evaluator, Evaluator], Evaluator]] = {
-    "+": lambda l, r: lambda store: l(store) + r(store),
-    "-": lambda l, r: lambda store: l(store) - r(store),
-    "*": lambda l, r: lambda store: l(store) * r(store),
-    "/": lambda l, r: lambda store: _divide(l(store), r(store)),
-    "<=": lambda l, r: lambda store: int(l(store) <= r(store)),
-    "<": lambda l, r: lambda store: int(l(store) < r(store)),
-    "==": lambda l, r: lambda store: int(l(store) == r(store)),
-    "!=": lambda l, r: lambda store: int(l(store) != r(store)),
-    ">": lambda l, r: lambda store: int(l(store) > r(store)),
-    ">=": lambda l, r: lambda store: int(l(store) >= r(store)),
-}
-
-
-def _compile_expr(expr: Expr) -> Evaluator:
-    match expr:
-        case IntLit(value):
-            return lambda store: value
-        case VarRef(name):
-            return lambda store: store.get(name, 0)
-        case Neg(operand):
-            inner = _compile_expr(operand)
-            return lambda store: -inner(store)
-        case BinOp(op, left, right):
-            return _BINARY[op](_compile_expr(left), _compile_expr(right))
-    raise ToyRuntimeError(f"cannot evaluate {expr!r}")
-
-
-def _compile_print_arg(arg: PrintArg) -> Callable[[Store], str]:
-    match arg:
-        case StrLit(text):
-            return lambda store: text
-        case VarRef(name):
-            # Print shows the raw variable: undefined renders empty, not 0.
-            return lambda store: str(store[name]) if name in store else ""
-    value = _compile_expr(arg)
-    return lambda store: str(value(store))
+def _show(value: int) -> str:
+    """The decimal text of ``value`` for ``print``."""
+    try:
+        return str(value)
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise ToyRuntimeError("integer too large to print") from None
 
 
 class _Machine:
@@ -498,6 +501,122 @@ class _Machine:
 
 Action = Callable[[_Machine], None]
 
+# Every compiled statement starts from this template; its body grows by
+# the statement's own Python statements.
+_TEMPLATE = "def statement(machine):\n    store = machine.store\n"
+# The only names compiled statements can reach: no builtins.
+_GLOBALS = {"__builtins__": {}, "_divide": _divide, "_show": _show, "int": int}
+_ARITHMETIC = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+_COMPARISON = {
+    "<=": ast.LtE, "<": ast.Lt, "==": ast.Eq, "!=": ast.NotEq, ">": ast.Gt, ">=": ast.GtE,
+}
+# A subtree this deep is first computed into a local variable: how deep a
+# tree ``compile`` accepts differs between Python versions and shrinks as
+# the caller's stack grows.
+_SPLIT_DEPTH = 64
+
+
+class _Builder:
+    """Python ``ast`` nodes for one statement, all placed at its toy line."""
+
+    def __init__(self, line: int):
+        self.line = line
+        self.body: list[ast.stmt] = []
+        self._locals = 0
+
+    def at(self, node):
+        node.lineno = node.end_lineno = self.line
+        node.col_offset = node.end_col_offset = 0
+        return node
+
+    def const(self, value) -> ast.expr:
+        return self.at(ast.Constant(value))
+
+    def name(self, name: str, ctx=None) -> ast.expr:
+        return self.at(ast.Name(name, ctx or ast.Load()))
+
+    def call(self, func: ast.expr, *args: ast.expr) -> ast.expr:
+        return self.at(ast.Call(func, list(args), []))
+
+    def attribute(self, obj: str, attr: str) -> ast.expr:
+        return self.at(ast.Attribute(self.name(obj), attr, ast.Load()))
+
+    def method(self, obj: str, method: str, *args: ast.expr) -> ast.expr:
+        return self.call(self.attribute(obj, method), *args)
+
+    def assign(self, target: ast.expr, value: ast.expr) -> None:
+        self.body.append(self.at(ast.Assign([target], value)))
+
+    def local(self, value: ast.expr) -> ast.expr:
+        """Compute ``value`` into a fresh local now; return a reference to it."""
+        name = f"_{self._locals}"
+        self._locals += 1
+        self.assign(self.name(name, ast.Store()), value)
+        return self.name(name)
+
+    def expr(self, expr: Expr) -> ast.expr:
+        """``expr`` as a Python expression reading the local ``store``.
+
+        Built with explicit stacks, post-order, so any depth works.  When a
+        subtree reaches ``_SPLIT_DEPTH`` it goes into a local, and so do the
+        left operands still waiting for it, first: evaluation stays left to
+        right.
+        """
+        done: list[tuple[ast.expr, int]] = []  # built operands and their depths
+        todo: list = [expr]
+        while todo:
+            match todo.pop():
+                case IntLit(value):
+                    done.append((self.const(value), 1))
+                case VarRef(name):
+                    read = self.method("store", "get", self.const(name), self.const(0))
+                    done.append((read, 3))
+                case Neg(operand):
+                    todo += (_NEG, operand)
+                case BinOp(op, left, right):
+                    todo += (op, right, left)
+                case op:  # the operands of ``op`` are the last ones built
+                    tree, depth = self._apply(op, done)
+                    if depth >= _SPLIT_DEPTH:
+                        done[:] = [(self.local(t), 1) if d > 1 else (t, d) for t, d in done]
+                        tree, depth = self.local(tree), 1
+                    done.append((tree, depth))
+        return done.pop()[0]
+
+    def _apply(self, op: str, done: list[tuple[ast.expr, int]]) -> tuple[ast.expr, int]:
+        """Pop the operands of ``op`` off ``done``; the node and its depth."""
+        if op == _NEG:
+            operand, depth = done.pop()
+            return self.at(ast.UnaryOp(ast.USub(), operand)), depth + 1
+        (right, right_depth), (left, left_depth) = done.pop(), done.pop()
+        depth = max(left_depth, right_depth) + 1
+        if op in _ARITHMETIC:
+            return self.at(ast.BinOp(left, _ARITHMETIC[op](), right)), depth
+        if op == "/":
+            return self.call(self.name("_divide"), left, right), depth
+        test = self.at(ast.Compare(left, [_COMPARISON[op]()], [right]))
+        return self.call(self.name("int"), test), depth + 1
+
+    def compile(self) -> Action:
+        module = ast.parse(_TEMPLATE)
+        module.body[0].body += self.body
+        namespace = dict(_GLOBALS)
+        exec(compile(module, f"<toy line {self.line}>", "exec"), namespace)
+        return namespace["statement"]
+
+
+def _print_arg(build: _Builder, arg: PrintArg) -> ast.expr:
+    match arg:
+        case StrLit(text):
+            return build.const(text)
+        case VarRef(name):
+            # Print shows the raw variable: undefined renders empty, not 0.
+            key, store = build.const(name), build.name("store")
+            defined = build.at(ast.Compare(key, [ast.In()], [store]))
+            text = build.call(build.name("_show"), build.at(ast.Subscript(store, key, ast.Load())))
+            return build.at(ast.IfExp(defined, text, build.const("")))
+    return build.call(build.name("_show"), build.expr(arg))
+
 
 class _Compiled(NamedTuple):
     effect: Optional[Action]  # what a replayed statement event does; None: nothing
@@ -505,7 +624,7 @@ class _Compiled(NamedTuple):
 
 
 def _compiled(program: Program, stmt: Stmt) -> _Compiled:
-    """The closures of ``stmt``, compiled on first use and kept with ``program``."""
+    """The functions of ``stmt``, compiled on first use and kept with ``program``."""
     found = program._compiled.get(stmt.line)
     if found is None:
         found = program._compiled[stmt.line] = _compile_statement(program, stmt)
@@ -523,10 +642,11 @@ def _compile_statement(program: Program, stmt: Stmt) -> _Compiled:
     line = stmt.line
     match stmt:
         case Assign(_, name, expr):
-            value = _compile_expr(expr)
-
-            def effect(machine: _Machine) -> None:
-                machine.store[name] = value(machine.store)
+            build = _Builder(line)
+            value = build.expr(expr)
+            target = ast.Subscript(build.name("store"), build.const(name), ast.Store())
+            build.assign(build.at(target), value)
+            effect = build.compile()
 
         case Read(_, name, prompt):
             def effect(machine: _Machine) -> None:
@@ -537,12 +657,12 @@ def _compile_statement(program: Program, stmt: Stmt) -> _Compiled:
                 machine.next_token += 1
 
         case PrintStmt(_, args):
-            renders = tuple(_compile_print_arg(arg) for arg in args)
-
-            def effect(machine: _Machine) -> None:
-                out, store = machine.out, machine.store
-                for render in renders:
-                    out.append(render(store))
+            build = _Builder(line)
+            build.assign(build.name("out", ast.Store()), build.attribute("machine", "out"))
+            for arg in args:
+                text = _print_arg(build, arg)
+                build.body.append(build.at(ast.Expr(build.method("out", "append", text))))
+            effect = build.compile()
 
         case LoopEnd():
             def trace_end(machine: _Machine) -> None:
@@ -551,13 +671,15 @@ def _compile_statement(program: Program, stmt: Stmt) -> _Compiled:
             return _Compiled(effect=None, trace=trace_end)
 
         case While(_, cond, body):
-            test = _compile_expr(cond)
+            build = _Builder(line)
+            build.body.append(build.at(ast.Return(build.expr(cond))))
+            test = build.compile()
             steps = tuple(_compiled(program, s).trace for s in body)
 
             def run(machine: _Machine) -> None:
                 while True:
                     machine.emit(line, KIND_LOOP_HEAD)
-                    if test(machine.store) == 0:
+                    if test(machine) == 0:
                         return
                     for step in steps:
                         step(machine)

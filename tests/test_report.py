@@ -65,7 +65,7 @@ class TestReportDocument:
         assert doc.final == [2, 5]
         assert doc.ratio == pytest.approx(0.25)
         total = sum(sum(per.values()) for per in doc.counters.values())
-        assert total == len(doc.tests) == len(result.log.records)
+        assert total == len(doc.records) == len(result.log.records)
 
     def test_axiom_only_report(self):
         from deltadebug import AxiomViolation
@@ -81,7 +81,7 @@ class TestReportDocument:
         doc = build_report(result)
         write_report(doc, tmp_path / "det.json", deterministic=True)
         loaded = read_report(tmp_path / "det.json")
-        assert all(t["duration_ms"] == 0.0 for t in loaded.tests)
+        assert all(r.duration_ms == 0.0 for r in loaded.records)
 
 
 class TestCacheFile:

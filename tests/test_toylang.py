@@ -1,9 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from deltadebug import Configuration
+from deltadebug.core import Outcome
 from deltadebug.toylang import (
+    MAX_LOOP_NESTING,
     Assign,
     Event,
     LoopEnd,
@@ -18,6 +21,7 @@ from deltadebug.toylang import (
     trace_program,
     write_trace,
 )
+from deltadebug.tracered import OutputExpectation, ReplayOracle
 
 
 class TestParser:
@@ -238,6 +242,66 @@ class TestReplayEvents:
         trace, _ = trace_program(program, [0, 5])
         with pytest.raises(ValueError):
             replay_events(program, trace, Configuration.full(5), [0, 5])
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python converts integers of any size to text",
+)
+
+# Squares 10 thirteen times: a 8193-digit value, over the 4300-digit default.
+HUGE_VALUE = "a = 10;\ni = 0;\nwhile (i < 13) {\na = a * a;\ni = i + 1;\n}\n"
+
+
+class TestNoPythonErrorEscapes:
+    @needs_digit_limit
+    def test_printing_a_huge_value_is_a_runtime_error(self):
+        program = parse_program(HUGE_VALUE + 'print("a=", a);\n')
+        trace, out = trace_program(program, [])
+        assert (out.status, out.error) == ("runtime-error", "integer too large to print")
+        assert out.stdout == "a="
+        replayed = replay_events(program, trace, Configuration.full(len(trace)), [])
+        assert (replayed.status, replayed.error) == (out.status, out.error)
+
+    @needs_digit_limit
+    def test_a_replay_printing_a_huge_value_is_unresolved(self):
+        program = parse_program(HUGE_VALUE + "a = 1;\nprint(a);\n")
+        trace, out = trace_program(program, [])
+        assert out.stdout == "1"
+        oracle = ReplayOracle(program, trace, [], OutputExpectation.derive("1"))
+        reset_line = HUGE_VALUE.count("\n") + 1
+        skip_reset = [i for i, e in enumerate(trace) if e.line != reset_line]
+        assert oracle.evaluate(Configuration(len(trace), skip_reset)) == Outcome.UNRESOLVED
+        assert oracle.evaluate(Configuration.full(len(trace))) == Outcome.FAIL
+
+    @needs_digit_limit
+    def test_a_5000_digit_literal_is_a_parse_error(self):
+        with pytest.raises(ToyParseError, match="integer literal of 5000 digits"):
+            parse_program("a = " + "7" * 5000 + ";\n")
+
+    def test_250_nested_parentheses(self):
+        program = parse_program("a = " + "(" * 250 + "2 - 5" + ")" * 250 + ";\nprint(a);\n")
+        trace, out = trace_program(program, [])
+        assert (out.status, out.stdout) == ("completed", "-3")
+        replayed = replay_events(program, trace, Configuration.full(len(trace)), [])
+        assert replayed.stdout == "-3"
+
+    def test_a_3000_term_chain(self):
+        chain = " + ".join(["x"] * 3000)
+        program = parse_program(f"x = 1;\na = {chain};\nprint(a);\n")
+        trace, out = trace_program(program, [])
+        assert (out.status, out.stdout) == ("completed", "3000")
+        replayed = replay_events(program, trace, Configuration.full(len(trace)), [])
+        assert replayed.stdout == "3000"
+
+    def test_loop_nesting_is_capped_at_parse_time(self):
+        def nested(depth):
+            return "while (0) {\n" * depth + "}\n" * depth
+
+        trace, out = trace_program(parse_program(nested(MAX_LOOP_NESTING)), [])
+        assert out.status == "completed"
+        with pytest.raises(ToyParseError, match="loops nested too deeply"):
+            parse_program(nested(MAX_LOOP_NESTING + 1))
 
 
 def random_program(rng: random.Random) -> str:
