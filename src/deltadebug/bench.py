@@ -76,10 +76,11 @@ def run_one(oracle_name: str, n: int, monotone: bool = False) -> tuple[BenchRow,
     result = ddmin(
         Configuration.full(n), oracle, EngineOptions(monotone=monotone)
     )
+    tests_oracle, tests_cached, _ = result.log.test_counts()
     row = BenchRow(
         n=n,
-        tests_oracle=result.log.oracle_test_count,
-        tests_cached=result.log.cached_test_count,
+        tests_oracle=tests_oracle,
+        tests_cached=tests_cached,
         bound_quadratic=quadratic_bound(n),
         bound_log=log_bound(n),
         final_size=len(result.final),

@@ -72,19 +72,21 @@ class _Progress:
     def __init__(self, verbose: bool):
         self.verbose = verbose
         self.count = 0
-        self.tallies = {o: 0 for o in Outcome}
+        # Keyed by outcome value: an Outcome key would cost two calls of
+        # the Python-level ``Enum.__hash__`` per test.
+        self.tallies = {o.value: 0 for o in Outcome}
 
     def __call__(self, record, state) -> None:
         self.count += 1
-        self.tallies[record.outcome] += 1
+        self.tallies[record.outcome._value_] += 1
         if self.verbose:
             print(report_mod.render_log_line(record, record.config.universe_size))
         elif self.count % PROGRESS_EVERY == 0:
             print(
                 f"... {self.count} tests "
-                f"(fail={self.tallies[Outcome.FAIL]} "
-                f"pass={self.tallies[Outcome.PASS]} "
-                f"unresolved={self.tallies[Outcome.UNRESOLVED]})"
+                f"(fail={self.tallies['fail']} "
+                f"pass={self.tallies['pass']} "
+                f"unresolved={self.tallies['unresolved']})"
             )
 
 
@@ -122,10 +124,10 @@ def _write_run_report(args, result: Optional[MinimizationResult], log=None) -> N
 
 def _summarize(result: MinimizationResult, label: str) -> None:
     log = result.log
+    oracle, cached, axiom = log.test_counts()
     print(
         f"{label}: {log.universe_size} -> {len(result.final)} deltas "
-        f"({log.oracle_test_count} oracle tests, {log.cached_test_count} cached, "
-        f"{log.axiom_test_count} axiom checks)"
+        f"({oracle} oracle tests, {cached} cached, {axiom} axiom checks)"
     )
 
 

@@ -19,9 +19,9 @@ import enum
 import itertools
 import math
 import operator
-import time
+from time import perf_counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 DEFAULT_VERIFY_BUDGET = 2 ** 16
 
@@ -89,11 +89,6 @@ def bit_string(bits: int, width: int) -> str:
 
 # Maps the ASCII digits of ``bit_string`` to false/true selector bytes.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def range_mask(lo: int, hi: int) -> int:
-    """The bitmap of delta ids ``lo`` to ``hi - 1``."""
-    return (1 << hi) - (1 << lo)
 
 
 class Configuration:
@@ -166,12 +161,6 @@ class Configuration:
         members = ",".join(str(m) for m in self.members)
         return f"<Configuration {{{members}}}/{self.universe_size}>"
 
-    def issubset(self, other: "Configuration") -> bool:
-        return self.bits & other.bits == self.bits
-
-    def minus(self, other: "Configuration") -> "Configuration":
-        return Configuration.from_bits(self.universe_size, self.bits & ~other.bits)
-
     def without(self, delta_ids: Iterable[int]) -> "Configuration":
         bits = self.bits
         for m in delta_ids:
@@ -189,24 +178,34 @@ class Configuration:
         return cls.from_bits(universe_size, bits)
 
 
-def partition(config: Configuration, n: int) -> list[Configuration]:
-    """Split ``config`` into ``n`` contiguous chunks of near-equal size.
+# Build a Configuration like ``from_bits`` but without its bounds check, for
+# bitmaps the engine derives from one it holds.  The slot setters bypass the
+# immutability guard in ``__setattr__``.
+_new_configuration = Configuration.__new__
+_set_universe_size = Configuration.universe_size.__set__
+_set_bits = Configuration.bits.__set__
 
-    Chunk sizes differ by at most one; the first ``len(config) % n`` chunks
-    carry the extra element.  Concatenating the chunks in order reproduces
-    the member order of ``config``.
+
+def partition(bits: int, members: Sequence[int], n: int) -> list[tuple[int, int, int]]:
+    """Split the configuration ``bits`` into ``n`` contiguous chunks of
+    near-equal size, as ``(lo, hi, chunk)`` triples.
+
+    ``members`` are the ascending member ids of ``bits``; chunk ``i`` holds
+    ``members[lo:hi]`` and ``chunk`` is its bitmap.  Chunk sizes differ by
+    at most one; the first ``len(members) % n`` chunks carry the extra
+    element.  Concatenating the chunks in order reproduces ``members``.
     """
-    if not 2 <= n <= len(config):
-        raise ValueError(f"granularity {n} out of range 2..{len(config)}")
-    members = config.members
+    if not 2 <= n <= len(members):
+        raise ValueError(f"granularity {n} out of range 2..{len(members)}")
     q, r = divmod(len(members), n)
     chunks = []
-    start = 0
+    lo = 0
     for i in range(n):
-        end = start + q + (1 if i < r else 0)
-        mask = range_mask(members[start], members[end - 1] + 1)
-        chunks.append(Configuration.from_bits(config.universe_size, config.bits & mask))
-        start = end
+        hi = lo + q + (i < r)
+        # The ids members[lo] .. members[hi - 1], masked to those in ``bits``.
+        mask = (1 << members[hi - 1] + 1) - (1 << members[lo])
+        chunks.append((lo, hi, bits & mask))
+        lo = hi
     return chunks
 
 
@@ -259,7 +258,8 @@ class CachedOracle:
     invocation: under monotony, subsets of passing sets always pass.  Only
     the maximal passed bitmaps are kept for that lookup (an antichain): a
     subset of a kept one adds no answer, and a new one replaces every kept
-    one it contains.
+    one it contains.  A preloaded PASS joins the antichain when it is first
+    asked, not before.
     """
 
     def __init__(
@@ -273,22 +273,39 @@ class CachedOracle:
         self.monotone = monotone
         self._exact: dict[int, Outcome] = dict(preload or {})
         self._passed: set[int] = set()  # maximal passed bitmaps, if monotone
+        # Preloaded passes not yet asked, which have not joined ``_passed``.
+        self._unasked: set[int] = {
+            bits for bits, outcome in self._exact.items() if outcome is Outcome.PASS
+        } if monotone else set()
         self._sink = sink
 
     def evaluate(self, config: Configuration) -> Outcome:
         return self.evaluate_ex(config)[0]
 
+    def lookup(self, bits: int) -> Optional[Outcome]:
+        """The cached outcome of the bitmap ``bits``, or None.  Asks no
+        oracle and scans no antichain, except on a preloaded PASS's first
+        lookup, when it joins the antichain."""
+        if self._unasked and bits in self._unasked:
+            self._unasked.remove(bits)
+            subsumed = self._scan(bits)
+            if subsumed is not None:
+                self._join(bits, subsumed)
+        return self._exact.get(bits)
+
     def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
         bits = config.bits
-        hit = self._exact.get(bits)
+        hit = self.lookup(bits)
         if hit is not None:
-            self._note_pass(bits, hit)
             return hit, SOURCE_EXACT_CACHE
-        if self.monotone and self._covered(bits):
-            self.store(config, Outcome.PASS)
-            return Outcome.PASS, SOURCE_MONOTONY
+        subsumed = None
+        if self.monotone:
+            subsumed = self._scan(bits)
+            if subsumed is None:
+                self._insert(config, Outcome.PASS, None)
+                return Outcome.PASS, SOURCE_MONOTONY
         outcome, source = _evaluate_ex(self._oracle, config)
-        self.store(config, outcome)
+        self._insert(config, outcome, subsumed)
         return outcome, source
 
     def store(self, config: Configuration, outcome: Outcome) -> None:
@@ -302,18 +319,34 @@ class CachedOracle:
                     f"cached as {known.name}"
                 )
             return
-        self._exact[bits] = outcome
-        self._note_pass(bits, outcome)
+        monotone_pass = self.monotone and outcome is Outcome.PASS
+        self._insert(config, outcome, self._scan(bits) if monotone_pass else None)
+
+    def _scan(self, bits: int) -> Optional[list[int]]:
+        """None if a kept pass covers ``bits``, else the kept passes that
+        ``bits`` contains."""
+        subsumed = []
+        for p in self._passed:
+            common = bits & p
+            if common == bits:
+                return None
+            if common == p:
+                subsumed.append(p)
+        return subsumed
+
+    def _insert(
+        self, config: Configuration, outcome: Outcome, subsumed: Optional[list[int]]
+    ) -> None:
+        """Cache a new answer.  A PASS joins the antichain in place of
+        ``subsumed``, unless that is None: covered, or no monotony."""
+        self._exact[config.bits] = outcome
+        if subsumed is not None and outcome is Outcome.PASS:
+            self._join(config.bits, subsumed)
         if self._sink is not None:
             self._sink(config, outcome)
 
-    def _covered(self, bits: int) -> bool:
-        return any(bits & p == bits for p in self._passed)
-
-    def _note_pass(self, bits: int, outcome: Outcome) -> None:
-        if not self.monotone or outcome != Outcome.PASS or self._covered(bits):
-            return
-        self._passed.difference_update([p for p in self._passed if p & bits == p])
+    def _join(self, bits: int, subsumed: list[int]) -> None:
+        self._passed.difference_update(subsumed)
         self._passed.add(bits)
 
 
@@ -362,30 +395,30 @@ class RunLog:
             out.setdefault(source, dict.fromkeys(_OUTCOME_VALUES, 0))[outcome] = count
         return out
 
-    def counts_by_outcome(self) -> dict[str, int]:
-        out = {o.value: 0 for o in Outcome}
-        for rec in self.records:
-            out[rec.outcome.value] += 1
-        return out
+    def test_counts(self) -> tuple[int, int, int]:
+        """Oracle, cached and axiom record counts, from one pass over the log.
+
+        Oracle counts underlying invocations, excluding axiom checks and
+        cache answers.
+        """
+        per_source = {s: sum(c.values()) for s, c in self.counts_by_source().items()}
+        return (
+            per_source.get(SOURCE_ORACLE, 0),
+            sum(per_source.get(s, 0) for s in CACHED_SOURCES),
+            per_source.get(SOURCE_AXIOM, 0),
+        )
 
     @property
     def oracle_test_count(self) -> int:
-        """Underlying invocations, excluding axiom checks and cache answers."""
-        return sum(1 for r in self.records if r.source == SOURCE_ORACLE)
+        return self.test_counts()[0]
 
     @property
     def cached_test_count(self) -> int:
-        return sum(1 for r in self.records if r.source in CACHED_SOURCES)
+        return self.test_counts()[1]
 
     @property
     def axiom_test_count(self) -> int:
-        return sum(1 for r in self.records if r.source == SOURCE_AXIOM)
-
-    def last_fail_config(self) -> Optional[Configuration]:
-        for rec in reversed(self.records):
-            if rec.outcome == Outcome.FAIL:
-                return rec.config
-        return None
+        return self.test_counts()[2]
 
     def fingerprint(self) -> tuple:
         """Timing-free identity of the log, for determinism checks."""
@@ -463,36 +496,52 @@ def ddmin(
         preload=opts.preloaded_cache,
         sink=opts.cache_sink,
     )
-    log = RunLog(universe.universe_size)
+    size = universe.universe_size
+    log = RunLog(size)
+    append = log.records.append
+    lookup, evaluate_ex = cached.lookup, cached.evaluate_ex
+    on_record = opts.on_record
     state: Optional[EngineState] = None
+    first: dict[int, TestRecord] = {}  # the first record of each bitmap asked
 
-    def run_test(config: Configuration, granularity: int, axiom: bool = False) -> Outcome:
-        start = time.perf_counter()
-        outcome, source = cached.evaluate_ex(config)
-        duration = (time.perf_counter() - start) * 1000.0
-        if axiom and source == SOURCE_ORACLE:
-            source = SOURCE_AXIOM
-        record = TestRecord(
-            config=config,
-            granularity=granularity,
-            outcome=outcome,
-            cached=source in CACHED_SOURCES,
-            source=source,
-            duration_ms=duration,
-        )
-        log.append(record)
-        if opts.on_record is not None:
-            opts.on_record(record, state)
-        return outcome
+    def run_test(bits: int, granularity: int, axiom: bool = False) -> Outcome:
+        earlier = first.get(bits)
+        if earlier is not None:
+            # An exact hit: one dict lookup, not worth a timer.  The record
+            # shares the earlier record's Configuration.
+            record = TestRecord(
+                earlier.config, granularity, earlier.outcome, True, SOURCE_EXACT_CACHE, 0.0
+            )
+        else:
+            # Every bitmap here is a subset of ``universe``: no bounds check.
+            config = _new_configuration(Configuration)
+            _set_universe_size(config, size)
+            _set_bits(config, bits)
+            outcome = lookup(bits)  # a preloaded answer, or None
+            if outcome is not None:
+                record = TestRecord(config, granularity, outcome, True, SOURCE_EXACT_CACHE, 0.0)
+            else:
+                start = perf_counter()
+                outcome, source = evaluate_ex(config)
+                duration = (perf_counter() - start) * 1000.0
+                if axiom and source == SOURCE_ORACLE:
+                    source = SOURCE_AXIOM
+                record = TestRecord(
+                    config, granularity, outcome, source in CACHED_SOURCES, source, duration
+                )
+            first[bits] = record
+        append(record)
+        if on_record is not None:
+            on_record(record, state)
+        return record.outcome
 
     if opts.verify_axioms:
-        empty = Configuration.empty(universe.universe_size)
-        got = run_test(empty, 0, axiom=True)
+        got = run_test(0, 0, axiom=True)
         if got != Outcome.PASS:
             raise AxiomViolation(
                 f"the empty configuration must PASS but tested {got.name}", log
             )
-        got = run_test(universe, 0, axiom=True)
+        got = run_test(universe.bits, 0, axiom=True)
         if got != Outcome.FAIL:
             raise AxiomViolation(
                 f"the full configuration must FAIL but tested {got.name}", log
@@ -500,40 +549,43 @@ def ddmin(
     elif len(universe) == 0:
         raise ValueError("universe must contain at least one delta")
 
-    current = universe
+    # The current configuration as a bitmap and as its ascending member ids;
+    # a reduction slices the member list instead of re-reading the bitmap.
+    current, members = universe.bits, universe.members
     n = 2
-    while len(current) >= 2:
+    while len(members) >= 2:
         # Recursion invariant: current is known to FAIL and n <= |current|.
-        state = EngineState(current=current, granularity=n, phase="subset-scan")
-        chunks = partition(current, n)
-        reduced = None
-        for chunk in chunks:
-            if run_test(chunk, n) == Outcome.FAIL:
-                reduced = (chunk, 2)
+        if on_record is not None:
+            state = EngineState(Configuration.from_bits(size, current), n, "subset-scan")
+        chunks = partition(current, members, n)
+        for lo, hi, chunk in chunks:
+            if run_test(chunk, n) is Outcome.FAIL:
+                current, members, n = chunk, members[lo:hi], 2
                 break
-        if reduced is None:
-            state.phase = "complement-scan"
-            for chunk in chunks:
-                complement = current.minus(chunk)
-                if run_test(complement, n) == Outcome.FAIL:
-                    reduced = (complement, max(n - 1, 2))
+        else:
+            if state is not None:
+                state.phase = "complement-scan"
+            for lo, hi, chunk in chunks:
+                if run_test(current ^ chunk, n) is Outcome.FAIL:
+                    current, members = current ^ chunk, members[:lo] + members[hi:]
+                    n = max(n - 1, 2)
                     break
-        if reduced is not None:
-            current, n = reduced
-            continue
-        if n < len(current):
-            state.phase = "regranulate"
-            n = min(len(current), 2 * n)
-            continue
-        break
+            else:
+                if n >= len(members):
+                    break
+                if state is not None:
+                    state.phase = "regranulate"
+                n = min(len(members), 2 * n)
 
+    final = Configuration.from_bits(size, current)
     return MinimizationResult(
-        final=current, log=log, verified_1_minimal=_verified_1_minimal(log, current)
+        final=final, log=log, verified_1_minimal=_verified_1_minimal(first, current)
     )
 
 
-def _verified_1_minimal(log: RunLog, final: Configuration) -> Optional[bool]:
-    """Read the 1-minimality of ``final`` off the run log; tests nothing.
+def _verified_1_minimal(first: dict[int, TestRecord], final: int) -> Optional[bool]:
+    """Read the 1-minimality of the bitmap ``final`` off the run log, given
+    as the first record of each bitmap asked; tests nothing.
 
     The witnesses are the first record of ``final`` and of each ``final``
     minus one member (for a one-member result, the empty set of the axiom
@@ -542,23 +594,17 @@ def _verified_1_minimal(log: RunLog, final: Configuration) -> Optional[bool]:
     when a witness is missing or was a monotony answer, which is an
     assumption, not a test; False only when the log contradicts itself.
     """
-    witnesses = {final.bits}
-    rest = final.bits
+    witnesses = [first.get(final)]
+    rest = final
     while rest:
         low = rest & -rest
-        witnesses.add(final.bits ^ low)
+        witnesses.append(first.get(final ^ low))
         rest ^= low
-    first: dict[int, TestRecord] = {}
-    for rec in log.records:
-        if rec.config.bits in witnesses:
-            first.setdefault(rec.config.bits, rec)
-    if len(first) < len(witnesses) or any(
-        rec.source == SOURCE_MONOTONY for rec in first.values()
-    ):
+    if any(rec is None or rec.source == SOURCE_MONOTONY for rec in witnesses):
         return None
-    own = first.pop(final.bits)
+    own, *others = witnesses
     return own.outcome == Outcome.FAIL and all(
-        rec.outcome != Outcome.FAIL for rec in first.values()
+        rec.outcome != Outcome.FAIL for rec in others
     )
 
 

@@ -232,6 +232,17 @@ class TestReduceTraceCommand:
         assert (tmp_path / "sample.toy.slice").exists()
         out = capsys.readouterr().out
         assert "critical slice (13 events)" in out
+        # Each progress line tallies the outcomes of the tests so far.
+        outcomes = [t["outcome"] for t in doc["tests"]]
+        progress = re.findall(
+            r"^\.\.\. (\d+) tests \(fail=(\d+) pass=(\d+) unresolved=(\d+)\)$", out, re.M
+        )
+        assert progress
+        for count, fail, passed, unresolved in progress:
+            so_far = outcomes[:int(count)]
+            assert (int(fail), int(passed), int(unresolved)) == (
+                so_far.count("fail"), so_far.count("pass"), so_far.count("unresolved")
+            )
 
     def test_sum_filter_gives_11_events(self, tmp_path, sample_source):
         program = tmp_path / "sample.toy"

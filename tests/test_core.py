@@ -15,12 +15,19 @@ from deltadebug import (
     verify_n_minimal,
 )
 from deltadebug.core import (
+    CACHED_SOURCES,
+    SOURCE_AXIOM,
     SOURCE_EXACT_CACHE,
     SOURCE_MONOTONY,
     SOURCE_ORACLE,
+    EngineState,
+    MinimizationResult,
+    RunLog,
+    TestRecord,
 )
 from deltadebug.oracles import (
     CountingOracle,
+    adversarial,
     conjunction,
     conjunction_spread,
     random_monotone,
@@ -50,11 +57,6 @@ class TestConfiguration:
         assert cfg(8, 1, 2) != cfg(9, 1, 2)
         assert cfg(8, 1, 2) != cfg(8, 1, 3)
 
-    def test_subset_and_minus(self):
-        assert cfg(8, 1, 2).issubset(cfg(8, 0, 1, 2))
-        assert not cfg(8, 1, 3).issubset(cfg(8, 0, 1, 2))
-        assert cfg(8, 0, 1, 2).minus(cfg(8, 1)) == cfg(8, 0, 2)
-
     def test_bitmap_hex_round_trip(self):
         c = Configuration(12, [0, 1, 9])
         assert Configuration.from_bitmap_hex(12, c.bitmap_hex()) == c
@@ -64,24 +66,37 @@ class TestConfiguration:
         assert cfg(16, 0, 8).bitmap_hex() == "0101"
 
 
+def chunk_configs(config: Configuration, n: int) -> list[Configuration]:
+    """``partition`` of ``config`` as configurations, after checking that
+    each chunk's bitmap holds exactly its slice of the member list."""
+    members = config.members
+    chunks = []
+    for lo, hi, bits in partition(config.bits, members, n):
+        chunk = Configuration.from_bits(config.universe_size, bits)
+        assert chunk.members == members[lo:hi]
+        chunks.append(chunk)
+    return chunks
+
+
 class TestPartition:
     def test_even_split(self):
-        chunks = partition(Configuration.full(4), 2)
+        chunks = chunk_configs(Configuration.full(4), 2)
         assert [c.members for c in chunks] == [(0, 1), (2, 3)]
 
     def test_remainder_goes_to_earliest_chunks(self):
-        chunks = partition(Configuration.full(5), 2)
+        chunks = chunk_configs(Configuration.full(5), 2)
         assert [c.members for c in chunks] == [(0, 1, 2), (3, 4)]
 
     def test_granularity_equal_to_size_gives_singletons(self):
-        chunks = partition(Configuration.full(8), 8)
+        chunks = chunk_configs(Configuration.full(8), 8)
         assert [c.members for c in chunks] == [(i,) for i in range(8)]
 
     def test_out_of_range_granularity(self):
+        full = Configuration.full(4)
         with pytest.raises(ValueError):
-            partition(Configuration.full(4), 1)
+            partition(full.bits, full.members, 1)
         with pytest.raises(ValueError):
-            partition(Configuration.full(4), 5)
+            partition(full.bits, full.members, 5)
 
     def test_partition_soundness_property(self):
         rng = random.Random(7)
@@ -90,7 +105,7 @@ class TestPartition:
             members = sorted(rng.sample(range(universe), rng.randint(2, universe)))
             c = Configuration(universe, members)
             n = rng.randint(2, len(c))
-            chunks = partition(c, n)
+            chunks = chunk_configs(c, n)
             sizes = [len(ch) for ch in chunks]
             assert max(sizes) - min(sizes) <= 1
             concat = [m for ch in chunks for m in ch.members]
@@ -146,7 +161,7 @@ class TestBitmapReadingMatchesShiftLoop:
         rng = random.Random(4402)
         for config in seeded_bitmaps(rng):
             for n in range(2, len(config) + 1):
-                assert partition(config, n) == reference_partition(config, n)
+                assert chunk_configs(config, n) == reference_partition(config, n)
 
 
 class TestDdmin:
@@ -199,8 +214,7 @@ class TestDdmin:
 
         result = ddmin(Configuration.full(8), oracle)
         assert 5 in result.final
-        tallies = result.log.counts_by_outcome()
-        assert tallies["unresolved"] > 0
+        assert any(r.outcome == Outcome.UNRESOLVED for r in result.log.records)
 
     def test_duplicate_complement_answered_from_cache_at_n2(self):
         # At granularity 2 each complement equals the other subset; the
@@ -216,7 +230,8 @@ class TestDdmin:
             n = rng.randint(2, 10)
             oracle = random_table(n, seed=i)
             result = ddmin(Configuration.full(n), oracle)
-            assert result.log.last_fail_config() == result.final
+            fails = [r.config for r in result.log.records if r.outcome == Outcome.FAIL]
+            assert fails[-1] == result.final
 
     def test_determinism_identical_logs(self):
         oracle_a = random_table(10, seed=5)
@@ -363,11 +378,12 @@ class TestCachedOracle:
 class ListScanCache:
     """Reference monotony cache: every passed bitmap kept in a list."""
 
-    def __init__(self, oracle, monotone, preload):
+    def __init__(self, oracle, monotone, preload, sink=None):
         self.oracle = oracle
         self.monotone = monotone
         self.exact = dict(preload)
         self.passed: list[int] = []
+        self.sink = sink
 
     def evaluate_ex(self, config):
         bits = config.bits
@@ -390,6 +406,8 @@ class ListScanCache:
             return
         self.exact[config.bits] = outcome
         self.note_pass(config.bits, outcome)
+        if self.sink is not None:
+            self.sink(config, outcome)
 
     def note_pass(self, bits, outcome):
         if outcome == Outcome.PASS and bits not in self.passed:
@@ -425,6 +443,154 @@ class TestAntichainCacheMatchesListScan:
                     outcome = rng.choice(outcomes)
                     got = call(antichain.store, config, outcome)
                     assert got == call(reference.store, config, outcome)
+
+
+def reference_ddmin(universe, oracle, opts):
+    """The ddmin loop on ``Configuration`` objects, with a list-scan cache
+    and member-by-member chunks: the reference the engine must equal."""
+    cache = ListScanCache(oracle, opts.monotone, opts.preloaded_cache or {}, opts.cache_sink)
+    log = RunLog(universe.universe_size)
+    state = None
+
+    def run_test(config, granularity, axiom=False):
+        outcome, source = cache.evaluate_ex(config)
+        if axiom and source == SOURCE_ORACLE:
+            source = SOURCE_AXIOM
+        record = TestRecord(
+            config, granularity, outcome, source in CACHED_SOURCES, source, 0.0
+        )
+        log.append(record)
+        if opts.on_record is not None:
+            opts.on_record(record, state)
+        return outcome
+
+    if opts.verify_axioms:
+        got = run_test(Configuration.empty(universe.universe_size), 0, axiom=True)
+        if got != Outcome.PASS:
+            raise AxiomViolation(
+                f"the empty configuration must PASS but tested {got.name}", log
+            )
+        got = run_test(universe, 0, axiom=True)
+        if got != Outcome.FAIL:
+            raise AxiomViolation(
+                f"the full configuration must FAIL but tested {got.name}", log
+            )
+    current = universe
+    n = 2
+    while len(current) >= 2:
+        state = EngineState(current=current, granularity=n, phase="subset-scan")
+        chunks = reference_partition(current, n)
+        reduced = None
+        for chunk in chunks:
+            if run_test(chunk, n) == Outcome.FAIL:
+                reduced = (chunk, 2)
+                break
+        if reduced is None:
+            state.phase = "complement-scan"
+            for chunk in chunks:
+                complement = Configuration(
+                    current.universe_size,
+                    [m for m in current.members if m not in chunk.members],
+                )
+                if run_test(complement, n) == Outcome.FAIL:
+                    reduced = (complement, max(n - 1, 2))
+                    break
+        if reduced is not None:
+            current, n = reduced
+            continue
+        if n < len(current):
+            state.phase = "regranulate"
+            n = min(len(current), 2 * n)
+            continue
+        break
+
+    first = {}
+    for record in log:
+        first.setdefault(record.config, record)
+    witnesses = [first.get(current)] + [first.get(current.without([m])) for m in current]
+    if None in witnesses or any(r.source == SOURCE_MONOTONY for r in witnesses):
+        verified = None
+    else:
+        verified = witnesses[0].outcome == Outcome.FAIL and all(
+            r.outcome != Outcome.FAIL for r in witnesses[1:]
+        )
+    return MinimizationResult(final=current, log=log, verified_1_minimal=verified)
+
+
+class TestEngineMatchesReference:
+    """``ddmin`` gives the reference's log, result, callbacks and errors."""
+
+    @staticmethod
+    def draws():
+        rng = random.Random(4404)
+        for i in range(300):
+            family = i % 4
+            if family == 0:
+                n = rng.randint(1, 12)
+                oracle = random_table(n, seed=8000 + i, fail_p=0.3, unresolved_p=0.2)
+            elif family == 1:
+                n = rng.randint(1, 40)
+                oracle = random_monotone(n, seed=9000 + i)
+            elif family == 2:
+                n = rng.randint(1, 24)
+                oracle = adversarial(n)
+            else:
+                n = rng.randint(2, 40)
+                oracle = conjunction(n, rng.sample(range(n), rng.randint(1, min(n, 5))))
+            full = Configuration.full(n)
+            # Half the draws start from a sparse universe, as a later pass does.
+            if i % 8 >= 4 and n > 1:
+                members = [m for m in range(n) if rng.random() < 0.7]
+                universe = Configuration(n, members or [n - 1])
+            else:
+                universe = full
+            # Preloaded answers: large passing sets, which cover many
+            # subsets under monotony, and failing sets.
+            preload = {}
+            for _ in range(rng.randint(1, 4)):
+                dense = Configuration(n, [m for m in range(n) if rng.random() < 0.8])
+                if oracle.evaluate(dense) == Outcome.PASS:
+                    preload[dense.bits] = Outcome.PASS
+                sparse = Configuration.from_bits(n, rng.getrandbits(n))
+                if oracle.evaluate(sparse) == Outcome.FAIL:
+                    preload[sparse.bits] = Outcome.FAIL
+            yield universe, oracle, preload
+
+    @staticmethod
+    def observe(engine, universe, oracle, verify_axioms, monotone, preload, watch):
+        seen, sunk = [], []
+
+        def on_record(record, state):
+            seen.append(None if state is None else (state.phase, state.granularity, state.current))
+
+        options = EngineOptions(
+            verify_axioms=verify_axioms,
+            monotone=monotone,
+            preloaded_cache=preload,
+            cache_sink=lambda config, outcome: sunk.append((config, outcome)),
+            on_record=on_record if watch else None,
+        )
+        try:
+            result = engine(universe, oracle, options)
+        except AxiomViolation as exc:
+            return "axiom", str(exc), exc.log.fingerprint(), seen, sunk
+        return result.log.fingerprint(), result.final, result.verified_1_minimal, seen, sunk
+
+    def test_seeded_draws_in_every_mode(self):
+        compared = 0
+        for draw, (universe, oracle, preload) in enumerate(self.draws()):
+            for mode in range(8):
+                verify_axioms, monotone, preloaded = mode & 1, mode & 2, mode & 4
+                if not verify_axioms and universe.bits == 0:
+                    continue
+                args = (
+                    universe, oracle, bool(verify_axioms), bool(monotone),
+                    preload if preloaded else None, draw % 2 == 0,
+                )
+                got = self.observe(ddmin, *args)
+                assert got == self.observe(reference_ddmin, *args), (draw, mode)
+                compared += 1
+        assert compared >= 2000
 
 
 class TestVerifiedFromLog:
