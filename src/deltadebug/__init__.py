@@ -3,14 +3,11 @@ execution-trace front-ends driven by external or in-process test oracles."""
 
 from .core import (
     AxiomViolation,
-    CachedOracle,
     Configuration,
     DeltaDebugError,
     EngineOptions,
-    EngineState,
     FunctionOracle,
     MinimizationResult,
-    NondeterminismDetected,
     Outcome,
     RunLog,
     TestOracle,
@@ -25,14 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomViolation",
-    "CachedOracle",
     "Configuration",
     "DeltaDebugError",
     "EngineOptions",
-    "EngineState",
     "FunctionOracle",
     "MinimizationResult",
-    "NondeterminismDetected",
     "Outcome",
     "RunLog",
     "TestOracle",

@@ -76,7 +76,7 @@ class _Progress:
         # the Python-level ``Enum.__hash__`` per test.
         self.tallies = {o.value: 0 for o in Outcome}
 
-    def __call__(self, record, state) -> None:
+    def __call__(self, record) -> None:
         self.count += 1
         self.tallies[record.outcome._value_] += 1
         if self.verbose:

@@ -32,8 +32,6 @@ SOURCE_MONOTONY = "monotony"
 SOURCE_FEASIBILITY = "feasibility-reject"
 SOURCE_AXIOM = "axiom"
 
-# Sources that count as an actual invocation of the underlying test.
-UNDERLYING_SOURCES = (SOURCE_ORACLE,)
 CACHED_SOURCES = (SOURCE_EXACT_CACHE, SOURCE_MONOTONY)
 
 
@@ -68,10 +66,6 @@ class AxiomViolation(DeltaDebugError):
     def __init__(self, message: str, log: Optional["RunLog"] = None):
         super().__init__(message)
         self.log = log
-
-
-class NondeterminismDetected(DeltaDebugError):
-    """The cache saw two different outcomes for one configuration."""
 
 
 class VerifyBudgetExceeded(DeltaDebugError):
@@ -240,7 +234,7 @@ def _evaluate_ex(oracle: TestOracle, config: Configuration) -> tuple[Outcome, st
     """Evaluate and report the answer's provenance.
 
     Oracles may implement ``evaluate_ex`` to tag answers themselves (the
-    cache wrapper and the feasibility filter do); plain oracles count as a
+    group mapping and the feasibility filter do); plain oracles count as a
     real invocation.
     """
     ex = getattr(oracle, "evaluate_ex", None)
@@ -249,114 +243,17 @@ def _evaluate_ex(oracle: TestOracle, config: Configuration) -> tuple[Outcome, st
     return oracle.evaluate(config), SOURCE_ORACLE
 
 
-class CachedOracle:
-    """Exact-duplicate caching plus the optional monotony shortcut.
-
-    Exact duplicates are answered from the cache without re-invoking the
-    underlying oracle.  With ``monotone=True``, a configuration that is a
-    subset of any previously passed configuration is answered PASS without
-    invocation: under monotony, subsets of passing sets always pass.  Only
-    the maximal passed bitmaps are kept for that lookup (an antichain): a
-    subset of a kept one adds no answer, and a new one replaces every kept
-    one it contains.  A preloaded PASS joins the antichain when it is first
-    asked, not before.
-    """
-
-    def __init__(
-        self,
-        oracle: OracleLike,
-        monotone: bool = False,
-        preload: Optional[dict[int, Outcome]] = None,
-        sink: Optional[Callable[[Configuration, Outcome], None]] = None,
-    ):
-        self._oracle = as_oracle(oracle)
-        self.monotone = monotone
-        self._exact: dict[int, Outcome] = dict(preload or {})
-        self._passed: set[int] = set()  # maximal passed bitmaps, if monotone
-        # Preloaded passes not yet asked, which have not joined ``_passed``.
-        self._unasked: set[int] = {
-            bits for bits, outcome in self._exact.items() if outcome is Outcome.PASS
-        } if monotone else set()
-        self._sink = sink
-
-    def evaluate(self, config: Configuration) -> Outcome:
-        return self.evaluate_ex(config)[0]
-
-    def lookup(self, bits: int) -> Optional[Outcome]:
-        """The cached outcome of the bitmap ``bits``, or None.  Asks no
-        oracle and scans no antichain, except on a preloaded PASS's first
-        lookup, when it joins the antichain."""
-        if self._unasked and bits in self._unasked:
-            self._unasked.remove(bits)
-            subsumed = self._scan(bits)
-            if subsumed is not None:
-                self._join(bits, subsumed)
-        return self._exact.get(bits)
-
-    def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
-        bits = config.bits
-        hit = self.lookup(bits)
-        if hit is not None:
-            return hit, SOURCE_EXACT_CACHE
-        subsumed = None
-        if self.monotone:
-            subsumed = self._scan(bits)
-            if subsumed is None:
-                self._insert(config, Outcome.PASS, None)
-                return Outcome.PASS, SOURCE_MONOTONY
-        outcome, source = _evaluate_ex(self._oracle, config)
-        self._insert(config, outcome, subsumed)
-        return outcome, source
-
-    def store(self, config: Configuration, outcome: Outcome) -> None:
-        """Record an outcome, rejecting contradictions with earlier ones."""
-        bits = config.bits
-        known = self._exact.get(bits)
-        if known is not None:
-            if known != outcome:
-                raise NondeterminismDetected(
-                    f"configuration {config!r} produced {outcome.name} but was "
-                    f"cached as {known.name}"
-                )
-            return
-        monotone_pass = self.monotone and outcome is Outcome.PASS
-        self._insert(config, outcome, self._scan(bits) if monotone_pass else None)
-
-    def _scan(self, bits: int) -> Optional[list[int]]:
-        """None if a kept pass covers ``bits``, else the kept passes that
-        ``bits`` contains."""
-        subsumed = []
-        for p in self._passed:
-            common = bits & p
-            if common == bits:
-                return None
-            if common == p:
-                subsumed.append(p)
-        return subsumed
-
-    def _insert(
-        self, config: Configuration, outcome: Outcome, subsumed: Optional[list[int]]
-    ) -> None:
-        """Cache a new answer.  A PASS joins the antichain in place of
-        ``subsumed``, unless that is None: covered, or no monotony."""
-        self._exact[config.bits] = outcome
-        if subsumed is not None and outcome is Outcome.PASS:
-            self._join(config.bits, subsumed)
-        if self._sink is not None:
-            self._sink(config, outcome)
-
-    def _join(self, bits: int, subsumed: list[int]) -> None:
-        self._passed.difference_update(subsumed)
-        self._passed.add(bits)
-
-
-@dataclass
-class EngineState:
-    """Where the reduction currently stands; handed to progress callbacks."""
-
-    current: Configuration
-    granularity: int
-    phase: str  # subset-scan | complement-scan | regranulate | done
+def _scan(passed: set[int], bits: int) -> Optional[list[int]]:
+    """None if a kept pass covers ``bits``, else the kept passes that
+    ``bits`` contains."""
+    subsumed = []
+    for p in passed:
+        common = bits & p
+        if common == bits:
+            return None
+        if common == p:
+            subsumed.append(p)
+    return subsumed
 
 
 @dataclass(slots=True)
@@ -408,18 +305,6 @@ class RunLog:
             per_source.get(SOURCE_AXIOM, 0),
         )
 
-    @property
-    def oracle_test_count(self) -> int:
-        return self.test_counts()[0]
-
-    @property
-    def cached_test_count(self) -> int:
-        return self.test_counts()[1]
-
-    @property
-    def axiom_test_count(self) -> int:
-        return self.test_counts()[2]
-
     def fingerprint(self) -> tuple:
         """Timing-free identity of the log, for determinism checks."""
         return tuple(
@@ -446,8 +331,7 @@ class EngineOptions:
     verify_axioms: bool = True
     monotone: bool = False
     preloaded_cache: Optional[dict[int, Outcome]] = None
-    cache_sink: Optional[Callable[[Configuration, Outcome], None]] = None
-    on_record: Optional[Callable[[TestRecord, Optional[EngineState]], None]] = None
+    on_record: Optional[Callable[[TestRecord], None]] = None
 
 
 def next_pass_options(
@@ -488,20 +372,24 @@ def ddmin(
     respectively; these checks are logged under their own source tag and
     excluded from the worst-case test accounting.  The result's
     ``verified_1_minimal`` is read off the log, without further tests.
+
+    No configuration is tested twice: a repeat, like a configuration in
+    ``preloaded_cache``, is answered untimed as an ``exact-cache`` record,
+    with its first answer.  With ``monotone`` a subset of a passed
+    configuration is answered PASS as a ``monotony`` record.  Only the
+    maximal passed bitmaps are kept for that scan (an antichain): a new
+    PASS replaces every kept one it contains, and a preloaded PASS joins
+    when it is first asked, not before.
     """
     opts = options or EngineOptions()
-    cached = CachedOracle(
-        oracle,
-        monotone=opts.monotone,
-        preload=opts.preloaded_cache,
-        sink=opts.cache_sink,
-    )
+    oracle = as_oracle(oracle)
+    monotone = opts.monotone
+    preloaded = opts.preloaded_cache or {}
+    passed: set[int] = set()  # the maximal passed bitmaps, if monotone
     size = universe.universe_size
     log = RunLog(size)
     append = log.records.append
-    lookup, evaluate_ex = cached.lookup, cached.evaluate_ex
     on_record = opts.on_record
-    state: Optional[EngineState] = None
     first: dict[int, TestRecord] = {}  # the first record of each bitmap asked
 
     def run_test(bits: int, granularity: int, axiom: bool = False) -> Outcome:
@@ -517,12 +405,24 @@ def ddmin(
             config = _new_configuration(Configuration)
             _set_universe_size(config, size)
             _set_bits(config, bits)
-            outcome = lookup(bits)  # a preloaded answer, or None
+            outcome = preloaded.get(bits)
             if outcome is not None:
+                if monotone and outcome is Outcome.PASS:
+                    subsumed = _scan(passed, bits)
+                    if subsumed is not None:
+                        passed.difference_update(subsumed)
+                        passed.add(bits)
                 record = TestRecord(config, granularity, outcome, True, SOURCE_EXACT_CACHE, 0.0)
             else:
                 start = perf_counter()
-                outcome, source = evaluate_ex(config)
+                subsumed = _scan(passed, bits) if monotone else None
+                if monotone and subsumed is None:
+                    outcome, source = Outcome.PASS, SOURCE_MONOTONY
+                else:
+                    outcome, source = _evaluate_ex(oracle, config)
+                    if subsumed is not None and outcome is Outcome.PASS:
+                        passed.difference_update(subsumed)
+                        passed.add(bits)
                 duration = (perf_counter() - start) * 1000.0
                 if axiom and source == SOURCE_ORACLE:
                     source = SOURCE_AXIOM
@@ -532,7 +432,7 @@ def ddmin(
             first[bits] = record
         append(record)
         if on_record is not None:
-            on_record(record, state)
+            on_record(record)
         return record.outcome
 
     if opts.verify_axioms:
@@ -555,16 +455,12 @@ def ddmin(
     n = 2
     while len(members) >= 2:
         # Recursion invariant: current is known to FAIL and n <= |current|.
-        if on_record is not None:
-            state = EngineState(Configuration.from_bits(size, current), n, "subset-scan")
         chunks = partition(current, members, n)
         for lo, hi, chunk in chunks:
             if run_test(chunk, n) is Outcome.FAIL:
                 current, members, n = chunk, members[lo:hi], 2
                 break
         else:
-            if state is not None:
-                state.phase = "complement-scan"
             for lo, hi, chunk in chunks:
                 if run_test(current ^ chunk, n) is Outcome.FAIL:
                     current, members = current ^ chunk, members[:lo] + members[hi:]
@@ -573,8 +469,6 @@ def ddmin(
             else:
                 if n >= len(members):
                     break
-                if state is not None:
-                    state.phase = "regranulate"
                 n = min(len(members), 2 * n)
 
     final = Configuration.from_bits(size, current)

@@ -258,13 +258,11 @@ class CommandOracle:
     def __init__(self, spec: CommandOracleSpec):
         self.spec = spec
         self.tests_run = 0
-        self.last_evidence: Optional[ExecutionEvidence] = None
         self.kept_workspace: Optional[str] = None
 
     def evaluate(self, config: Configuration) -> Outcome:
         self.tests_run += 1
         outcome, evidence = evaluate_command(self.spec, config, test_seq=self.tests_run)
-        self.last_evidence = evidence
         if self.spec.keep_failing and outcome == Outcome.FAIL:
             if self.kept_workspace and self.kept_workspace != evidence.workspace:
                 shutil.rmtree(self.kept_workspace, ignore_errors=True)

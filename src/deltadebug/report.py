@@ -1,15 +1,11 @@
-"""Run-log rendering and machine-readable result/cache persistence.
+"""Run-log rendering and the machine-readable run report.
 
-The report is a single JSON document with one test record per line; the
-outcome cache is line-oriented (`<hex bitmap><TAB><F|P|U>`) so it can be
-appended between tests and reloaded to restore exact-cache behavior bit
-for bit.
+The report is a single JSON document with one test record per line.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,11 +20,7 @@ from .core import (
     bit_string,
 )
 
-log = logging.getLogger(__name__)
-
 _OUTCOME_MARK = {Outcome.FAIL: "F", Outcome.PASS: "P", Outcome.UNRESOLVED: "?"}
-_CACHE_LETTER = {Outcome.FAIL: "F", Outcome.PASS: "P", Outcome.UNRESOLVED: "U"}
-_CACHE_OUTCOME = {v: k for k, v in _CACHE_LETTER.items()}
 _CELLS = str.maketrans("01", ".*")
 
 
@@ -60,7 +52,6 @@ class ReportDocument:
 def build_report(
     result: Union[MinimizationResult, None],
     log_: Optional[RunLog] = None,
-    verified: Optional[bool] = None,
 ) -> ReportDocument:
     """Assemble the report for a finished (or aborted) run.
 
@@ -72,13 +63,13 @@ def build_report(
         log_ = result.log
         final = list(result.final.members)
         ratio = result.reduction_ratio
-        if verified is None:
-            verified = result.verified_1_minimal
+        verified = result.verified_1_minimal
     else:
         if log_ is None:
             raise ValueError("need a result or a run log")
         final = []
         ratio = 0.0
+        verified = None
     return ReportDocument(
         universe_size=log_.universe_size,
         final=final,
@@ -175,64 +166,3 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
         ratio=data["ratio"],
         verified_1_minimal=data["verified_1_minimal"],
     )
-
-
-def cache_line(config: Configuration, outcome: Outcome) -> str:
-    return f"{config.bitmap_hex()}\t{_CACHE_LETTER[outcome]}"
-
-
-def write_cache(
-    cache: dict[int, Outcome], universe_size: int, path: Union[str, Path]
-) -> None:
-    path = Path(path)
-    lines = [
-        cache_line(Configuration.from_bits(universe_size, bits), outcome)
-        for bits, outcome in sorted(cache.items())
-    ]
-    try:
-        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write cache {path}: {exc}") from exc
-
-
-def read_cache(path: Union[str, Path]) -> dict[int, Outcome]:
-    """Reload a persisted outcome cache; malformed lines are skipped."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read cache {path}: {exc}") from exc
-    cache: dict[int, Outcome] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        try:
-            if len(parts) != 2:
-                raise ValueError("expected two tab-separated fields")
-            hex_part, letter = parts
-            bits = int.from_bytes(bytes.fromhex(hex_part), "little") if hex_part else 0
-            cache[bits] = _CACHE_OUTCOME[letter]
-        except (ValueError, KeyError):
-            log.warning("%s:%d: skipping malformed cache line %r", path, lineno, line)
-    return cache
-
-
-class CacheWriter:
-    """Appends cache lines as tests complete, flushing per record."""
-
-    def __init__(self, path: Union[str, Path]):
-        self._fh = open(path, "a", encoding="utf-8")
-
-    def __call__(self, config: Configuration, outcome: Outcome) -> None:
-        self._fh.write(cache_line(config, outcome) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> "CacheWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they pass.
 """
 
+import dataclasses
 import difflib
 import random
 import time
@@ -36,7 +37,7 @@ from deltadebug.proc import (
     exit_signal,
     map_exit_status,
 )
-from deltadebug.report import build_report, read_cache, read_report, write_cache, write_report
+from deltadebug.report import build_report, read_report, write_report
 from deltadebug.toylang import parse_program, trace_program
 from deltadebug.tracered import OutputExpectation, reduce_trace
 
@@ -80,7 +81,7 @@ def test_criterion_1_one_minimality_suite(suite_results):
 def test_criterion_2_worst_case_bound(suite_results):
     results, _ = suite_results
     for n, _, result in results:
-        assert result.log.oracle_test_count <= quadratic_bound(n)
+        assert result.log.test_counts()[0] <= quadratic_bound(n)
     rows, violations = run_bench("adversarial", parse_sizes("4..64"))
     assert violations == []
     for row in rows:
@@ -92,7 +93,7 @@ def test_criterion_2_worst_case_bound(suite_results):
 
 def test_criterion_3_best_case_scaling():
     result = ddmin(Configuration.full(1024), single_cause(1024))
-    count = result.log.oracle_test_count
+    count = result.log.test_counts()[0]
     assert count <= 22
     verdict(3, f"single-cause oracle at n=1024 took {count} <= 22 oracle tests")
 
@@ -138,7 +139,7 @@ def test_criterion_5_dependency_degeneration():
     dependencies = {i: frozenset([i - 1]) for i in range(1, n)}
     oracle = FeasibilityOracle(single_cause(n, 32), dependencies)
     result = ddmin(Configuration.full(n), oracle)
-    count = result.log.oracle_test_count
+    count = result.log.test_counts()[0]
     assert count <= 2 * 6 + 2  # 2*ceil(log2 64) + 2 = 14
     assert result.final == Configuration(n, range(33))  # prefix through the cause
     rejected = sum(1 for r in result.log if r.source == "feasibility-reject")
@@ -238,17 +239,14 @@ def test_criterion_7_round_trip_suites(tmp_path):
         applied = apply_subset(baseline, changeset, Configuration.full(len(changes)))
         assert digest_tree(applied) == digest_tree(modified), f"fixture {case}"
 
-    # Report and cache serialization round-trips.
+    # Report serialization round-trip.
     result = ddmin(Configuration.full(10), random_table(10, seed=9))
-    doc = build_report(result, verified=False)
+    doc = build_report(dataclasses.replace(result, verified_1_minimal=False))
     write_report(doc, tmp_path / "r.json")
     assert read_report(tmp_path / "r.json") == doc
-    cache = {rec.config.bits: rec.outcome for rec in result.log}
-    write_cache(cache, 10, tmp_path / "c.tsv")
-    assert read_cache(tmp_path / "c.tsv") == cache
 
     verdict(7, "tokenize/render (3x1000), diff split/apply (100), and "
-               "report/cache round-trips all exact")
+               "report round-trip all exact")
 
 
 def test_criterion_8_exit_code_protocol(make_script, workspace_root):

@@ -310,7 +310,7 @@ class TestDependencies:
         oracle = FeasibilityOracle(underlying, deps)
         result = ddmin(Configuration.full(n), oracle)
         assert result.final == Configuration(n, range(6))  # prefix through d5
-        assert result.log.oracle_test_count <= 2 * 3 + 2  # 2*ceil(log2 8) + 2
+        assert result.log.test_counts()[0] <= 2 * 3 + 2  # 2*ceil(log2 8) + 2
         # Feasibility soundness: nothing infeasible reached the oracle.
         for rec in result.log:
             if rec.source == SOURCE_ORACLE:
@@ -385,8 +385,8 @@ class TestMinimizeChanges(ShOracleMixin):
         baseline, cs = self.fixture_20()
         spec = self.bug_spec(make_script, workspace_root)
         groups, members = minimize_changes(baseline, cs, spec, groups="file").passes
-        assert groups.result.log.axiom_test_count == 2
-        assert members.result.log.axiom_test_count == 0
+        assert groups.result.log.test_counts()[2] == 2
+        assert members.result.log.test_counts()[2] == 0
         head = [(r.source, r.outcome) for r in members.result.log.records[:2]]
         assert head == [(SOURCE_EXACT_CACHE, Outcome.PASS), (SOURCE_EXACT_CACHE, Outcome.FAIL)]
         assert members.result.verified_1_minimal is True

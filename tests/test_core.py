@@ -4,10 +4,8 @@ import pytest
 
 from deltadebug import (
     AxiomViolation,
-    CachedOracle,
     Configuration,
     EngineOptions,
-    NondeterminismDetected,
     Outcome,
     VerifyBudgetExceeded,
     ddmin,
@@ -20,7 +18,6 @@ from deltadebug.core import (
     SOURCE_EXACT_CACHE,
     SOURCE_MONOTONY,
     SOURCE_ORACLE,
-    EngineState,
     MinimizationResult,
     RunLog,
     TestRecord,
@@ -38,6 +35,14 @@ from deltadebug.oracles import (
 
 def cfg(universe, *members):
     return Configuration(universe, members)
+
+
+def first_records(log):
+    """The first record of each bitmap asked, keyed by bitmap."""
+    first = {}
+    for rec in log:
+        first.setdefault(rec.config.bits, rec)
+    return first
 
 
 class TestConfiguration:
@@ -189,14 +194,14 @@ class TestDdmin:
     def test_singleton_universe_needs_no_tests(self):
         result = ddmin(Configuration.full(1), lambda c: Outcome.FAIL if len(c) else Outcome.PASS)
         assert result.final == Configuration.full(1)
-        assert result.log.oracle_test_count == 0
-        assert result.log.axiom_test_count == 2
+        assert result.log.test_counts()[0] == 0
+        assert result.log.test_counts()[2] == 2
 
     def test_axiom_violation_on_passing_universe(self):
         with pytest.raises(AxiomViolation) as info:
             ddmin(Configuration.full(4), lambda c: Outcome.PASS)
         assert info.value.log is not None
-        assert info.value.log.axiom_test_count >= 1
+        assert info.value.log.test_counts()[2] >= 1
 
     def test_axiom_violation_on_failing_empty(self):
         with pytest.raises(AxiomViolation):
@@ -241,17 +246,11 @@ class TestDdmin:
         assert r1.final == r2.final
         assert r1.log.fingerprint() == r2.log.fingerprint()
 
-    def test_engine_state_phases_reported(self):
-        phases = set()
-
-        def on_record(record, state):
-            if state is not None:
-                phases.add(state.phase)
-
+    def test_on_record_sees_each_record_as_it_is_logged(self):
+        seen = []
         oracle = conjunction(8, [2, 5])
-        ddmin(Configuration.full(8), oracle, EngineOptions(on_record=on_record))
-        assert "subset-scan" in phases
-        assert "complement-scan" in phases
+        result = ddmin(Configuration.full(8), oracle, EngineOptions(on_record=seen.append))
+        assert seen == result.log.records
 
     def test_worst_case_bound_over_random_tables(self):
         rng = random.Random(13)
@@ -259,13 +258,13 @@ class TestDdmin:
             n = rng.randint(2, 12)
             oracle = random_table(n, seed=700 + i)
             result = ddmin(Configuration.full(n), oracle)
-            assert result.log.oracle_test_count <= n * n + 3 * n
+            assert result.log.test_counts()[0] <= n * n + 3 * n
 
     def test_best_case_single_cause_scaling(self):
         for k in (4, 6, 8, 10):
             n = 2 ** k
             result = ddmin(Configuration.full(n), single_cause(n))
-            assert result.log.oracle_test_count <= 2 * k + 2
+            assert result.log.test_counts()[0] <= 2 * k + 2
 
 
 class TestVerifyNMinimal:
@@ -296,36 +295,73 @@ class TestVerifyNMinimal:
 
 
 class TestCachedOracle:
+    """The engine's own cache: repeats, monotony and preloaded answers."""
+
     def test_exact_duplicates_not_reinvoked(self):
-        counting = CountingOracle(conjunction(4, [1]))
-        cached = CachedOracle(counting)
-        c = cfg(4, 1, 2)
-        assert cached.evaluate(c) == Outcome.FAIL
-        assert cached.evaluate(c) == Outcome.FAIL
-        assert counting.calls == 1
+        for seed in range(12):
+            counting = CountingOracle(random_table(8, seed=300 + seed))
+            result = ddmin(Configuration.full(8), counting)
+            asked = [r.config.bits for r in result.log if r.source != SOURCE_EXACT_CACHE]
+            assert len(asked) == len(set(asked)) == counting.calls
+            repeats = [r for r in result.log if r.source == SOURCE_EXACT_CACHE]
+            assert repeats and all(r.cached and r.duration_ms == 0.0 for r in repeats)
 
     def test_monotony_answers_subsets_of_passed(self):
-        counting = CountingOracle(conjunction(4, [3]))
-        cached = CachedOracle(counting, monotone=True)
-        assert cached.evaluate(cfg(4, 0, 1, 2)) == Outcome.PASS
-        outcome, source = cached.evaluate_ex(cfg(4, 1, 2))
-        assert outcome == Outcome.PASS
-        assert source == SOURCE_MONOTONY
-        assert counting.calls == 1
+        counting = CountingOracle(conjunction(8, [0, 7]))
+        result = ddmin(Configuration.full(8), counting, EngineOptions(monotone=True))
+        assert result.final == cfg(8, 0, 7)
+        passed = []
+        monotony = 0
+        for rec in result.log:
+            if rec.source == SOURCE_MONOTONY:
+                assert rec.outcome == Outcome.PASS and rec.cached
+                assert any(rec.config.bits & p == rec.config.bits for p in passed)
+                monotony += 1
+            elif rec.outcome == Outcome.PASS:
+                passed.append(rec.config.bits)
+        # {0}, {1}, {6} and {7} lie inside the passed halves.
+        assert monotony >= 4
+        oracle_tests, _, axiom_tests = result.log.test_counts()
+        assert counting.calls == oracle_tests + axiom_tests
 
     def test_non_subset_still_invokes(self):
-        counting = CountingOracle(conjunction(4, [3]))
-        cached = CachedOracle(counting, monotone=True)
-        cached.evaluate(cfg(4, 0, 1, 2))
-        outcome, source = cached.evaluate_ex(cfg(4, 1, 3))
-        assert source == SOURCE_ORACLE
-        assert counting.calls == 2
+        counting = CountingOracle(conjunction(8, [0, 7]))
+        result = ddmin(Configuration.full(8), counting, EngineOptions(monotone=True))
+        # {1, 6, 7} is a subset of no passed configuration before it is asked.
+        assert first_records(result.log)[cfg(8, 1, 6, 7).bits].source == SOURCE_ORACLE
 
-    def test_nondeterminism_detected_on_contradictory_store(self):
-        cached = CachedOracle(lambda c: Outcome.PASS)
-        cached.store(cfg(4, 1), Outcome.PASS)
-        with pytest.raises(NondeterminismDetected):
-            cached.store(cfg(4, 1), Outcome.FAIL)
+    def test_preloaded_pass_covers_subsets_only_once_asked(self):
+        oracle = conjunction(8, [0, 7])
+        asked = cfg(8, 0, 1, 2, 3)
+        # {0..6} passes but is never asked: it covers no later question.
+        unasked = cfg(8, 0, 1, 2, 3, 4, 5, 6)
+        counting = CountingOracle(oracle)
+        result = ddmin(
+            Configuration.full(8), counting,
+            EngineOptions(monotone=True, preloaded_cache={unasked.bits: Outcome.PASS}),
+        )
+        records = first_records(result.log)
+        assert unasked.bits not in records
+        assert records[asked.bits].source == SOURCE_ORACLE
+        # {0..3} is asked first and answered from the preload, never
+        # invoked; from then on it covers its subsets by monotony.
+        counting = CountingOracle(oracle)
+        result = ddmin(
+            Configuration.full(8), counting,
+            EngineOptions(monotone=True, preloaded_cache={asked.bits: Outcome.PASS}),
+        )
+        records = result.log.records
+        at = [rec.config for rec in records].index(asked)
+        assert records[at].source == SOURCE_EXACT_CACHE
+        covered = [
+            rec for rec in records[at + 1:]
+            if rec.config.bits & asked.bits == rec.config.bits
+            and rec.source != SOURCE_EXACT_CACHE
+        ]
+        assert {rec.config for rec in covered} >= {cfg(8, 0, 1), cfg(8, 2, 3), cfg(8, 0)}
+        assert all(rec.source == SOURCE_MONOTONY for rec in covered)
+        oracle_tests, _, axiom_tests = result.log.test_counts()
+        assert counting.calls == oracle_tests + axiom_tests
 
     def test_monotone_cache_reduces_calls_for_multi_cause_oracles(self):
         # Monotony pays off once singleton granularity is reached: tested
@@ -337,7 +373,7 @@ class TestCachedOracle:
             EngineOptions(monotone=True),
         )
         assert cached.final == plain.final
-        assert cached.log.oracle_test_count < plain.log.oracle_test_count
+        assert cached.log.test_counts()[0] < plain.log.test_counts()[0]
 
     def test_single_cause_halving_path_gains_nothing_from_monotony(self):
         # The pure halving descent never queries a subset of a previously
@@ -347,7 +383,7 @@ class TestCachedOracle:
             Configuration.full(64), single_cause(64), EngineOptions(monotone=True)
         )
         assert cached.final == plain.final
-        assert cached.log.oracle_test_count == plain.log.oracle_test_count
+        assert cached.log.test_counts()[0] == plain.log.test_counts()[0]
 
     def test_monotone_filter_never_reinvokes_subsets_of_passed(self):
         for seed in range(12):
@@ -378,12 +414,11 @@ class TestCachedOracle:
 class ListScanCache:
     """Reference monotony cache: every passed bitmap kept in a list."""
 
-    def __init__(self, oracle, monotone, preload, sink=None):
+    def __init__(self, oracle, monotone, preload):
         self.oracle = oracle
         self.monotone = monotone
         self.exact = dict(preload)
         self.passed: list[int] = []
-        self.sink = sink
 
     def evaluate_ex(self, config):
         bits = config.bits
@@ -392,65 +427,23 @@ class ListScanCache:
             self.note_pass(bits, hit)
             return hit, SOURCE_EXACT_CACHE
         if self.monotone and any(bits & p == bits for p in self.passed):
-            self.store(config, Outcome.PASS)
+            self.exact[bits] = Outcome.PASS
             return Outcome.PASS, SOURCE_MONOTONY
         outcome = self.oracle.evaluate(config)
-        self.store(config, outcome)
+        self.exact[bits] = outcome
+        self.note_pass(bits, outcome)
         return outcome, SOURCE_ORACLE
-
-    def store(self, config, outcome):
-        known = self.exact.get(config.bits)
-        if known is not None:
-            if known != outcome:
-                raise NondeterminismDetected("contradiction")
-            return
-        self.exact[config.bits] = outcome
-        self.note_pass(config.bits, outcome)
-        if self.sink is not None:
-            self.sink(config, outcome)
 
     def note_pass(self, bits, outcome):
         if outcome == Outcome.PASS and bits not in self.passed:
             self.passed.append(bits)
 
 
-def call(fn, *args):
-    try:
-        return fn(*args)
-    except NondeterminismDetected:
-        return "nondeterminism"
-
-
-class TestAntichainCacheMatchesListScan:
-    def test_seeded_store_and_evaluate_sequences(self):
-        rng = random.Random(4403)
-        outcomes = list(Outcome)
-        for trial in range(40):
-            n = rng.randint(3, 9)
-            oracle = random_table(n, seed=trial, fail_p=0.2, unresolved_p=0.1)
-            preload = {
-                rng.getrandbits(n): rng.choice(outcomes) for _ in range(rng.randint(0, 6))
-            }
-            monotone = trial % 4 != 0
-            antichain = CachedOracle(oracle, monotone=monotone, preload=preload)
-            reference = ListScanCache(oracle, monotone, preload)
-            for _ in range(150):
-                config = Configuration.from_bits(n, rng.getrandbits(n))
-                if rng.random() < 0.75:
-                    got = call(antichain.evaluate_ex, config)
-                    assert got == call(reference.evaluate_ex, config)
-                else:
-                    outcome = rng.choice(outcomes)
-                    got = call(antichain.store, config, outcome)
-                    assert got == call(reference.store, config, outcome)
-
-
 def reference_ddmin(universe, oracle, opts):
     """The ddmin loop on ``Configuration`` objects, with a list-scan cache
     and member-by-member chunks: the reference the engine must equal."""
-    cache = ListScanCache(oracle, opts.monotone, opts.preloaded_cache or {}, opts.cache_sink)
+    cache = ListScanCache(oracle, opts.monotone, opts.preloaded_cache or {})
     log = RunLog(universe.universe_size)
-    state = None
 
     def run_test(config, granularity, axiom=False):
         outcome, source = cache.evaluate_ex(config)
@@ -461,7 +454,7 @@ def reference_ddmin(universe, oracle, opts):
         )
         log.append(record)
         if opts.on_record is not None:
-            opts.on_record(record, state)
+            opts.on_record(record)
         return outcome
 
     if opts.verify_axioms:
@@ -478,7 +471,6 @@ def reference_ddmin(universe, oracle, opts):
     current = universe
     n = 2
     while len(current) >= 2:
-        state = EngineState(current=current, granularity=n, phase="subset-scan")
         chunks = reference_partition(current, n)
         reduced = None
         for chunk in chunks:
@@ -486,7 +478,6 @@ def reference_ddmin(universe, oracle, opts):
                 reduced = (chunk, 2)
                 break
         if reduced is None:
-            state.phase = "complement-scan"
             for chunk in chunks:
                 complement = Configuration(
                     current.universe_size,
@@ -499,7 +490,6 @@ def reference_ddmin(universe, oracle, opts):
             current, n = reduced
             continue
         if n < len(current):
-            state.phase = "regranulate"
             n = min(len(current), 2 * n)
             continue
         break
@@ -558,23 +548,22 @@ class TestEngineMatchesReference:
 
     @staticmethod
     def observe(engine, universe, oracle, verify_axioms, monotone, preload, watch):
-        seen, sunk = [], []
+        seen = []
 
-        def on_record(record, state):
-            seen.append(None if state is None else (state.phase, state.granularity, state.current))
+        def on_record(record):
+            seen.append((record.config, record.granularity, record.outcome, record.source))
 
         options = EngineOptions(
             verify_axioms=verify_axioms,
             monotone=monotone,
             preloaded_cache=preload,
-            cache_sink=lambda config, outcome: sunk.append((config, outcome)),
             on_record=on_record if watch else None,
         )
         try:
             result = engine(universe, oracle, options)
         except AxiomViolation as exc:
-            return "axiom", str(exc), exc.log.fingerprint(), seen, sunk
-        return result.log.fingerprint(), result.final, result.verified_1_minimal, seen, sunk
+            return "axiom", str(exc), exc.log.fingerprint(), seen
+        return result.log.fingerprint(), result.final, result.verified_1_minimal, seen
 
     def test_seeded_draws_in_every_mode(self):
         compared = 0
@@ -609,7 +598,8 @@ class TestVerifiedFromLog:
             counting = CountingOracle(oracle)
             result = ddmin(Configuration.full(oracle.universe_size), counting)
             log = result.log
-            assert counting.calls == log.oracle_test_count + log.axiom_test_count
+            oracle_tests, _, axiom_tests = log.test_counts()
+            assert counting.calls == oracle_tests + axiom_tests
             assert result.verified_1_minimal is True
             assert result.verified_1_minimal == verify_n_minimal(result.final, oracle, 1)
 

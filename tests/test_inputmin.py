@@ -112,13 +112,13 @@ class TestMinimizeInput:
     def test_later_pass_takes_axiom_answers_from_the_first(self, substring_spec):
         data = "".join(f"{i}\n" for i in range(100)).encode()
         line, char = minimize_input(data, substring_spec).passes
-        assert line.result.log.axiom_test_count == 2
-        assert char.result.log.axiom_test_count == 0
+        assert line.result.log.test_counts()[2] == 2
+        assert char.result.log.test_counts()[2] == 0
         head = [(r.source, r.outcome) for r in char.result.log.records[:2]]
         assert head == [(SOURCE_EXACT_CACHE, Outcome.PASS), (SOURCE_EXACT_CACHE, Outcome.FAIL)]
         # Only those two records differ from a char pass run on its own.
         alone = minimize_input(line.minimized, substring_spec, schedule=["char"])
-        assert alone.passes[0].result.log.axiom_test_count == 2
+        assert alone.passes[0].result.log.test_counts()[2] == 2
         assert (
             char.result.log.fingerprint()[2:]
             == alone.passes[0].result.log.fingerprint()[2:]

@@ -1,17 +1,11 @@
+import dataclasses
+
 import pytest
 
 from deltadebug import Configuration, EngineOptions, Outcome, TestRecord, ddmin
 from deltadebug.core import SOURCE_AXIOM, SOURCE_ORACLE
 from deltadebug.oracles import conjunction, random_table
-from deltadebug.report import (
-    CacheWriter,
-    build_report,
-    read_cache,
-    read_report,
-    render_log_line,
-    write_cache,
-    write_report,
-)
+from deltadebug.report import build_report, read_report, render_log_line, write_report
 
 
 def record(universe, members, outcome, cached=False, granularity=2):
@@ -52,7 +46,8 @@ class TestRenderLogLine:
 class TestReportDocument:
     def test_round_trip_identity(self, tmp_path):
         result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
-        doc = build_report(result, verified=True)
+        doc = build_report(dataclasses.replace(result, verified_1_minimal=False))
+        assert doc.verified_1_minimal is False
         path = tmp_path / "report.json"
         write_report(doc, path)
         loaded = read_report(path)
@@ -85,44 +80,14 @@ class TestReportDocument:
 
 
 class TestCacheFile:
-    def test_round_trip(self, tmp_path):
-        cache = {
-            Configuration(12, [0, 3]).bits: Outcome.FAIL,
-            Configuration(12, [1]).bits: Outcome.PASS,
-            Configuration(12, []).bits: Outcome.UNRESOLVED,
-        }
-        path = tmp_path / "cache.tsv"
-        write_cache(cache, 12, path)
-        assert read_cache(path) == cache
+    """A saved outcome table, preloaded, answers a whole run."""
 
-    def test_malformed_lines_are_skipped_with_warning(self, tmp_path, caplog):
-        path = tmp_path / "cache.tsv"
-        path.write_text("09\tF\nnot-a-line\nzz\tQ\n03\tP\n")
-        with caplog.at_level("WARNING"):
-            cache = read_cache(path)
-        assert cache == {0x09: Outcome.FAIL, 0x03: Outcome.PASS}
-        assert len(caplog.records) == 2
-
-    def test_cache_writer_appends_and_flushes(self, tmp_path):
-        path = tmp_path / "cache.tsv"
-        with CacheWriter(path) as sink:
-            opts = EngineOptions(cache_sink=sink)
-            result = ddmin(Configuration.full(8), conjunction(8, [2, 5]), opts)
-        cache = read_cache(path)
-        # Every distinct tested configuration is present with its outcome.
-        seen = {}
-        for rec in result.log:
-            seen[rec.config.bits] = rec.outcome
-        assert cache == seen
-
-    def test_replaying_cache_reproduces_the_original_outcomes(self, tmp_path):
+    def test_replaying_cache_reproduces_the_original_outcomes(self):
         oracle = random_table(10, seed=77)
         first = ddmin(Configuration.full(10), oracle)
         snapshot = {}
         for rec in first.log:
             snapshot[rec.config.bits] = rec.outcome
-        path = tmp_path / "cache.tsv"
-        write_cache(snapshot, 10, path)
 
         def poisoned(config):
             raise AssertionError("the underlying oracle must not be consulted")
@@ -130,7 +95,7 @@ class TestCacheFile:
         replay = ddmin(
             Configuration.full(10),
             poisoned,
-            EngineOptions(preloaded_cache=read_cache(path)),
+            EngineOptions(preloaded_cache=snapshot),
         )
         assert replay.final == first.final
         assert [r.outcome for r in replay.log] == [r.outcome for r in first.log]
