@@ -55,7 +55,6 @@ class BenchRow:
     tests_cached: int
     bound_quadratic: int
     bound_log: int
-    final_size: int
 
     @property
     def within_quadratic_bound(self) -> bool:
@@ -83,7 +82,6 @@ def run_one(oracle_name: str, n: int, monotone: bool = False) -> tuple[BenchRow,
         tests_cached=tests_cached,
         bound_quadratic=quadratic_bound(n),
         bound_log=log_bound(n),
-        final_size=len(result.final),
     )
     return row, result
 

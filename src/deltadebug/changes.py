@@ -61,7 +61,6 @@ class AtomicChange:
     anchor: int
     old_lines: tuple[str, ...]
     new_lines: tuple[str, ...]
-    group_key: Optional[str] = None
     old_no_newline: bool = False
     new_no_newline: bool = False
 
@@ -79,6 +78,13 @@ class ChangeSet:
         # required here; diff-derived changes are checked strictly by the
         # parser.
         _check_ordering(self.changes, strict=False)
+        for child, parents in self.dependencies.items():
+            for i in (child, *parents):
+                if not 0 <= i < len(self.changes):
+                    raise ValueError(
+                        f"dependency names change {i}, but the diff has "
+                        f"{len(self.changes)} changes"
+                    )
         _check_acyclic(self.dependencies)
 
     def __len__(self) -> int:
@@ -104,21 +110,21 @@ def _check_ordering(changes: Sequence[AtomicChange], strict: bool = True) -> Non
 
 
 def _check_acyclic(dependencies: Mapping[int, frozenset[int]]) -> None:
-    state: dict[int, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(node: int, stack: list[int]) -> None:
-        mark = state.get(node)
-        if mark == 2:
-            return
-        if mark == 1:
-            raise ValueError(f"dependency cycle through change {node}: {stack}")
-        state[node] = 1
-        for parent in dependencies.get(node, ()):
-            visit(parent, stack + [parent])
-        state[node] = 2
-
-    for node in dependencies:
-        visit(node, [node])
+    done: set[int] = set()
+    for root in dependencies:
+        # The walk from root to the current (last) node, each node with an
+        # iterator over its parents not yet visited; a loop, not recursion,
+        # since a chain may be thousands of changes long.
+        path = {root: iter(dependencies.get(root, ()))}
+        while path:
+            parents = next(reversed(path.values()))  # the last node's
+            parent = next(parents, None)
+            if parent is None:
+                done.add(path.popitem()[0])
+            elif parent in path:
+                raise ValueError(f"dependency cycle through change {parent}: {[*path, parent]}")
+            elif parent not in done:
+                path[parent] = iter(dependencies.get(parent, ()))
 
 
 # --- tree helpers -----------------------------------------------------------
@@ -180,14 +186,6 @@ def _strip_diff_path(raw: str) -> str:
     return path
 
 
-@dataclass
-class _Entry:
-    kind: str       # ' ', '-', '+'
-    text: str
-    old_ln: int     # for '+': the next original line (insertion point)
-    diff_ln: int
-
-
 def split_unified_diff(diff_text: str) -> list[AtomicChange]:
     """Parse a unified diff into atomic changes.
 
@@ -229,29 +227,34 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
             # insertion point, so the first affected line is one further on.
             old_ln = old_start if old_count > 0 else old_start + 1
             i += 1
-            entries: list[_Entry] = []
+            # Rows are [kind, text, old_line, no_newline]; a '+' row's
+            # old_line is the next original line (its insertion point).
+            rows: list[list] = []
             seen_old = seen_new = 0
-            while i < n and (seen_old < old_count or seen_new < new_count):
+            while i < n:
                 body = lines[i]
-                body_ln = i + 1
+                done = seen_old >= old_count and seen_new >= new_count
                 if body.startswith("\\"):
-                    _mark_no_newline(entries, body_ln)
+                    # A newline marker flags the row before it: any number
+                    # of times inside the counted body, once after it.
+                    if not rows:
+                        raise DiffParseError("newline marker before any hunk line", i + 1)
+                    rows[-1][3] = True
                     i += 1
+                    if done:
+                        break
                     continue
-                if body.startswith(" ") or body == "":
-                    entries.append(_Entry(" ", body[1:], old_ln, body_ln))
+                if done:
+                    break
+                kind = body[:1] or " "
+                if kind not in " -+":
+                    raise DiffParseError(f"unexpected line in hunk: {body!r}", i + 1)
+                rows.append([kind, body[1:], old_ln, False])
+                if kind != "+":
                     old_ln += 1
                     seen_old += 1
+                if kind != "-":
                     seen_new += 1
-                elif body.startswith("-"):
-                    entries.append(_Entry("-", body[1:], old_ln, body_ln))
-                    old_ln += 1
-                    seen_old += 1
-                elif body.startswith("+"):
-                    entries.append(_Entry("+", body[1:], old_ln, body_ln))
-                    seen_new += 1
-                else:
-                    raise DiffParseError(f"unexpected line in hunk: {body!r}", body_ln)
                 i += 1
             if seen_old != old_count or seen_new != new_count:
                 raise DiffParseError(
@@ -259,10 +262,7 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
                     f"(-{old_count}/+{new_count})",
                     lineno,
                 )
-            if i < n and lines[i].startswith("\\"):
-                _mark_no_newline(entries, i + 1)
-                i += 1
-            changes.extend(_split_hunk(current_file, entries))
+            changes.extend(_split_hunk(current_file, rows))
             continue
         if line == "" or line.startswith(_SKIP_PREFIXES):
             i += 1
@@ -274,64 +274,30 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
     return changes
 
 
-def _mark_no_newline(entries: list[_Entry], lineno: int) -> None:
-    if not entries:
-        raise DiffParseError("newline marker before any hunk line", lineno)
-    prev = entries[-1]
-    # Flag the side(s) the preceding line belongs to.
-    entries[-1] = _Entry(prev.kind + "$", prev.text, prev.old_ln, prev.diff_ln)
-
-
-def _split_hunk(file: str, entries: list[_Entry]) -> list[AtomicChange]:
-    def is_change(e: _Entry) -> bool:
-        return e.kind[0] in "+-"
-
-    # Maximal runs of changed entries, as (start, end) index pairs.
-    runs: list[list[int]] = []
-    idx = 0
-    while idx < len(entries):
-        if is_change(entries[idx]):
-            start = idx
-            while idx < len(entries) and is_change(entries[idx]):
-                idx += 1
-            runs.append([start, idx - 1])
+def _split_hunk(file: str, rows: list[list]) -> list[AtomicChange]:
+    runs: list[list[list]] = []  # the rows of each change
+    held: list[list] = []  # unchanged rows since the last changed one
+    for row in rows:
+        if row[0] == " ":
+            held.append(row)
+            continue
+        if not runs or len(held) > 1:
+            runs.append([])
         else:
-            idx += 1
-    if not runs:
-        return []
-
-    # Merge runs whose separating context is a single unchanged line.
-    merged = [runs[0]]
-    for start, end in runs[1:]:
-        gap = start - merged[-1][1] - 1
-        if gap < 2:
-            merged[-1][1] = end
-        else:
-            merged.append([start, end])
-
-    changes = []
-    for start, end in merged:
-        old_lines = []
-        new_lines = []
-        old_no_nl = new_no_nl = False
-        for e in entries[start:end + 1]:
-            kind = e.kind[0]
-            flagged = e.kind.endswith("$")
-            if kind in (" ", "-"):
-                old_lines.append(e.text)
-                old_no_nl = old_no_nl or flagged
-            if kind in (" ", "+"):
-                new_lines.append(e.text)
-                new_no_nl = new_no_nl or flagged
-        changes.append(AtomicChange(
+            runs[-1] += held  # nothing, or one line both sides keep
+        runs[-1].append(row)
+        held = []
+    return [
+        AtomicChange(
             file=file,
-            anchor=entries[start].old_ln,
-            old_lines=tuple(old_lines),
-            new_lines=tuple(new_lines),
-            old_no_newline=old_no_nl,
-            new_no_newline=new_no_nl,
-        ))
-    return changes
+            anchor=run[0][2],
+            old_lines=tuple(text for kind, text, _, _ in run if kind != "+"),
+            new_lines=tuple(text for kind, text, _, _ in run if kind != "-"),
+            old_no_newline=any(flag for kind, _, _, flag in run if kind != "+"),
+            new_no_newline=any(flag for kind, _, _, flag in run if kind != "-"),
+        )
+        for run in runs
+    ]
 
 
 def render_unified_diff(changes: Sequence[AtomicChange]) -> str:
@@ -439,29 +405,12 @@ def change_materializer(
 GroupKey = Union[str, Mapping[int, str]]
 
 
-@dataclass
-class GroupedUniverse:
-    """Change ids folded into group deltas; including a group includes all
-    of its member changes."""
-
-    keys: tuple[str, ...]                 # group id -> key value
-    members: tuple[tuple[int, ...], ...]  # group id -> change ids
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def expand(self, group_config: Configuration, universe_size: int) -> Configuration:
-        ids: list[int] = []
-        for g in group_config.members:
-            ids.extend(self.members[g])
-        return Configuration(universe_size, sorted(ids))
-
-
-def group_deltas(changeset: ChangeSet, key: GroupKey) -> GroupedUniverse:
-    """Fold changes into one delta per distinct key value.
+def group_deltas(changeset: ChangeSet, key: GroupKey) -> dict[str, list[int]]:
+    """Fold changes into one delta per distinct key value: each key maps to
+    the ids of its changes, keys in order of first appearance.
 
     ``key`` is "file", "directory", or a mapping from change id to an
-    arbitrary key string.  Groups are ordered by first appearance.
+    arbitrary key string.
     """
     def key_of(i: int, ch: AtomicChange) -> str:
         if key == "file":
@@ -474,33 +423,32 @@ def group_deltas(changeset: ChangeSet, key: GroupKey) -> GroupedUniverse:
             return key[i]
         raise ValueError(f"unknown grouping key {key!r}")
 
-    order: list[str] = []
-    members: dict[str, list[int]] = {}
+    groups: dict[str, list[int]] = {}
     for i, ch in enumerate(changeset.changes):
-        k = key_of(i, ch)
-        if k not in members:
-            order.append(k)
-            members[k] = []
-        members[k].append(i)
-    return GroupedUniverse(
-        keys=tuple(order),
-        members=tuple(tuple(members[k]) for k in order),
-    )
+        groups.setdefault(key_of(i, ch), []).append(i)
+    return groups
 
 
 class MappedOracle:
-    """Evaluates a coarser universe by expanding each configuration through
-    a mapping into the underlying change universe."""
+    """Evaluates a coarser universe over the raw changes: delta ``i``
+    stands for the raw-change bitmap ``parts[i]``."""
 
-    def __init__(self, oracle, expand: Callable[[Configuration], Configuration]):
+    def __init__(self, oracle, universe_size: int, parts: Sequence[int]):
         self._oracle = as_oracle(oracle)
-        self._expand = expand
+        self._universe_size = universe_size
+        self._parts = parts
+
+    def expand(self, config: Configuration) -> Configuration:
+        bits = 0
+        for i in config.members:
+            bits |= self._parts[i]
+        return Configuration.from_bits(self._universe_size, bits)
 
     def evaluate(self, config: Configuration) -> Outcome:
         return self.evaluate_ex(config)[0]
 
     def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
-        return _evaluate_ex(self._oracle, self._expand(config))
+        return _evaluate_ex(self._oracle, self.expand(config))
 
 
 # --- dependencies / feasibility ---------------------------------------------
@@ -607,24 +555,23 @@ def minimize_changes(
     )
     passes: list[ChangePass] = []
 
-    member_ids = list(range(n))
+    survivors = Configuration.full(n)
     if groups is not None:
-        grouped = group_deltas(changeset, groups)
-        group_oracle = MappedOracle(oracle, lambda cfg: grouped.expand(cfg, n))
-        group_result = ddmin(Configuration.full(len(grouped)), group_oracle, options)
+        group_parts = [
+            sum(1 << i for i in ids) for ids in group_deltas(changeset, groups).values()
+        ]
+        group_oracle = MappedOracle(oracle, n, group_parts)
+        group_result = ddmin(Configuration.full(len(group_parts)), group_oracle, options)
         passes.append(ChangePass("groups", group_result))
-        member_ids = sorted(grouped.expand(group_result.final, n).members)
+        survivors = group_oracle.expand(group_result.final)
 
-    mapping = list(member_ids)
-    member_oracle = MappedOracle(
-        oracle, lambda cfg: Configuration(n, [mapping[i] for i in cfg.members])
-    )
-    members = Configuration.full(len(mapping))
+    member_oracle = MappedOracle(oracle, n, [1 << i for i in survivors.members])
+    members = Configuration.full(len(survivors))
     if passes:
         options = next_pass_options(options, members)
     member_result = ddmin(members, member_oracle, options)
     passes.append(ChangePass("changes", member_result))
-    final = Configuration(n, [mapping[i] for i in member_result.final.members])
+    final = member_oracle.expand(member_result.final)
     diff_text = render_unified_diff([changeset.changes[i] for i in final.members])
     return ChangeMinimization(
         final=final, passes=passes, diff_text=diff_text, oracle=command

@@ -155,8 +155,8 @@ def cmd_minimize_input(args) -> int:
         f"verified 1-minimal at {last.granularity} granularity: "
         f"{last.result.verified_1_minimal}"
     )
-    if last.oracle.kept_workspace:
-        print(f"failing workspace kept: {last.oracle.kept_workspace}")
+    if outcome.oracle.kept_workspace:
+        print(f"failing workspace kept: {outcome.oracle.kept_workspace}")
     _write_run_report(args, last.result)
     return 0
 

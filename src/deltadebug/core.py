@@ -328,7 +328,6 @@ class MinimizationResult:
 
 @dataclass
 class EngineOptions:
-    verify_axioms: bool = True
     monotone: bool = False
     preloaded_cache: Optional[dict[int, Outcome]] = None
     on_record: Optional[Callable[[TestRecord], None]] = None
@@ -367,10 +366,10 @@ def ddmin(
       so removing any one delta no longer fails.
 
     Only FAIL triggers reduction; UNRESOLVED steers like PASS but is
-    tallied separately.  With ``verify_axioms`` the empty and the full
-    configuration are tested first and must come out PASS and FAIL
-    respectively; these checks are logged under their own source tag and
-    excluded from the worst-case test accounting.  The result's
+    tallied separately.  The empty and the full configuration are tested
+    first (or answered from ``preloaded_cache``) and must come out PASS and
+    FAIL respectively; these checks are logged under their own source tag
+    and excluded from the worst-case test accounting.  The result's
     ``verified_1_minimal`` is read off the log, without further tests.
 
     No configuration is tested twice: a repeat, like a configuration in
@@ -435,19 +434,16 @@ def ddmin(
             on_record(record)
         return record.outcome
 
-    if opts.verify_axioms:
-        got = run_test(0, 0, axiom=True)
-        if got != Outcome.PASS:
-            raise AxiomViolation(
-                f"the empty configuration must PASS but tested {got.name}", log
-            )
-        got = run_test(universe.bits, 0, axiom=True)
-        if got != Outcome.FAIL:
-            raise AxiomViolation(
-                f"the full configuration must FAIL but tested {got.name}", log
-            )
-    elif len(universe) == 0:
-        raise ValueError("universe must contain at least one delta")
+    got = run_test(0, 0, axiom=True)
+    if got != Outcome.PASS:
+        raise AxiomViolation(
+            f"the empty configuration must PASS but tested {got.name}", log
+        )
+    got = run_test(universe.bits, 0, axiom=True)
+    if got != Outcome.FAIL:
+        raise AxiomViolation(
+            f"the full configuration must FAIL but tested {got.name}", log
+        )
 
     # The current configuration as a bitmap and as its ascending member ids;
     # a reduction slices the member list instead of re-reading the bitmap.

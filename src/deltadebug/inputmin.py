@@ -110,17 +110,13 @@ class InputPass:
     granularity: str
     result: MinimizationResult
     minimized: bytes
-    oracle: CommandOracle
 
 
 @dataclass
 class InputMinimization:
     minimized: bytes
     passes: list[InputPass]
-
-    @property
-    def final_result(self) -> MinimizationResult:
-        return self.passes[-1].result
+    oracle: CommandOracle
 
 
 def minimize_input(
@@ -134,17 +130,20 @@ def minimize_input(
 
     The test command must declare the original input failing and the empty
     input passing; an axiom violation aborts with a diagnostic naming the
-    pass.  Later passes take both axiom answers from the first.
+    pass.  Later passes take both axiom answers from the first.  One
+    command oracle serves every pass, so test numbers run on across passes
+    and at most one failing workspace is kept per run.
     """
     if not schedule:
         raise ValueError("schedule must contain at least one granularity")
     current = data
     passes: list[InputPass] = []
+    oracle = CommandOracle(spec)
     for granularity in schedule:
         tokenized = tokenize(current, granularity)
-        oracle = CommandOracle(spec.with_materializer(
+        oracle.spec = spec.with_materializer(
             candidate_materializer(tokenized, candidate_name)
-        ))
+        )
         universe = Configuration.full(len(tokenized))
         pass_options = next_pass_options(options, universe) if passes else options
         try:
@@ -154,5 +153,5 @@ def minimize_input(
                 f"{granularity} pass: {exc}", exc.log
             ) from exc
         current = render(tokenized, result.final)
-        passes.append(InputPass(granularity, result, current, oracle))
-    return InputMinimization(minimized=current, passes=passes)
+        passes.append(InputPass(granularity, result, current))
+    return InputMinimization(minimized=current, passes=passes, oracle=oracle)

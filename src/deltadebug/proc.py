@@ -97,7 +97,6 @@ class CommandOracleSpec:
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     workspace_root: Optional[Union[str, Path]] = None
     keep_failing: bool = False
-    env_passthrough: bool = True
 
     def __post_init__(self):
         if not self.argv:
@@ -200,10 +199,7 @@ def evaluate_command(
             )
 
         argv = list(spec.argv) + [str(a) for a in (extra or [])]
-        env = dict(os.environ) if spec.env_passthrough else {
-            "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-            "HOME": os.environ.get("HOME", str(workspace)),
-        }
+        env = dict(os.environ)
         env["DDMIN_TEST_SEQ"] = str(test_seq)
         env["DDMIN_CONFIG_SIZE"] = str(len(config))
         env["DDMIN_UNIVERSE_SIZE"] = str(config.universe_size)

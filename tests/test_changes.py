@@ -1,4 +1,5 @@
 import difflib
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from deltadebug.changes import (
     ChangeSet,
     DiffParseError,
     FeasibilityOracle,
+    MappedOracle,
     apply_subset,
     digest_tree,
     group_deltas,
@@ -120,6 +122,67 @@ class TestSplitUnifiedDiff:
             Configuration.full(1),
         )
         assert applied == {"f": "new"}
+
+
+NO_NEWLINE = "\\ No newline at end of file\n"
+
+
+def seeded_diff(rng: random.Random) -> str:
+    """A difflib diff of one or two random files, with context 0-4, a
+    missing final newline on either side, and about one diff in ten
+    corrupted by an extra newline marker, a dropped line or a junk first
+    character."""
+    chunks = []
+    for f in range(rng.randint(1, 2)):
+        path = f"d{rng.randint(0, 1)}/f{f}"
+        old = [f"{rng.choice('abcde')}\n" for _ in range(rng.randint(0, 14))]
+        new = []
+        for line in old:
+            roll = rng.random()
+            if roll < 0.2:
+                continue
+            new.append(f"{rng.choice('vwxyz')}\n" if roll < 0.4 else line)
+            if rng.random() < 0.1:
+                new.append(f"{rng.choice('vwxyz')}\n")
+        for side in (old, new):
+            if side and rng.random() < 0.2:
+                side[-1] = side[-1][:-1]
+        rows = difflib.unified_diff(
+            old, new, fromfile="a/" + path, tofile="b/" + path, n=rng.randint(0, 4)
+        )
+        # difflib leaves a last line without its newline; diff(1) adds a marker.
+        chunks.extend(row if row.endswith("\n") else row + "\n" + NO_NEWLINE for row in rows)
+    lines = "".join(chunks).splitlines(keepends=True)
+    if lines and rng.random() < 0.1:
+        at = rng.randrange(len(lines))
+        kind = rng.randrange(3)
+        if kind == 0:
+            lines.insert(at, NO_NEWLINE)
+        elif kind == 1:
+            del lines[at]
+        else:
+            lines[at] = rng.choice("?x#*") + lines[at][1:]
+    return "".join(lines)
+
+
+class TestSplitterPinned:
+    # SHA-256 over 2400 seeded diffs of each diff's change fields or error.
+    DIGEST = "0a7e1d2ef519de8f705a0f08c51de5c4154674c324058cc6ace4055b41f096b7"
+
+    def test_seeded_diffs_split_as_pinned(self):
+        rng = random.Random(8)
+        h = hashlib.sha256()
+        for _ in range(2400):
+            try:
+                got = [
+                    (c.file, c.anchor, c.old_lines, c.new_lines,
+                     c.old_no_newline, c.new_no_newline)
+                    for c in split_unified_diff(seeded_diff(rng))
+                ]
+            except (DiffParseError, ValueError) as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            h.update(repr(got).encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestApplySubset:
@@ -237,14 +300,14 @@ class TestGrouping:
         cs, _, _ = self.changeset_six()
         assert len(cs) == 6
         grouped = group_deltas(cs, "file")
-        assert grouped.keys == ("a", "b", "c")
-        assert grouped.members == ((0, 1), (2, 3, 4), (5,))
+        assert list(grouped.items()) == [("a", [0, 1]), ("b", [2, 3, 4]), ("c", [5])]
 
     def test_group_expansion_is_exact(self):
         cs, _, _ = self.changeset_six()
-        grouped = group_deltas(cs, "file")
-        expanded = grouped.expand(Configuration(3, [1]), len(cs))
-        assert expanded.members == (2, 3, 4)
+        parts = [sum(1 << i for i in ids) for ids in group_deltas(cs, "file").values()]
+        mapped = MappedOracle(lambda c: Outcome.PASS, len(cs), parts)
+        assert mapped.expand(Configuration(3, [1])).members == (2, 3, 4)
+        assert mapped.expand(Configuration(3, [0, 2])).members == (0, 1, 5)
 
     def test_single_directory_collapses_to_one_delta(self):
         baseline = {"pkg/a": "x\n", "pkg/b": "y\n"}
@@ -289,6 +352,19 @@ class TestDependencies:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             FeasibilityOracle(lambda c: Outcome.PASS, {0: frozenset([1]), 1: frozenset([0])})
+
+    def test_long_chain_listed_from_the_top(self):
+        # Each change requires the one before it; the deps file names the
+        # last edge first, so the cycle check walks the whole chain at once.
+        deps = {i: frozenset([i - 1]) for i in range(2999, 0, -1)}
+        oracle = FeasibilityOracle(lambda c: Outcome.FAIL, deps)
+        assert oracle.evaluate(Configuration(3000, range(3000))) == Outcome.FAIL
+        assert oracle.evaluate(Configuration(3000, [2999])) == Outcome.UNRESOLVED
+
+    def test_cycle_message_names_the_path(self):
+        deps = {0: frozenset([1]), 1: frozenset([2]), 2: frozenset([0])}
+        with pytest.raises(ValueError, match=r"cycle through change 0: \[0, 1, 2, 0\]"):
+            FeasibilityOracle(lambda c: Outcome.PASS, deps)
 
     def test_parse_dependencies(self):
         assert parse_dependencies("1\t0\n2\t0\n2\t1\n") == {

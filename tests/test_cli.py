@@ -54,6 +54,24 @@ class TestMinimizeInputCommand:
         spawned = len(runs.read_text().splitlines())
         assert spawned == sum(int(oracle) + int(axiom) for oracle, axiom in logged)
 
+    def test_keep_failing_keeps_one_workspace_per_run(
+        self, tmp_path, crash_input, make_script, capsys
+    ):
+        # A line pass and a char pass share one oracle: the test numbers
+        # run on across the passes and one failing workspace survives.
+        seqs = tmp_path / "seqs"
+        script = make_script(f'echo "$DDMIN_TEST_SEQ" >> "{seqs}"\ngrep -q 78 "$1"')
+        code = run([
+            "minimize-input", "--input", str(crash_input), "--test", script,
+            "--keep-failing", *common_flags(tmp_path),
+        ])
+        assert code == 0
+        printed = re.findall(r"failing workspace kept: (.+)", capsys.readouterr().out)
+        survivors = [str(p) for p in (tmp_path / "ws").iterdir()]
+        assert survivors == printed
+        numbers = [int(line) for line in seqs.read_text().split()]
+        assert numbers == list(range(1, len(numbers) + 1))
+
     def test_missing_test_flag_is_a_usage_error(self, crash_input):
         assert run(["minimize-input", "--input", str(crash_input)]) == 1
 
@@ -199,6 +217,25 @@ class TestMinimizeChangesCommand:
         )
         assert rejected > 0
         assert doc["final"] == list(range(6))  # prefix through the cause
+
+    def test_dependency_on_a_change_outside_the_diff_exits_1(
+        self, tmp_path, make_script, capsys
+    ):
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "f").write_text("x\n")
+        diff = tmp_path / "one.diff"
+        diff.write_text("--- a/f\n+++ b/f\n@@ -1 +1 @@\n-x\n+y\n")
+        deps = tmp_path / "deps.tsv"
+        deps.write_text("0\t5\n")
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir), "--diff", str(diff),
+            "--deps", str(deps), "--test", make_script('grep -q y "$1/f"'),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "change 5" in err
+        assert "axiom" not in err
 
     def test_malformed_diff_is_a_hard_error(self, tmp_path, make_script, capsys):
         baseline_dir = tmp_path / "b"

@@ -457,17 +457,16 @@ def reference_ddmin(universe, oracle, opts):
             opts.on_record(record)
         return outcome
 
-    if opts.verify_axioms:
-        got = run_test(Configuration.empty(universe.universe_size), 0, axiom=True)
-        if got != Outcome.PASS:
-            raise AxiomViolation(
-                f"the empty configuration must PASS but tested {got.name}", log
-            )
-        got = run_test(universe, 0, axiom=True)
-        if got != Outcome.FAIL:
-            raise AxiomViolation(
-                f"the full configuration must FAIL but tested {got.name}", log
-            )
+    got = run_test(Configuration.empty(universe.universe_size), 0, axiom=True)
+    if got != Outcome.PASS:
+        raise AxiomViolation(
+            f"the empty configuration must PASS but tested {got.name}", log
+        )
+    got = run_test(universe, 0, axiom=True)
+    if got != Outcome.FAIL:
+        raise AxiomViolation(
+            f"the full configuration must FAIL but tested {got.name}", log
+        )
     current = universe
     n = 2
     while len(current) >= 2:
@@ -513,7 +512,7 @@ class TestEngineMatchesReference:
     @staticmethod
     def draws():
         rng = random.Random(4404)
-        for i in range(300):
+        for i in range(600):
             family = i % 4
             if family == 0:
                 n = rng.randint(1, 12)
@@ -547,14 +546,13 @@ class TestEngineMatchesReference:
             yield universe, oracle, preload
 
     @staticmethod
-    def observe(engine, universe, oracle, verify_axioms, monotone, preload, watch):
+    def observe(engine, universe, oracle, monotone, preload, watch):
         seen = []
 
         def on_record(record):
             seen.append((record.config, record.granularity, record.outcome, record.source))
 
         options = EngineOptions(
-            verify_axioms=verify_axioms,
             monotone=monotone,
             preloaded_cache=preload,
             on_record=on_record if watch else None,
@@ -568,12 +566,10 @@ class TestEngineMatchesReference:
     def test_seeded_draws_in_every_mode(self):
         compared = 0
         for draw, (universe, oracle, preload) in enumerate(self.draws()):
-            for mode in range(8):
-                verify_axioms, monotone, preloaded = mode & 1, mode & 2, mode & 4
-                if not verify_axioms and universe.bits == 0:
-                    continue
+            for mode in range(4):
+                monotone, preloaded = mode & 1, mode & 2
                 args = (
-                    universe, oracle, bool(verify_axioms), bool(monotone),
+                    universe, oracle, bool(monotone),
                     preload if preloaded else None, draw % 2 == 0,
                 )
                 got = self.observe(ddmin, *args)
@@ -616,15 +612,6 @@ class TestVerifiedFromLog:
                 assert result.verified_1_minimal is None
             unproved += result.verified_1_minimal is None
         assert unproved > 0
-
-    def test_untested_empty_set_is_not_proof(self):
-        # Without axiom checks nothing tests the empty set, the only
-        # complement of a one-member result.
-        result = ddmin(
-            Configuration.full(8), single_cause(8, 5), EngineOptions(verify_axioms=False)
-        )
-        assert result.final == cfg(8, 5)
-        assert result.verified_1_minimal is None
 
 
 class TestDdminProperty:

@@ -218,9 +218,6 @@ class TestEvaluateCommand:
         spec = spec_for([make_script(body)], workspace_root)
         evaluate_command(spec, Configuration(1, [0]))
         assert out.read_text().strip() == "[hello]"
-        spec = spec_for([make_script(body)], workspace_root, env_passthrough=False)
-        evaluate_command(spec, Configuration(1, [0]))
-        assert out.read_text().strip() == "[]"
 
     def test_command_runs_in_fresh_workspace(self, make_script, workspace_root):
         script = make_script('test ! -e stale || exit 1; touch stale; exit 0')
