@@ -37,7 +37,7 @@ from .proc import CommandOracle, CommandOracleSpec, MaterializeConflict
 FileTree = dict[str, str]
 
 
-class DiffParseError(Exception):
+class DiffParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line

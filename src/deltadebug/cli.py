@@ -14,12 +14,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import bench as bench_mod
-from . import changes as changes_mod
-from . import inputmin
+# Each subcommand imports its own front-end, so a run loads only what it uses.
 from . import report as report_mod
-from . import tracered
-from . import toylang
 from .core import (
     AxiomViolation,
     DeltaDebugError,
@@ -27,7 +23,6 @@ from .core import (
     MinimizationResult,
     Outcome,
 )
-from .proc import CommandOracleSpec, OracleExecutionError
 
 PROGRESS_EVERY = 25
 
@@ -80,7 +75,7 @@ class _Progress:
         self.count += 1
         self.tallies[record.outcome._value_] += 1
         if self.verbose:
-            print(report_mod.render_log_line(record, record.config.universe_size))
+            print(report_mod.render_log_line(record))
         elif self.count % PROGRESS_EVERY == 0:
             print(
                 f"... {self.count} tests "
@@ -97,14 +92,16 @@ def _engine_options(args) -> EngineOptions:
     )
 
 
-def _command_spec(args) -> CommandOracleSpec:
+def _command_spec(args):
+    from . import proc
+
     argv = list(args.test)
     # The command runs with the workspace as its working directory, but
     # flags are relative to the invocation directory: pin path-like
     # commands (./check.sh) down now.  Bare names still resolve via PATH.
     if "/" in argv[0]:
         argv[0] = str(Path(argv[0]).resolve())
-    return CommandOracleSpec(
+    return proc.CommandOracleSpec(
         argv=argv,
         timeout_ms=args.timeout,
         workspace_root=args.workspace,
@@ -134,6 +131,8 @@ def _summarize(result: MinimizationResult, label: str) -> None:
 # --- minimize-input ----------------------------------------------------------
 
 def cmd_minimize_input(args) -> int:
+    from . import inputmin
+
     data = Path(args.input).read_bytes()
     schedule = [g.strip() for g in args.granularity.split(",") if g.strip()]
     spec = _command_spec(args)
@@ -164,33 +163,35 @@ def cmd_minimize_input(args) -> int:
 # --- minimize-changes --------------------------------------------------------
 
 def cmd_minimize_changes(args) -> int:
-    baseline = changes_mod.load_tree(args.baseline)
+    from . import changes
+
+    baseline = changes.load_tree(args.baseline)
     diff_text = Path(args.diff).read_text(encoding="utf-8")
-    atomic = changes_mod.split_unified_diff(diff_text)
+    atomic = changes.split_unified_diff(diff_text)
     dependencies = {}
     if args.deps:
-        dependencies = changes_mod.parse_dependencies(
+        dependencies = changes.parse_dependencies(
             Path(args.deps).read_text(encoding="utf-8")
         )
-    changeset = changes_mod.ChangeSet(
-        baseline_digest=changes_mod.digest_tree(baseline),
+    changeset = changes.ChangeSet(
+        baseline_digest=changes.digest_tree(baseline),
         changes=tuple(atomic),
         dependencies=dependencies,
     )
     print(f"split diff into {len(changeset)} atomic changes")
 
-    groups: Optional[changes_mod.GroupKey] = None
+    groups: Optional[changes.GroupKey] = None
     if args.groups:
         if args.groups in ("file", "dir"):
             groups = "file" if args.groups == "file" else "directory"
         else:
-            groups = changes_mod.parse_group_map(
+            groups = changes.parse_group_map(
                 Path(args.groups).read_text(encoding="utf-8")
             )
 
     spec = _command_spec(args)
     options = _engine_options(args)
-    outcome = changes_mod.minimize_changes(
+    outcome = changes.minimize_changes(
         baseline, changeset, spec, groups=groups, options=options
     )
     for p in outcome.passes:
@@ -208,6 +209,8 @@ def cmd_minimize_changes(args) -> int:
 # --- reduce-trace ------------------------------------------------------------
 
 def cmd_reduce_trace(args) -> int:
+    from . import toylang, tracered
+
     program = toylang.parse_program(Path(args.program).read_text(encoding="utf-8"))
     tokens = [int(t) for t in args.stdin.split(",") if t.strip()] if args.stdin else []
     prefixes = (
@@ -234,11 +237,13 @@ def cmd_reduce_trace(args) -> int:
 # --- bench -------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
-    sizes = bench_mod.parse_sizes(args.sizes)
-    rows, violations = bench_mod.run_bench(
+    from . import bench
+
+    sizes = bench.parse_sizes(args.sizes)
+    rows, violations = bench.run_bench(
         args.oracle, sizes, monotone=args.monotone_cache
     )
-    lines = [bench_mod.CSV_HEADER] + [row.csv() for row in rows]
+    lines = [bench.CSV_HEADER] + [row.csv() for row in rows]
     text = "\n".join(lines) + "\n"
     if args.csv and args.csv != "-":
         Path(args.csv).write_text(text, encoding="utf-8")
@@ -360,13 +365,7 @@ def run(argv=None) -> int:
         if exc.log is not None:
             _write_run_report(args, None, log=exc.log)
         return 2
-    except (DeltaDebugError, OracleExecutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (changes_mod.DiffParseError, toylang.ToyParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DeltaDebugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,17 +24,13 @@ _OUTCOME_MARK = {Outcome.FAIL: "F", Outcome.PASS: "P", Outcome.UNRESOLVED: "?"}
 _CELLS = str.maketrans("01", ".*")
 
 
-def render_log_line(record: TestRecord, universe_size: int) -> str:
+def render_log_line(record: TestRecord) -> str:
     """One bitmap row per test: `*` included, `.` excluded, then the outcome.
 
     Cache-answered records get a trailing `#`.
     """
-    if record.config.universe_size != universe_size:
-        raise ValueError(
-            f"record is over a universe of {record.config.universe_size}, "
-            f"not {universe_size}"
-        )
-    cells = bit_string(record.config.bits, universe_size).translate(_CELLS)
+    config = record.config
+    cells = bit_string(config.bits, config.universe_size).translate(_CELLS)
     mark = _OUTCOME_MARK[record.outcome]
     return f"{cells} {mark}#" if record.cached else f"{cells} {mark}"
 

@@ -27,7 +27,6 @@ spelled out by the trace, and skipped reads consume no input.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -46,7 +45,7 @@ STATUS_RUNTIME_ERROR = "runtime-error"
 STATUS_BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-class ToyParseError(Exception):
+class ToyParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
@@ -62,85 +61,72 @@ class _Budget(Exception):
 
 
 # --- AST ---------------------------------------------------------------------
+#
+# Nodes compare by identity and print with the default repr: no method
+# walks a tree, so a program of any depth can be printed, compared and
+# hashed.
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node:
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class VarRef:
-    name: str
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class IntLit(_Node):
+    __slots__ = __match_args__ = ("value",)
+
+
+class VarRef(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+
+class BinOp(_Node):
+    __slots__ = __match_args__ = ("op", "left", "right")
+
+
+class Neg(_Node):
+    __slots__ = __match_args__ = ("operand",)
 
 
 Expr = Union[IntLit, VarRef, BinOp, Neg]
+PrintArg = Union[str, Expr]  # a string literal is its decoded text
 
 
-@dataclass(frozen=True)
-class StrLit:
-    value: str
+class Assign(_Node):
+    __slots__ = __match_args__ = ("line", "name", "expr")
 
 
-PrintArg = Union[StrLit, IntLit, VarRef, BinOp, Neg]
+class Read(_Node):
+    __slots__ = __match_args__ = ("line", "name", "prompt")
 
 
-@dataclass(frozen=True)
-class Assign:
-    line: int
-    name: str
-    expr: Expr
+class PrintStmt(_Node):
+    __slots__ = __match_args__ = ("line", "args")
 
 
-@dataclass(frozen=True)
-class Read:
-    line: int
-    name: str
-    prompt: str
-
-
-@dataclass(frozen=True)
-class PrintStmt:
-    line: int
-    args: tuple[PrintArg, ...]
-
-
-@dataclass(frozen=True)
-class LoopEnd:
+class LoopEnd(_Node):
     """The closing brace of a loop body; marks the back edge."""
 
-    line: int
+    __slots__ = __match_args__ = ("line",)
 
 
-@dataclass(frozen=True)
-class While:
-    line: int
-    cond: Expr
-    body: tuple["Stmt", ...]  # ends with the LoopEnd marker
+class While(_Node):
+    __slots__ = __match_args__ = ("line", "cond", "body")  # body ends with a LoopEnd
 
 
 Stmt = Union[Assign, Read, PrintStmt, While, LoopEnd]
 
 
-@dataclass(frozen=True)
 class Program:
-    statements: tuple[Stmt, ...]
-    source_lines: tuple[str, ...]
-    # Functions of the statements run so far, by line; see ``_compiled``.
-    _compiled: dict[int, "_Compiled"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("statements", "source_lines", "_compiled")
+
+    def __init__(self, statements: tuple[Stmt, ...], source_lines: tuple[str, ...]):
+        self.statements = statements
+        self.source_lines = source_lines
+        # Functions of the statements run so far, by line; see ``_compiled``.
+        self._compiled: dict[int, _Compiled] = {}
 
     def flattened(self) -> list[Stmt]:
         out: list[Stmt] = []
@@ -165,8 +151,7 @@ class Program:
 
 # --- lexer -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | "op" | "eof"
     value: str
     line: int
@@ -316,10 +301,10 @@ class _Parser:
                 prompt = self._next().value
             self._expect("op", ")")
             self._expect("op", ";")
-            return Read(line=line, name=name_tok.value, prompt=prompt)
+            return Read(line, name_tok.value, prompt)
         expr = self._expr()
         self._expect("op", ";")
-        return Assign(line=line, name=name_tok.value, expr=expr)
+        return Assign(line, name_tok.value, expr)
 
     def _print(self) -> Stmt:
         tok = self._next()
@@ -331,11 +316,11 @@ class _Parser:
             args.append(self._arg())
         self._expect("op", ")")
         self._expect("op", ";")
-        return PrintStmt(line=line, args=tuple(args))
+        return PrintStmt(line, tuple(args))
 
     def _arg(self) -> PrintArg:
         if self._peek().kind == "string":
-            return StrLit(self._next().value)
+            return self._next().value
         return self._expr()
 
     def _while(self) -> Stmt:
@@ -354,9 +339,9 @@ class _Parser:
                 raise ToyParseError("unterminated loop body", tok.line, tok.col)
             body.append(self._statement())
         brace = self._next()
-        body.append(LoopEnd(line=self._claim_line(brace)))
+        body.append(LoopEnd(self._claim_line(brace)))
         self._loops -= 1
-        return While(line=line, cond=cond, body=tuple(body))
+        return While(line, cond, tuple(body))
 
     # Operator precedence parsing with explicit stacks: nesting and long
     # operator chains cost no recursion.  Precedence: comparison < additive
@@ -421,13 +406,12 @@ class _Parser:
 def parse_program(text: str) -> Program:
     tokens = _lex(text)
     statements = _Parser(tokens).parse_program()
-    return Program(statements=statements, source_lines=tuple(text.split("\n")))
+    return Program(statements, tuple(text.split("\n")))
 
 
 # --- trace events ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     line: int
     seq: int  # 1-based execution time
     kind: str
@@ -440,8 +424,7 @@ class Event:
 Trace = list[Event]
 
 
-@dataclass
-class ReplayOutput:
+class ReplayOutput(NamedTuple):
     stdout: str
     status: str
     error: Optional[str] = None
@@ -493,7 +476,7 @@ class _Machine:
         """Record the next trace event; the budget caps their number."""
         if len(self.events) >= self.budget:
             raise _Budget()
-        self.events.append(Event(line=line, seq=len(self.events) + 1, kind=kind))
+        self.events.append(Event(line, len(self.events) + 1, kind))
 
     def output(self) -> str:
         return "".join(self.out)
@@ -607,8 +590,8 @@ class _Builder:
 
 def _print_arg(build: _Builder, arg: PrintArg) -> ast.expr:
     match arg:
-        case StrLit(text):
-            return build.const(text)
+        case str():
+            return build.const(arg)
         case VarRef(name):
             # Print shows the raw variable: undefined renders empty, not 0.
             key, store = build.const(name), build.name("store")
@@ -806,9 +789,12 @@ def parse_trace(text: str) -> Trace:
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != 3 or parts[2] not in (KIND_STATEMENT, KIND_LOOP_HEAD, KIND_LOOP_END):
-            raise ValueError(f"line {lineno}: malformed trace line {line!r}")
-        events.append(Event(seq=int(parts[0]), line=int(parts[1]), kind=parts[2]))
+        try:
+            if len(parts) != 3 or parts[2] not in (KIND_STATEMENT, KIND_LOOP_HEAD, KIND_LOOP_END):
+                raise ValueError
+            events.append(Event(seq=int(parts[0]), line=int(parts[1]), kind=parts[2]))
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed trace line {line!r}") from None
     for i, event in enumerate(events, start=1):
         if event.seq != i:
             raise ValueError(f"trace seq values must be dense 1..{len(events)}")

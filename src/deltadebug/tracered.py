@@ -22,7 +22,6 @@ from .core import (
     ddmin,
 )
 from .toylang import (
-    DEFAULT_STEP_BUDGET,
     Event,
     Program,
     ReplayOutput,
@@ -75,18 +74,14 @@ class ReplayOracle:
         trace: Trace,
         stdin_tokens: Sequence[int],
         expectation: OutputExpectation,
-        budget: int = DEFAULT_STEP_BUDGET,
     ):
         self.program = program
         self.trace = resolve_trace(program, trace)
         self.stdin_tokens = list(stdin_tokens)
         self.expectation = expectation
-        self.budget = budget
 
     def replay(self, config: Configuration) -> ReplayOutput:
-        return replay_events(
-            self.program, self.trace, config, self.stdin_tokens, self.budget
-        )
+        return replay_events(self.program, self.trace, config, self.stdin_tokens)
 
     def evaluate(self, config: Configuration) -> Outcome:
         output = self.replay(config)
@@ -116,17 +111,16 @@ def reduce_trace(
     stdin_tokens: Sequence[int],
     expectation: OutputExpectation,
     options: Optional[EngineOptions] = None,
-    budget: int = DEFAULT_STEP_BUDGET,
 ) -> TraceReduction:
     """Trace the program, then shrink the event set to a critical slice.
 
     The full-trace replay must satisfy the expectation and the empty
     replay must not; those are exactly the engine's axiom checks.
     """
-    trace, traced = trace_program(program, stdin_tokens, budget)
+    trace, traced = trace_program(program, stdin_tokens)
     if traced.status != STATUS_COMPLETED:
         raise ValueError(f"tracing did not complete: {traced.status} ({traced.error})")
-    oracle = ReplayOracle(program, trace, stdin_tokens, expectation, budget)
+    oracle = ReplayOracle(program, trace, stdin_tokens, expectation)
     universe = Configuration.full(len(trace))
     result = ddmin(universe, oracle, options)
     slice_events = [trace[i] for i in result.final.members]

@@ -1,4 +1,5 @@
-"""Trace and replay the desk program and deep-expression probes.
+"""Trace and replay the desk program and deep-expression probes, and print,
+compare and hash a deep program.
 
 Needs only the standard library, so it runs on a Python without pytest:
 
@@ -85,15 +86,30 @@ def probe(name, source, stdin=(), expect=("completed", None)):
     return ok
 
 
+def deep_program_probe(source):
+    """``repr``, ``==`` and ``hash`` of a deep program walk no tree."""
+    try:
+        program = parse_program(source)
+        repr(program)
+        ok = program == program and program != parse_program(source)
+        hash(program.statements[1])
+        got = "identity" if ok else "compared by value"
+    except RecursionError:
+        got = "RecursionError"
+    print(f"{'ok  ' if got == 'identity' else 'FAIL'} 3000-term program repr, ==, hash: {got}")
+    return got == "identity"
+
+
 def main() -> int:
     print(f"Python {sys.version.split()[0]}")
     digit_limit = hasattr(sys, "get_int_max_str_digits")
+    chain_3000 = "x = 1;\na = " + " + ".join(["x"] * 3000) + ";\nprint(a);\n"
     results = [
         probe("desk 0,5", DESK, [0, 5], ("completed", "a? b? sum = 15\nmul = 0\n")),
         probe("250 nested parentheses", "a = " + "(" * 250 + "1" + ")" * 250
               + ";\nprint(a);\n", expect=("completed", "1")),
-        probe("3000-term chain", "x = 1;\na = " + " + ".join(["x"] * 3000)
-              + ";\nprint(a);\n", expect=("completed", "3000")),
+        probe("3000-term chain", chain_3000, expect=("completed", "3000")),
+        deep_program_probe(chain_3000),
         probe("900-term chain, ten operators", CHAIN_900,
               expect=("completed", chain_900_value())),
         probe("3001 unary minuses", "a = " + "-" * 3001 + "1;\nprint(a);\n",

@@ -21,26 +21,20 @@ def record(universe, members, outcome, cached=False, granularity=2):
 
 class TestRenderLogLine:
     def test_partial_fail(self):
-        assert render_log_line(record(4, [0, 1], Outcome.FAIL), 4) == "**.. F"
+        assert render_log_line(record(4, [0, 1], Outcome.FAIL)) == "**.. F"
 
     def test_empty_pass(self):
-        assert render_log_line(record(4, [], Outcome.PASS), 4) == ".... P"
+        assert render_log_line(record(4, [], Outcome.PASS)) == ".... P"
 
     def test_cached_unresolved_full(self):
-        line = render_log_line(
-            record(4, [0, 1, 2, 3], Outcome.UNRESOLVED, cached=True), 4
-        )
+        line = render_log_line(record(4, [0, 1, 2, 3], Outcome.UNRESOLVED, cached=True))
         assert line == "**** ?#"
 
     def test_wide_sparse_row_matches_per_cell_rendering(self):
         config = Configuration(20000, [0, 3, 64, 12345, 19998, 19999])
         rec = TestRecord(config, 2, Outcome.PASS, False, SOURCE_ORACLE, 0.0)
         cells = "".join("*" if i in config else "." for i in range(20000))
-        assert render_log_line(rec, 20000) == cells + " P"
-
-    def test_universe_size_mismatch(self):
-        with pytest.raises(ValueError):
-            render_log_line(record(4, [0], Outcome.PASS), 5)
+        assert render_log_line(rec) == cells + " P"
 
 
 class TestReportDocument:

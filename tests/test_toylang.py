@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -21,7 +22,7 @@ from deltadebug.toylang import (
     trace_program,
     write_trace,
 )
-from deltadebug.tracered import OutputExpectation, ReplayOracle
+from deltadebug.tracered import OutputExpectation, ReplayOracle, reduce_trace
 
 
 class TestParser:
@@ -294,6 +295,18 @@ class TestNoPythonErrorEscapes:
         replayed = replay_events(program, trace, Configuration.full(len(trace)), [])
         assert replayed.stdout == "3000"
 
+    def test_a_3000_term_program_prints_compares_and_hashes(self):
+        # Nodes compare by identity, so nothing here walks the deep tree.
+        source = "x = 1;\na = " + " + ".join(["x"] * 3000) + ";\nprint(a);\n"
+        program = parse_program(source)
+        assert repr(program).startswith("<deltadebug.toylang.Program object")
+        assert program == program
+        assert program != parse_program(source)
+        assert hash(program.statements[1]) == hash(program.statements[1])
+        reduction = reduce_trace(program, [], OutputExpectation.derive("3000"))
+        assert reduction.slice_labels == ["1_1", "2_2", "3_3"]
+        assert "TraceReduction(program=<deltadebug.toylang.Program" in repr(reduction)
+
     def test_loop_nesting_is_capped_at_parse_time(self):
         def nested(depth):
             return "while (0) {\n" * depth + "}\n" * depth
@@ -368,3 +381,9 @@ class TestTraceFile:
             parse_trace("1\t2\n")
         with pytest.raises(ValueError):
             parse_trace("2\t1\tstatement\n")
+
+    @pytest.mark.parametrize("bad", ["x\t1\tstatement", "1\ty\tstatement", "1\t\tloop-end"])
+    def test_a_non_integer_field_names_the_line(self, bad):
+        message = f"line 2: malformed trace line {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_trace(f"1\t1\tstatement\n{bad}\n")

