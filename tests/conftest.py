@@ -1,3 +1,4 @@
+import difflib
 import stat
 from pathlib import Path
 
@@ -44,3 +45,30 @@ def workspace_root(tmp_path) -> Path:
     root = tmp_path / "workspaces"
     root.mkdir()
     return root
+
+
+CAUSES = {("lib/a.txt", 9): "CAUSE_A", ("main/c.txt", 9): "CAUSE_B"}
+
+
+@pytest.fixture
+def two_cause_changes(make_script):
+    """Twelve one-line edits, four in each of three files in two
+    directories, as (baseline tree, unified diff, dependency TSV, test
+    script).
+
+    The failure needs change 2 (``CAUSE_A``) and change 10 (``CAUSE_B``).
+    The dependencies make 2 require 1, 10 require 5, 5 require 4 and 11
+    require 0, so the smallest closed failing set is {1, 2, 4, 5, 10}.
+    """
+    baseline, chunks = {}, []
+    for path in ("lib/a.txt", "lib/b.txt", "main/c.txt"):
+        old = [f"{path} {i}\n" for i in range(1, 17)]
+        new = [
+            f"{path} {i} {CAUSES.get((path, i), 'edited')}\n" if i % 4 == 1 else line
+            for i, line in enumerate(old, start=1)
+        ]
+        baseline[path] = "".join(old)
+        chunks.extend(difflib.unified_diff(old, new, f"a/{path}", f"b/{path}"))
+    deps = "# child<TAB>parent\n2\t1\n10\t5\n5\t4\n11\t0\n"
+    test = make_script('grep -rq CAUSE_A "$1" && grep -rq CAUSE_B "$1"')
+    return baseline, "".join(chunks), deps, test

@@ -11,7 +11,11 @@ import hashlib
 import pytest
 
 from deltadebug import Configuration, EngineOptions, ddmin
+from deltadebug.changes import (
+    ChangeSet, digest_tree, minimize_changes, parse_dependencies, split_unified_diff,
+)
 from deltadebug.oracles import adversarial, conjunction_spread, random_table
+from deltadebug.proc import CommandOracleSpec
 from deltadebug.toylang import parse_program
 from deltadebug.tracered import OutputExpectation, reduce_trace
 
@@ -78,3 +82,19 @@ def test_desk_slice_run_log_is_unchanged(name, sample_source):
         OutputExpectation.derive(expected_text, prefixes),
     )
     assert digest(reduction.result.log) == expected
+
+
+def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_root):
+    # A group pass by file, then a pass over the surviving changes, both
+    # rejecting subsets that are not closed under the dependencies.
+    baseline, diff, deps, test = two_cause_changes
+    changeset = ChangeSet(
+        digest_tree(baseline), tuple(split_unified_diff(diff)), parse_dependencies(deps)
+    )
+    spec = CommandOracleSpec(argv=[test], workspace_root=workspace_root)
+    outcome = minimize_changes(baseline, changeset, spec, groups="file")
+    assert outcome.final.members == (1, 2, 4, 5, 10)
+    assert [(p.label, digest(p.result.log)) for p in outcome.passes] == [
+        ("groups", "cca833a27602a3aa0dae297a639ea2db5112d2b4e515ffaed34eeab76bb53a1e"),
+        ("changes", "d23978bd8bbd0c8707db50645630b990f4d3966cfe72317d99a64ac4e5e302f4"),
+    ]

@@ -13,6 +13,7 @@ import pytest
 
 from deltadebug import Configuration, Outcome, RunLog, TestRecord, ddmin
 from deltadebug.cli import run
+from deltadebug.changes import write_tree
 from deltadebug.core import SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_ORACLE
 from deltadebug.oracles import conjunction
 from deltadebug.report import build_report, write_report
@@ -67,6 +68,37 @@ def test_minimize_input_report_bytes(tmp_path, make_script, capsys):
     assert sha256(report) == (
         "b0f8bc022d9a772f9b86c853b9fc1cbd84693da67cd89e06e2fa2ebc31554717"
     )
+
+
+CHANGE_RUNS = {
+    "groups-file": (
+        ["--groups", "file"],
+        "3ef901224021ed2f996712bf0ee4b0059a8c014bdc87b95dee3c410c62f7187a",
+    ),
+    "deps": (
+        ["--deps", "deps.tsv"],
+        "31a29c69bff53f82944566be6b9e26d58b711436c49e5d510068c485a20c95ee",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANGE_RUNS))
+def test_minimize_changes_report_bytes(name, tmp_path, two_cause_changes, capsys):
+    baseline, diff, deps, test = two_cause_changes
+    write_tree(baseline, tmp_path / "baseline")
+    (tmp_path / "changes.diff").write_text(diff)
+    (tmp_path / "deps.tsv").write_text(deps)
+    flags, expected = CHANGE_RUNS[name]
+    report = tmp_path / "report.json"
+    code = run([
+        "minimize-changes", "--baseline", str(tmp_path / "baseline"),
+        "--diff", str(tmp_path / "changes.diff"), "--test", test,
+        *(str(tmp_path / f) if f.endswith(".tsv") else f for f in flags),
+        "--workspace", str(tmp_path / "ws"),
+        "--report", str(report), "--deterministic-report",
+    ])
+    assert code == 0
+    assert sha256(report) == expected
 
 
 def test_ddmin_report_bytes(tmp_path):
