@@ -19,15 +19,16 @@ import posixpath
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
     Configuration,
     EngineOptions,
     MinimizationResult,
+    OracleLike,
     Outcome,
     SOURCE_FEASIBILITY,
-    _evaluate_ex,
+    SOURCE_ORACLE,
     as_oracle,
     ddmin,
     next_pass_options,
@@ -410,33 +411,49 @@ def group_deltas(changeset: ChangeSet, key: GroupKey) -> dict[str, list[int]]:
     the ids of its changes, keys in order of first appearance.
 
     ``key`` is "file", "directory", or a mapping from change id to an
-    arbitrary key string.
+    arbitrary key string, which must name each change of the set.
     """
-    def key_of(i: int, ch: AtomicChange) -> str:
-        if key == "file":
-            return ch.file
-        if key == "directory":
-            return posixpath.dirname(ch.file) or "."
-        if isinstance(key, Mapping):
-            if i not in key:
-                raise ValueError(f"group map is missing change id {i}")
-            return key[i]
+    n = len(changeset)
+    if key == "file":
+        keys = [ch.file for ch in changeset.changes]
+    elif key == "directory":
+        keys = [posixpath.dirname(ch.file) or "." for ch in changeset.changes]
+    elif isinstance(key, Mapping):
+        wrong = min(set(key) ^ set(range(n)), default=None)  # the lowest id out of place
+        if wrong in key:
+            raise ValueError(f"group map names change {wrong}, but the diff has {n} changes")
+        if wrong is not None:
+            raise ValueError(f"group map is missing change id {wrong}")
+        keys = [key[i] for i in range(n)]
+    else:
         raise ValueError(f"unknown grouping key {key!r}")
-
     groups: dict[str, list[int]] = {}
-    for i, ch in enumerate(changeset.changes):
-        groups.setdefault(key_of(i, ch), []).append(i)
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
     return groups
 
 
-class MappedOracle:
-    """Evaluates a coarser universe over the raw changes: delta ``i``
-    stands for the raw-change bitmap ``parts[i]``."""
+class ChangeOracle:
+    """Tests a universe of deltas over the raw changes of a change set:
+    delta ``i`` stands for the raw-change bitmap ``parts[i]``.
 
-    def __init__(self, oracle, universe_size: int, parts: Sequence[int]):
+    A subset whose raw changes lack one that a member requires (per
+    ``dependencies``, child id -> required ids) is answered UNRESOLVED as a
+    feasibility reject, without consulting ``oracle``.
+    """
+
+    def __init__(
+        self, oracle: OracleLike, universe_size: int, parts: Sequence[int],
+        dependencies: Mapping[int, frozenset[int]],
+    ):
         self._oracle = as_oracle(oracle)
         self._universe_size = universe_size
         self._parts = parts
+        # (bit, bitmap of the changes it requires) per change with dependencies.
+        self._requires = [
+            (1 << child, sum(1 << parent for parent in parents))
+            for child, parents in dependencies.items()
+        ]
 
     def expand(self, config: Configuration) -> Configuration:
         bits = 0
@@ -448,69 +465,50 @@ class MappedOracle:
         return self.evaluate_ex(config)[0]
 
     def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
-        return _evaluate_ex(self._oracle, self.expand(config))
+        raw = self.expand(config)
+        bits = raw.bits
+        for child, required in self._requires:
+            if bits & child and required & ~bits:
+                return Outcome.UNRESOLVED, SOURCE_FEASIBILITY
+        return self._oracle.evaluate(raw), SOURCE_ORACLE
 
 
-# --- dependencies / feasibility ---------------------------------------------
+# --- TSV inputs ---------------------------------------------------------------
+
+def _read_tsv(text: str, columns: str, ids: int, id_error: str) -> Iterator[tuple[int, list]]:
+    """Each `A<TAB>B` line as (line number, fields), the first ``ids``
+    fields read as decimal integers; blank and `#` lines are skipped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields: list = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected {columns}, got {line!r}")
+        try:
+            fields[:ids] = map(int, fields[:ids])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {id_error}") from exc
+        yield lineno, fields
+
 
 def parse_dependencies(text: str) -> dict[int, frozenset[int]]:
     """Parse `CHILD<TAB>PARENT` lines (decimal change ids) into edges."""
     edges: dict[int, set[int]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected CHILD<TAB>PARENT, got {line!r}")
-        try:
-            child, parent = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: ids must be decimal integers") from exc
+    rows = _read_tsv(text, "CHILD<TAB>PARENT", 2, "ids must be decimal integers")
+    for _, (child, parent) in rows:
         edges.setdefault(child, set()).add(parent)
     return {child: frozenset(parents) for child, parents in edges.items()}
 
 
 def parse_group_map(text: str) -> dict[int, str]:
-    """Parse `CHANGE-ID<TAB>KEY` lines into a custom grouping map."""
+    """Parse `CHANGE-ID<TAB>KEY` lines, each id once, into a grouping map."""
     mapping: dict[int, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected CHANGE-ID<TAB>KEY, got {line!r}")
-        try:
-            mapping[int(parts[0])] = parts[1]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: change id must be a decimal integer") from exc
+    rows = _read_tsv(text, "CHANGE-ID<TAB>KEY", 1, "change id must be a decimal integer")
+    for lineno, (change, key) in rows:
+        if change in mapping:
+            raise ValueError(f"line {lineno}: change id {change} is listed twice")
+        mapping[change] = key
     return mapping
-
-
-def is_closed(config: Configuration, dependencies: Mapping[int, frozenset[int]]) -> bool:
-    bits = config.bits
-    for member in config.members:
-        for parent in dependencies.get(member, ()):
-            if not bits >> parent & 1:
-                return False
-    return True
-
-
-class FeasibilityOracle:
-    """Answers UNRESOLVED for configurations not closed under "requires"
-    edges, without consulting the underlying oracle."""
-
-    def __init__(self, oracle, dependencies: Mapping[int, frozenset[int]]):
-        _check_acyclic(dependencies)
-        self._oracle = as_oracle(oracle)
-        self.dependencies = dict(dependencies)
-
-    def evaluate(self, config: Configuration) -> Outcome:
-        return self.evaluate_ex(config)[0]
-
-    def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
-        if not is_closed(config, self.dependencies):
-            return Outcome.UNRESOLVED, SOURCE_FEASIBILITY
-        return _evaluate_ex(self._oracle, config)
 
 
 # --- driver -------------------------------------------------------------------
@@ -549,10 +547,6 @@ def minimize_changes(
     """
     n = len(changeset)
     command = CommandOracle(spec.with_materializer(change_materializer(baseline, changeset)))
-    oracle = (
-        FeasibilityOracle(command, changeset.dependencies)
-        if changeset.dependencies else command
-    )
     passes: list[ChangePass] = []
 
     survivors = Configuration.full(n)
@@ -560,12 +554,14 @@ def minimize_changes(
         group_parts = [
             sum(1 << i for i in ids) for ids in group_deltas(changeset, groups).values()
         ]
-        group_oracle = MappedOracle(oracle, n, group_parts)
+        group_oracle = ChangeOracle(command, n, group_parts, changeset.dependencies)
         group_result = ddmin(Configuration.full(len(group_parts)), group_oracle, options)
         passes.append(ChangePass("groups", group_result))
         survivors = group_oracle.expand(group_result.final)
 
-    member_oracle = MappedOracle(oracle, n, [1 << i for i in survivors.members])
+    member_oracle = ChangeOracle(
+        command, n, [1 << i for i in survivors.members], changeset.dependencies
+    )
     members = Configuration.full(len(survivors))
     if passes:
         options = next_pass_options(options, members)

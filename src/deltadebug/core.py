@@ -230,19 +230,6 @@ def as_oracle(oracle: OracleLike) -> TestOracle:
     raise TypeError(f"not a test oracle: {oracle!r}")
 
 
-def _evaluate_ex(oracle: TestOracle, config: Configuration) -> tuple[Outcome, str]:
-    """Evaluate and report the answer's provenance.
-
-    Oracles may implement ``evaluate_ex`` to tag answers themselves (the
-    group mapping and the feasibility filter do); plain oracles count as a
-    real invocation.
-    """
-    ex = getattr(oracle, "evaluate_ex", None)
-    if ex is not None:
-        return ex(config)
-    return oracle.evaluate(config), SOURCE_ORACLE
-
-
 def _scan(passed: set[int], bits: int) -> Optional[list[int]]:
     """None if a kept pass covers ``bits``, else the kept passes that
     ``bits`` contains."""
@@ -263,9 +250,13 @@ class TestRecord:
     config: Configuration
     granularity: int
     outcome: Outcome
-    cached: bool
     source: str
     duration_ms: float
+
+    @property
+    def cached(self) -> bool:
+        """Whether a cache answered the test, read off ``source``."""
+        return self.source in CACHED_SOURCES
 
 
 class RunLog:
@@ -382,6 +373,15 @@ def ddmin(
     """
     opts = options or EngineOptions()
     oracle = as_oracle(oracle)
+    # ``ask`` answers with its provenance: an oracle with ``evaluate_ex``
+    # tags its own answers (the change-set oracle rejects infeasible
+    # subsets); a plain answer is an oracle call.
+    ask = getattr(oracle, "evaluate_ex", None)
+    if ask is None:
+        evaluate = oracle.evaluate
+
+        def ask(config: Configuration) -> tuple[Outcome, str]:
+            return evaluate(config), SOURCE_ORACLE
     monotone = opts.monotone
     preloaded = opts.preloaded_cache or {}
     passed: set[int] = set()  # the maximal passed bitmaps, if monotone
@@ -397,7 +397,7 @@ def ddmin(
             # An exact hit: one dict lookup, not worth a timer.  The record
             # shares the earlier record's Configuration.
             record = TestRecord(
-                earlier.config, granularity, earlier.outcome, True, SOURCE_EXACT_CACHE, 0.0
+                earlier.config, granularity, earlier.outcome, SOURCE_EXACT_CACHE, 0.0
             )
         else:
             # Every bitmap here is a subset of ``universe``: no bounds check.
@@ -411,23 +411,21 @@ def ddmin(
                     if subsumed is not None:
                         passed.difference_update(subsumed)
                         passed.add(bits)
-                record = TestRecord(config, granularity, outcome, True, SOURCE_EXACT_CACHE, 0.0)
+                record = TestRecord(config, granularity, outcome, SOURCE_EXACT_CACHE, 0.0)
             else:
                 start = perf_counter()
                 subsumed = _scan(passed, bits) if monotone else None
                 if monotone and subsumed is None:
                     outcome, source = Outcome.PASS, SOURCE_MONOTONY
                 else:
-                    outcome, source = _evaluate_ex(oracle, config)
+                    outcome, source = ask(config)
                     if subsumed is not None and outcome is Outcome.PASS:
                         passed.difference_update(subsumed)
                         passed.add(bits)
                 duration = (perf_counter() - start) * 1000.0
                 if axiom and source == SOURCE_ORACLE:
                     source = SOURCE_AXIOM
-                record = TestRecord(
-                    config, granularity, outcome, source in CACHED_SOURCES, source, duration
-                )
+                record = TestRecord(config, granularity, outcome, source, duration)
             first[bits] = record
         append(record)
         if on_record is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .core import Configuration, Outcome
+from .core import Configuration, OracleLike, Outcome, as_oracle
 
 
 class SetFamilyOracle:
@@ -132,10 +132,11 @@ def random_table(
 
 
 class CountingOracle:
-    """Wrapper counting raw invocations of the underlying oracle."""
+    """Wrapper counting raw invocations of the underlying oracle, which
+    may be a plain ``config -> Outcome`` callable."""
 
-    def __init__(self, oracle):
-        self._oracle = oracle
+    def __init__(self, oracle: OracleLike):
+        self._oracle = as_oracle(oracle)
         self.calls = 0
 
     def evaluate(self, config: Configuration) -> Outcome:

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core import (
+    CACHED_SOURCES,
     Configuration,
     MinimizationResult,
     Outcome,
@@ -95,25 +96,27 @@ _TEST_LINE = (
     '"cached": %s, "source": %s, "duration_ms": %r}'
 )
 _TEST_FIELDS = operator.attrgetter(
-    "config.bits", "granularity", "outcome._value_", "cached", "source", "duration_ms"
+    "config.bits", "granularity", "outcome._value_", "source", "duration_ms"
 )
-_JSON_BOOL = ("false", "true")
 _SOURCE = operator.attrgetter("source")
 
 
 def _test_lines(doc: ReportDocument, deterministic: bool) -> str:
     nbytes = (doc.universe_size + 7) // 8
-    quoted = {s: json.dumps(s) for s in set(map(_SOURCE, doc.records))}
+    # Each source's "cached" flag and quoted name, as JSON.
+    columns = {
+        s: (json.dumps(s in CACHED_SOURCES), json.dumps(s))
+        for s in set(map(_SOURCE, doc.records))
+    }
     return ",\n".join(
         _TEST_LINE % (
             bits.to_bytes(nbytes, "little").hex(),
             granularity,
             outcome,
-            _JSON_BOOL[cached],
-            quoted[source],
+            *columns[source],
             0.0 if deterministic else duration,
         )
-        for bits, granularity, outcome, cached, source, duration
+        for bits, granularity, outcome, source, duration
         in map(_TEST_FIELDS, doc.records)
     )
 
@@ -153,7 +156,6 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
                 config=Configuration.from_bitmap_hex(universe_size, t["config"]),
                 granularity=t["granularity"],
                 outcome=Outcome(t["outcome"]),
-                cached=t["cached"],
                 source=t["source"],
                 duration_ms=t["duration_ms"],
             )

@@ -20,8 +20,8 @@ from deltadebug import (
 )
 from deltadebug.bench import parse_sizes, quadratic_bound, run_bench, run_one
 from deltadebug.changes import (
+    ChangeOracle,
     ChangeSet,
-    FeasibilityOracle,
     apply_subset,
     digest_tree,
     split_unified_diff,
@@ -137,7 +137,7 @@ def test_criterion_4_monotony_optimization():
 def test_criterion_5_dependency_degeneration():
     n = 64
     dependencies = {i: frozenset([i - 1]) for i in range(1, n)}
-    oracle = FeasibilityOracle(single_cause(n, 32), dependencies)
+    oracle = ChangeOracle(single_cause(n, 32), n, [1 << i for i in range(n)], dependencies)
     result = ddmin(Configuration.full(n), oracle)
     count = result.log.test_counts()[0]
     assert count <= 2 * 6 + 2  # 2*ceil(log2 64) + 2 = 14

@@ -8,14 +8,12 @@ from deltadebug import Configuration, Outcome, ddmin
 from deltadebug.changes import (
     AtomicChange,
     ChangeConflict,
+    ChangeOracle,
     ChangeSet,
     DiffParseError,
-    FeasibilityOracle,
-    MappedOracle,
     apply_subset,
     digest_tree,
     group_deltas,
-    is_closed,
     minimize_changes,
     parse_dependencies,
     parse_group_map,
@@ -49,6 +47,19 @@ def changeset_for(baseline, modified, dependencies=None, context=3):
 
 def numbered(path: str, count: int) -> str:
     return "".join(f"{path} {i}\n" for i in range(1, count + 1))
+
+
+def one_line_changes(count: int) -> tuple[AtomicChange, ...]:
+    """``count`` one-line edits of one file, ten lines apart."""
+    return tuple(
+        AtomicChange(file="f", anchor=i * 10 + 1, old_lines=(f"l{i}",), new_lines=(f"L{i}",))
+        for i in range(count)
+    )
+
+
+def raw_oracle(oracle, n, dependencies):
+    """A ChangeOracle whose delta i is raw change i."""
+    return ChangeOracle(oracle, n, [1 << i for i in range(n)], dependencies)
 
 
 class TestSplitUnifiedDiff:
@@ -305,7 +316,7 @@ class TestGrouping:
     def test_group_expansion_is_exact(self):
         cs, _, _ = self.changeset_six()
         parts = [sum(1 << i for i in ids) for ids in group_deltas(cs, "file").values()]
-        mapped = MappedOracle(lambda c: Outcome.PASS, len(cs), parts)
+        mapped = ChangeOracle(lambda c: Outcome.PASS, len(cs), parts, {})
         assert mapped.expand(Configuration(3, [1])).members == (2, 3, 4)
         assert mapped.expand(Configuration(3, [0, 2])).members == (0, 1, 5)
 
@@ -321,10 +332,22 @@ class TestGrouping:
         with pytest.raises(ValueError, match="missing change id"):
             group_deltas(cs, {0: "x"})
 
+    def test_custom_map_must_name_only_changes_of_the_diff(self):
+        cs, _, _ = self.changeset_six()
+        whole = {i: "x" for i in range(6)}
+        with pytest.raises(ValueError, match="names change 99, but the diff has 6 changes"):
+            group_deltas(cs, {**whole, 99: "z"})
+        with pytest.raises(ValueError, match="names change -1"):
+            group_deltas(cs, {**whole, -1: "z"})
+
     def test_parse_group_map(self):
         assert parse_group_map("0\talpha\n1\tbeta\n") == {0: "alpha", 1: "beta"}
         with pytest.raises(ValueError):
             parse_group_map("0 alpha\n")
+
+    def test_parse_group_map_rejects_a_repeated_id(self):
+        with pytest.raises(ValueError, match="line 3: change id 1 is listed twice"):
+            parse_group_map("0\talpha\n1\tbeta\n1\tgamma\n")
 
 
 class TestDependencies:
@@ -332,39 +355,40 @@ class TestDependencies:
         return {i: frozenset([i - 1]) for i in range(1, n)}
 
     def test_chain_feasible_configs_are_prefixes(self):
-        deps = self.chain(8)
+        oracle = raw_oracle(lambda c: Outcome.PASS, 8, self.chain(8))
         feasible = [
             bits for bits in range(256)
-            if is_closed(Configuration.from_bits(8, bits), deps)
+            if oracle.evaluate_ex(Configuration.from_bits(8, bits))[1] != SOURCE_FEASIBILITY
         ]
         assert feasible == [(1 << k) - 1 for k in range(9)]
 
     def test_infeasible_config_rejected_without_underlying_call(self):
-        counting = CountingOracle(
-            type("O", (), {"evaluate": staticmethod(lambda c: Outcome.PASS)})
-        )
-        oracle = FeasibilityOracle(counting, self.chain(8))
+        counting = CountingOracle(lambda c: Outcome.PASS)
+        oracle = raw_oracle(counting, 8, self.chain(8))
         outcome, source = oracle.evaluate_ex(Configuration(8, [3]))
         assert outcome == Outcome.UNRESOLVED
         assert source == SOURCE_FEASIBILITY
         assert counting.calls == 0
+        assert oracle.evaluate_ex(Configuration(8, range(4))) == (Outcome.PASS, SOURCE_ORACLE)
+        assert counting.calls == 1
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
-            FeasibilityOracle(lambda c: Outcome.PASS, {0: frozenset([1]), 1: frozenset([0])})
+            ChangeSet("0" * 64, one_line_changes(2), {0: frozenset([1]), 1: frozenset([0])})
 
     def test_long_chain_listed_from_the_top(self):
         # Each change requires the one before it; the deps file names the
         # last edge first, so the cycle check walks the whole chain at once.
         deps = {i: frozenset([i - 1]) for i in range(2999, 0, -1)}
-        oracle = FeasibilityOracle(lambda c: Outcome.FAIL, deps)
+        cs = ChangeSet("0" * 64, one_line_changes(3000), deps)
+        oracle = raw_oracle(lambda c: Outcome.FAIL, len(cs), cs.dependencies)
         assert oracle.evaluate(Configuration(3000, range(3000))) == Outcome.FAIL
         assert oracle.evaluate(Configuration(3000, [2999])) == Outcome.UNRESOLVED
 
     def test_cycle_message_names_the_path(self):
         deps = {0: frozenset([1]), 1: frozenset([2]), 2: frozenset([0])}
         with pytest.raises(ValueError, match=r"cycle through change 0: \[0, 1, 2, 0\]"):
-            FeasibilityOracle(lambda c: Outcome.PASS, deps)
+            ChangeSet("0" * 64, one_line_changes(3), deps)
 
     def test_parse_dependencies(self):
         assert parse_dependencies("1\t0\n2\t0\n2\t1\n") == {
@@ -374,37 +398,50 @@ class TestDependencies:
         with pytest.raises(ValueError):
             parse_dependencies("1,0\n")
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_dependencies, "# c\n\n1\t0\n1,0\n", "line 4: expected CHILD<TAB>PARENT, got '1,0'"),
+        (parse_dependencies, "1\tx\n", "line 1: ids must be decimal integers"),
+        (parse_group_map, "  \n0\ta\tb\n", "line 2: expected CHANGE-ID<TAB>KEY, got '0\\ta\\tb'"),
+        (parse_group_map, "# m\nx\ta\n", "line 2: change id must be a decimal integer"),
+    ])
+    def test_tsv_errors_name_the_line(self, parse, text, message):
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_chain_degenerates_into_binary_search(self):
         # With a total-order chain only prefixes are feasible, so ddmin
         # behaves like binary search over the prefix length.
         n = 8
-        deps = self.chain(n)
+        reached = []
 
         def underlying(config):
+            reached.append(config.bits)
             return Outcome.FAIL if 5 in config else Outcome.PASS
 
-        oracle = FeasibilityOracle(underlying, deps)
-        result = ddmin(Configuration.full(n), oracle)
+        result = ddmin(Configuration.full(n), raw_oracle(underlying, n, self.chain(n)))
         assert result.final == Configuration(n, range(6))  # prefix through d5
-        assert result.log.test_counts()[0] <= 2 * 3 + 2  # 2*ceil(log2 8) + 2
-        # Feasibility soundness: nothing infeasible reached the oracle.
-        for rec in result.log:
-            if rec.source == SOURCE_ORACLE:
-                assert is_closed(rec.config, deps)
+        oracle_tests, _, axiom_tests = result.log.test_counts()
+        assert oracle_tests <= 2 * 3 + 2  # 2*ceil(log2 8) + 2
+        # Feasibility soundness: only prefixes, the closed sets of a chain,
+        # reached the oracle, once per oracle or axiom record.
+        assert all(bits == (1 << bits.bit_length()) - 1 for bits in reached)
+        assert len(reached) == oracle_tests + axiom_tests
 
     def test_feasibility_oracle_over_a_changeset(self):
-        cs = ChangeSet(
-            baseline_digest="0" * 64,
-            changes=tuple(
-                AtomicChange(file="f", anchor=i * 10 + 1, old_lines=(f"l{i}",),
-                             new_lines=(f"L{i}",))
-                for i in range(4)
-            ),
-            dependencies=self.chain(4),
-        )
-        oracle = FeasibilityOracle(lambda c: Outcome.PASS, cs.dependencies)
+        cs = ChangeSet("0" * 64, one_line_changes(4), self.chain(4))
+        oracle = raw_oracle(lambda c: Outcome.PASS, len(cs), cs.dependencies)
         assert oracle.evaluate(Configuration(4, [2])) == Outcome.UNRESOLVED
         assert oracle.evaluate(Configuration(4, [0, 1, 2])) == Outcome.PASS
+        # Groups are checked as the raw changes they stand for: delta 0 is
+        # changes {0, 1}, delta 1 is change 2 and delta 2 is change 3.
+        grouped = ChangeOracle(
+            lambda c: Outcome.PASS, len(cs), [0b0011, 0b0100, 0b1000], cs.dependencies
+        )
+        assert grouped.evaluate_ex(Configuration(3, [0])) == (Outcome.PASS, SOURCE_ORACLE)
+        assert grouped.evaluate(Configuration(3, [1])) == Outcome.UNRESOLVED
+        assert grouped.evaluate(Configuration(3, [0, 2])) == Outcome.UNRESOLVED
+        assert grouped.evaluate(Configuration(3, [0, 1, 2])) == Outcome.PASS
 
 
 class TestRenderUnifiedDiff:

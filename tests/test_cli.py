@@ -237,6 +237,28 @@ class TestMinimizeChangesCommand:
         assert "change 5" in err
         assert "axiom" not in err
 
+    @pytest.mark.parametrize("groups, named", [
+        ("0\tx\n1\ty\n99\tz\n", "change 99, but the diff has 2 changes"),
+        ("0\tx\n1\ty\n1\tz\n", "line 3: change id 1 is listed twice"),
+    ], ids=["outside-the-diff", "listed-twice"])
+    def test_a_bad_group_map_exits_1(self, tmp_path, make_script, capsys, groups, named):
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "f").write_text("".join(f"{i}\n" for i in range(10)))
+        diff = tmp_path / "two.diff"
+        diff.write_text("--- a/f\n+++ b/f\n@@ -1 +1 @@\n-0\n+x\n@@ -9 +9 @@\n-8\n+y\n")
+        group_map = tmp_path / "groups.tsv"
+        group_map.write_text(groups)
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir), "--diff", str(diff),
+            "--groups", str(group_map), "--test", make_script('grep -q y "$1/f"'),
+            "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "axiom" not in err
+
     def test_malformed_diff_is_a_hard_error(self, tmp_path, make_script, capsys):
         baseline_dir = tmp_path / "b"
         baseline_dir.mkdir()

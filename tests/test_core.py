@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,9 +14,9 @@ from deltadebug import (
     verify_n_minimal,
 )
 from deltadebug.core import (
-    CACHED_SOURCES,
     SOURCE_AXIOM,
     SOURCE_EXACT_CACHE,
+    SOURCE_FEASIBILITY,
     SOURCE_MONOTONY,
     SOURCE_ORACLE,
     MinimizationResult,
@@ -252,6 +253,30 @@ class TestDdmin:
         result = ddmin(Configuration.full(8), oracle, EngineOptions(on_record=seen.append))
         assert seen == result.log.records
 
+    def test_evaluate_ex_is_looked_up_once_per_run(self):
+        # An oracle's own provenance tags reach the log; the engine reads
+        # the method once, not once per test.
+        lookups = []
+        inner = conjunction(8, [2, 5])
+
+        class Tagging:
+            def evaluate(self, config):
+                raise AssertionError("evaluate_ex answers every test")
+
+            @property
+            def evaluate_ex(self):
+                lookups.append(1)
+                return lambda config: (
+                    inner.evaluate(config),
+                    SOURCE_FEASIBILITY if len(config) == 3 else SOURCE_ORACLE,
+                )
+
+        result = ddmin(Configuration.full(8), Tagging())
+        assert lookups == [1]
+        assert result.final == cfg(8, 2, 5)
+        sources = {rec.source for rec in result.log}
+        assert {SOURCE_AXIOM, SOURCE_ORACLE, SOURCE_FEASIBILITY} <= sources
+
     def test_worst_case_bound_over_random_tables(self):
         rng = random.Random(13)
         for i in range(60):
@@ -265,6 +290,16 @@ class TestDdmin:
             n = 2 ** k
             result = ddmin(Configuration.full(n), single_cause(n))
             assert result.log.test_counts()[0] <= 2 * k + 2
+
+
+class TestTestRecord:
+    def test_five_stored_fields_and_cached_read_off_source(self):
+        names = [f.name for f in dataclasses.fields(TestRecord)]
+        assert names == ["config", "granularity", "outcome", "source", "duration_ms"]
+        for source in (SOURCE_ORACLE, SOURCE_EXACT_CACHE, SOURCE_MONOTONY,
+                       SOURCE_FEASIBILITY, SOURCE_AXIOM):
+            record = TestRecord(cfg(4), 0, Outcome.PASS, source, 0.0)
+            assert record.cached == (source in (SOURCE_EXACT_CACHE, SOURCE_MONOTONY))
 
 
 class TestVerifyNMinimal:
@@ -449,9 +484,7 @@ def reference_ddmin(universe, oracle, opts):
         outcome, source = cache.evaluate_ex(config)
         if axiom and source == SOURCE_ORACLE:
             source = SOURCE_AXIOM
-        record = TestRecord(
-            config, granularity, outcome, source in CACHED_SOURCES, source, 0.0
-        )
+        record = TestRecord(config, granularity, outcome, source, 0.0)
         log.append(record)
         if opts.on_record is not None:
             opts.on_record(record)

@@ -3,18 +3,17 @@ import dataclasses
 import pytest
 
 from deltadebug import Configuration, EngineOptions, Outcome, TestRecord, ddmin
-from deltadebug.core import SOURCE_AXIOM, SOURCE_ORACLE
+from deltadebug.core import SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_ORACLE
 from deltadebug.oracles import conjunction, random_table
 from deltadebug.report import build_report, read_report, render_log_line, write_report
 
 
-def record(universe, members, outcome, cached=False, granularity=2):
+def record(universe, members, outcome, source=SOURCE_ORACLE, granularity=2):
     return TestRecord(
         config=Configuration(universe, members),
         granularity=granularity,
         outcome=outcome,
-        cached=cached,
-        source=SOURCE_ORACLE,
+        source=source,
         duration_ms=0.0,
     )
 
@@ -27,12 +26,14 @@ class TestRenderLogLine:
         assert render_log_line(record(4, [], Outcome.PASS)) == ".... P"
 
     def test_cached_unresolved_full(self):
-        line = render_log_line(record(4, [0, 1, 2, 3], Outcome.UNRESOLVED, cached=True))
+        line = render_log_line(
+            record(4, [0, 1, 2, 3], Outcome.UNRESOLVED, source=SOURCE_EXACT_CACHE)
+        )
         assert line == "**** ?#"
 
     def test_wide_sparse_row_matches_per_cell_rendering(self):
         config = Configuration(20000, [0, 3, 64, 12345, 19998, 19999])
-        rec = TestRecord(config, 2, Outcome.PASS, False, SOURCE_ORACLE, 0.0)
+        rec = TestRecord(config, 2, Outcome.PASS, SOURCE_ORACLE, 0.0)
         cells = "".join("*" if i in config else "." for i in range(20000))
         assert render_log_line(rec) == cells + " P"
 

@@ -14,7 +14,9 @@ import pytest
 from deltadebug import Configuration, Outcome, RunLog, TestRecord, ddmin
 from deltadebug.cli import run
 from deltadebug.changes import write_tree
-from deltadebug.core import SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_ORACLE
+from deltadebug.core import (
+    SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_FEASIBILITY, SOURCE_MONOTONY, SOURCE_ORACLE,
+)
 from deltadebug.oracles import conjunction
 from deltadebug.report import build_report, write_report
 
@@ -114,13 +116,13 @@ def test_records_are_written_as_json_dumps_would(tmp_path):
     # Durations chosen for float rendering: exponents, the extremes and an int.
     durations = [0.0, 0.1, 1e-07, 2.5e-05, 123456.789, 1e16,
                  1.7976931348623157e308, 5e-324, 7]
-    sources = [SOURCE_ORACLE, SOURCE_EXACT_CACHE, SOURCE_AXIOM]
+    sources = [SOURCE_ORACLE, SOURCE_EXACT_CACHE, SOURCE_AXIOM, SOURCE_MONOTONY,
+               SOURCE_FEASIBILITY]
     outcomes = list(Outcome)
     log = RunLog(12)
     for i, duration in enumerate(durations):
         log.append(TestRecord(
-            Configuration(12, range(i)), 2 + i, outcomes[i % 3], i % 2 == 0,
-            sources[i % 3], duration,
+            Configuration(12, range(i)), 2 + i, outcomes[i % 3], sources[i % 5], duration,
         ))
     report = tmp_path / "report.json"
     write_report(build_report(None, log_=log), report)
@@ -131,7 +133,7 @@ def test_records_are_written_as_json_dumps_would(tmp_path):
             "config": r.config.bitmap_hex(),
             "granularity": r.granularity,
             "outcome": r.outcome.value,
-            "cached": r.cached,
+            "cached": r.source in (SOURCE_EXACT_CACHE, SOURCE_MONOTONY),
             "source": r.source,
             "duration_ms": r.duration_ms,
         }) + ("," if i < len(durations) - 1 else "")
