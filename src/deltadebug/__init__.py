@@ -6,16 +6,13 @@ from .core import (
     Configuration,
     DeltaDebugError,
     EngineOptions,
-    FunctionOracle,
     MinimizationResult,
     Outcome,
     RunLog,
     TestOracle,
     TestRecord,
-    VerifyBudgetExceeded,
     ddmin,
     partition,
-    verify_n_minimal,
 )
 
 __version__ = "0.1.0"
@@ -25,14 +22,11 @@ __all__ = [
     "Configuration",
     "DeltaDebugError",
     "EngineOptions",
-    "FunctionOracle",
     "MinimizationResult",
     "Outcome",
     "RunLog",
     "TestOracle",
     "TestRecord",
-    "VerifyBudgetExceeded",
     "ddmin",
     "partition",
-    "verify_n_minimal",
 ]

@@ -14,7 +14,6 @@ subsets be rejected before any process is spawned.
 
 from __future__ import annotations
 
-import hashlib
 import posixpath
 import re
 from dataclasses import dataclass, field
@@ -68,7 +67,6 @@ class AtomicChange:
 
 @dataclass
 class ChangeSet:
-    baseline_digest: str
     changes: tuple[AtomicChange, ...]
     # child change id -> ids it requires
     dependencies: dict[int, frozenset[int]] = field(default_factory=dict)
@@ -143,14 +141,6 @@ def _join_content(lines: list[str], trailing_newline: bool) -> str:
     if not lines:
         return ""
     return "\n".join(lines) + ("\n" if trailing_newline else "")
-
-
-def digest_tree(tree: FileTree) -> str:
-    h = hashlib.sha256()
-    for path in sorted(tree):
-        h.update(path.encode("utf-8") + b"\0")
-        h.update(tree[path].encode("utf-8") + b"\0")
-    return h.hexdigest()
 
 
 def load_tree(root: Union[str, Path]) -> FileTree:
@@ -387,16 +377,16 @@ def apply_subset(
 def change_materializer(
     baseline: FileTree, changeset: ChangeSet
 ) -> Callable[[Configuration, Path], list[str]]:
-    """Materializer writing the patched tree into the workspace; the test
-    command receives the workspace directory as its trailing argument."""
+    """Materializer writing the patched tree into the test's directory; the
+    test command receives that directory as its trailing argument."""
 
-    def materialize(config: Configuration, workspace: Path) -> list[str]:
+    def materialize(config: Configuration, directory: Path) -> list[str]:
         try:
             tree = apply_subset(baseline, changeset, config)
         except ChangeConflict as exc:
             raise MaterializeConflict(str(exc)) from exc
-        write_tree(tree, workspace)
-        return [str(workspace)]
+        write_tree(tree, directory)
+        return [str(directory)]
 
     return materialize
 

@@ -22,6 +22,7 @@ from .core import (
     EngineOptions,
     MinimizationResult,
     Outcome,
+    RunLog,
 )
 
 PROGRESS_EVERY = 25
@@ -96,8 +97,8 @@ def _command_spec(args):
     from . import proc
 
     argv = list(args.test)
-    # The command runs with the workspace as its working directory, but
-    # flags are relative to the invocation directory: pin path-like
+    # The command runs in its workspace's tree directory, but flags are
+    # relative to the invocation directory: pin path-like
     # commands (./check.sh) down now.  Bare names still resolve via PATH.
     if "/" in argv[0]:
         argv[0] = str(Path(argv[0]).resolve())
@@ -109,12 +110,14 @@ def _command_spec(args):
     )
 
 
-def _write_run_report(args, result: Optional[MinimizationResult], log=None) -> None:
+def _write_run_report(
+    args, log: RunLog, result: Optional[MinimizationResult] = None
+) -> None:
     if not getattr(args, "report", None):
         return
-    doc = report_mod.build_report(result, log_=log)
     report_mod.write_report(
-        doc, args.report, deterministic=getattr(args, "deterministic_report", False)
+        log, args.report, result,
+        deterministic=getattr(args, "deterministic_report", False),
     )
     print(f"report: {args.report}")
 
@@ -156,7 +159,7 @@ def cmd_minimize_input(args) -> int:
     )
     if outcome.oracle.kept_workspace:
         print(f"failing workspace kept: {outcome.oracle.kept_workspace}")
-    _write_run_report(args, last.result)
+    _write_run_report(args, last.result.log, last.result)
     return 0
 
 
@@ -173,11 +176,7 @@ def cmd_minimize_changes(args) -> int:
         dependencies = changes.parse_dependencies(
             Path(args.deps).read_text(encoding="utf-8")
         )
-    changeset = changes.ChangeSet(
-        baseline_digest=changes.digest_tree(baseline),
-        changes=tuple(atomic),
-        dependencies=dependencies,
-    )
+    changeset = changes.ChangeSet(changes=tuple(atomic), dependencies=dependencies)
     print(f"split diff into {len(changeset)} atomic changes")
 
     groups: Optional[changes.GroupKey] = None
@@ -202,7 +201,7 @@ def cmd_minimize_changes(args) -> int:
     print(f"minimal failure-inducing diff: {output} ({len(outcome.final)} changes)")
     if outcome.oracle.kept_workspace:
         print(f"failing workspace kept: {outcome.oracle.kept_workspace}")
-    _write_run_report(args, outcome.final_result)
+    _write_run_report(args, outcome.final_result.log, outcome.final_result)
     return 0
 
 
@@ -230,7 +229,7 @@ def cmd_reduce_trace(args) -> int:
     print(f"critical slice ({len(reduction.slice_events)} events): {labels}")
     print(f"trace file: {trace_out}")
     print(f"slice: {slice_out}")
-    _write_run_report(args, reduction.result)
+    _write_run_report(args, reduction.result.log, reduction.result)
     return 0
 
 
@@ -363,7 +362,7 @@ def run(argv=None) -> int:
     except AxiomViolation as exc:
         print(f"axiom violation: {exc}", file=sys.stderr)
         if exc.log is not None:
-            _write_run_report(args, None, log=exc.log)
+            _write_run_report(args, exc.log)
         return 2
     except (DeltaDebugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,13 +17,10 @@ import collections
 import dataclasses
 import enum
 import itertools
-import math
 import operator
 from time import perf_counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Union
-
-DEFAULT_VERIFY_BUDGET = 2 ** 16
 
 # Provenance tags for test records.
 SOURCE_ORACLE = "oracle"
@@ -66,10 +63,6 @@ class AxiomViolation(DeltaDebugError):
     def __init__(self, message: str, log: Optional["RunLog"] = None):
         super().__init__(message)
         self.log = log
-
-
-class VerifyBudgetExceeded(DeltaDebugError):
-    """Exhaustive minimality verification would exceed the subset budget."""
 
 
 def bit_string(bits: int, width: int) -> str:
@@ -119,10 +112,6 @@ class Configuration:
         return cfg
 
     @classmethod
-    def empty(cls, universe_size: int) -> "Configuration":
-        return cls.from_bits(universe_size, 0)
-
-    @classmethod
     def full(cls, universe_size: int) -> "Configuration":
         return cls.from_bits(universe_size, (1 << universe_size) - 1)
 
@@ -160,16 +149,6 @@ class Configuration:
         for m in delta_ids:
             bits &= ~(1 << m)
         return Configuration.from_bits(self.universe_size, bits)
-
-    def bitmap_hex(self) -> str:
-        """Hex encoding of the member bitmap, little-endian by delta id."""
-        nbytes = (self.universe_size + 7) // 8
-        return self.bits.to_bytes(nbytes, "little").hex()
-
-    @classmethod
-    def from_bitmap_hex(cls, universe_size: int, text: str) -> "Configuration":
-        bits = int.from_bytes(bytes.fromhex(text), "little") if text else 0
-        return cls.from_bits(universe_size, bits)
 
 
 # Build a Configuration like ``from_bits`` but without its bounds check, for
@@ -265,9 +244,6 @@ class RunLog:
     def __init__(self, universe_size: int):
         self.universe_size = universe_size
         self.records: list[TestRecord] = []
-
-    def append(self, record: TestRecord) -> None:
-        self.records.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -495,31 +471,3 @@ def _verified_1_minimal(first: dict[int, TestRecord], final: int) -> Optional[bo
         rec.outcome != Outcome.FAIL for rec in others
     )
 
-
-def verify_n_minimal(
-    config: Configuration,
-    oracle: OracleLike,
-    n: int,
-    budget: int = DEFAULT_VERIFY_BUDGET,
-) -> bool:
-    """Exhaustively check n-minimality: no removal of up to n deltas FAILs.
-
-    Tests every proper subset obtained by dropping 1..n members, which is
-    sum(C(|config|, k)) subsets; refuses (rather than guessing) when that
-    count exceeds ``budget``.  With n = len(config) this is full minimality.
-    """
-    size = len(config)
-    if not 1 <= n <= size:
-        raise ValueError(f"n must be in 1..{size}")
-    oracle = as_oracle(oracle)
-    total = sum(math.comb(size, k) for k in range(1, n + 1))
-    if total > budget:
-        raise VerifyBudgetExceeded(
-            f"verification needs {total} tests, budget is {budget}"
-        )
-    members = config.members
-    for k in range(1, n + 1):
-        for removed in itertools.combinations(members, k):
-            if oracle.evaluate(config.without(removed)) == Outcome.FAIL:
-                return False
-    return True

@@ -9,7 +9,6 @@ line pass followed by a char pass reaches sub-line minima.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,7 +34,6 @@ class TokenizedInput:
 
     granularity: str
     tokens: tuple[bytes, ...]
-    source_digest: str
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -76,11 +74,7 @@ def tokenize(data: bytes, granularity: str) -> TokenizedInput:
         tokens = [data[i:i + 1] for i in range(len(data))]
     else:
         raise ValueError(f"unknown granularity {granularity!r}; expected one of {GRANULARITIES}")
-    return TokenizedInput(
-        granularity=granularity,
-        tokens=tuple(tokens),
-        source_digest=hashlib.sha256(data).hexdigest(),
-    )
+    return TokenizedInput(granularity=granularity, tokens=tuple(tokens))
 
 
 def render(tokenized: TokenizedInput, config: Configuration) -> bytes:
@@ -94,11 +88,11 @@ def render(tokenized: TokenizedInput, config: Configuration) -> bytes:
 
 
 def candidate_materializer(tokenized: TokenizedInput, filename: str):
-    """Writes the rendered candidate into the workspace and passes its path
-    to the test command as the trailing argument."""
+    """Writes the rendered candidate into the test's directory and passes
+    its path to the test command as the trailing argument."""
 
-    def materialize(config: Configuration, workspace: Path) -> list[str]:
-        path = workspace / filename
+    def materialize(config: Configuration, directory: Path) -> list[str]:
+        path = directory / filename
         path.write_bytes(render(tokenized, config))
         return [str(path)]
 

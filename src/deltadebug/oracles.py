@@ -90,47 +90,6 @@ def adversarial(universe_size: int) -> SetFamilyOracle:
     return SetFamilyOracle(universe_size, [odds])
 
 
-class TableOracle:
-    """Outcome lookup table keyed by configuration bitmap."""
-
-    def __init__(
-        self,
-        universe_size: int,
-        table: dict[int, Outcome],
-        default: Outcome = Outcome.PASS,
-    ):
-        self.universe_size = universe_size
-        self.table = table
-        self.default = default
-
-    def evaluate(self, config: Configuration) -> Outcome:
-        return self.table.get(config.bits, self.default)
-
-
-def random_table(
-    universe_size: int,
-    seed: int,
-    fail_p: float = 0.25,
-    unresolved_p: float = 0.25,
-) -> TableOracle:
-    """Arbitrary (non-monotone) failure family with the axioms forced.
-
-    Enumerates all subsets, so keep the universe small (<= ~16 deltas).
-    """
-    rng = random.Random(seed)
-    full = (1 << universe_size) - 1
-    table = {0: Outcome.PASS, full: Outcome.FAIL}
-    for bits in range(1, full):
-        roll = rng.random()
-        if roll < fail_p:
-            table[bits] = Outcome.FAIL
-        elif roll < fail_p + unresolved_p:
-            table[bits] = Outcome.UNRESOLVED
-        else:
-            table[bits] = Outcome.PASS
-    return TableOracle(universe_size, table)
-
-
 class CountingOracle:
     """Wrapper counting raw invocations of the underlying oracle, which
     may be a plain ``config -> Outcome`` callable."""

@@ -1,9 +1,11 @@
 """Test oracles realized as external commands over materialized scenarios.
 
-Each evaluation gets a fresh workspace under the workspace root; a
-front-end supplied materializer writes the scenario into it (and may
-return extra argv entries such as the candidate file path).  The command
-runs with the workspace as its working directory and signals the outcome
+Each evaluation gets a fresh workspace under the workspace root.  A
+front-end supplied materializer writes the scenario into the workspace's
+``tree`` directory (and may return extra argv entries such as the
+candidate file path).  The command runs with that tree as its working
+directory, so it sees only the scenario; its stdout and stderr go to
+``stdout.log`` and ``stderr.log`` beside the tree.  It signals the outcome
 through its exit status:
 
     0            FAIL (the failure of interest reproduced)
@@ -36,8 +38,9 @@ from .core import Configuration, DeltaDebugError, Outcome
 
 DEFAULT_TIMEOUT_MS = 60_000
 
-STDOUT_NAME = ".ddmin-stdout.log"
-STDERR_NAME = ".ddmin-stderr.log"
+TREE_NAME = "tree"
+STDOUT_NAME = "stdout.log"
+STDERR_NAME = "stderr.log"
 
 
 class MaterializeConflict(Exception):
@@ -111,9 +114,7 @@ class CommandOracleSpec:
 @dataclass
 class ExecutionEvidence:
     exit_status: Optional[ExitStatus]
-    stdout_path: Optional[str]
-    stderr_path: Optional[str]
-    workspace: str
+    workspace: str  # holds the tree and the two logs
     duration_ms: float
     conflict: Optional[str] = None
 
@@ -163,7 +164,8 @@ def evaluate_command(
     config: Configuration,
     test_seq: int = 1,
 ) -> tuple[Outcome, ExecutionEvidence]:
-    """Materialize ``config`` into a fresh workspace and run the command.
+    """Materialize ``config`` into a fresh workspace's tree and run the
+    command there.
 
     The workspace is deleted afterwards unless ``keep_failing`` is set and
     the outcome is FAIL, also when an exception or signal interrupts the
@@ -173,12 +175,13 @@ def evaluate_command(
     """
     if spec.materializer is None:
         raise ValueError("spec has no materializer")
-    # Resolve the root: the command's cwd is the workspace itself, so the
-    # workspace path (and anything derived from it, like the candidate
-    # file argument) must be absolute.
+    # Resolve the root: the command's cwd is the workspace's tree, so the
+    # tree path (and anything derived from it, like the candidate file
+    # argument) must be absolute.
     root = Path(spec.workspace_root).resolve() if spec.workspace_root else Path(tempfile.gettempdir())
     root.mkdir(parents=True, exist_ok=True)
     workspace = Path(tempfile.mkdtemp(prefix=f"ddmin-{test_seq:06d}-", dir=root))
+    tree = workspace / TREE_NAME
     started = time.perf_counter()
 
     def elapsed_ms() -> float:
@@ -186,13 +189,12 @@ def evaluate_command(
 
     outcome: Optional[Outcome] = None
     try:
+        tree.mkdir()
         try:
-            extra = spec.materializer(config, workspace)
+            extra = spec.materializer(config, tree)
         except MaterializeConflict as exc:
             return Outcome.UNRESOLVED, ExecutionEvidence(
                 exit_status=None,
-                stdout_path=None,
-                stderr_path=None,
                 workspace=str(workspace),
                 duration_ms=elapsed_ms(),
                 conflict=str(exc),
@@ -204,13 +206,11 @@ def evaluate_command(
         env["DDMIN_CONFIG_SIZE"] = str(len(config))
         env["DDMIN_UNIVERSE_SIZE"] = str(config.universe_size)
 
-        stdout_path = workspace / STDOUT_NAME
-        stderr_path = workspace / STDERR_NAME
-        with open(stdout_path, "wb") as out, open(stderr_path, "wb") as err:
+        with open(workspace / STDOUT_NAME, "wb") as out, open(workspace / STDERR_NAME, "wb") as err:
             try:
                 proc = subprocess.Popen(
                     argv,
-                    cwd=workspace,
+                    cwd=tree,
                     env=env,
                     stdin=subprocess.DEVNULL,
                     stdout=out,
@@ -233,8 +233,6 @@ def evaluate_command(
         outcome = map_exit_status(status)
         return outcome, ExecutionEvidence(
             exit_status=status,
-            stdout_path=str(stdout_path),
-            stderr_path=str(stderr_path),
             workspace=str(workspace),
             duration_ms=elapsed_ms(),
         )

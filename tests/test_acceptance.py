@@ -16,19 +16,17 @@ from deltadebug import (
     EngineOptions,
     Outcome,
     ddmin,
-    verify_n_minimal,
 )
 from deltadebug.bench import parse_sizes, quadratic_bound, run_bench, run_one
 from deltadebug.changes import (
     ChangeOracle,
     ChangeSet,
     apply_subset,
-    digest_tree,
     split_unified_diff,
 )
 from deltadebug.core import SOURCE_ORACLE
 from deltadebug.inputmin import render, tokenize
-from deltadebug.oracles import random_monotone, random_table, single_cause
+from deltadebug.oracles import random_monotone, single_cause
 from deltadebug.proc import (
     CommandOracleSpec,
     EXIT_TIMEOUT,
@@ -37,9 +35,10 @@ from deltadebug.proc import (
     exit_signal,
     map_exit_status,
 )
-from deltadebug.report import build_report, read_report, write_report
+from deltadebug.report import write_report
 from deltadebug.toylang import parse_program, trace_program
 from deltadebug.tracered import OutputExpectation, reduce_trace
+from support import Report, random_table, read_report, verify_n_minimal
 
 
 def verdict(criterion: int, text: str) -> None:
@@ -202,7 +201,7 @@ def test_criterion_7_round_trip_suites(tmp_path):
         t = tokenize(data, "char")
         assert render(t, Configuration.full(len(t.tokens))) == data
 
-    # Diff split/apply: 100 synthetic tree fixtures round-trip by digest.
+    # Diff split/apply: 100 synthetic tree fixtures round-trip exactly.
     for case in range(100):
         files = [f"d{rng.randint(0, 2)}/f{i}.txt" for i in range(rng.randint(1, 3))]
         baseline = {
@@ -235,15 +234,15 @@ def test_criterion_7_round_trip_suites(tmp_path):
             )
         )
         changes = split_unified_diff(diff)
-        changeset = ChangeSet(digest_tree(baseline), tuple(changes))
+        changeset = ChangeSet(tuple(changes))
         applied = apply_subset(baseline, changeset, Configuration.full(len(changes)))
-        assert digest_tree(applied) == digest_tree(modified), f"fixture {case}"
+        assert applied == modified, f"fixture {case}"
 
     # Report serialization round-trip.
     result = ddmin(Configuration.full(10), random_table(10, seed=9))
-    doc = build_report(dataclasses.replace(result, verified_1_minimal=False))
-    write_report(doc, tmp_path / "r.json")
-    assert read_report(tmp_path / "r.json") == doc
+    result = dataclasses.replace(result, verified_1_minimal=False)
+    write_report(result.log, tmp_path / "r.json", result)
+    assert read_report(tmp_path / "r.json") == Report.of(result.log, result)
 
     verdict(7, "tokenize/render (3x1000), diff split/apply (100), and "
                "report round-trip all exact")

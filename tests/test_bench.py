@@ -39,7 +39,7 @@ class TestMakeOracle:
         assert conj.evaluate(Configuration.full(9)) == Outcome.FAIL
         mono = make_oracle("random-monotone:7", 16)
         assert mono.evaluate(Configuration.full(16)) == Outcome.FAIL
-        assert mono.evaluate(Configuration.empty(16)) == Outcome.PASS
+        assert mono.evaluate(Configuration(16)) == Outcome.PASS
         adv = make_oracle("adversarial", 6)
         assert adv.evaluate(Configuration(6, [1, 3, 5])) == Outcome.FAIL
         assert adv.evaluate(Configuration(6, [1, 3])) == Outcome.PASS

@@ -12,7 +12,6 @@ from deltadebug.changes import (
     ChangeSet,
     DiffParseError,
     apply_subset,
-    digest_tree,
     group_deltas,
     minimize_changes,
     parse_dependencies,
@@ -38,11 +37,7 @@ def make_diff(baseline: dict[str, str], modified: dict[str, str], context: int =
 
 def changeset_for(baseline, modified, dependencies=None, context=3):
     changes = split_unified_diff(make_diff(baseline, modified, context))
-    return ChangeSet(
-        baseline_digest=digest_tree(baseline),
-        changes=tuple(changes),
-        dependencies=dependencies or {},
-    )
+    return ChangeSet(changes=tuple(changes), dependencies=dependencies or {})
 
 
 def numbered(path: str, count: int) -> str:
@@ -104,7 +99,7 @@ class TestSplitUnifiedDiff:
         modified = {"f": baseline["f"].replace("f 3\n", "f 3x\n").replace("f 7\n", "f 7x\n")}
         changes = split_unified_diff(make_diff(baseline, modified, context=0))
         assert len(changes) == 2
-        assert apply_subset(baseline, ChangeSet(digest_tree(baseline), tuple(changes)),
+        assert apply_subset(baseline, ChangeSet(tuple(changes)),
                             Configuration.full(2)) == modified
 
     def test_malformed_hunk_header_reports_line(self):
@@ -129,7 +124,7 @@ class TestSplitUnifiedDiff:
         changes = split_unified_diff(diff)
         assert changes[0].old_no_newline and changes[0].new_no_newline
         applied = apply_subset(
-            {"f": "old"}, ChangeSet(digest_tree({"f": "old"}), tuple(changes)),
+            {"f": "old"}, ChangeSet(tuple(changes)),
             Configuration.full(1),
         )
         assert applied == {"f": "new"}
@@ -206,12 +201,12 @@ class TestApplySubset:
     def test_full_config_reproduces_today_tree(self):
         cs = self.changeset()
         tree = apply_subset(self.BASELINE, cs, Configuration.full(len(cs)))
-        assert digest_tree(tree) == digest_tree(self.MODIFIED)
+        assert tree == self.MODIFIED
 
     def test_empty_config_is_baseline(self):
         cs = self.changeset()
-        tree = apply_subset(self.BASELINE, cs, Configuration.empty(len(cs)))
-        assert digest_tree(tree) == cs.baseline_digest
+        tree = apply_subset(self.BASELINE, cs, Configuration(len(cs)))
+        assert tree == self.BASELINE
 
     def test_offsets_accumulate_for_unbalanced_changes(self):
         baseline = {"f": "a\nb\nc\nd\ne\nf\ng\nh\ni\n"}
@@ -230,10 +225,7 @@ class TestApplySubset:
         step2 = {"f": "one\nTWO!\nthree\n"}
         cs1 = changeset_for(baseline, step1)
         cs2 = changeset_for(step1, step2)
-        stacked = ChangeSet(
-            baseline_digest=digest_tree(baseline),
-            changes=(cs1.changes[0], cs2.changes[0]),
-        )
+        stacked = ChangeSet(changes=(cs1.changes[0], cs2.changes[0]))
         applied = apply_subset(baseline, stacked, Configuration.full(2))
         assert applied == step2
         with pytest.raises(ChangeConflict, match="context mismatch"):
@@ -255,7 +247,7 @@ class TestApplySubset:
             for i in sorted(ids):
                 expected = apply_subset(
                     expected,
-                    ChangeSet(digest_tree(expected), (cs.changes[i],)),
+                    ChangeSet((cs.changes[i],)),
                     Configuration.full(1),
                 )
             got = apply_subset(baseline, cs, Configuration(5, ids))
@@ -289,7 +281,7 @@ class TestSplitApplyRoundTripProperty:
                 modified[f] = "".join(out)
             cs = changeset_for(baseline, modified)
             applied = apply_subset(baseline, cs, Configuration.full(len(cs)))
-            assert digest_tree(applied) == digest_tree(modified), f"case {case}"
+            assert applied == modified, f"case {case}"
 
 
 class TestGrouping:
@@ -374,13 +366,13 @@ class TestDependencies:
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
-            ChangeSet("0" * 64, one_line_changes(2), {0: frozenset([1]), 1: frozenset([0])})
+            ChangeSet(one_line_changes(2), {0: frozenset([1]), 1: frozenset([0])})
 
     def test_long_chain_listed_from_the_top(self):
         # Each change requires the one before it; the deps file names the
         # last edge first, so the cycle check walks the whole chain at once.
         deps = {i: frozenset([i - 1]) for i in range(2999, 0, -1)}
-        cs = ChangeSet("0" * 64, one_line_changes(3000), deps)
+        cs = ChangeSet(one_line_changes(3000), deps)
         oracle = raw_oracle(lambda c: Outcome.FAIL, len(cs), cs.dependencies)
         assert oracle.evaluate(Configuration(3000, range(3000))) == Outcome.FAIL
         assert oracle.evaluate(Configuration(3000, [2999])) == Outcome.UNRESOLVED
@@ -388,7 +380,7 @@ class TestDependencies:
     def test_cycle_message_names_the_path(self):
         deps = {0: frozenset([1]), 1: frozenset([2]), 2: frozenset([0])}
         with pytest.raises(ValueError, match=r"cycle through change 0: \[0, 1, 2, 0\]"):
-            ChangeSet("0" * 64, one_line_changes(3), deps)
+            ChangeSet(one_line_changes(3), deps)
 
     def test_parse_dependencies(self):
         assert parse_dependencies("1\t0\n2\t0\n2\t1\n") == {
@@ -429,7 +421,7 @@ class TestDependencies:
         assert len(reached) == oracle_tests + axiom_tests
 
     def test_feasibility_oracle_over_a_changeset(self):
-        cs = ChangeSet("0" * 64, one_line_changes(4), self.chain(4))
+        cs = ChangeSet(one_line_changes(4), self.chain(4))
         oracle = raw_oracle(lambda c: Outcome.PASS, len(cs), cs.dependencies)
         assert oracle.evaluate(Configuration(4, [2])) == Outcome.UNRESOLVED
         assert oracle.evaluate(Configuration(4, [0, 1, 2])) == Outcome.PASS
@@ -516,7 +508,7 @@ class TestMinimizeChanges(ShOracleMixin):
         from deltadebug import AxiomViolation
 
         baseline = {"a.txt": "x\n"}
-        cs = ChangeSet(digest_tree(baseline), tuple(split_unified_diff("")))
+        cs = ChangeSet(tuple(split_unified_diff("")))
         spec = self.bug_spec(make_script, workspace_root)
         with pytest.raises(AxiomViolation):
             minimize_changes(baseline, cs, spec)
@@ -532,10 +524,7 @@ class TestMinimizeChanges(ShOracleMixin):
         step2 = {"f": "one\nTWO BUG\nthree\n"}
         cs1 = changeset_for(baseline, step1)
         cs2 = changeset_for(step1, step2)
-        stacked = ChangeSet(
-            baseline_digest=digest_tree(baseline),
-            changes=(cs1.changes[0], cs2.changes[0]),
-        )
+        stacked = ChangeSet(changes=(cs1.changes[0], cs2.changes[0]))
         spec = self.bug_spec(make_script, workspace_root)
         outcome = minimize_changes(baseline, stacked, spec)
         assert outcome.final == Configuration(2, [0, 1])

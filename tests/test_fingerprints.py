@@ -12,12 +12,13 @@ import pytest
 
 from deltadebug import Configuration, EngineOptions, ddmin
 from deltadebug.changes import (
-    ChangeSet, digest_tree, minimize_changes, parse_dependencies, split_unified_diff,
+    ChangeSet, minimize_changes, parse_dependencies, split_unified_diff,
 )
-from deltadebug.oracles import adversarial, conjunction_spread, random_table
+from deltadebug.oracles import adversarial, conjunction_spread
 from deltadebug.proc import CommandOracleSpec
 from deltadebug.toylang import parse_program
 from deltadebug.tracered import OutputExpectation, reduce_trace
+from support import random_table
 
 
 def digest(log) -> str:
@@ -88,9 +89,7 @@ def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_ro
     # A group pass by file, then a pass over the surviving changes, both
     # rejecting subsets that are not closed under the dependencies.
     baseline, diff, deps, test = two_cause_changes
-    changeset = ChangeSet(
-        digest_tree(baseline), tuple(split_unified_diff(diff)), parse_dependencies(deps)
-    )
+    changeset = ChangeSet(tuple(split_unified_diff(diff)), parse_dependencies(deps))
     spec = CommandOracleSpec(argv=[test], workspace_root=workspace_root)
     outcome = minimize_changes(baseline, changeset, spec, groups="file")
     assert outcome.final.members == (1, 2, 4, 5, 10)

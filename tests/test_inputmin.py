@@ -48,7 +48,7 @@ class TestRender:
 
     def test_empty_config_is_empty(self):
         t = tokenize(b"a\nb\n", "line")
-        assert render(t, Configuration.empty(2)) == b""
+        assert render(t, Configuration(2)) == b""
 
     def test_subset_preserves_order(self):
         t = tokenize(b"a\nb\nc\n", "line")

@@ -193,7 +193,7 @@ class TestEvaluateCommand:
     def test_relative_workspace_root_still_yields_absolute_paths(
         self, make_script, tmp_path, monkeypatch
     ):
-        # The command's cwd is the workspace, so a relative workspace root
+        # The command's cwd is inside the workspace, so a relative workspace root
         # must not leak relative paths into argv.
         monkeypatch.chdir(tmp_path)
 
@@ -228,6 +228,21 @@ class TestEvaluateCommand:
         assert first == Outcome.FAIL
         assert second == Outcome.FAIL
 
+    def test_the_command_sees_only_the_materialized_files(self, make_script, workspace_root):
+        def materializer(config, directory):
+            (directory / "a.txt").write_text("a\n")
+            return []
+
+        # Exits 0 (FAIL) only if its working directory holds a.txt alone.
+        script = make_script('test "$(ls -A)" = a.txt')
+        spec = spec_for(
+            [script], workspace_root, materializer=materializer, keep_failing=True
+        )
+        outcome, evidence = evaluate_command(spec, Configuration(1, [0]))
+        assert outcome == Outcome.FAIL
+        kept = sorted(p.name for p in Path(evidence.workspace).iterdir())
+        assert kept == ["stderr.log", "stdout.log", "tree"]
+
     def test_workspace_paths_never_repeat(self, make_script, workspace_root):
         spec = spec_for([make_script("exit 1")], workspace_root)
         _, ev1 = evaluate_command(spec, Configuration(1, [0]), test_seq=1)
@@ -242,7 +257,7 @@ class TestEvaluateCommand:
         keep = spec_for([make_script("echo boom; exit 0")], workspace_root, keep_failing=True)
         _, ev = evaluate_command(keep, Configuration(1, [0]))
         assert Path(ev.workspace).exists()
-        assert "boom" in Path(ev.stdout_path).read_text()
+        assert "boom" in (Path(ev.workspace) / "stdout.log").read_text()
 
         keep_pass = spec_for([make_script("exit 1")], workspace_root, keep_failing=True)
         _, ev = evaluate_command(keep_pass, Configuration(1, [0]))

@@ -1,11 +1,24 @@
-"""The public API and the README's library example stay in step."""
+"""The public API and the README's library example stay in step, and the
+package ships only what its commands use."""
 
+import ast
 import re
 from pathlib import Path
 
 import deltadebug
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "deltadebug"
+
+# Public names that nothing in src/ reads, each with the file outside src/
+# that does.  The benchmark reads these until it carries its own copies.
+OUTSIDE_READERS = {
+    "Configuration.without": "perfbench/trace_replay.py",
+    "CountingOracle": "perfbench/engine_synthetic.py",
+    "RunLog.fingerprint": "perfbench/harness.py",
+    "read_trace": "perfbench/trace_replay.py",
+}
 
 
 def test_every_exported_name_resolves():
@@ -21,3 +34,36 @@ def test_readme_library_example_runs():
     assert blocks, "no python block under 'Library use'"
     for block in blocks:
         exec(compile(block, f"{README}:Library use", "exec"), {})
+
+
+def public_definitions(tree: ast.Module):
+    """Each public module-level function and class, and each public method,
+    as (qualified name, name by which it is read)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_name_has_a_reader():
+    """A public function, class or method is read somewhere in src/, or the
+    allowlist names the file outside src/ that reads it."""
+    defined, read = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(public_definitions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {qualified for qualified, name in defined if name not in read}
+    assert unread == set(OUTSIDE_READERS), "unread in src/ and not allowlisted"
+    for qualified, reader in OUTSIDE_READERS.items():
+        name = qualified.rpartition(".")[2]
+        assert re.search(rf"\b{name}\b", (ROOT / reader).read_text(encoding="utf-8")), (
+            f"{reader} no longer reads {qualified}"
+        )

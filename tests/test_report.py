@@ -4,8 +4,9 @@ import pytest
 
 from deltadebug import Configuration, EngineOptions, Outcome, TestRecord, ddmin
 from deltadebug.core import SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_ORACLE
-from deltadebug.oracles import conjunction, random_table
-from deltadebug.report import build_report, read_report, render_log_line, write_report
+from deltadebug.oracles import conjunction
+from deltadebug.report import render_log_line, write_report
+from support import Report, random_table, read_report
 
 
 def record(universe, members, outcome, source=SOURCE_ORACLE, granularity=2):
@@ -41,35 +42,36 @@ class TestRenderLogLine:
 class TestReportDocument:
     def test_round_trip_identity(self, tmp_path):
         result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
-        doc = build_report(dataclasses.replace(result, verified_1_minimal=False))
-        assert doc.verified_1_minimal is False
+        result = dataclasses.replace(result, verified_1_minimal=False)
         path = tmp_path / "report.json"
-        write_report(doc, path)
+        write_report(result.log, path, result)
         loaded = read_report(path)
-        assert loaded == doc
+        assert loaded.verified_1_minimal is False
+        assert loaded == Report.of(result.log, result)
 
     def test_conjunction_run_fields(self, tmp_path):
         result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
-        doc = build_report(result)
+        write_report(result.log, tmp_path / "report.json", result)
+        doc = read_report(tmp_path / "report.json")
         assert doc.universe_size == 8
         assert doc.final == [2, 5]
         assert doc.ratio == pytest.approx(0.25)
         total = sum(sum(per.values()) for per in doc.counters.values())
         assert total == len(doc.records) == len(result.log.records)
 
-    def test_axiom_only_report(self):
+    def test_axiom_only_report(self, tmp_path):
         from deltadebug import AxiomViolation
 
         with pytest.raises(AxiomViolation) as info:
             ddmin(Configuration.full(4), lambda c: Outcome.PASS)
-        doc = build_report(None, log_=info.value.log)
+        write_report(info.value.log, tmp_path / "report.json")
+        doc = read_report(tmp_path / "report.json")
         assert set(doc.counters) == {SOURCE_AXIOM}
         assert doc.final == []
 
     def test_deterministic_mode_zeroes_durations(self, tmp_path):
         result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
-        doc = build_report(result)
-        write_report(doc, tmp_path / "det.json", deterministic=True)
+        write_report(result.log, tmp_path / "det.json", result, deterministic=True)
         loaded = read_report(tmp_path / "det.json")
         assert all(r.duration_ms == 0.0 for r in loaded.records)
 

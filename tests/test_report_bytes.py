@@ -18,7 +18,8 @@ from deltadebug.core import (
     SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_FEASIBILITY, SOURCE_MONOTONY, SOURCE_ORACLE,
 )
 from deltadebug.oracles import conjunction
-from deltadebug.report import build_report, write_report
+from deltadebug.report import write_report
+from support import bitmap_hex
 
 
 def sha256(path) -> str:
@@ -106,7 +107,7 @@ def test_minimize_changes_report_bytes(name, tmp_path, two_cause_changes, capsys
 def test_ddmin_report_bytes(tmp_path):
     result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
     report = tmp_path / "report.json"
-    write_report(build_report(result), report, deterministic=True)
+    write_report(result.log, report, result, deterministic=True)
     assert sha256(report) == (
         "7be0ef5b03cabbb0ced4a43563f7345685f2077504eb33720498d990462cf194"
     )
@@ -121,16 +122,16 @@ def test_records_are_written_as_json_dumps_would(tmp_path):
     outcomes = list(Outcome)
     log = RunLog(12)
     for i, duration in enumerate(durations):
-        log.append(TestRecord(
+        log.records.append(TestRecord(
             Configuration(12, range(i)), 2 + i, outcomes[i % 3], sources[i % 5], duration,
         ))
     report = tmp_path / "report.json"
-    write_report(build_report(None, log_=log), report)
+    write_report(log, report)
     lines = report.read_text().splitlines()
     start = lines.index('  "tests": [') + 1
     assert lines[start:start + len(durations) + 1] == [
         "    " + json.dumps({
-            "config": r.config.bitmap_hex(),
+            "config": bitmap_hex(r.config),
             "granularity": r.granularity,
             "outcome": r.outcome.value,
             "cached": r.source in (SOURCE_EXACT_CACHE, SOURCE_MONOTONY),

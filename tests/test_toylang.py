@@ -166,7 +166,7 @@ class TestReplayEvents:
     def test_empty_replay_is_empty(self, sample_source):
         program = parse_program(sample_source)
         trace, _ = trace_program(program, [0, 5])
-        replayed = replay_events(program, trace, Configuration.empty(37), [0, 5])
+        replayed = replay_events(program, trace, Configuration(37), [0, 5])
         assert replayed.stdout == ""
 
     def test_undef_semantics_subset(self, sample_source):
