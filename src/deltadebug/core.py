@@ -6,9 +6,9 @@ configuration to one of three outcomes (FAIL means "the failure of interest
 reproduced").  ``ddmin`` shrinks a failing configuration to a 1-minimal one:
 removing any single remaining delta makes the failure disappear.
 
-The engine is deterministic: subsets and complements are scanned in
-ascending order and the first failing candidate wins, so two runs against
-the same oracle behavior produce identical run logs.
+The engine is deterministic: each round tests one ordered list, the chunks
+then their complements, and the first failing candidate wins, so two runs
+against the same oracle behavior produce identical run logs.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ SOURCE_FEASIBILITY = "feasibility-reject"
 SOURCE_AXIOM = "axiom"
 
 CACHED_SOURCES = (SOURCE_EXACT_CACHE, SOURCE_MONOTONY)
+
+# The kinds of a ddmin round's candidates.
+_CHUNK, _COMPLEMENT = "chunk", "complement"
 
 
 class Outcome(enum.Enum):
@@ -322,15 +325,15 @@ def ddmin(
 ) -> MinimizationResult:
     """Reduce a failing configuration to a 1-minimal one.
 
-    Starting from the full ``universe`` at granularity 2, each round
-    partitions the current configuration into n contiguous chunks and
-
-    * reduces to the first failing chunk (granularity resets to 2), else
-    * reduces to the first failing complement (granularity drops by one,
-      floored at 2), else
-    * doubles the granularity up to the configuration size, else
-    * stops: every chunk and complement passed at singleton granularity,
-      so removing any one delta no longer fails.
+    Starting from the full ``universe`` at granularity 2, each round tests
+    one ordered list: the n contiguous chunks of the current configuration,
+    then their complements.  The first FAIL wins and becomes the current
+    configuration; a chunk resets the granularity to 2, a complement drops
+    it by one, floored at 2.  If none fails, the granularity doubles up to
+    the configuration size, or the run stops: every chunk and complement
+    passed at singleton granularity, so removing any one delta no longer
+    fails.  At n = 2 the complements equal the chunks and are answered
+    from the exact cache.
 
     Only FAIL triggers reduction; UNRESOLVED steers like PASS but is
     tallied separately.  The empty and the full configuration are tested
@@ -380,28 +383,23 @@ def ddmin(
             config = _new_configuration(Configuration)
             _set_universe_size(config, size)
             _set_bits(config, bits)
+            # The preload answers untimed, else monotony, else ``ask``.
             outcome = preloaded.get(bits)
+            start = None if outcome is not None else perf_counter()
+            subsumed = _scan(passed, bits) if monotone else None
             if outcome is not None:
-                if monotone and outcome is Outcome.PASS:
-                    subsumed = _scan(passed, bits)
-                    if subsumed is not None:
-                        passed.difference_update(subsumed)
-                        passed.add(bits)
-                record = TestRecord(config, granularity, outcome, SOURCE_EXACT_CACHE, 0.0)
+                source = SOURCE_EXACT_CACHE
+            elif monotone and subsumed is None:
+                outcome, source = Outcome.PASS, SOURCE_MONOTONY
             else:
-                start = perf_counter()
-                subsumed = _scan(passed, bits) if monotone else None
-                if monotone and subsumed is None:
-                    outcome, source = Outcome.PASS, SOURCE_MONOTONY
-                else:
-                    outcome, source = ask(config)
-                    if subsumed is not None and outcome is Outcome.PASS:
-                        passed.difference_update(subsumed)
-                        passed.add(bits)
-                duration = (perf_counter() - start) * 1000.0
+                outcome, source = ask(config)
                 if axiom and source == SOURCE_ORACLE:
                     source = SOURCE_AXIOM
-                record = TestRecord(config, granularity, outcome, source, duration)
+            if subsumed is not None and outcome is Outcome.PASS:
+                passed.difference_update(subsumed)
+                passed.add(bits)
+            duration = 0.0 if start is None else (perf_counter() - start) * 1000.0
+            record = TestRecord(config, granularity, outcome, source, duration)
             first[bits] = record
         append(record)
         if on_record is not None:
@@ -426,20 +424,20 @@ def ddmin(
     while len(members) >= 2:
         # Recursion invariant: current is known to FAIL and n <= |current|.
         chunks = partition(current, members, n)
-        for lo, hi, chunk in chunks:
-            if run_test(chunk, n) is Outcome.FAIL:
-                current, members, n = chunk, members[lo:hi], 2
+        candidates = [(chunk, _CHUNK, lo, hi) for lo, hi, chunk in chunks] + [
+            (current ^ chunk, _COMPLEMENT, lo, hi) for lo, hi, chunk in chunks
+        ]
+        for bits, kind, lo, hi in candidates:
+            if run_test(bits, n) is Outcome.FAIL:
+                if kind is _CHUNK:
+                    current, members, n = bits, members[lo:hi], 2
+                else:
+                    current, members, n = bits, members[:lo] + members[hi:], max(n - 1, 2)
                 break
         else:
-            for lo, hi, chunk in chunks:
-                if run_test(current ^ chunk, n) is Outcome.FAIL:
-                    current, members = current ^ chunk, members[:lo] + members[hi:]
-                    n = max(n - 1, 2)
-                    break
-            else:
-                if n >= len(members):
-                    break
-                n = min(len(members), 2 * n)
+            if n >= len(members):
+                break
+            n = min(len(members), 2 * n)
 
     final = Configuration.from_bits(size, current)
     return MinimizationResult(

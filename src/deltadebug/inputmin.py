@@ -130,6 +130,8 @@ def minimize_input(
     """
     if not schedule:
         raise ValueError("schedule must contain at least one granularity")
+    for granularity in schedule:  # rejects an unknown one before any test
+        tokenize(b"", granularity)
     current = data
     passes: list[InputPass] = []
     oracle = CommandOracle(spec)

@@ -72,6 +72,20 @@ class TestMinimizeInputCommand:
         numbers = [int(line) for line in seqs.read_text().split()]
         assert numbers == list(range(1, len(numbers) + 1))
 
+    def test_unknown_granularity_exits_1_before_any_test(self, tmp_path, make_script, capsys):
+        # The whole schedule is checked first, not once the line pass is done.
+        crash = tmp_path / "crash.txt"
+        crash.write_text("a\nBUG\nb\n")
+        runs = tmp_path / "runs"
+        script = make_script(f'echo >> "{runs}"\ngrep -q BUG "$1"')
+        code = run([
+            "minimize-input", "--input", str(crash), "--test", script,
+            "--granularity", "line,chr", *common_flags(tmp_path),
+        ])
+        assert code == 1
+        assert "unknown granularity 'chr'" in capsys.readouterr().err
+        assert not runs.exists()
+
     def test_missing_test_flag_is_a_usage_error(self, crash_input):
         assert run(["minimize-input", "--input", str(crash_input)]) == 1
 

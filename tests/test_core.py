@@ -392,6 +392,7 @@ class TestCachedOracle:
         records = result.log.records
         at = [rec.config for rec in records].index(asked)
         assert records[at].source == SOURCE_EXACT_CACHE
+        assert records[at].duration_ms == 0.0  # a preloaded answer is untimed
         covered = [
             rec for rec in records[at + 1:]
             if rec.config.bits & asked.bits == rec.config.bits
