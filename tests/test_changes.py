@@ -133,11 +133,11 @@ class TestSplitUnifiedDiff:
 NO_NEWLINE = "\\ No newline at end of file\n"
 
 
-def seeded_diff(rng: random.Random) -> str:
-    """A difflib diff of one or two random files, with context 0-4, a
-    missing final newline on either side, and about one diff in ten
-    corrupted by an extra newline marker, a dropped line or a junk first
-    character."""
+def seeded_files(rng: random.Random) -> tuple[dict[str, str], str]:
+    """One or two random baseline files and a well-formed difflib diff
+    against them, with context 0-4 and a missing final newline on either
+    side."""
+    baseline = {}
     chunks = []
     for f in range(rng.randint(1, 2)):
         path = f"d{rng.randint(0, 1)}/f{f}"
@@ -153,12 +153,19 @@ def seeded_diff(rng: random.Random) -> str:
         for side in (old, new):
             if side and rng.random() < 0.2:
                 side[-1] = side[-1][:-1]
+        baseline[path] = "".join(old)
         rows = difflib.unified_diff(
             old, new, fromfile="a/" + path, tofile="b/" + path, n=rng.randint(0, 4)
         )
         # difflib leaves a last line without its newline; diff(1) adds a marker.
         chunks.extend(row if row.endswith("\n") else row + "\n" + NO_NEWLINE for row in rows)
-    lines = "".join(chunks).splitlines(keepends=True)
+    return baseline, "".join(chunks)
+
+
+def seeded_diff(rng: random.Random) -> str:
+    """A ``seeded_files`` diff, about one in ten corrupted by an extra
+    newline marker, a dropped line or a junk first character."""
+    lines = seeded_files(rng)[1].splitlines(keepends=True)
     if lines and rng.random() < 0.1:
         at = rng.randrange(len(lines))
         kind = rng.randrange(3)
@@ -188,6 +195,26 @@ class TestSplitterPinned:
             except (DiffParseError, ValueError) as exc:
                 got = f"{type(exc).__name__}: {exc}"
             h.update(repr(got).encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestApplyPinned:
+    # SHA-256 over 2400 seeded well-formed diffs of each diff's rendering
+    # and the trees of 12 seeded subsets of its changes.
+    DIGEST = "e28cf507106d9e83540b89666a1b790d0ba38429a0d9b953407accbeaff245ec"
+
+    def test_seeded_subsets_apply_as_pinned(self):
+        rng = random.Random(9)
+        h = hashlib.sha256()
+        for _ in range(2400):
+            baseline, diff = seeded_files(rng)
+            changes = split_unified_diff(diff)
+            h.update(render_unified_diff(changes).encode())
+            changeset = ChangeSet(tuple(changes))
+            for _ in range(12):
+                config = Configuration.from_bits(len(changes), rng.getrandbits(len(changes)))
+                tree = apply_subset(baseline, changeset, config)
+                h.update(repr(sorted(tree.items())).encode() + b"\n")
         assert h.hexdigest() == self.DIGEST
 
 
