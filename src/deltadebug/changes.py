@@ -4,8 +4,8 @@ A unified diff against a baseline tree is split into atomic changes:
 within each hunk, maximal runs of changed lines separated by at least two
 unchanged lines become separate changes (a single unchanged line glues its
 neighbors together and travels with them).  Arbitrary subsets of changes
-can then be applied to the baseline; a context mismatch is a conflict,
-which the oracle adapter reports as UNRESOLVED.
+can then be applied to the baseline; a context mismatch, newlines
+included, is a conflict, which the oracle adapter reports as UNRESOLVED.
 
 Changes can be grouped by file, directory, or a caller-supplied key map,
 and a dependency relation ("change i requires change j") lets infeasible
@@ -43,7 +43,7 @@ class DiffParseError(ValueError):
         self.line = line
 
 
-class ChangeConflict(Exception):
+class ChangeConflict(MaterializeConflict):
     """A change's old lines do not match the tree it is applied to."""
 
 
@@ -54,15 +54,14 @@ class AtomicChange:
 
     ``anchor`` is the 1-based line number of the first old line in the
     original file; for pure insertions it names the line before which the
-    new lines go (len(original)+1 appends at the end).
+    new lines go (len(original)+1 appends at the end).  Each line ends in
+    ``\n``, except a file's last line that lacks one.
     """
 
     file: str
     anchor: int
     old_lines: tuple[str, ...]
     new_lines: tuple[str, ...]
-    old_no_newline: bool = False
-    new_no_newline: bool = False
 
 
 @dataclass
@@ -128,21 +127,6 @@ def _check_acyclic(dependencies: Mapping[int, frozenset[int]]) -> None:
 
 # --- tree helpers -----------------------------------------------------------
 
-def _split_content(text: str) -> tuple[list[str], bool]:
-    if text == "":
-        return [], False
-    lines = text.split("\n")
-    if lines[-1] == "":
-        return lines[:-1], True
-    return lines, False
-
-
-def _join_content(lines: list[str], trailing_newline: bool) -> str:
-    if not lines:
-        return ""
-    return "\n".join(lines) + ("\n" if trailing_newline else "")
-
-
 def load_tree(root: Union[str, Path]) -> FileTree:
     root = Path(root)
     tree: FileTree = {}
@@ -164,6 +148,8 @@ def write_tree(tree: FileTree, root: Union[str, Path]) -> None:
 # --- unified diff parsing ---------------------------------------------------
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
+_LINE_RE = re.compile(r".*\n|.+")  # a line with its newline, or a last one without
+_NO_NEWLINE = "\\ No newline at end of file\n"
 _SKIP_PREFIXES = (
     "diff ", "index ", "new file", "deleted file", "old mode", "new mode",
     "similarity", "rename ", "copy ", "Binary files",
@@ -218,19 +204,20 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
             # insertion point, so the first affected line is one further on.
             old_ln = old_start if old_count > 0 else old_start + 1
             i += 1
-            # Rows are [kind, text, old_line, no_newline]; a '+' row's
-            # old_line is the next original line (its insertion point).
+            # Rows are [kind, line, old_line]; a '+' row's old_line is the
+            # next original line (its insertion point).
             rows: list[list] = []
             seen_old = seen_new = 0
             while i < n:
                 body = lines[i]
                 done = seen_old >= old_count and seen_new >= new_count
                 if body.startswith("\\"):
-                    # A newline marker flags the row before it: any number
-                    # of times inside the counted body, once after it.
+                    # A newline marker strips the newline of the row before
+                    # it: any number of times inside the counted body, once
+                    # after it.
                     if not rows:
                         raise DiffParseError("newline marker before any hunk line", i + 1)
-                    rows[-1][3] = True
+                    rows[-1][1] = rows[-1][1].removesuffix("\n")
                     i += 1
                     if done:
                         break
@@ -240,7 +227,7 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
                 kind = body[:1] or " "
                 if kind not in " -+":
                     raise DiffParseError(f"unexpected line in hunk: {body!r}", i + 1)
-                rows.append([kind, body[1:], old_ln, False])
+                rows.append([kind, body[1:] + "\n", old_ln])
                 if kind != "+":
                     old_ln += 1
                     seen_old += 1
@@ -282,10 +269,8 @@ def _split_hunk(file: str, rows: list[list]) -> list[AtomicChange]:
         AtomicChange(
             file=file,
             anchor=run[0][2],
-            old_lines=tuple(text for kind, text, _, _ in run if kind != "+"),
-            new_lines=tuple(text for kind, text, _, _ in run if kind != "-"),
-            old_no_newline=any(flag for kind, _, _, flag in run if kind != "+"),
-            new_no_newline=any(flag for kind, _, _, flag in run if kind != "-"),
+            old_lines=tuple(line for kind, line, _ in run if kind != "+"),
+            new_lines=tuple(line for kind, line, _ in run if kind != "-"),
         )
         for run in runs
     ]
@@ -298,25 +283,21 @@ def render_unified_diff(changes: Sequence[AtomicChange]) -> str:
     for ch in changes:
         per_file.setdefault(ch.file, []).append(ch)
     for file in sorted(per_file):
-        out.append(f"--- a/{file}")
-        out.append(f"+++ b/{file}")
+        out.append(f"--- a/{file}\n+++ b/{file}\n")
         offset = 0
         for ch in sorted(per_file[file], key=lambda c: c.anchor):
             old_len = len(ch.old_lines)
             new_len = len(ch.new_lines)
             old_start = ch.anchor if old_len else ch.anchor - 1
             new_start = ch.anchor + offset if new_len else ch.anchor + offset - 1
-            out.append(f"@@ -{old_start},{old_len} +{new_start},{new_len} @@")
-            for text in ch.old_lines:
-                out.append(f"-{text}")
-            if ch.old_no_newline:
-                out.append("\\ No newline at end of file")
-            for text in ch.new_lines:
-                out.append(f"+{text}")
-            if ch.new_no_newline:
-                out.append("\\ No newline at end of file")
+            out.append(f"@@ -{old_start},{old_len} +{new_start},{new_len} @@\n")
+            for sign, lines in (("-", ch.old_lines), ("+", ch.new_lines)):
+                for line in lines:
+                    out.append(sign + line)
+                    if not line.endswith("\n"):
+                        out.append("\n" + _NO_NEWLINE)
             offset += new_len - old_len
-    return "\n".join(out) + ("\n" if out else "")
+    return "".join(out)
 
 
 # --- applying subsets -------------------------------------------------------
@@ -327,8 +308,9 @@ def apply_subset(
     """Apply the included changes to the baseline tree.
 
     Changes are applied per file in ascending anchor order with cumulative
-    line-offset adjustment; the old lines must match the current content at
-    the adjusted anchor, otherwise ``ChangeConflict`` is raised.
+    line-offset adjustment; the old lines, newlines included, must match the
+    current content at the adjusted anchor, and only a file's last line may
+    end up without a newline, otherwise ``ChangeConflict`` is raised.
     """
     if config.universe_size != len(changeset.changes):
         raise ValueError(
@@ -342,35 +324,24 @@ def apply_subset(
 
     tree = dict(baseline)
     for file, pairs in per_file.items():
-        lines, trailing = _split_content(tree.get(file, ""))
+        lines = _LINE_RE.findall(tree.get(file, ""))
         offset = 0
         for i, ch in pairs:  # already ascending by anchor
             pos = ch.anchor - 1 + offset
-            old = list(ch.old_lines)
-            if pos < 0 or pos + len(old) > len(lines):
+            end = pos + len(ch.old_lines)
+            if pos < 0 or end > len(lines):
                 raise ChangeConflict(
                     f"change {i} at {file}:{ch.anchor}: range falls outside the file"
                 )
-            if lines[pos:pos + len(old)] != old:
+            if lines[pos:end] != list(ch.old_lines):
                 raise ChangeConflict(
                     f"change {i} at {file}:{ch.anchor}: context mismatch"
                 )
-            if ch.old_no_newline and (trailing or pos + len(old) != len(lines)):
-                raise ChangeConflict(
-                    f"change {i} at {file}:{ch.anchor}: expected no trailing newline"
-                )
-            lines[pos:pos + len(old)] = list(ch.new_lines)
-            if ch.old_no_newline:
-                trailing = True
-            if ch.new_no_newline:
-                if pos + len(ch.new_lines) != len(lines):
-                    raise ChangeConflict(
-                        f"change {i} at {file}:{ch.anchor}: no-newline change "
-                        f"must end the file"
-                    )
-                trailing = False
+            lines[pos:end] = ch.new_lines
             offset += len(ch.new_lines) - len(ch.old_lines)
-        tree[file] = _join_content(lines, trailing)
+        if not all(line.endswith("\n") for line in lines[:-1]):
+            raise ChangeConflict(f"{file}: a line without a newline does not end the file")
+        tree[file] = "".join(lines)
     return tree
 
 
@@ -381,11 +352,7 @@ def change_materializer(
     test command receives that directory as its trailing argument."""
 
     def materialize(config: Configuration, directory: Path) -> list[str]:
-        try:
-            tree = apply_subset(baseline, changeset, config)
-        except ChangeConflict as exc:
-            raise MaterializeConflict(str(exc)) from exc
-        write_tree(tree, directory)
+        write_tree(apply_subset(baseline, changeset, config), directory)
         return [str(directory)]
 
     return materialize

@@ -28,17 +28,6 @@ DEFAULT_SCHEDULE = ("line", "char")
 DEFAULT_CANDIDATE_NAME = "candidate.dat"
 
 
-@dataclass(frozen=True)
-class TokenizedInput:
-    """An input split into tokens whose concatenation is the source bytes."""
-
-    granularity: str
-    tokens: tuple[bytes, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 def _split_lines(data: bytes) -> list[bytes]:
     # Terminator-inclusive: a trailing fragment without a newline is a token.
     tokens = []
@@ -53,7 +42,7 @@ def _split_lines(data: bytes) -> list[bytes]:
     return tokens
 
 
-def tokenize(data: bytes, granularity: str) -> TokenizedInput:
+def tokenize(data: bytes, granularity: str) -> tuple[bytes, ...]:
     """Split ``data`` into tokens; concatenation reproduces it exactly.
 
     Line tokens include their terminators; char tokens are whole unicode
@@ -74,26 +63,26 @@ def tokenize(data: bytes, granularity: str) -> TokenizedInput:
         tokens = [data[i:i + 1] for i in range(len(data))]
     else:
         raise ValueError(f"unknown granularity {granularity!r}; expected one of {GRANULARITIES}")
-    return TokenizedInput(granularity=granularity, tokens=tuple(tokens))
+    return tuple(tokens)
 
 
-def render(tokenized: TokenizedInput, config: Configuration) -> bytes:
+def render(tokens: tuple[bytes, ...], config: Configuration) -> bytes:
     """Concatenate the included tokens in ascending id order."""
-    if config.universe_size != len(tokenized.tokens):
+    if config.universe_size != len(tokens):
         raise ValueError(
             f"configuration is over {config.universe_size} deltas, "
-            f"input has {len(tokenized.tokens)} tokens"
+            f"input has {len(tokens)} tokens"
         )
-    return b"".join(tokenized.tokens[i] for i in config.members)
+    return b"".join(tokens[i] for i in config.members)
 
 
-def candidate_materializer(tokenized: TokenizedInput, filename: str):
+def candidate_materializer(tokens: tuple[bytes, ...], filename: str):
     """Writes the rendered candidate into the test's directory and passes
     its path to the test command as the trailing argument."""
 
     def materialize(config: Configuration, directory: Path) -> list[str]:
         path = directory / filename
-        path.write_bytes(render(tokenized, config))
+        path.write_bytes(render(tokens, config))
         return [str(path)]
 
     return materialize
@@ -136,11 +125,11 @@ def minimize_input(
     passes: list[InputPass] = []
     oracle = CommandOracle(spec)
     for granularity in schedule:
-        tokenized = tokenize(current, granularity)
+        tokens = tokenize(current, granularity)
         oracle.spec = spec.with_materializer(
-            candidate_materializer(tokenized, candidate_name)
+            candidate_materializer(tokens, candidate_name)
         )
-        universe = Configuration.full(len(tokenized))
+        universe = Configuration.full(len(tokens))
         pass_options = next_pass_options(options, universe) if passes else options
         try:
             result = ddmin(universe, oracle, pass_options)
@@ -148,6 +137,6 @@ def minimize_input(
             raise AxiomViolation(
                 f"{granularity} pass: {exc}", exc.log
             ) from exc
-        current = render(tokenized, result.final)
+        current = render(tokens, result.final)
         passes.append(InputPass(granularity, result, current))
     return InputMinimization(minimized=current, passes=passes, oracle=oracle)

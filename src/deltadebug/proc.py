@@ -6,7 +6,8 @@ front-end supplied materializer writes the scenario into the workspace's
 candidate file path).  The command runs with that tree as its working
 directory, so it sees only the scenario; its stdout and stderr go to
 ``stdout.log`` and ``stderr.log`` beside the tree.  It signals the outcome
-through its exit status:
+through its exit status, kept as its return code: ``None`` for a timeout
+and ``-N`` for death by signal N.
 
     0            FAIL (the failure of interest reproduced)
     125          UNRESOLVED
@@ -54,35 +55,11 @@ class OracleExecutionError(DeltaDebugError):
 Materializer = Callable[[Configuration, Path], Optional[Sequence[str]]]
 
 
-@dataclass(frozen=True)
-class ExitStatus:
-    """Exactly one of: exit code, fatal signal, or wall-clock timeout."""
-
-    kind: str  # "code" | "signal" | "timeout"
-    value: Optional[int] = None
-
-
-def exit_code(code: int) -> ExitStatus:
-    return ExitStatus("code", code)
-
-
-def exit_signal(signum: int) -> ExitStatus:
-    return ExitStatus("signal", signum)
-
-
-EXIT_TIMEOUT = ExitStatus("timeout", None)
-
-
-def map_exit_status(status: ExitStatus) -> Outcome:
-    """Total mapping from exit status to outcome (see module docstring)."""
-    if status.kind in ("signal", "timeout"):
-        return Outcome.UNRESOLVED
-    if status.kind != "code":
-        raise ValueError(f"unknown exit status kind {status.kind!r}")
-    code = status.value
-    if code == 0:
+def map_exit_status(returncode: Optional[int]) -> Outcome:
+    """Total mapping from return code to outcome (see module docstring)."""
+    if returncode == 0:
         return Outcome.FAIL
-    if code == 125 or code >= 128:
+    if returncode is None or returncode < 0 or returncode == 125 or returncode >= 128:
         return Outcome.UNRESOLVED
     return Outcome.PASS
 
@@ -113,7 +90,7 @@ class CommandOracleSpec:
 
 @dataclass
 class ExecutionEvidence:
-    exit_status: Optional[ExitStatus]
+    returncode: Optional[int]  # None: a timeout, or no process (a conflict)
     workspace: str  # holds the tree and the two logs
     duration_ms: float
     conflict: Optional[str] = None
@@ -194,7 +171,7 @@ def evaluate_command(
             extra = spec.materializer(config, tree)
         except MaterializeConflict as exc:
             return Outcome.UNRESOLVED, ExecutionEvidence(
-                exit_status=None,
+                returncode=None,
                 workspace=str(workspace),
                 duration_ms=elapsed_ms(),
                 conflict=str(exc),
@@ -224,15 +201,11 @@ def evaluate_command(
         finally:
             returncode = _kill_group_and_reap(proc)
         if not exited:
-            status = EXIT_TIMEOUT
-        elif returncode < 0:
-            status = exit_signal(-returncode)
-        else:
-            status = exit_code(returncode)
+            returncode = None
 
-        outcome = map_exit_status(status)
+        outcome = map_exit_status(returncode)
         return outcome, ExecutionEvidence(
-            exit_status=status,
+            returncode=returncode,
             workspace=str(workspace),
             duration_ms=elapsed_ms(),
         )

@@ -29,10 +29,7 @@ from deltadebug.inputmin import render, tokenize
 from deltadebug.oracles import random_monotone, single_cause
 from deltadebug.proc import (
     CommandOracleSpec,
-    EXIT_TIMEOUT,
     evaluate_command,
-    exit_code,
-    exit_signal,
     map_exit_status,
 )
 from deltadebug.report import write_report
@@ -192,14 +189,14 @@ def test_criterion_7_round_trip_suites(tmp_path):
         data = bytes(rng.randrange(256) for _ in range(rng.randrange(200)))
         for granularity in ("line", "byte"):
             t = tokenize(data, granularity)
-            assert render(t, Configuration.full(len(t.tokens))) == data
+            assert render(t, Configuration.full(len(t))) == data
     alphabet = "ab\n\t \"\\éxyz0123日"
     for _ in range(1000):
         data = "".join(
             rng.choice(alphabet) for _ in range(rng.randrange(150))
         ).encode("utf-8")
         t = tokenize(data, "char")
-        assert render(t, Configuration.full(len(t.tokens))) == data
+        assert render(t, Configuration.full(len(t))) == data
 
     # Diff split/apply: 100 synthetic tree fixtures round-trip exactly.
     for case in range(100):
@@ -250,15 +247,15 @@ def test_criterion_7_round_trip_suites(tmp_path):
 
 def test_criterion_8_exit_code_protocol(make_script, workspace_root):
     table = [
-        (exit_code(0), Outcome.FAIL),
-        (exit_code(1), Outcome.PASS),
-        (exit_code(124), Outcome.PASS),
-        (exit_code(125), Outcome.UNRESOLVED),
-        (exit_code(126), Outcome.PASS),
-        (exit_code(127), Outcome.PASS),
-        (exit_code(128), Outcome.UNRESOLVED),
-        (exit_signal(11), Outcome.UNRESOLVED),
-        (EXIT_TIMEOUT, Outcome.UNRESOLVED),
+        (0, Outcome.FAIL),
+        (1, Outcome.PASS),
+        (124, Outcome.PASS),
+        (125, Outcome.UNRESOLVED),
+        (126, Outcome.PASS),
+        (127, Outcome.PASS),
+        (128, Outcome.UNRESOLVED),
+        (-11, Outcome.UNRESOLVED),
+        (None, Outcome.UNRESOLVED),
     ]
     for status, expected in table:
         assert map_exit_status(status) == expected
@@ -276,15 +273,15 @@ def test_criterion_8_exit_code_protocol(make_script, workspace_root):
 
     for code in (0, 1, 124, 125, 126, 127, 128):
         outcome, evidence = run_script(f"exit {code}")
-        assert evidence.exit_status == exit_code(code)
-        assert outcome == map_exit_status(exit_code(code))
+        assert evidence.returncode == code
+        assert outcome == map_exit_status(code)
 
     outcome, evidence = run_script("kill -SEGV $$")
-    assert evidence.exit_status == exit_signal(11)
+    assert evidence.returncode == -11
     assert outcome == Outcome.UNRESOLVED
 
     outcome, evidence = run_script("sleep 30", timeout_ms=250)
-    assert evidence.exit_status == EXIT_TIMEOUT
+    assert evidence.returncode is None
     assert outcome == Outcome.UNRESOLVED
 
     verdict(8, "exit statuses 0/1/124/125/126/127/128, SIGSEGV, and timeout "

@@ -64,8 +64,8 @@ class TestSplitUnifiedDiff:
         changes = split_unified_diff(make_diff(baseline, modified))
         assert len(changes) == 2
         assert changes[0].anchor == 1
-        assert changes[0].old_lines == ("a",)
-        assert changes[0].new_lines == ("A",)
+        assert changes[0].old_lines == ("a\n",)
+        assert changes[0].new_lines == ("A\n",)
         assert changes[1].anchor == 5
 
     def test_single_line_gap_stays_one_change(self):
@@ -73,8 +73,8 @@ class TestSplitUnifiedDiff:
         modified = {"f": "A\nb\nC\nd\ne\n"}  # edits at lines 1 and 3, gap of 1
         changes = split_unified_diff(make_diff(baseline, modified))
         assert len(changes) == 1
-        assert changes[0].old_lines == ("a", "b", "c")
-        assert changes[0].new_lines == ("A", "b", "C")
+        assert changes[0].old_lines == ("a\n", "b\n", "c\n")
+        assert changes[0].new_lines == ("A\n", "b\n", "C\n")
 
     def test_two_line_gap_splits(self):
         baseline = {"f": "a\nb\nc\nd\ne\n"}
@@ -91,7 +91,7 @@ class TestSplitUnifiedDiff:
         changes = split_unified_diff(make_diff(baseline, modified))
         assert len(changes) == 1
         assert changes[0].old_lines == ()
-        assert changes[0].new_lines == ("X",)
+        assert changes[0].new_lines == ("X\n",)
         assert changes[0].anchor == 2  # inserted before original line 2
 
     def test_zero_context_diffs(self):
@@ -122,7 +122,7 @@ class TestSplitUnifiedDiff:
             "\\ No newline at end of file\n"
         )
         changes = split_unified_diff(diff)
-        assert changes[0].old_no_newline and changes[0].new_no_newline
+        assert (changes[0].old_lines, changes[0].new_lines) == (("old",), ("new",))
         applied = apply_subset(
             {"f": "old"}, ChangeSet(tuple(changes)),
             Configuration.full(1),
@@ -178,8 +178,16 @@ def seeded_diff(rng: random.Random) -> str:
     return "".join(lines)
 
 
+def flagged(lines: tuple[str, ...]) -> tuple[tuple[str, ...], bool]:
+    """The lines without their newlines, and whether any lacked one."""
+    return tuple(line.removesuffix("\n") for line in lines), not all(
+        line.endswith("\n") for line in lines
+    )
+
+
 class TestSplitterPinned:
-    # SHA-256 over 2400 seeded diffs of each diff's change fields or error.
+    # SHA-256 over 2400 seeded diffs of each diff's change fields or error,
+    # each side's lines as ``flagged`` gives them.
     DIGEST = "0a7e1d2ef519de8f705a0f08c51de5c4154674c324058cc6ace4055b41f096b7"
 
     def test_seeded_diffs_split_as_pinned(self):
@@ -187,11 +195,10 @@ class TestSplitterPinned:
         h = hashlib.sha256()
         for _ in range(2400):
             try:
-                got = [
-                    (c.file, c.anchor, c.old_lines, c.new_lines,
-                     c.old_no_newline, c.new_no_newline)
-                    for c in split_unified_diff(seeded_diff(rng))
-                ]
+                got = []
+                for c in split_unified_diff(seeded_diff(rng)):
+                    (old, old_flag), (new, new_flag) = flagged(c.old_lines), flagged(c.new_lines)
+                    got.append((c.file, c.anchor, old, new, old_flag, new_flag))
             except (DiffParseError, ValueError) as exc:
                 got = f"{type(exc).__name__}: {exc}"
             h.update(repr(got).encode() + b"\n")
@@ -257,6 +264,16 @@ class TestApplySubset:
         assert applied == step2
         with pytest.raises(ChangeConflict, match="context mismatch"):
             apply_subset(baseline, stacked, Configuration(2, [1]))
+
+    @pytest.mark.parametrize("hunk, message", [
+        # The diff says line 2 ends in a newline; the file's last line has none.
+        ("@@ -2 +2 @@\n-a\n+b\n", "context mismatch"),
+        ("@@ -2,0 +3 @@\n+b\n", "a line without a newline does not end the file"),
+    ])
+    def test_newline_claim_must_match_the_file(self, hunk, message):
+        changes = split_unified_diff("--- a/f\n+++ b/f\n" + hunk)
+        with pytest.raises(ChangeConflict, match=message):
+            apply_subset({"f": "x\na"}, ChangeSet(tuple(changes)), Configuration.full(1))
 
     def test_application_order_cannot_matter(self):
         # Changes are non-overlapping and applied in ascending anchors;

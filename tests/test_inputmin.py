@@ -15,26 +15,26 @@ from deltadebug.proc import CommandOracleSpec
 class TestTokenize:
     def test_line_tokens_include_terminators(self):
         t = tokenize(b"ab\ncd\n", "line")
-        assert t.tokens == (b"ab\n", b"cd\n")
+        assert t == (b"ab\n", b"cd\n")
 
     def test_unterminated_last_line_is_a_token(self):
         t = tokenize(b"ab\ncd", "line")
-        assert t.tokens == (b"ab\n", b"cd")
+        assert t == (b"ab\n", b"cd")
 
     def test_char_tokens_are_unicode_scalars(self):
-        assert tokenize(b"ab", "char").tokens == (b"a", b"b")
+        assert tokenize(b"ab", "char") == (b"a", b"b")
         t = tokenize("hé".encode(), "char")
-        assert t.tokens == (b"h", "é".encode())
+        assert t == (b"h", "é".encode())
 
     def test_char_granularity_rejects_invalid_utf8(self):
         with pytest.raises(ValueError, match="byte granularity"):
             tokenize(b"\xff\xfe", "char")
 
     def test_byte_tokens(self):
-        assert tokenize(b"\x00\xff", "byte").tokens == (b"\x00", b"\xff")
+        assert tokenize(b"\x00\xff", "byte") == (b"\x00", b"\xff")
 
     def test_empty_input_has_empty_universe(self):
-        assert tokenize(b"", "line").tokens == ()
+        assert tokenize(b"", "line") == ()
 
     def test_unknown_granularity(self):
         with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ class TestRoundTripProperty:
             data = bytes(rng.randrange(256) for _ in range(rng.randrange(120)))
             for granularity in ("line", "byte"):
                 t = tokenize(data, granularity)
-                assert render(t, Configuration.full(len(t.tokens))) == data
+                assert render(t, Configuration.full(len(t))) == data
 
     def test_tokenize_render_identity_on_random_text(self):
         rng = random.Random(12)
@@ -76,7 +76,7 @@ class TestRoundTripProperty:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(80)))
             data = text.encode("utf-8")
             t = tokenize(data, "char")
-            assert render(t, Configuration.full(len(t.tokens))) == data
+            assert render(t, Configuration.full(len(t))) == data
 
 
 @pytest.fixture

@@ -11,12 +11,9 @@ from deltadebug import Configuration, Outcome
 from deltadebug.proc import (
     CommandOracle,
     CommandOracleSpec,
-    EXIT_TIMEOUT,
     MaterializeConflict,
     OracleExecutionError,
     evaluate_command,
-    exit_code,
-    exit_signal,
     map_exit_status,
 )
 
@@ -82,18 +79,18 @@ class TestMapExitStatus:
     @pytest.mark.parametrize(
         "status,expected",
         [
-            (exit_code(0), Outcome.FAIL),
-            (exit_code(1), Outcome.PASS),
-            (exit_code(2), Outcome.PASS),
-            (exit_code(124), Outcome.PASS),
-            (exit_code(125), Outcome.UNRESOLVED),
-            (exit_code(126), Outcome.PASS),
-            (exit_code(127), Outcome.PASS),
-            (exit_code(128), Outcome.UNRESOLVED),
-            (exit_code(200), Outcome.UNRESOLVED),
-            (exit_signal(11), Outcome.UNRESOLVED),
-            (exit_signal(9), Outcome.UNRESOLVED),
-            (EXIT_TIMEOUT, Outcome.UNRESOLVED),
+            (0, Outcome.FAIL),
+            (1, Outcome.PASS),
+            (2, Outcome.PASS),
+            (124, Outcome.PASS),
+            (125, Outcome.UNRESOLVED),
+            (126, Outcome.PASS),
+            (127, Outcome.PASS),
+            (128, Outcome.UNRESOLVED),
+            (200, Outcome.UNRESOLVED),
+            (-11, Outcome.UNRESOLVED),
+            (-9, Outcome.UNRESOLVED),
+            (None, Outcome.UNRESOLVED),
         ],
     )
     def test_mapping_table(self, status, expected):
@@ -117,7 +114,7 @@ class TestEvaluateCommand:
         outcome, evidence = evaluate_command(spec, Configuration(1, [0]))
         elapsed = time.monotonic() - start
         assert outcome == Outcome.UNRESOLVED
-        assert evidence.exit_status == EXIT_TIMEOUT
+        assert evidence.returncode is None
         assert evidence.duration_ms >= 300
         assert elapsed < 2.3  # timeout + 2000 ms leeway
 
@@ -174,7 +171,7 @@ class TestEvaluateCommand:
         )
         outcome, evidence = evaluate_command(spec, Configuration(2, [1]))
         assert outcome == Outcome.UNRESOLVED
-        assert evidence.exit_status is None
+        assert evidence.returncode is None
         assert evidence.conflict == "change 1 does not apply"
         assert not witness.exists()
 
