@@ -4,7 +4,8 @@ keeps reporting the failure.
 The input is tokenized at a chosen granularity (lines, unicode characters,
 or raw bytes); each token is one delta.  A multi-pass schedule re-tokenizes
 the previous pass's minimal output at the next, finer granularity, so a
-line pass followed by a char pass reaches sub-line minima.
+line pass followed by a char pass reaches sub-line minima; where that
+output is not valid UTF-8, the char pass runs over bytes instead.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ def minimize_input(
 
     The test command must declare the original input failing and the empty
     input passing; an axiom violation aborts with a diagnostic naming the
-    pass.  Later passes take both axiom answers from the first.  One
+    pass.  Later passes take both axiom answers from the first, and a
+    later char pass over bytes that are not UTF-8 runs at byte granularity
+    (its pass is labelled so).  One
     command oracle serves every pass, so test numbers run on across passes
     and at most one failing workspace is kept per run.
     """
@@ -125,7 +128,12 @@ def minimize_input(
     passes: list[InputPass] = []
     oracle = CommandOracle(spec)
     for granularity in schedule:
-        tokens = tokenize(current, granularity)
+        try:
+            tokens = tokenize(current, granularity)
+        except ValueError:  # a later char pass over bytes that are not UTF-8
+            if not passes:
+                raise
+            granularity, tokens = "byte", tokenize(current, "byte")
         oracle.spec = spec.with_materializer(
             candidate_materializer(tokens, candidate_name)
         )

@@ -86,6 +86,21 @@ class TestMinimizeInputCommand:
         assert "unknown granularity 'chr'" in capsys.readouterr().err
         assert not runs.exists()
 
+    def test_char_pass_over_bytes_that_are_not_utf8_runs_over_bytes(
+        self, tmp_path, make_script, capsys
+    ):
+        crash = tmp_path / "crash.txt"
+        crash.write_bytes(b"a\nBUG\xff\nb\n")
+        code = run([
+            "minimize-input", "--input", str(crash), "--test", make_script('grep -q BUG "$1"'),
+            *common_flags(tmp_path),
+        ])
+        assert code == 0
+        assert Path(f"{crash}.min").read_bytes() == b"BUG"
+        out = capsys.readouterr().out
+        assert "byte pass: 5 -> 3 deltas" in out
+        assert "verified 1-minimal at byte granularity: True" in out
+
     def test_missing_test_flag_is_a_usage_error(self, crash_input):
         assert run(["minimize-input", "--input", str(crash_input)]) == 1
 
