@@ -111,13 +111,14 @@ def _command_spec(args):
 
 
 def _write_run_report(
-    args, log: RunLog, result: Optional[MinimizationResult] = None
+    args, log: RunLog, result: Optional[MinimizationResult] = None, earlier=()
 ) -> None:
     if not getattr(args, "report", None):
         return
     report_mod.write_report(
         log, args.report, result,
         deterministic=getattr(args, "deterministic_report", False),
+        earlier=earlier,
     )
     print(f"report: {args.report}")
 
@@ -159,7 +160,8 @@ def cmd_minimize_input(args) -> int:
     )
     if outcome.oracle.kept_workspace:
         print(f"failing workspace kept: {outcome.oracle.kept_workspace}")
-    _write_run_report(args, last.result.log, last.result)
+    earlier = [(p.granularity, p.result) for p in outcome.passes[:-1]]
+    _write_run_report(args, last.result.log, last.result, earlier)
     return 0
 
 
@@ -201,7 +203,8 @@ def cmd_minimize_changes(args) -> int:
     print(f"minimal failure-inducing diff: {output} ({len(outcome.final)} changes)")
     if outcome.oracle.kept_workspace:
         print(f"failing workspace kept: {outcome.oracle.kept_workspace}")
-    _write_run_report(args, outcome.final_result.log, outcome.final_result)
+    earlier = [(p.label, p.result) for p in outcome.passes[:-1]]
+    _write_run_report(args, outcome.final_result.log, outcome.final_result, earlier)
     return 0
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import operator
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     CACHED_SOURCES,
@@ -39,16 +39,28 @@ def write_report(
     path: Union[str, Path],
     result: Optional[MinimizationResult] = None,
     deterministic: bool = False,
+    earlier: Sequence[tuple[str, MinimizationResult]] = (),
 ) -> None:
     """Write the report of the run that logged ``log`` as JSON.
 
     ``result`` is the finished run's result, whose log is ``log``; an
     aborted run (an axiom violation) has none, and its report holds an
     empty ``final``.  ``deterministic`` writes every duration as 0.0.
+    ``earlier`` holds the ``(label, result)`` of each pass before this one,
+    oldest first; if there are any, ``passes`` lists them, each with its
+    label and the keys its own report would have.
     """
     path = Path(path)
+    body = _dump_pass(log, result, deterministic, "  ")
+    if earlier:
+        entries = ",\n".join(
+            f'    {{\n      "label": {json.dumps(label)},\n'
+            f'{_dump_pass(r.log, r, deterministic, "      ")}\n    }}'
+            for label, r in earlier
+        )
+        body += f',\n  "passes": [\n{entries}\n  ]'
     try:
-        path.write_text(_dump_report(log, result, deterministic), encoding="utf-8")
+        path.write_text("{\n" + body + "\n}\n", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
 
@@ -57,7 +69,7 @@ def write_report(
 # outcome values and the hex bitmap need no escaping, and ``%r`` of a float
 # is ``float.__repr__``, which is what the JSON encoder writes.
 _TEST_LINE = (
-    '    {"config": "%s", "granularity": %d, "outcome": "%s", '
+    '{"config": "%s", "granularity": %d, "outcome": "%s", '
     '"cached": %s, "source": %s, "duration_ms": %r}'
 )
 _TEST_FIELDS = operator.attrgetter(
@@ -66,14 +78,14 @@ _TEST_FIELDS = operator.attrgetter(
 _SOURCE = operator.attrgetter("source")
 
 
-def _test_lines(log: RunLog, deterministic: bool) -> str:
+def _test_lines(log: RunLog, deterministic: bool, pad: str) -> str:
     nbytes = (log.universe_size + 7) // 8
     # Each source's "cached" flag and quoted name, as JSON.
     columns = {
         s: (json.dumps(s in CACHED_SOURCES), json.dumps(s))
         for s in set(map(_SOURCE, log.records))
     }
-    return ",\n".join(
+    return pad + (",\n" + pad).join(
         _TEST_LINE % (
             bits.to_bytes(nbytes, "little").hex(),
             granularity,
@@ -86,27 +98,30 @@ def _test_lines(log: RunLog, deterministic: bool) -> str:
     )
 
 
-def _indented(value) -> str:
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+def _indented(value, pad: str) -> str:
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _dump_report(
-    log: RunLog, result: Optional[MinimizationResult], deterministic: bool
+def _dump_pass(
+    log: RunLog, result: Optional[MinimizationResult], deterministic: bool, pad: str
 ) -> str:
-    """Top-level keys indented, each test record on one line of its own."""
+    """A pass's keys, each on a line of its own after ``pad``, and each test
+    record on one line of its own.  The report is one such pass at the top
+    level."""
     if result is None:
         final, ratio, verified = [], 0.0, None
     else:
         final = list(result.final.members)
         ratio, verified = result.reduction_ratio, result.verified_1_minimal
-    tests = f"[\n{_test_lines(log, deterministic)}\n  ]" if log.records else "[]"
+    inner = pad + "  "
+    tests = f"[\n{_test_lines(log, deterministic, inner)}\n{pad}]" if log.records else "[]"
     fields = {
-        "universe_size": _indented(log.universe_size),
-        "final": _indented(final),
-        "counters": _indented(log.counts_by_source()),
+        "universe_size": _indented(log.universe_size, pad),
+        "final": _indented(final, pad),
+        "counters": _indented(log.counts_by_source(), pad),
         "tests": tests,
-        "ratio": _indented(ratio),
-        "verified_1_minimal": _indented(verified),
+        "ratio": _indented(ratio, pad),
+        "verified_1_minimal": _indented(verified, pad),
     }
-    body = ",\n".join(f'  "{key}": {text}' for key, text in fields.items())
-    return "{\n" + body + "\n}\n"
+    return ",\n".join(f'{pad}"{key}": {text}' for key, text in fields.items())
+

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -68,6 +69,18 @@ class TestReportDocument:
         doc = read_report(tmp_path / "report.json")
         assert set(doc.counters) == {SOURCE_AXIOM}
         assert doc.final == []
+
+    def test_each_earlier_pass_is_written_as_its_own_report(self, tmp_path):
+        runs = [ddmin(Configuration.full(n), conjunction(n, [1, n - 2])) for n in (4, 8, 6)]
+        *earlier, last = [(f"pass {i}", result) for i, result in enumerate(runs)]
+        write_report(last[1].log, tmp_path / "run.json", last[1], earlier=earlier)
+        doc = json.loads((tmp_path / "run.json").read_text())
+        alone = []
+        for label, result in [*earlier, last]:
+            write_report(result.log, tmp_path / "pass.json", result)
+            alone.append({"label": label, **json.loads((tmp_path / "pass.json").read_text())})
+        assert doc.pop("passes") == alone[:-1]
+        assert {"label": last[0], **doc} == alone[-1]
 
     def test_deterministic_mode_zeroes_durations(self, tmp_path):
         result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))

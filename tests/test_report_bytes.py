@@ -69,14 +69,14 @@ def test_minimize_input_report_bytes(tmp_path, make_script, capsys):
     ])
     assert code == 0
     assert sha256(report) == (
-        "b0f8bc022d9a772f9b86c853b9fc1cbd84693da67cd89e06e2fa2ebc31554717"
+        "84dde122e0b1203b37fb20f59dae411ace5b8ea2adde551c74f6c3b465c9d96a"
     )
 
 
 CHANGE_RUNS = {
     "groups-file": (
         ["--groups", "file"],
-        "3ef901224021ed2f996712bf0ee4b0059a8c014bdc87b95dee3c410c62f7187a",
+        "4676701345c014d5860727e921fddbf3ad05309762c08b86e7fc1286a12ec65a",
     ),
     "deps": (
         ["--deps", "deps.tsv"],
