@@ -14,6 +14,7 @@ subsets be rejected before any process is spawned.
 
 from __future__ import annotations
 
+import io
 import posixpath
 import re
 from dataclasses import dataclass, field
@@ -148,7 +149,6 @@ def write_tree(tree: FileTree, root: Union[str, Path]) -> None:
 # --- unified diff parsing ---------------------------------------------------
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
-_LINE_RE = re.compile(r".*\n|.+")  # a line with its newline, or a last one without
 _NO_NEWLINE = "\\ No newline at end of file\n"
 _SKIP_PREFIXES = (
     "diff ", "index ", "new file", "deleted file", "old mode", "new mode",
@@ -324,7 +324,8 @@ def apply_subset(
 
     tree = dict(baseline)
     for file, pairs in per_file.items():
-        lines = _LINE_RE.findall(tree.get(file, ""))
+        # Split at "\n" only, each line keeping it.
+        lines = io.StringIO(tree.get(file, ""), newline="\n").readlines()
         offset = 0
         for i, ch in pairs:  # already ascending by anchor
             pos = ch.anchor - 1 + offset
@@ -339,9 +340,11 @@ def apply_subset(
                 )
             lines[pos:end] = ch.new_lines
             offset += len(ch.new_lines) - len(ch.old_lines)
-        if not all(line.endswith("\n") for line in lines[:-1]):
+        text = "".join(lines)
+        # Each line holds one newline, at its end; only the last may lack it.
+        if text.count("\n") < len(lines) - (not text.endswith("\n")):
             raise ChangeConflict(f"{file}: a line without a newline does not end the file")
-        tree[file] = "".join(lines)
+        tree[file] = text
     return tree
 
 

@@ -116,9 +116,9 @@ def minimize_input(
     input passing; an axiom violation aborts with a diagnostic naming the
     pass.  Later passes take both axiom answers from the first, and a
     later char pass over bytes that are not UTF-8 runs at byte granularity
-    (its pass is labelled so).  One
-    command oracle serves every pass, so test numbers run on across passes
-    and at most one failing workspace is kept per run.
+    (and is labelled so).  One command oracle serves every pass, so test
+    numbers run on across passes and at most one failing workspace is kept
+    per run.
     """
     if not schedule:
         raise ValueError("schedule must contain at least one granularity")

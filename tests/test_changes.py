@@ -275,6 +275,11 @@ class TestApplySubset:
         with pytest.raises(ChangeConflict, match=message):
             apply_subset({"f": "x\na"}, ChangeSet(tuple(changes)), Configuration.full(1))
 
+    def test_an_added_file_keeps_its_last_newline(self):
+        changes = split_unified_diff("--- /dev/null\n+++ b/g\n@@ -0,0 +1,2 @@\n+x\n+y\n")
+        tree = apply_subset({"f": "a\n"}, ChangeSet(tuple(changes)), Configuration.full(1))
+        assert tree == {"f": "a\n", "g": "x\ny\n"}
+
     def test_application_order_cannot_matter(self):
         # Changes are non-overlapping and applied in ascending anchors;
         # any subset yields the same tree as applying them one by one.
