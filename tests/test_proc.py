@@ -75,23 +75,29 @@ def interrupt_wait_when(ready: Path, monkeypatch) -> None:
     monkeypatch.setattr(select, "poll", Poll)
 
 
+EXIT_TABLE = [
+    (0, Outcome.FAIL),
+    (1, Outcome.PASS),
+    (2, Outcome.PASS),
+    (124, Outcome.PASS),
+    (125, Outcome.UNRESOLVED),
+    (126, Outcome.PASS),
+    (127, Outcome.PASS),
+    (128, Outcome.UNRESOLVED),
+    (200, Outcome.UNRESOLVED),
+    (-11, Outcome.UNRESOLVED),
+    (-9, Outcome.UNRESOLVED),
+    (None, Outcome.UNRESOLVED),
+]
+
+
 class TestMapExitStatus:
+    # Each row is named by its index (status0, status1, ...), so a row's id
+    # does not change with how the status is written.
     @pytest.mark.parametrize(
         "status,expected",
-        [
-            (0, Outcome.FAIL),
-            (1, Outcome.PASS),
-            (2, Outcome.PASS),
-            (124, Outcome.PASS),
-            (125, Outcome.UNRESOLVED),
-            (126, Outcome.PASS),
-            (127, Outcome.PASS),
-            (128, Outcome.UNRESOLVED),
-            (200, Outcome.UNRESOLVED),
-            (-11, Outcome.UNRESOLVED),
-            (-9, Outcome.UNRESOLVED),
-            (None, Outcome.UNRESOLVED),
-        ],
+        EXIT_TABLE,
+        ids=[f"status{i}-{expected}" for i, (_, expected) in enumerate(EXIT_TABLE)],
     )
     def test_mapping_table(self, status, expected):
         assert map_exit_status(status) == expected
