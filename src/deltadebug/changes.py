@@ -128,13 +128,16 @@ def _check_acyclic(dependencies: Mapping[int, frozenset[int]]) -> None:
 
 # --- tree helpers -----------------------------------------------------------
 
+# Files are read and written as UTF-8 bytes, without newline translation,
+# so a tree keeps its CRLF or lone CR line endings.
+
 def load_tree(root: Union[str, Path]) -> FileTree:
     root = Path(root)
     tree: FileTree = {}
     for path in sorted(root.rglob("*")):
         if path.is_file():
             rel = path.relative_to(root).as_posix()
-            tree[rel] = path.read_text(encoding="utf-8")
+            tree[rel] = path.read_bytes().decode("utf-8")
     return tree
 
 
@@ -143,7 +146,7 @@ def write_tree(tree: FileTree, root: Union[str, Path]) -> None:
     for rel, content in tree.items():
         dest = root / rel
         dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_text(content, encoding="utf-8")
+        dest.write_bytes(content.encode("utf-8"))
 
 
 # --- unified diff parsing ---------------------------------------------------
@@ -503,30 +506,33 @@ def minimize_changes(
     With ``groups``, a first pass minimizes over group deltas and a second
     pass then minimizes over the winning groups' member changes, taking both
     axiom answers from the group pass.  Infeasible subsets (per the
-    dependency relation) are rejected before any process is spawned.
+    dependency relation) are rejected before any process is spawned.  Both
+    passes share one command oracle and its workspace, which is removed
+    when the run ends, also on an exception.
     """
     n = len(changeset)
-    command = CommandOracle(spec.with_materializer(change_materializer(baseline, changeset)))
-    passes: list[ChangePass] = []
+    materializer = change_materializer(baseline, changeset)
+    with CommandOracle(spec.with_materializer(materializer)) as command:
+        passes: list[ChangePass] = []
 
-    survivors = Configuration.full(n)
-    if groups is not None:
-        group_parts = [
-            sum(1 << i for i in ids) for ids in group_deltas(changeset, groups).values()
-        ]
-        group_oracle = ChangeOracle(command, n, group_parts, changeset.dependencies)
-        group_result = ddmin(Configuration.full(len(group_parts)), group_oracle, options)
-        passes.append(ChangePass("groups", group_result))
-        survivors = group_oracle.expand(group_result.final)
+        survivors = Configuration.full(n)
+        if groups is not None:
+            group_parts = [
+                sum(1 << i for i in ids) for ids in group_deltas(changeset, groups).values()
+            ]
+            group_oracle = ChangeOracle(command, n, group_parts, changeset.dependencies)
+            group_result = ddmin(Configuration.full(len(group_parts)), group_oracle, options)
+            passes.append(ChangePass("groups", group_result))
+            survivors = group_oracle.expand(group_result.final)
 
-    member_oracle = ChangeOracle(
-        command, n, [1 << i for i in survivors.members], changeset.dependencies
-    )
-    members = Configuration.full(len(survivors))
-    if passes:
-        options = next_pass_options(options, members)
-    member_result = ddmin(members, member_oracle, options)
-    passes.append(ChangePass("changes", member_result))
+        member_oracle = ChangeOracle(
+            command, n, [1 << i for i in survivors.members], changeset.dependencies
+        )
+        members = Configuration.full(len(survivors))
+        if passes:
+            options = next_pass_options(options, members)
+        member_result = ddmin(members, member_oracle, options)
+        passes.append(ChangePass("changes", member_result))
     final = member_oracle.expand(member_result.final)
     diff_text = render_unified_diff([changeset.changes[i] for i in final.members])
     return ChangeMinimization(

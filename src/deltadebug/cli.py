@@ -171,7 +171,9 @@ def cmd_minimize_changes(args) -> int:
     from . import changes
 
     baseline = changes.load_tree(args.baseline)
-    diff_text = Path(args.diff).read_text(encoding="utf-8")
+    # No newline translation: a CRLF diff's lines keep their CR, as do the
+    # baseline's (see changes.load_tree).
+    diff_text = Path(args.diff).read_bytes().decode("utf-8")
     atomic = changes.split_unified_diff(diff_text)
     dependencies = {}
     if args.deps:
@@ -275,7 +277,7 @@ def _add_common(p: argparse.ArgumentParser, command_oracle: bool) -> None:
                             "125 = unresolved, other = pass")
         p.add_argument("--timeout", type=int, default=60_000, metavar="MS",
                        help="per-test timeout in milliseconds (default 60000)")
-        p.add_argument("--workspace", help="directory for per-test workspaces")
+        p.add_argument("--workspace", help="directory for the run's workspace")
         p.add_argument("--keep-failing", action="store_true",
                        help="keep the workspace of the last failing test")
 
@@ -342,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _install_signal_handlers() -> None:
     # The SystemExit unwinds through the running test, whose cleanup kills
-    # its process group and removes its workspace.
+    # its process group, and through the front-end, which removes the run's
+    # workspace.
     def handler(signum, frame):
         print(f"interrupted by signal {signum}", file=sys.stderr)
         raise SystemExit(1)

@@ -117,8 +117,9 @@ def minimize_input(
     pass.  Later passes take both axiom answers from the first, and a
     later char pass over bytes that are not UTF-8 runs at byte granularity
     (and is labelled so).  One command oracle serves every pass, so test
-    numbers run on across passes and at most one failing workspace is kept
-    per run.
+    numbers run on across passes, the passes share one workspace, and at
+    most one failing workspace is kept per run.  The run's workspace is
+    removed when the run ends, also on an exception.
     """
     if not schedule:
         raise ValueError("schedule must contain at least one granularity")
@@ -126,25 +127,25 @@ def minimize_input(
         tokenize(b"", granularity)
     current = data
     passes: list[InputPass] = []
-    oracle = CommandOracle(spec)
-    for granularity in schedule:
-        try:
-            tokens = tokenize(current, granularity)
-        except ValueError:  # a later char pass over bytes that are not UTF-8
-            if not passes:
-                raise
-            granularity, tokens = "byte", tokenize(current, "byte")
-        oracle.spec = spec.with_materializer(
-            candidate_materializer(tokens, candidate_name)
-        )
-        universe = Configuration.full(len(tokens))
-        pass_options = next_pass_options(options, universe) if passes else options
-        try:
-            result = ddmin(universe, oracle, pass_options)
-        except AxiomViolation as exc:
-            raise AxiomViolation(
-                f"{granularity} pass: {exc}", exc.log
-            ) from exc
-        current = render(tokens, result.final)
-        passes.append(InputPass(granularity, result, current))
+    with CommandOracle(spec) as oracle:
+        for granularity in schedule:
+            try:
+                tokens = tokenize(current, granularity)
+            except ValueError:  # a later char pass over bytes that are not UTF-8
+                if not passes:
+                    raise
+                granularity, tokens = "byte", tokenize(current, "byte")
+            oracle.spec = spec.with_materializer(
+                candidate_materializer(tokens, candidate_name)
+            )
+            universe = Configuration.full(len(tokens))
+            pass_options = next_pass_options(options, universe) if passes else options
+            try:
+                result = ddmin(universe, oracle, pass_options)
+            except AxiomViolation as exc:
+                raise AxiomViolation(
+                    f"{granularity} pass: {exc}", exc.log
+                ) from exc
+            current = render(tokens, result.final)
+            passes.append(InputPass(granularity, result, current))
     return InputMinimization(minimized=current, passes=passes, oracle=oracle)

@@ -1,13 +1,13 @@
 """Test oracles realized as external commands over materialized scenarios.
 
-Each evaluation gets a fresh workspace under the workspace root.  A
-front-end supplied materializer writes the scenario into the workspace's
-``tree`` directory (and may return extra argv entries such as the
-candidate file path).  The command runs with that tree as its working
-directory, so it sees only the scenario; its stdout and stderr go to
-``stdout.log`` and ``stderr.log`` beside the tree.  It signals the outcome
-through its exit status, kept as its return code: ``None`` for a timeout
-and ``-N`` for death by signal N.
+A run's tests share one workspace under the workspace root, whose
+``tree`` directory is emptied before each test.  A front-end supplied
+materializer writes the scenario into that tree (and may return extra argv
+entries such as the candidate file path).  The command runs with the tree
+as its working directory, so it sees only the scenario; its stdout and
+stderr go to ``stdout.log`` and ``stderr.log`` beside the tree.  It
+signals the outcome through its exit status, kept as its return code:
+``None`` for a timeout and ``-N`` for death by signal N.
 
     0            FAIL (the failure of interest reproduced)
     125          UNRESOLVED
@@ -28,6 +28,7 @@ import os
 import select
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import time
@@ -136,102 +137,158 @@ def _kill_group_and_reap(proc: subprocess.Popen) -> int:
     return proc.wait()
 
 
-def evaluate_command(
-    spec: CommandOracleSpec,
-    config: Configuration,
-    test_seq: int = 1,
-) -> tuple[Outcome, ExecutionEvidence]:
-    """Materialize ``config`` into a fresh workspace's tree and run the
-    command there.
+def _empty(tree: Path) -> None:
+    """Remove everything inside ``tree``, unlinking symlinks without
+    following them; raise ``OSError`` if ``tree`` is no longer a plain
+    directory or something in it cannot be removed."""
+    if not stat.S_ISDIR(os.lstat(tree).st_mode):
+        raise NotADirectoryError(f"{tree} is not a directory")
+    with os.scandir(tree) as entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                shutil.rmtree(entry.path)
+            else:
+                os.unlink(entry.path)
 
-    The workspace is deleted afterwards unless ``keep_failing`` is set and
-    the outcome is FAIL, also when an exception or signal interrupts the
-    test; the command's process group is killed whenever it ends.  A
-    materializer conflict yields UNRESOLVED without spawning a process; a
-    command that cannot be executed at all raises.
+
+def evaluate_command(
+    oracle: "CommandOracle", config: Configuration
+) -> tuple[Outcome, ExecutionEvidence]:
+    """Run the oracle's next test: materialize ``config`` into the emptied
+    tree of the run's workspace and run the command there.
+
+    This is the body of ``CommandOracle.evaluate``, kept at module level so
+    that it can be wrapped by name.  The command's process group is killed
+    whenever the command ends, also when an exception or signal interrupts
+    the test.  A materializer conflict yields UNRESOLVED without spawning a
+    process; a command that cannot be executed at all raises.  With
+    ``keep_failing``, a FAIL's workspace becomes the oracle's
+    ``kept_workspace``.
     """
+    spec = oracle.spec
     if spec.materializer is None:
         raise ValueError("spec has no materializer")
-    # Resolve the root: the command's cwd is the workspace's tree, so the
-    # tree path (and anything derived from it, like the candidate file
-    # argument) must be absolute.
-    root = Path(spec.workspace_root).resolve() if spec.workspace_root else Path(tempfile.gettempdir())
-    root.mkdir(parents=True, exist_ok=True)
-    workspace = Path(tempfile.mkdtemp(prefix=f"ddmin-{test_seq:06d}-", dir=root))
+    oracle.tests_run += 1
+    workspace = oracle._empty_workspace()
     tree = workspace / TREE_NAME
     started = time.perf_counter()
 
     def elapsed_ms() -> float:
         return (time.perf_counter() - started) * 1000.0
 
-    outcome: Optional[Outcome] = None
     try:
-        tree.mkdir()
-        try:
-            extra = spec.materializer(config, tree)
-        except MaterializeConflict as exc:
-            return Outcome.UNRESOLVED, ExecutionEvidence(
-                returncode=None,
-                workspace=str(workspace),
-                duration_ms=elapsed_ms(),
-                conflict=str(exc),
-            )
-
-        argv = list(spec.argv) + [str(a) for a in (extra or [])]
-        env = dict(os.environ)
-        env["DDMIN_TEST_SEQ"] = str(test_seq)
-        env["DDMIN_CONFIG_SIZE"] = str(len(config))
-        env["DDMIN_UNIVERSE_SIZE"] = str(config.universe_size)
-
-        with open(workspace / STDOUT_NAME, "wb") as out, open(workspace / STDERR_NAME, "wb") as err:
-            try:
-                proc = subprocess.Popen(
-                    argv,
-                    cwd=tree,
-                    env=env,
-                    stdin=subprocess.DEVNULL,
-                    stdout=out,
-                    stderr=err,
-                    start_new_session=True,
-                )
-            except OSError as exc:
-                raise OracleExecutionError(f"cannot execute {argv[0]!r}: {exc}") from exc
-        try:
-            exited = _wait_for_exit(proc, spec.timeout_ms)
-        finally:
-            returncode = _kill_group_and_reap(proc)
-        if not exited:
-            returncode = None
-
-        outcome = map_exit_status(returncode)
-        return outcome, ExecutionEvidence(
-            returncode=returncode,
+        extra = spec.materializer(config, tree)
+    except MaterializeConflict as exc:
+        return Outcome.UNRESOLVED, ExecutionEvidence(
+            returncode=None,
             workspace=str(workspace),
             duration_ms=elapsed_ms(),
+            conflict=str(exc),
         )
+
+    argv = list(spec.argv) + [str(a) for a in (extra or [])]
+    env = {
+        **oracle._environ,
+        b"DDMIN_TEST_SEQ": b"%d" % oracle.tests_run,
+        b"DDMIN_CONFIG_SIZE": b"%d" % len(config),
+        b"DDMIN_UNIVERSE_SIZE": b"%d" % config.universe_size,
+    }
+    # Opening for writing truncates what the previous test left.
+    with open(workspace / STDOUT_NAME, "wb", buffering=0) as out, \
+            open(workspace / STDERR_NAME, "wb", buffering=0) as err:
+        try:
+            proc = subprocess.Popen(
+                argv,
+                cwd=tree,
+                env=env,
+                stdin=subprocess.DEVNULL,
+                stdout=out,
+                stderr=err,
+                start_new_session=True,
+            )
+        except OSError as exc:
+            raise OracleExecutionError(f"cannot execute {argv[0]!r}: {exc}") from exc
+    try:
+        exited = _wait_for_exit(proc, spec.timeout_ms)
     finally:
-        if not (spec.keep_failing and outcome == Outcome.FAIL):
-            shutil.rmtree(workspace, ignore_errors=True)
+        returncode = _kill_group_and_reap(proc)
+    if not exited:
+        returncode = None
+
+    outcome = map_exit_status(returncode)
+    if spec.keep_failing and outcome == Outcome.FAIL:
+        oracle._keep_workspace()
+    return outcome, ExecutionEvidence(
+        returncode=returncode,
+        workspace=str(workspace),
+        duration_ms=elapsed_ms(),
+    )
 
 
 class CommandOracle:
-    """TestOracle over ``evaluate_command`` with per-run bookkeeping.
+    """TestOracle over ``evaluate_command`` that owns the run's workspace.
 
-    Keeps at most one failing workspace around: each new FAIL replaces the
-    previously kept one, so after a run the surviving workspace belongs to
-    the last failing test, i.e. the final configuration.
+    The workspace root is resolved and created, and the command's
+    environment taken, once, when the oracle is made.  Test after test then
+    runs in one workspace whose tree is emptied before each test; if
+    anything stays in it, the workspace is given up for a new one, so the
+    command never sees a file from an earlier test.
+
+    With ``keep_failing``, a FAIL's workspace is set aside as
+    ``kept_workspace``, replacing (and removing) the one kept before, and
+    the next test gets a new workspace.  After a run the surviving
+    workspace thus belongs to the last failing test, i.e. the final
+    configuration.
+
+    Use the oracle as a context manager: leaving the block removes the
+    run's workspace, and on an exception the kept one too, since the run
+    then reports no result.
     """
 
     def __init__(self, spec: CommandOracleSpec):
         self.spec = spec
         self.tests_run = 0
         self.kept_workspace: Optional[str] = None
+        # The command's cwd is the workspace's tree, so the tree path (and
+        # anything derived from it, like the candidate file argument) must
+        # be absolute.
+        root = spec.workspace_root
+        self._root = Path(root).resolve() if root else Path(tempfile.gettempdir())
+        self._root.mkdir(parents=True, exist_ok=True)
+        self._environ = dict(os.environb)
+        self._workspace: Optional[Path] = None
+
+    def __enter__(self) -> "CommandOracle":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._drop_workspace()
+        if exc_type is not None and self.kept_workspace:
+            shutil.rmtree(self.kept_workspace, ignore_errors=True)
+            self.kept_workspace = None
 
     def evaluate(self, config: Configuration) -> Outcome:
-        self.tests_run += 1
-        outcome, evidence = evaluate_command(self.spec, config, test_seq=self.tests_run)
-        if self.spec.keep_failing and outcome == Outcome.FAIL:
-            if self.kept_workspace and self.kept_workspace != evidence.workspace:
-                shutil.rmtree(self.kept_workspace, ignore_errors=True)
-            self.kept_workspace = evidence.workspace
-        return outcome
+        return evaluate_command(self, config)[0]
+
+    def _drop_workspace(self) -> None:
+        if self._workspace is not None:
+            shutil.rmtree(self._workspace, ignore_errors=True)
+            self._workspace = None
+
+    def _empty_workspace(self) -> Path:
+        """The run's workspace, its tree empty."""
+        if self._workspace is not None:
+            try:
+                _empty(self._workspace / TREE_NAME)
+                return self._workspace
+            except OSError:
+                self._drop_workspace()
+        self._workspace = Path(tempfile.mkdtemp(prefix="ddmin-", dir=self._root))
+        (self._workspace / TREE_NAME).mkdir()
+        return self._workspace
+
+    def _keep_workspace(self) -> None:
+        if self.kept_workspace:
+            shutil.rmtree(self.kept_workspace, ignore_errors=True)
+        self.kept_workspace = str(self._workspace)
+        self._workspace = None

@@ -28,6 +28,7 @@ from deltadebug.core import SOURCE_ORACLE
 from deltadebug.inputmin import render, tokenize
 from deltadebug.oracles import random_monotone, single_cause
 from deltadebug.proc import (
+    CommandOracle,
     CommandOracleSpec,
     evaluate_command,
     map_exit_status,
@@ -269,7 +270,8 @@ def test_criterion_8_exit_code_protocol(make_script, workspace_root):
             workspace_root=workspace_root,
             timeout_ms=timeout_ms,
         )
-        return evaluate_command(spec, config)
+        with CommandOracle(spec) as oracle:
+            return evaluate_command(oracle, config)
 
     for code in (0, 1, 124, 125, 126, 127, 128):
         outcome, evidence = run_script(f"exit {code}")

@@ -288,6 +288,29 @@ class TestMinimizeChangesCommand:
         assert named in err
         assert "axiom" not in err
 
+    def test_crlf_tree_and_diff_keep_their_line_endings(self, tmp_path, make_script):
+        # The test sees the patched file with its CRLF endings, and an
+        # untouched file with lone CRs, byte for byte.
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "a.txt").write_bytes(b"one\r\ntwo\r\n")
+        (baseline_dir / "c.txt").write_bytes(b"p\rq\r")
+        diff = tmp_path / "crlf.diff"
+        diff.write_bytes(b"--- a/a.txt\r\n+++ b/a.txt\r\n@@ -1 +1 @@\r\n-one\r\n+BUG\r\n")
+        script = make_script(
+            "printf 'BUG\\r\\ntwo\\r\\n' | cmp -s - \"$1/a.txt\" && "
+            "printf 'p\\rq\\r' | cmp -s - \"$1/c.txt\""
+        )
+        out_diff = tmp_path / "min.diff"
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir), "--diff", str(diff),
+            "--test", script, "--output-diff", str(out_diff), *common_flags(tmp_path),
+        ])
+        assert code == 0
+        assert out_diff.read_bytes() == (
+            b"--- a/a.txt\n+++ b/a.txt\n@@ -1,1 +1,1 @@\n-one\r\n+BUG\r\n"
+        )
+
     def test_malformed_diff_is_a_hard_error(self, tmp_path, make_script, capsys):
         baseline_dir = tmp_path / "b"
         baseline_dir.mkdir()

@@ -138,9 +138,9 @@ class TestMinimizeInput:
         data = "junk\n778玉\nmore\n".encode("utf-8")
         outcome = minimize_input(data, substring_spec)
         tokenized = tokenize(outcome.minimized, "char")
-        oracle = CommandOracle(
+        with CommandOracle(
             substring_spec.with_materializer(
                 candidate_materializer(tokenized, "candidate.dat")
             )
-        )
-        assert oracle.evaluate(Configuration.full(len(tokenized))) == Outcome.FAIL
+        ) as oracle:
+            assert oracle.evaluate(Configuration.full(len(tokenized))) == Outcome.FAIL

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from deltadebug import Configuration, Outcome
+from deltadebug.inputmin import minimize_input
 from deltadebug.proc import (
     CommandOracle,
     CommandOracleSpec,
@@ -27,6 +28,13 @@ def spec_for(argv, workspace_root, **kwargs):
     return CommandOracleSpec(argv=argv, workspace_root=workspace_root, **kwargs)
 
 
+def run_once(spec, config, test_seq=1):
+    """Run ``config`` as test number ``test_seq`` of a run of its own."""
+    with CommandOracle(spec) as oracle:
+        oracle.tests_run = test_seq - 1
+        return evaluate_command(oracle, config)
+
+
 @pytest.fixture(params=["pidfd", "fallback"])
 def wait_path(request, monkeypatch):
     """Run a test over each way ``evaluate_command`` can wait for the command:
@@ -44,22 +52,22 @@ def wait_path(request, monkeypatch):
 
 
 def interrupt_wait_when(ready: Path, monkeypatch) -> None:
-    """Make the wait for the command raise KeyboardInterrupt, as Ctrl-C
-    would, once the command has created ``ready``."""
-
-    def interrupt():
-        deadline = time.monotonic() + 5
-        while not ready.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        raise KeyboardInterrupt
-
+    """Make the wait for a command raise KeyboardInterrupt, as Ctrl-C
+    would, once the command has created ``ready``; a command that exits
+    first is waited for as usual."""
     real_wait = subprocess.Popen.wait
     real_poll = select.poll
+    deadline = time.monotonic() + 5
 
     def wait(self, timeout=None):
-        if timeout is not None:
-            interrupt()
-        return real_wait(self, timeout)
+        if timeout is None:  # the reap after the kill
+            return real_wait(self)
+        while not ready.exists() and time.monotonic() < deadline:
+            try:
+                return real_wait(self, 0.01)
+            except subprocess.TimeoutExpired:
+                pass
+        raise KeyboardInterrupt
 
     class Poll:
         def __init__(self):
@@ -69,7 +77,11 @@ def interrupt_wait_when(ready: Path, monkeypatch) -> None:
             self._poll.register(*args)
 
         def poll(self, timeout=None):
-            interrupt()
+            while not ready.exists() and time.monotonic() < deadline:
+                events = self._poll.poll(10)
+                if events:
+                    return events
+            raise KeyboardInterrupt
 
     monkeypatch.setattr(subprocess.Popen, "wait", wait)
     monkeypatch.setattr(select, "poll", Poll)
@@ -108,16 +120,17 @@ class TestEvaluateCommand:
         self, make_script, workspace_root, wait_path
     ):
         spec = spec_for([make_script("exit 0")], workspace_root)
-        for members in ([], [0], [0, 1]):
-            outcome, _ = evaluate_command(spec, Configuration(2, members))
-            assert outcome == Outcome.FAIL
+        with CommandOracle(spec) as oracle:
+            for members in ([], [0], [0, 1]):
+                outcome, _ = evaluate_command(oracle, Configuration(2, members))
+                assert outcome == Outcome.FAIL
 
     def test_timeout_returns_unresolved_with_duration(
         self, make_script, workspace_root, wait_path
     ):
         spec = spec_for([make_script("sleep 30")], workspace_root, timeout_ms=300)
         start = time.monotonic()
-        outcome, evidence = evaluate_command(spec, Configuration(1, [0]))
+        outcome, evidence = run_once(spec, Configuration(1, [0]))
         elapsed = time.monotonic() - start
         assert outcome == Outcome.UNRESOLVED
         assert evidence.returncode is None
@@ -131,7 +144,7 @@ class TestEvaluateCommand:
         # The child spawns a grandchild that would write after 2 s.
         body = f"(sleep 2; echo alive > {marker}) &\nsleep 30"
         spec = spec_for([make_script(body)], workspace_root, timeout_ms=300)
-        outcome, _ = evaluate_command(spec, Configuration(1, [0]))
+        outcome, _ = run_once(spec, Configuration(1, [0]))
         assert outcome == Outcome.UNRESOLVED
         time.sleep(2.2)
         assert not marker.exists()
@@ -143,7 +156,7 @@ class TestEvaluateCommand:
         # The command exits at once, leaving a child that would write after 1 s.
         body = f"(sleep 1; echo alive > {marker}) &\nexit 1"
         spec = spec_for([make_script(body)], workspace_root)
-        outcome, _ = evaluate_command(spec, Configuration(1, [0]))
+        outcome, _ = run_once(spec, Configuration(1, [0]))
         assert outcome == Outcome.PASS
         time.sleep(1.5)
         assert not marker.exists()
@@ -158,10 +171,35 @@ class TestEvaluateCommand:
         spec = spec_for([make_script(body)], workspace_root, keep_failing=True)
         interrupt_wait_when(ready, monkeypatch)
         with pytest.raises(KeyboardInterrupt):
-            evaluate_command(spec, Configuration(1, [0]))
+            run_once(spec, Configuration(1, [0]))
         assert ready.exists()
         assert list(workspace_root.iterdir()) == []
         time.sleep(1.5)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("keep_failing", [False, True])
+    def test_interrupt_in_the_middle_of_a_run_leaves_nothing(
+        self, make_script, workspace_root, tmp_path, wait_path, monkeypatch, keep_failing
+    ):
+        # Tests 1 and 2 (the full and the empty input) run to the end, and
+        # with keep_failing the first, a FAIL, is kept; test 3 is
+        # interrupted while a background child of it still runs.
+        marker = tmp_path / "marker"
+        ready = tmp_path / "ready"
+        body = (
+            'if [ "$DDMIN_TEST_SEQ" -ge 3 ]; then\n'
+            f"  (sleep 0.5; echo alive > {marker}) &\n  touch {ready}\n  sleep 30\nfi\n"
+            'grep -q BUG "$1"'
+        )
+        spec = CommandOracleSpec(
+            argv=[make_script(body)], workspace_root=workspace_root, keep_failing=keep_failing
+        )
+        interrupt_wait_when(ready, monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            minimize_input(b"a\nBUG\nb\nc\n", spec, schedule=["line"])
+        assert ready.exists()
+        assert list(workspace_root.iterdir()) == []
+        time.sleep(0.8)
         assert not marker.exists()
 
     def test_materializer_conflict_is_unresolved_without_spawn(self, workspace_root, tmp_path):
@@ -175,7 +213,7 @@ class TestEvaluateCommand:
             materializer=conflicting,
             workspace_root=workspace_root,
         )
-        outcome, evidence = evaluate_command(spec, Configuration(2, [1]))
+        outcome, evidence = run_once(spec, Configuration(2, [1]))
         assert outcome == Outcome.UNRESOLVED
         assert evidence.returncode is None
         assert evidence.conflict == "change 1 does not apply"
@@ -184,13 +222,13 @@ class TestEvaluateCommand:
     def test_missing_command_is_a_hard_error(self, workspace_root):
         spec = spec_for(["/no/such/binary"], workspace_root)
         with pytest.raises(OracleExecutionError):
-            evaluate_command(spec, Configuration(1, [0]))
+            run_once(spec, Configuration(1, [0]))
 
     def test_environment_variables(self, make_script, workspace_root, tmp_path):
         out = tmp_path / "env.txt"
         body = f'echo "$DDMIN_TEST_SEQ $DDMIN_CONFIG_SIZE $DDMIN_UNIVERSE_SIZE" > {out}; exit 1'
         spec = spec_for([make_script(body)], workspace_root)
-        evaluate_command(spec, Configuration(5, [1, 2]), test_seq=7)
+        run_once(spec, Configuration(5, [1, 2]), test_seq=7)
         assert out.read_text().split() == ["7", "2", "5"]
 
     def test_relative_workspace_root_still_yields_absolute_paths(
@@ -210,7 +248,7 @@ class TestEvaluateCommand:
             materializer=materializer,
             workspace_root="ws",
         )
-        outcome, evidence = evaluate_command(spec, Configuration(1, [0]))
+        outcome, evidence = run_once(spec, Configuration(1, [0]))
         assert outcome == Outcome.FAIL
         assert Path(evidence.workspace).is_absolute()
 
@@ -219,17 +257,20 @@ class TestEvaluateCommand:
         out = tmp_path / "probe.txt"
         body = f'echo "[$DDMIN_PROBE]" > {out}; exit 1'
         spec = spec_for([make_script(body)], workspace_root)
-        evaluate_command(spec, Configuration(1, [0]))
+        run_once(spec, Configuration(1, [0]))
         assert out.read_text().strip() == "[hello]"
 
     def test_command_runs_in_fresh_workspace(self, make_script, workspace_root):
+        # Both tests run in the run's one workspace, its tree emptied between.
         script = make_script('test ! -e stale || exit 1; touch stale; exit 0')
         spec = spec_for([script], workspace_root)
-        first, _ = evaluate_command(spec, Configuration(1, [0]), test_seq=1)
-        second, _ = evaluate_command(spec, Configuration(1, []), test_seq=2)
+        with CommandOracle(spec) as oracle:
+            first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
+            second, ev2 = evaluate_command(oracle, Configuration(1, []))
         # If workspace files leaked between tests the second run would PASS.
         assert first == Outcome.FAIL
         assert second == Outcome.FAIL
+        assert ev1.workspace == ev2.workspace
 
     def test_the_command_sees_only_the_materialized_files(self, make_script, workspace_root):
         def materializer(config, directory):
@@ -241,29 +282,34 @@ class TestEvaluateCommand:
         spec = spec_for(
             [script], workspace_root, materializer=materializer, keep_failing=True
         )
-        outcome, evidence = evaluate_command(spec, Configuration(1, [0]))
+        outcome, evidence = run_once(spec, Configuration(1, [0]))
         assert outcome == Outcome.FAIL
         kept = sorted(p.name for p in Path(evidence.workspace).iterdir())
         assert kept == ["stderr.log", "stdout.log", "tree"]
 
     def test_workspace_paths_never_repeat(self, make_script, workspace_root):
-        spec = spec_for([make_script("exit 1")], workspace_root)
-        _, ev1 = evaluate_command(spec, Configuration(1, [0]), test_seq=1)
-        _, ev2 = evaluate_command(spec, Configuration(1, [0]), test_seq=2)
-        assert ev1.workspace != ev2.workspace
+        # A kept FAIL's workspace is never used again, and two runs over one
+        # root never share a workspace.
+        spec = spec_for([make_script("exit 0")], workspace_root, keep_failing=True)
+        with CommandOracle(spec) as first, CommandOracle(spec) as second:
+            paths = [
+                evaluate_command(oracle, Configuration(1, [0]))[1].workspace
+                for oracle in (first, second, first, second)
+            ]
+        assert len(set(paths)) == 4
 
     def test_workspace_deleted_unless_keep_failing_and_fail(self, make_script, workspace_root):
         spec = spec_for([make_script("exit 0")], workspace_root)
-        _, ev = evaluate_command(spec, Configuration(1, [0]))
+        _, ev = run_once(spec, Configuration(1, [0]))
         assert not Path(ev.workspace).exists()
 
         keep = spec_for([make_script("echo boom; exit 0")], workspace_root, keep_failing=True)
-        _, ev = evaluate_command(keep, Configuration(1, [0]))
+        _, ev = run_once(keep, Configuration(1, [0]))
         assert Path(ev.workspace).exists()
         assert "boom" in (Path(ev.workspace) / "stdout.log").read_text()
 
         keep_pass = spec_for([make_script("exit 1")], workspace_root, keep_failing=True)
-        _, ev = evaluate_command(keep_pass, Configuration(1, [0]))
+        _, ev = run_once(keep_pass, Configuration(1, [0]))
         assert not Path(ev.workspace).exists()
 
     def test_materializer_extra_args_are_appended(self, make_script, workspace_root, tmp_path):
@@ -278,18 +324,134 @@ class TestEvaluateCommand:
         spec = CommandOracleSpec(
             argv=[script], materializer=materializer, workspace_root=workspace_root
         )
-        evaluate_command(spec, Configuration(1, [0]))
+        run_once(spec, Configuration(1, [0]))
         assert out.read_text().strip().endswith("input.bin")
+
+
+class TestRunWorkspace:
+    """A run's tests share one workspace; nothing of one test reaches the next."""
+
+    # Test 1 leaves what ``LEAVE`` makes; each later test exits 0 (FAIL)
+    # only if its tree is empty.
+    CHECK = 'test -z "$(ls -A)"'
+
+    def script(self, make_script, leave):
+        return make_script(f'if [ "$DDMIN_TEST_SEQ" = 1 ]; then\n{leave}\nexit 1\nfi\n{self.CHECK}')
+
+    def test_files_directories_and_symlinks_are_gone_at_the_next_test(
+        self, make_script, workspace_root, tmp_path
+    ):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "keep.txt").write_text("keep\n")
+        leave = f"echo x > file; mkdir -p sub/deeper; echo y > sub/deeper/f; ln -s {outside} link"
+        spec = spec_for([self.script(make_script, leave)], workspace_root)
+        with CommandOracle(spec) as oracle:
+            first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
+            tree = Path(ev1.workspace) / "tree"
+            assert sorted(p.name for p in tree.iterdir()) == ["file", "link", "sub"]
+            second, ev2 = evaluate_command(oracle, Configuration(1, [0]))
+        assert (first, second) == (Outcome.PASS, Outcome.FAIL)
+        assert ev1.workspace == ev2.workspace
+        assert (outside / "keep.txt").read_text() == "keep\n"
+        assert list(workspace_root.iterdir()) == []
+
+    def test_a_tree_replaced_by_a_symlink_gives_the_workspace_up(
+        self, make_script, workspace_root, tmp_path
+    ):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "keep.txt").write_text("keep\n")
+        leave = f"cd ..; rm -r tree; ln -s {outside} tree"
+        spec = spec_for([self.script(make_script, leave)], workspace_root)
+        with CommandOracle(spec) as oracle:
+            first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
+            second, ev2 = evaluate_command(oracle, Configuration(1, [0]))
+            assert not Path(ev1.workspace).exists()
+        assert (first, second) == (Outcome.PASS, Outcome.FAIL)
+        assert ev1.workspace != ev2.workspace
+        assert sorted(p.name for p in outside.iterdir()) == ["keep.txt"]
+        assert list(workspace_root.iterdir()) == []
+
+    def test_a_read_only_directory_leaves_no_stale_file(self, make_script, workspace_root):
+        # Without write permission on ro/, only the superuser can empty it;
+        # anyone else gets a new workspace.  Either way the tree is empty.
+        leave = "mkdir ro; echo stale > ro/f; chmod a-w ro"
+        spec = spec_for([self.script(make_script, leave)], workspace_root)
+        with CommandOracle(spec) as oracle:
+            outcomes = [evaluate_command(oracle, Configuration(1, [0]))[0] for _ in range(2)]
+        assert outcomes == [Outcome.PASS, Outcome.FAIL]
+
+    def test_sequence_numbers_count_across_passes(self, make_script, workspace_root, tmp_path):
+        seqs = tmp_path / "seqs"
+        script = make_script(f'echo "$DDMIN_TEST_SEQ" >> {seqs}; grep -q BUG "$1"')
+        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        run = minimize_input(b"a\nxBUGx\nb\n", spec, schedule=["line", "char"])
+        assert [p.granularity for p in run.passes] == ["line", "char"]
+        spawned = sum(
+            oracle + axiom
+            for oracle, _, axiom in (p.result.log.test_counts() for p in run.passes)
+        )
+        assert seqs.read_text().split() == [str(i) for i in range(1, spawned + 1)]
+        assert run.oracle.tests_run == spawned
+        assert list(workspace_root.iterdir()) == []
+
+    def test_a_kept_workspace_is_never_reused(self, make_script, workspace_root):
+        # Test 2 alone fails; tests 3 and 4 must not touch its workspace,
+        # which test 1 used before it.
+        script = make_script(
+            'echo "out $DDMIN_TEST_SEQ"; echo "err $DDMIN_TEST_SEQ" >&2; '
+            'echo "$DDMIN_TEST_SEQ" > seq; test "$DDMIN_TEST_SEQ" = 2'
+        )
+        spec = spec_for([script], workspace_root, keep_failing=True)
+        with CommandOracle(spec) as oracle:
+            runs = [evaluate_command(oracle, Configuration(1, [0])) for _ in range(4)]
+            kept = Path(oracle.kept_workspace)
+        assert [outcome for outcome, _ in runs] == [
+            Outcome.PASS, Outcome.FAIL, Outcome.PASS, Outcome.PASS
+        ]
+        workspaces = [evidence.workspace for _, evidence in runs]
+        assert workspaces[:2] == [str(kept)] * 2
+        assert workspaces[2] == workspaces[3] != str(kept)
+        assert (kept / "stdout.log").read_text() == "out 2\n"
+        assert (kept / "stderr.log").read_text() == "err 2\n"
+        assert (kept / "tree" / "seq").read_text() == "2\n"
+        assert list(workspace_root.iterdir()) == [kept]
+
+    def test_two_runs_never_share_a_workspace(
+        self, make_script, workspace_root, tmp_path, monkeypatch
+    ):
+        # Each test FAILs only on an empty tree and then leaves a file in
+        # it.  A run takes its environment when it starts, so RUN stays
+        # what it was then.
+        seen = tmp_path / "seen"
+        script = make_script(
+            f'echo "$RUN" >> {seen}; test -z "$(ls -A)" || exit 1; touch "left-by-$RUN"'
+        )
+        spec = spec_for([script], workspace_root)
+        with CommandOracle(spec) as a:
+            monkeypatch.setenv("RUN", "b")
+            with CommandOracle(spec) as b:
+                monkeypatch.setenv("RUN", "c")
+                runs = [
+                    evaluate_command(oracle, Configuration(1, [0]))
+                    for oracle in (a, b, a, b)
+                ]
+        assert [outcome for outcome, _ in runs] == [Outcome.FAIL] * 4
+        paths = [evidence.workspace for _, evidence in runs]
+        assert paths[0] == paths[2] != paths[1] == paths[3]
+        assert seen.read_text().split() == ["b", "b"]
+        assert list(workspace_root.iterdir()) == []
 
 
 class TestCommandOracle:
     def test_keeps_only_the_last_failing_workspace(self, make_script, workspace_root):
         spec = spec_for([make_script("exit 0")], workspace_root, keep_failing=True)
-        oracle = CommandOracle(spec)
-        oracle.evaluate(Configuration(2, [0]))
-        first_kept = oracle.kept_workspace
-        oracle.evaluate(Configuration(2, [1]))
-        second_kept = oracle.kept_workspace
+        with CommandOracle(spec) as oracle:
+            oracle.evaluate(Configuration(2, [0]))
+            first_kept = oracle.kept_workspace
+            oracle.evaluate(Configuration(2, [1]))
+            second_kept = oracle.kept_workspace
         assert first_kept != second_kept
         assert not Path(first_kept).exists()
         assert Path(second_kept).exists()
@@ -299,7 +461,7 @@ class TestCommandOracle:
         spec = spec_for(
             [make_script(f'echo "$DDMIN_TEST_SEQ" >> {out}; exit 1')], workspace_root
         )
-        oracle = CommandOracle(spec)
-        for _ in range(3):
-            oracle.evaluate(Configuration(1, [0]))
+        with CommandOracle(spec) as oracle:
+            for _ in range(3):
+                oracle.evaluate(Configuration(1, [0]))
         assert out.read_text().split() == ["1", "2", "3"]
