@@ -8,11 +8,13 @@ from .core import (
     EngineOptions,
     MinimizationResult,
     Outcome,
+    Pass,
     RunLog,
     TestOracle,
     TestRecord,
     ddmin,
     partition,
+    run_passes,
 )
 
 __version__ = "0.1.0"
@@ -24,9 +26,11 @@ __all__ = [
     "EngineOptions",
     "MinimizationResult",
     "Outcome",
+    "Pass",
     "RunLog",
     "TestOracle",
     "TestRecord",
     "ddmin",
     "partition",
+    "run_passes",
 ]

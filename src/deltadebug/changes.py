@@ -24,14 +24,13 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 from .core import (
     Configuration,
     EngineOptions,
-    MinimizationResult,
     OracleLike,
     Outcome,
+    Pass,
     SOURCE_FEASIBILITY,
     SOURCE_ORACLE,
     as_oracle,
-    ddmin,
-    next_pass_options,
+    run_passes,
 )
 from .proc import CommandOracle, CommandOracleSpec, MaterializeConflict
 
@@ -477,21 +476,11 @@ def parse_group_map(text: str) -> dict[int, str]:
 # --- driver -------------------------------------------------------------------
 
 @dataclass
-class ChangePass:
-    label: str  # "groups" or "changes"
-    result: MinimizationResult
-
-
-@dataclass
 class ChangeMinimization:
     final: Configuration  # over the raw change universe
-    passes: list[ChangePass]
+    passes: list[Pass]  # each pass's ids are change ids of the diff
     diff_text: str
     oracle: CommandOracle
-
-    @property
-    def final_result(self) -> MinimizationResult:
-        return self.passes[-1].result
 
 
 def minimize_changes(
@@ -512,28 +501,18 @@ def minimize_changes(
     """
     n = len(changeset)
     materializer = change_materializer(baseline, changeset)
+
+    def step(label: str, ids: Sequence[Sequence[int]]):
+        parts = [sum(1 << i for i in members) for members in ids]
+        return label, ids, ChangeOracle(command, n, parts, changeset.dependencies)
+
+    steps = [lambda kept: step("changes", [(i,) for i in kept])]
+    if groups is not None:
+        grouped = list(group_deltas(changeset, groups).values())
+        steps.insert(0, lambda kept: step("groups", grouped))
     with CommandOracle(spec.with_materializer(materializer)) as command:
-        passes: list[ChangePass] = []
-
-        survivors = Configuration.full(n)
-        if groups is not None:
-            group_parts = [
-                sum(1 << i for i in ids) for ids in group_deltas(changeset, groups).values()
-            ]
-            group_oracle = ChangeOracle(command, n, group_parts, changeset.dependencies)
-            group_result = ddmin(Configuration.full(len(group_parts)), group_oracle, options)
-            passes.append(ChangePass("groups", group_result))
-            survivors = group_oracle.expand(group_result.final)
-
-        member_oracle = ChangeOracle(
-            command, n, [1 << i for i in survivors.members], changeset.dependencies
-        )
-        members = Configuration.full(len(survivors))
-        if passes:
-            options = next_pass_options(options, members)
-        member_result = ddmin(members, member_oracle, options)
-        passes.append(ChangePass("changes", member_result))
-    final = member_oracle.expand(member_result.final)
+        passes = run_passes(range(n), steps, options)
+    final = Configuration(n, passes[-1].kept)
     diff_text = render_unified_diff([changeset.changes[i] for i in final.members])
     return ChangeMinimization(
         final=final, passes=passes, diff_text=diff_text, oracle=command

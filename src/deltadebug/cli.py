@@ -123,13 +123,24 @@ def _write_run_report(
     print(f"report: {args.report}")
 
 
-def _summarize(result: MinimizationResult, label: str) -> None:
-    log = result.log
-    oracle, cached, axiom = log.test_counts()
-    print(
-        f"{label}: {log.universe_size} -> {len(result.final)} deltas "
-        f"({oracle} oracle tests, {cached} cached, {axiom} axiom checks)"
+def _conclude(args, passes, lines, kept_workspace: Optional[str] = None) -> int:
+    """Print a summary of each pass, then ``lines``, then the kept failing
+    workspace, and write the report of the last pass with the earlier ones
+    under it."""
+    for p in passes:
+        oracle, cached, axiom = p.result.log.test_counts()
+        print(
+            f"{p.label} pass: {p.result.log.universe_size} -> {len(p.result.final)} "
+            f"deltas ({oracle} oracle tests, {cached} cached, {axiom} axiom checks)"
+        )
+    print(*lines, sep="\n")
+    if kept_workspace:
+        print(f"failing workspace kept: {kept_workspace}")
+    *earlier, last = passes
+    _write_run_report(
+        args, last.result.log, last.result, [(p.label, p.result) for p in earlier]
     )
+    return 0
 
 
 # --- minimize-input ----------------------------------------------------------
@@ -150,19 +161,12 @@ def cmd_minimize_input(args) -> int:
     )
     output = args.output or f"{args.input}.min"
     Path(output).write_bytes(outcome.minimized)
-    for p in outcome.passes:
-        _summarize(p.result, f"{p.granularity} pass")
-    print(f"minimized input: {output} ({len(outcome.minimized)} bytes)")
     last = outcome.passes[-1]
-    print(
-        f"verified 1-minimal at {last.granularity} granularity: "
-        f"{last.result.verified_1_minimal}"
-    )
-    if outcome.oracle.kept_workspace:
-        print(f"failing workspace kept: {outcome.oracle.kept_workspace}")
-    earlier = [(p.granularity, p.result) for p in outcome.passes[:-1]]
-    _write_run_report(args, last.result.log, last.result, earlier)
-    return 0
+    return _conclude(args, outcome.passes, [
+        f"minimized input: {output} ({len(outcome.minimized)} bytes)",
+        f"verified 1-minimal at {last.label} granularity: "
+        f"{last.result.verified_1_minimal}",
+    ], outcome.oracle.kept_workspace)
 
 
 # --- minimize-changes --------------------------------------------------------
@@ -197,17 +201,11 @@ def cmd_minimize_changes(args) -> int:
     outcome = changes.minimize_changes(
         baseline, changeset, spec, groups=groups, options=options
     )
-    for p in outcome.passes:
-        _summarize(p.result, f"{p.label} pass")
-
     output = args.output_diff or f"{args.diff}.min"
     Path(output).write_text(outcome.diff_text, encoding="utf-8")
-    print(f"minimal failure-inducing diff: {output} ({len(outcome.final)} changes)")
-    if outcome.oracle.kept_workspace:
-        print(f"failing workspace kept: {outcome.oracle.kept_workspace}")
-    earlier = [(p.label, p.result) for p in outcome.passes[:-1]]
-    _write_run_report(args, outcome.final_result.log, outcome.final_result, earlier)
-    return 0
+    return _conclude(args, outcome.passes, [
+        f"minimal failure-inducing diff: {output} ({len(outcome.final)} changes)",
+    ], outcome.oracle.kept_workspace)
 
 
 # --- reduce-trace ------------------------------------------------------------
@@ -229,13 +227,12 @@ def cmd_reduce_trace(args) -> int:
     slice_out = args.slice_out or f"{args.program}.slice"
     Path(slice_out).write_text(tracered.render_two_column(reduction), encoding="utf-8")
 
-    _summarize(reduction.result, "trace reduction")
     labels = " ".join(reduction.slice_labels)
-    print(f"critical slice ({len(reduction.slice_events)} events): {labels}")
-    print(f"trace file: {trace_out}")
-    print(f"slice: {slice_out}")
-    _write_run_report(args, reduction.result.log, reduction.result)
-    return 0
+    return _conclude(args, reduction.passes, [
+        f"critical slice ({len(reduction.slice_events)} events): {labels}",
+        f"trace file: {trace_out}",
+        f"slice: {slice_out}",
+    ])
 
 
 # --- bench -------------------------------------------------------------------

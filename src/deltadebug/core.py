@@ -303,21 +303,6 @@ class EngineOptions:
     on_record: Optional[Callable[[TestRecord], None]] = None
 
 
-def next_pass_options(
-    options: Optional[EngineOptions], universe: Configuration
-) -> EngineOptions:
-    """Options for a pass that starts from the previous pass's result.
-
-    Both axiom answers of such a pass are known: the empty configuration
-    passed and ``universe``, the previous result, failed.  They replace any
-    preloaded cache, whose bitmaps belong to the previous universe.
-    """
-    return dataclasses.replace(
-        options or EngineOptions(),
-        preloaded_cache={0: Outcome.PASS, universe.bits: Outcome.FAIL},
-    )
-
-
 def ddmin(
     universe: Configuration,
     oracle: OracleLike,
@@ -443,6 +428,57 @@ def ddmin(
     return MinimizationResult(
         final=final, log=log, verified_1_minimal=_verified_1_minimal(first, current)
     )
+
+
+@dataclass
+class Pass:
+    """One ddmin pass of a run, whose delta ``i`` stands for the run's input
+    ids ``ids[i]``: byte offsets of the original input, diff change ids, or
+    trace event numbers."""
+
+    label: str
+    result: MinimizationResult
+    ids: Sequence[Sequence[int]]
+
+    @property
+    def kept(self) -> tuple[int, ...]:
+        """The ascending input ids of the pass's result."""
+        members = map(self.ids.__getitem__, self.result.final.members)
+        return tuple(sorted(itertools.chain.from_iterable(members)))
+
+
+def run_passes(
+    input_ids: Sequence[int],
+    steps: Iterable[Callable[[Sequence[int]], tuple[str, Sequence[Sequence[int]], OracleLike]]],
+    options: Optional[EngineOptions] = None,
+) -> list[Pass]:
+    """Run one ddmin pass per step.  A step maps the input ids kept so far
+    (``input_ids`` at first) to its pass's label, ids and oracle, and the
+    pass starts from the full configuration of those ids.
+
+    A later pass takes both axiom answers from the pass before it: the
+    empty configuration passed and its full configuration, that pass's
+    result, failed.  They replace any preloaded cache, whose bitmaps belong
+    to the first pass's universe.  An axiom violation names its pass.
+    """
+    passes: list[Pass] = []
+    kept = input_ids
+    for step in steps:
+        label, ids, oracle = step(kept)
+        universe = Configuration.full(len(ids))
+        if passes:
+            options = dataclasses.replace(
+                options or EngineOptions(),
+                preloaded_cache={0: Outcome.PASS, universe.bits: Outcome.FAIL},
+            )
+        try:
+            # Through the module global, so a wrapped ``ddmin`` sees every pass.
+            result = ddmin(universe, oracle, options)
+        except AxiomViolation as exc:
+            raise AxiomViolation(f"{label} pass: {exc}", exc.log) from exc
+        passes.append(Pass(label, result, ids))
+        kept = passes[-1].kept
+    return passes
 
 
 def _verified_1_minimal(first: dict[int, TestRecord], final: int) -> Optional[bool]:

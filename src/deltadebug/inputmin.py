@@ -10,18 +10,13 @@ output is not valid UTF-8, the char pass runs over bytes instead.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import (
-    AxiomViolation,
-    Configuration,
-    EngineOptions,
-    MinimizationResult,
-    ddmin,
-    next_pass_options,
-)
+from .core import Configuration, EngineOptions, Pass, run_passes
 from .proc import CommandOracle, CommandOracleSpec
 
 GRANULARITIES = ("line", "char", "byte")
@@ -90,16 +85,9 @@ def candidate_materializer(tokens: tuple[bytes, ...], filename: str):
 
 
 @dataclass
-class InputPass:
-    granularity: str
-    result: MinimizationResult
-    minimized: bytes
-
-
-@dataclass
 class InputMinimization:
     minimized: bytes
-    passes: list[InputPass]
+    passes: list[Pass]  # each pass's ids are byte offsets of the input
     oracle: CommandOracle
 
 
@@ -125,27 +113,22 @@ def minimize_input(
         raise ValueError("schedule must contain at least one granularity")
     for granularity in schedule:  # rejects an unknown one before any test
         tokenize(b"", granularity)
-    current = data
-    passes: list[InputPass] = []
+
+    def step(granularity: str, first: bool, kept: Sequence[int]):
+        current = bytes(map(data.__getitem__, kept))
+        try:
+            tokens = tokenize(current, granularity)
+        except ValueError:  # a later char pass over bytes that are not UTF-8
+            if first:
+                raise
+            granularity, tokens = "byte", tokenize(current, "byte")
+        oracle.spec = spec.with_materializer(candidate_materializer(tokens, candidate_name))
+        # Token i is current[lo:hi], the input's bytes at kept[lo:hi].
+        bounds = list(itertools.accumulate(map(len, tokens), initial=0))
+        return granularity, [kept[lo:hi] for lo, hi in zip(bounds, bounds[1:])], oracle
+
+    steps = [functools.partial(step, g, not k) for k, g in enumerate(schedule)]
     with CommandOracle(spec) as oracle:
-        for granularity in schedule:
-            try:
-                tokens = tokenize(current, granularity)
-            except ValueError:  # a later char pass over bytes that are not UTF-8
-                if not passes:
-                    raise
-                granularity, tokens = "byte", tokenize(current, "byte")
-            oracle.spec = spec.with_materializer(
-                candidate_materializer(tokens, candidate_name)
-            )
-            universe = Configuration.full(len(tokens))
-            pass_options = next_pass_options(options, universe) if passes else options
-            try:
-                result = ddmin(universe, oracle, pass_options)
-            except AxiomViolation as exc:
-                raise AxiomViolation(
-                    f"{granularity} pass: {exc}", exc.log
-                ) from exc
-            current = render(tokens, result.final)
-            passes.append(InputPass(granularity, result, current))
-    return InputMinimization(minimized=current, passes=passes, oracle=oracle)
+        passes = run_passes(range(len(data)), steps, options)
+    minimized = bytes(map(data.__getitem__, passes[-1].kept))
+    return InputMinimization(minimized=minimized, passes=passes, oracle=oracle)

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 from .core import (
     Configuration,
     EngineOptions,
-    MinimizationResult,
     Outcome,
-    ddmin,
+    Pass,
+    run_passes,
 )
 from .toylang import (
     Event,
@@ -98,7 +98,7 @@ class TraceReduction:
     program: Program
     trace: Trace
     expectation: OutputExpectation
-    result: MinimizationResult
+    passes: list[Pass]  # one pass, whose ids are event numbers
     slice_events: list[Event]
 
     @property
@@ -121,15 +121,15 @@ def reduce_trace(
     if traced.status != STATUS_COMPLETED:
         raise ValueError(f"tracing did not complete: {traced.status} ({traced.error})")
     oracle = ReplayOracle(program, trace, stdin_tokens, expectation)
-    universe = Configuration.full(len(trace))
-    result = ddmin(universe, oracle, options)
-    slice_events = [trace[i] for i in result.final.members]
+    passes = run_passes(
+        range(len(trace)), [lambda kept: ("trace", [(i,) for i in kept], oracle)], options
+    )
     return TraceReduction(
         program=program,
         trace=trace,
         expectation=expectation,
-        result=result,
-        slice_events=slice_events,
+        passes=passes,
+        slice_events=[trace[i] for i in passes[-1].kept],
     )
 
 

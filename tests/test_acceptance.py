@@ -163,19 +163,19 @@ def test_criterion_6_trace_reduction_desk_scale(sample_source):
     assert sum_core <= labels
     assert {"10_36", "11_37"} <= labels
     assert sum(1 for l in labels if l.startswith("7_")) == 1
-    assert both.result.verified_1_minimal is True
+    assert both.passes[-1].result.verified_1_minimal is True
 
     sum_only = reduce_trace(program, [0, 5],
                             OutputExpectation.derive("sum = 15\n", ["sum"]))
     assert set(sum_only.slice_labels) == sum_core | {"10_36"}
-    assert sum_only.result.verified_1_minimal is True
+    assert sum_only.passes[-1].result.verified_1_minimal is True
 
     mul_only = reduce_trace(program, [0, 5],
                             OutputExpectation.derive("mul = 0\n", ["mul"]))
     assert len(mul_only.slice_events) == 2
     assert "11_37" in mul_only.slice_labels
     assert sum(1 for l in mul_only.slice_labels if l.startswith("7_")) == 1
-    assert mul_only.result.verified_1_minimal is True
+    assert mul_only.passes[-1].result.verified_1_minimal is True
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

@@ -577,5 +577,5 @@ class TestMinimizeChanges(ShOracleMixin):
         spec = self.bug_spec(make_script, workspace_root)
         outcome = minimize_changes(baseline, stacked, spec)
         assert outcome.final == Configuration(2, [0, 1])
-        records = outcome.final_result.log.records
+        records = outcome.passes[-1].result.log.records
         assert any(r.outcome == Outcome.UNRESOLVED for r in records)

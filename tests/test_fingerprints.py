@@ -82,7 +82,7 @@ def test_desk_slice_run_log_is_unchanged(name, sample_source):
         [0, 5],
         OutputExpectation.derive(expected_text, prefixes),
     )
-    assert digest(reduction.result.log) == expected
+    assert digest(reduction.passes[-1].result.log) == expected
 
 
 def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_root):

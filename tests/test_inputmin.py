@@ -91,15 +91,15 @@ class TestMinimizeInput:
         data = "".join(f"{i}\n" for i in range(1000)).encode()
         outcome = minimize_input(data, substring_spec)
         assert outcome.minimized == b"78"
-        assert [p.granularity for p in outcome.passes] == ["line", "char"]
+        assert [p.label for p in outcome.passes] == ["line", "char"]
 
     def test_each_pass_never_grows_the_input(self, substring_spec):
         data = "".join(f"{i}\n" for i in range(200)).encode()
         outcome = minimize_input(data, substring_spec)
         length = len(data)
         for p in outcome.passes:
-            assert len(p.minimized) <= length
-            length = len(p.minimized)
+            assert len(p.kept) <= length
+            length = len(p.kept)
 
     def test_always_failing_oracle_keeps_first_singleton(self, make_script, workspace_root):
         # FAIL on everything except the empty input: the ascending scan
@@ -117,7 +117,8 @@ class TestMinimizeInput:
         head = [(r.source, r.outcome) for r in char.result.log.records[:2]]
         assert head == [(SOURCE_EXACT_CACHE, Outcome.PASS), (SOURCE_EXACT_CACHE, Outcome.FAIL)]
         # Only those two records differ from a char pass run on its own.
-        alone = minimize_input(line.minimized, substring_spec, schedule=["char"])
+        line_minimized = bytes(data[i] for i in line.kept)
+        alone = minimize_input(line_minimized, substring_spec, schedule=["char"])
         assert alone.passes[0].result.log.test_counts()[2] == 2
         assert (
             char.result.log.fingerprint()[2:]

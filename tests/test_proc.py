@@ -387,7 +387,7 @@ class TestRunWorkspace:
         script = make_script(f'echo "$DDMIN_TEST_SEQ" >> {seqs}; grep -q BUG "$1"')
         spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
         run = minimize_input(b"a\nxBUGx\nb\n", spec, schedule=["line", "char"])
-        assert [p.granularity for p in run.passes] == ["line", "char"]
+        assert [p.label for p in run.passes] == ["line", "char"]
         spawned = sum(
             oracle + axiom
             for oracle, _, axiom in (p.result.log.test_counts() for p in run.passes)

@@ -62,14 +62,14 @@ class TestReduceTrace:
         assert "10_36" in labels and "11_37" in labels
         mul_events = [l for l in labels if l.startswith("7_")]
         assert len(mul_events) == 1
-        assert reduction.result.verified_1_minimal is True
+        assert reduction.passes[-1].result.verified_1_minimal is True
 
     def test_sum_filter_gives_the_unique_11_event_slice(self, sample_program):
         reduction = reduce_trace(
             sample_program, [0, 5], OutputExpectation.derive("sum = 15\n", ["sum"])
         )
         assert set(reduction.slice_labels) == SUM_CORE | {"10_36"}
-        assert reduction.result.verified_1_minimal is True
+        assert reduction.passes[-1].result.verified_1_minimal is True
 
     def test_mul_filter_gives_a_2_event_slice(self, sample_program):
         reduction = reduce_trace(
@@ -79,13 +79,13 @@ class TestReduceTrace:
         assert len(labels) == 2
         assert "11_37" in labels
         assert any(l.startswith("7_") for l in labels)
-        assert reduction.result.verified_1_minimal is True
+        assert reduction.passes[-1].result.verified_1_minimal is True
 
     def test_slice_replays_to_the_expected_output(self, sample_program):
         expectation = OutputExpectation.derive("sum = 15\nmul = 0\n")
         reduction = reduce_trace(sample_program, [0, 5], expectation)
         oracle = ReplayOracle(sample_program, reduction.trace, [0, 5], expectation)
-        replayed = oracle.replay(reduction.result.final)
+        replayed = oracle.replay(reduction.passes[-1].result.final)
         from deltadebug.tracered import filter_output as fo
         assert fo(replayed.stdout, expectation.prefixes) == expectation.expected_text
 
@@ -93,7 +93,7 @@ class TestReduceTrace:
         expectation = OutputExpectation.derive("sum = 15\nmul = 0\n")
         reduction = reduce_trace(sample_program, [0, 5], expectation)
         oracle = ReplayOracle(sample_program, reduction.trace, [0, 5], expectation)
-        final = reduction.result.final
+        final = reduction.passes[-1].result.final
         for member in final.members:
             assert oracle.evaluate(final.without([member])) != Outcome.FAIL
         assert verify_n_minimal(final, oracle, 1)
