@@ -111,7 +111,8 @@ def _command_spec(args):
 
 
 def _write_run_report(
-    args, log: RunLog, result: Optional[MinimizationResult] = None, earlier=()
+    args, log: RunLog, result: Optional[MinimizationResult] = None, earlier=(),
+    input_final=(),
 ) -> None:
     if not getattr(args, "report", None):
         return
@@ -119,6 +120,7 @@ def _write_run_report(
         log, args.report, result,
         deterministic=getattr(args, "deterministic_report", False),
         earlier=earlier,
+        input_final=input_final,
     )
     print(f"report: {args.report}")
 
@@ -126,7 +128,7 @@ def _write_run_report(
 def _conclude(args, passes, lines, kept_workspace: Optional[str] = None) -> int:
     """Print a summary of each pass, then ``lines``, then the kept failing
     workspace, and write the report of the last pass with the earlier ones
-    under it."""
+    under it and the input ids it kept."""
     for p in passes:
         oracle, cached, axiom = p.result.log.test_counts()
         print(
@@ -138,7 +140,7 @@ def _conclude(args, passes, lines, kept_workspace: Optional[str] = None) -> int:
         print(f"failing workspace kept: {kept_workspace}")
     *earlier, last = passes
     _write_run_report(
-        args, last.result.log, last.result, [(p.label, p.result) for p in earlier]
+        args, last.result.log, last.result, [(p.label, p.result) for p in earlier], last.kept
     )
     return 0
 

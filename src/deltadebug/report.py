@@ -40,6 +40,7 @@ def write_report(
     result: Optional[MinimizationResult] = None,
     deterministic: bool = False,
     earlier: Sequence[tuple[str, MinimizationResult]] = (),
+    input_final: Optional[Sequence[int]] = None,
 ) -> None:
     """Write the report of the run that logged ``log`` as JSON.
 
@@ -48,7 +49,8 @@ def write_report(
     empty ``final``.  ``deterministic`` writes every duration as 0.0.
     ``earlier`` holds the ``(label, result)`` of each pass before this one,
     oldest first; if there are any, ``passes`` lists them, each with its
-    label and the keys its own report would have.
+    label and the keys its own report would have.  ``input_final``, if
+    given, is the last key: the run's result in the ids of its input.
     """
     path = Path(path)
     body = _dump_pass(log, result, deterministic, "  ")
@@ -59,6 +61,8 @@ def write_report(
             for label, r in earlier
         )
         body += f',\n  "passes": [\n{entries}\n  ]'
+    if input_final is not None:
+        body += f',\n  "input_final": {_indented(list(input_final), "  ")}'
     try:
         path.write_text("{\n" + body + "\n}\n", encoding="utf-8")
     except OSError as exc:

@@ -131,6 +131,8 @@ class TestMinimizeInputCommand:
         doc = json.loads(report.read_text())
         assert doc["final"] == []
         assert set(doc["counters"]) == {"axiom"}
+        assert list(doc)[-1] == "input_final"
+        assert doc["input_final"] == []
 
     def test_deterministic_reports_are_byte_identical(self, tmp_path, crash_input, grep_script):
         reports = []
@@ -206,6 +208,26 @@ class TestMinimizeChangesCommand:
             ])
             assert code == 0
         assert out_a.read_text() == out_b.read_text()
+
+    def test_report_names_the_result_in_change_ids(self, tmp_path, two_cause_changes):
+        # The member pass counts in its own ids: its deltas 2 and 6 are the
+        # diff's changes 2 and 10.
+        from deltadebug.changes import write_tree
+
+        baseline, diff, _, test = two_cause_changes
+        write_tree(baseline, tmp_path / "baseline")
+        (tmp_path / "changes.diff").write_text(diff)
+        report = tmp_path / "report.json"
+        code = run([
+            "minimize-changes", "--baseline", str(tmp_path / "baseline"),
+            "--diff", str(tmp_path / "changes.diff"), "--test", test,
+            "--groups", "file", "--report", str(report), *common_flags(tmp_path),
+        ])
+        assert code == 0
+        doc = json.loads(report.read_text())
+        assert doc["final"] == [2, 6]
+        assert list(doc)[-1] == "input_final"
+        assert doc["input_final"] == [2, 10]
 
     def test_dependency_chain_reduces_underlying_tests(self, tmp_path, make_script):
         # Eight single-line edits in one file, each requiring its

@@ -29,15 +29,15 @@ def sha256(path) -> str:
 TRACE_SLICES = {
     "sum-and-mul": (
         ["--expect", "sum = 15\\nmul = 0\\n"],
-        "592da8f512110a1c2d7e055be3f8ef6c28a9a610f1f9b654777a0be68c45379e",
+        "f75f2f21efeca8fd198a4d3105e83fe57d8f65e827e1a42ab1ba0838ea4231cf",
     ),
     "sum-only": (
         ["--expect", "sum = 15\\n", "--filter", "sum"],
-        "eed796db590c9782051822171eb7d57586dd15e2adc8ecaf17d252378ee65338",
+        "22df668287491b1b00272f93ed0ea6e27015a6a94e5ded42ab41df217c68614d",
     ),
     "mul-only": (
         ["--expect", "mul = 0\\n", "--filter", "mul"],
-        "da81abb340ee829a80a52190c6e1b7cb690ef3a1468bb9da3f2c30b87a077757",
+        "c82ceaf7af6cf5a084b16a03dcbafad4a7e27efd089b7f88cffa3b06d84e9d98",
     ),
 }
 
@@ -69,18 +69,18 @@ def test_minimize_input_report_bytes(tmp_path, make_script, capsys):
     ])
     assert code == 0
     assert sha256(report) == (
-        "84dde122e0b1203b37fb20f59dae411ace5b8ea2adde551c74f6c3b465c9d96a"
+        "7db1d11574563d7893fc38a3a3841096c1bbac33b1c88b00e6e4aac9281e55c8"
     )
 
 
 CHANGE_RUNS = {
     "groups-file": (
         ["--groups", "file"],
-        "4676701345c014d5860727e921fddbf3ad05309762c08b86e7fc1286a12ec65a",
+        "ded6e7113ad4e8a7b10fc246f7075772f015d380c0c810b54325baa537545cad",
     ),
     "deps": (
         ["--deps", "deps.tsv"],
-        "31a29c69bff53f82944566be6b9e26d58b711436c49e5d510068c485a20c95ee",
+        "84ccefe66da7bab3794a48d97f6c1346dfbe98dcc7c731bba4be89d52b0f3d5d",
     ),
 }
 
