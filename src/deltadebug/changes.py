@@ -226,7 +226,9 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
                     continue
                 if done:
                     break
-                kind = body[:1] or " "
+                if body in ("", "\r"):  # an empty context line, its space stripped
+                    body = " " + body
+                kind = body[:1]
                 if kind not in " -+":
                     raise DiffParseError(f"unexpected line in hunk: {body!r}", i + 1)
                 rows.append([kind, body[1:] + "\n", old_ln])

@@ -111,6 +111,25 @@ class TestSplitUnifiedDiff:
         with pytest.raises(DiffParseError):
             split_unified_diff("--- a/f\n+++ b/f\n@@ -1,3 +1,3 @@\n a\n")
 
+    def test_crlf_empty_context_line(self):
+        # Where a tool strips the space of an empty context line, a CRLF
+        # diff leaves just its CR: still an empty context line.
+        diff = "--- a/f\r\n+++ b/f\r\n@@ -1,3 +1,3 @@\r\n-x\r\n+y\r\n\r\n z\r\n"
+        changes = split_unified_diff(diff)
+        assert [(c.anchor, c.old_lines, c.new_lines) for c in changes] == [
+            (1, ("x\r\n",), ("y\r\n",))
+        ]
+        # As the one line between two edits, it travels with them.
+        diff = "--- a/f\r\n+++ b/f\r\n@@ -1,3 +1,3 @@\r\n-x\r\n+X\r\n\r\n-z\r\n+Z\r\n"
+        changes = split_unified_diff(diff)
+        assert [(c.old_lines, c.new_lines) for c in changes] == [
+            (("x\r\n", "\r\n", "z\r\n"), ("X\r\n", "\r\n", "Z\r\n"))
+        ]
+        applied = apply_subset(
+            {"f": "x\r\n\r\nz\r\n"}, ChangeSet(tuple(changes)), Configuration.full(1)
+        )
+        assert applied == {"f": "X\r\n\r\nZ\r\n"}
+
     def test_no_newline_marker_round_trip(self):
         diff = (
             "--- a/f\n"
