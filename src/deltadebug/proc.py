@@ -30,6 +30,7 @@ import shutil
 import signal
 import stat
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -151,6 +152,27 @@ def _empty(tree: Path) -> None:
                 os.unlink(entry.path)
 
 
+def _retry_writable(func, path: str, _error) -> None:
+    """``shutil.rmtree``'s error hook: where removing ``path`` failed, give
+    the owner write permission on the directory that holds it, which is
+    what anyone but the superuser needs to remove an entry, and retry.
+    What still cannot be removed stays."""
+    if func in (os.unlink, os.rmdir):
+        parent = os.path.dirname(path)
+        try:
+            os.chmod(parent, os.stat(parent).st_mode | stat.S_IWUSR)
+            func(path)
+        except OSError:
+            pass
+
+
+def _remove(workspace: Union[str, Path]) -> None:
+    """Remove a workspace, also one a test left a read-only directory in."""
+    # ``onexc`` replaces ``onerror`` from Python 3.12 on.
+    hook = "onexc" if sys.version_info >= (3, 12) else "onerror"
+    shutil.rmtree(workspace, **{hook: _retry_writable})
+
+
 def evaluate_command(
     oracle: "CommandOracle", config: Configuration
 ) -> tuple[Outcome, ExecutionEvidence]:
@@ -264,7 +286,7 @@ class CommandOracle:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._drop_workspace()
         if exc_type is not None and self.kept_workspace:
-            shutil.rmtree(self.kept_workspace, ignore_errors=True)
+            _remove(self.kept_workspace)
             self.kept_workspace = None
 
     def evaluate(self, config: Configuration) -> Outcome:
@@ -272,7 +294,7 @@ class CommandOracle:
 
     def _drop_workspace(self) -> None:
         if self._workspace is not None:
-            shutil.rmtree(self._workspace, ignore_errors=True)
+            _remove(self._workspace)
             self._workspace = None
 
     def _empty_workspace(self) -> Path:
@@ -289,6 +311,6 @@ class CommandOracle:
 
     def _keep_workspace(self) -> None:
         if self.kept_workspace:
-            shutil.rmtree(self.kept_workspace, ignore_errors=True)
+            _remove(self.kept_workspace)
         self.kept_workspace = str(self._workspace)
         self._workspace = None

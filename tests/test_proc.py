@@ -1,6 +1,7 @@
 import errno
 import os
 import select
+import stat
 import subprocess
 import time
 from pathlib import Path
@@ -26,6 +27,25 @@ def null_materializer(config, workspace):
 def spec_for(argv, workspace_root, **kwargs):
     kwargs.setdefault("materializer", null_materializer)
     return CommandOracleSpec(argv=argv, workspace_root=workspace_root, **kwargs)
+
+
+def refuse_removal_like_a_user(monkeypatch):
+    """Make ``os.unlink`` and ``os.rmdir`` follow the rule that binds every
+    user but the superuser: removing an entry needs write permission on the
+    directory that holds it, here its owner's."""
+    def guarded(remove):
+        def call(path, *, dir_fd=None):
+            if dir_fd is None:
+                holder = os.stat(os.path.dirname(os.path.abspath(path)))
+            else:
+                holder = os.fstat(dir_fd)
+            if not holder.st_mode & stat.S_IWUSR:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return remove(path, dir_fd=dir_fd)
+        return call
+
+    monkeypatch.setattr(os, "unlink", guarded(os.unlink))
+    monkeypatch.setattr(os, "rmdir", guarded(os.rmdir))
 
 
 def run_once(spec, config, test_seq=1):
@@ -381,6 +401,37 @@ class TestRunWorkspace:
         with CommandOracle(spec) as oracle:
             outcomes = [evaluate_command(oracle, Configuration(1, [0]))[0] for _ in range(2)]
         assert outcomes == [Outcome.PASS, Outcome.FAIL]
+
+    def test_a_read_only_directory_leaks_no_workspace(
+        self, make_script, workspace_root, monkeypatch
+    ):
+        # Each test leaves a read-only directory that holds a file, so the
+        # next one gets a new workspace, and the old one must still go.
+        # The superuser may empty such a directory; as root the rule that
+        # binds everyone else is simulated.
+        if os.geteuid() == 0:
+            refuse_removal_like_a_user(monkeypatch)
+        script = make_script('test -z "$(ls -A)" || exit 1\nmkdir ro; echo x > ro/f; chmod a-w ro')
+        spec = spec_for([script], workspace_root)
+        with CommandOracle(spec) as oracle:
+            for _ in range(3):
+                assert oracle.evaluate(Configuration(1, [0])) == Outcome.FAIL
+                assert len(list(workspace_root.iterdir())) == 1
+        assert list(workspace_root.iterdir()) == []
+
+    def test_a_kept_workspace_with_a_read_only_directory_is_removed(
+        self, make_script, workspace_root, monkeypatch
+    ):
+        if os.geteuid() == 0:
+            refuse_removal_like_a_user(monkeypatch)
+        script = make_script("mkdir ro; echo x > ro/f; chmod a-w ro")
+        spec = spec_for([script], workspace_root, keep_failing=True)
+        with CommandOracle(spec) as oracle:
+            for _ in range(3):
+                assert oracle.evaluate(Configuration(1, [0])) == Outcome.FAIL
+                assert len(list(workspace_root.iterdir())) == 1
+            kept = Path(oracle.kept_workspace)
+            assert (kept / "tree" / "ro" / "f").read_text() == "x\n"
 
     def test_sequence_numbers_count_across_passes(self, make_script, workspace_root, tmp_path):
         seqs = tmp_path / "seqs"
