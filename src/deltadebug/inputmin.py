@@ -127,7 +127,7 @@ def minimize_input(
         bounds = list(itertools.accumulate(map(len, tokens), initial=0))
         return granularity, [kept[lo:hi] for lo, hi in zip(bounds, bounds[1:])], oracle
 
-    steps = [functools.partial(step, g, not k) for k, g in enumerate(schedule)]
+    steps = [functools.partial(step, g, k == 0) for k, g in enumerate(schedule)]
     with CommandOracle(spec) as oracle:
         passes = run_passes(range(len(data)), steps, options)
     minimized = bytes(map(data.__getitem__, passes[-1].kept))
