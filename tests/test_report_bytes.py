@@ -73,6 +73,23 @@ def test_minimize_input_report_bytes(tmp_path, make_script, capsys):
     )
 
 
+def test_axiom_violation_report_bytes(tmp_path, make_script, capsys):
+    # A test that never fails: the run aborts after its two axiom checks.
+    crash = tmp_path / "crash.txt"
+    crash.write_text("a\nBUG\nb\n")
+    report = tmp_path / "report.json"
+    code = run([
+        "minimize-input", "--input", str(crash),
+        "--test", make_script("exit 1"),
+        "--workspace", str(tmp_path / "ws"),
+        "--report", str(report), "--deterministic-report",
+    ])
+    assert code == 2
+    assert sha256(report) == (
+        "319892ab574a4f816bcee41633a3554d5b0902974e24018b0a3aa81467ede4e4"
+    )
+
+
 CHANGE_RUNS = {
     "groups-file": (
         ["--groups", "file"],
