@@ -124,9 +124,11 @@ def test_minimize_changes_report_bytes(name, tmp_path, two_cause_changes, capsys
 def test_ddmin_report_bytes(tmp_path):
     result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
     report = tmp_path / "report.json"
-    write_report(result.log, report, result, deterministic=True)
+    write_report(
+        result.log, report, result, deterministic=True, input_final=result.final.members
+    )
     assert sha256(report) == (
-        "7be0ef5b03cabbb0ced4a43563f7345685f2077504eb33720498d990462cf194"
+        "de93a720bca59ff5bf008699a251c93f6f50d7f0b450f91a5ba74acdd14f530b"
     )
 
 
