@@ -479,10 +479,9 @@ def parse_group_map(text: str) -> dict[int, str]:
 
 @dataclass
 class ChangeMinimization:
-    final: Configuration  # over the raw change universe
     passes: list[Pass]  # each pass's ids are change ids of the diff
     diff_text: str
-    oracle: CommandOracle
+    kept_workspace: Optional[str]  # the last failing test's, with keep_failing
 
 
 def minimize_changes(
@@ -514,8 +513,5 @@ def minimize_changes(
         steps.insert(0, lambda kept: step("groups", grouped))
     with CommandOracle(spec.with_materializer(materializer)) as command:
         passes = run_passes(range(n), steps, options)
-    final = Configuration(n, passes[-1].kept)
-    diff_text = render_unified_diff([changeset.changes[i] for i in final.members])
-    return ChangeMinimization(
-        final=final, passes=passes, diff_text=diff_text, oracle=command
-    )
+    diff_text = render_unified_diff([changeset.changes[i] for i in passes[-1].kept])
+    return ChangeMinimization(passes, diff_text, command.kept_workspace)

@@ -18,11 +18,12 @@ from typing import Optional
 from . import report as report_mod
 from .core import (
     AxiomViolation,
+    Configuration,
     DeltaDebugError,
     EngineOptions,
     MinimizationResult,
     Outcome,
-    RunLog,
+    Pass,
 )
 
 PROGRESS_EVERY = 25
@@ -110,25 +111,16 @@ def _command_spec(args):
     )
 
 
-def _write_run_report(
-    args, log: RunLog, result: Optional[MinimizationResult] = None, earlier=(),
-    input_final=(),
-) -> None:
+def _write_run_report(args, passes) -> None:
     if not getattr(args, "report", None):
         return
-    report_mod.write_report(
-        log, args.report, result,
-        deterministic=getattr(args, "deterministic_report", False),
-        earlier=earlier,
-        input_final=input_final,
-    )
+    report_mod.write_report(passes, args.report, args.deterministic_report)
     print(f"report: {args.report}")
 
 
 def _conclude(args, passes, lines, kept_workspace: Optional[str] = None) -> int:
     """Print a summary of each pass, then ``lines``, then the kept failing
-    workspace, and write the report of the last pass with the earlier ones
-    under it and the input ids it kept."""
+    workspace, and write the report of the passes."""
     for p in passes:
         oracle, cached, axiom = p.result.log.test_counts()
         print(
@@ -138,10 +130,7 @@ def _conclude(args, passes, lines, kept_workspace: Optional[str] = None) -> int:
     print(*lines, sep="\n")
     if kept_workspace:
         print(f"failing workspace kept: {kept_workspace}")
-    *earlier, last = passes
-    _write_run_report(
-        args, last.result.log, last.result, [(p.label, p.result) for p in earlier], last.kept
-    )
+    _write_run_report(args, passes)
     return 0
 
 
@@ -168,7 +157,7 @@ def cmd_minimize_input(args) -> int:
         f"minimized input: {output} ({len(outcome.minimized)} bytes)",
         f"verified 1-minimal at {last.label} granularity: "
         f"{last.result.verified_1_minimal}",
-    ], outcome.oracle.kept_workspace)
+    ], outcome.kept_workspace)
 
 
 # --- minimize-changes --------------------------------------------------------
@@ -206,8 +195,8 @@ def cmd_minimize_changes(args) -> int:
     output = args.output_diff or f"{args.diff}.min"
     Path(output).write_text(outcome.diff_text, encoding="utf-8")
     return _conclude(args, outcome.passes, [
-        f"minimal failure-inducing diff: {output} ({len(outcome.final)} changes)",
-    ], outcome.oracle.kept_workspace)
+        f"minimal failure-inducing diff: {output} ({len(outcome.passes[-1].kept)} changes)",
+    ], outcome.kept_workspace)
 
 
 # --- reduce-trace ------------------------------------------------------------
@@ -367,7 +356,8 @@ def run(argv=None) -> int:
     except AxiomViolation as exc:
         print(f"axiom violation: {exc}", file=sys.stderr)
         if exc.log is not None:
-            _write_run_report(args, exc.log)
+            aborted = MinimizationResult(Configuration(exc.log.universe_size), exc.log)
+            _write_run_report(args, [Pass("aborted", aborted, ())])
         return 2
     except (DeltaDebugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

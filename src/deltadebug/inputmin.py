@@ -88,7 +88,7 @@ def candidate_materializer(tokens: tuple[bytes, ...], filename: str):
 class InputMinimization:
     minimized: bytes
     passes: list[Pass]  # each pass's ids are byte offsets of the input
-    oracle: CommandOracle
+    kept_workspace: Optional[str]  # the last failing test's, with keep_failing
 
 
 def minimize_input(
@@ -131,4 +131,4 @@ def minimize_input(
     with CommandOracle(spec) as oracle:
         passes = run_passes(range(len(data)), steps, options)
     minimized = bytes(map(data.__getitem__, passes[-1].kept))
-    return InputMinimization(minimized=minimized, passes=passes, oracle=oracle)
+    return InputMinimization(minimized, passes, oracle.kept_workspace)

@@ -8,12 +8,13 @@ from __future__ import annotations
 import json
 import operator
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .core import (
     CACHED_SOURCES,
     MinimizationResult,
     Outcome,
+    Pass,
     RunLog,
     TestRecord,
     bit_string,
@@ -35,34 +36,27 @@ def render_log_line(record: TestRecord) -> str:
 
 
 def write_report(
-    log: RunLog,
-    path: Union[str, Path],
-    result: Optional[MinimizationResult] = None,
-    deterministic: bool = False,
-    earlier: Sequence[tuple[str, MinimizationResult]] = (),
-    input_final: Optional[Sequence[int]] = None,
+    passes: Sequence[Pass], path: Union[str, Path], deterministic: bool = False
 ) -> None:
-    """Write the report of the run that logged ``log`` as JSON.
+    """Write the report of a run's ``passes`` as JSON.
 
-    ``result`` is the finished run's result, whose log is ``log``; an
-    aborted run (an axiom violation) has none, and its report holds an
-    empty ``final``.  ``deterministic`` writes every duration as 0.0.
-    ``earlier`` holds the ``(label, result)`` of each pass before this one,
-    oldest first; if there are any, ``passes`` lists them, each with its
-    label and the keys its own report would have.  ``input_final``, if
-    given, is the last key: the run's result in the ids of its input.
+    The last pass's keys are at the top level.  If there are earlier
+    passes, ``passes`` lists them, oldest first, each with its label and
+    the keys its own report would have.  The last key, ``input_final``,
+    is the run's result in the ids of its input.  ``deterministic`` writes
+    every duration as 0.0.
     """
     path = Path(path)
-    body = _dump_pass(log, result, deterministic, "  ")
+    *earlier, last = passes
+    body = _dump_pass(last.result, deterministic, "  ")
     if earlier:
         entries = ",\n".join(
-            f'    {{\n      "label": {json.dumps(label)},\n'
-            f'{_dump_pass(r.log, r, deterministic, "      ")}\n    }}'
-            for label, r in earlier
+            f'    {{\n      "label": {json.dumps(p.label)},\n'
+            f'{_dump_pass(p.result, deterministic, "      ")}\n    }}'
+            for p in earlier
         )
         body += f',\n  "passes": [\n{entries}\n  ]'
-    if input_final is not None:
-        body += f',\n  "input_final": {_indented(list(input_final), "  ")}'
+    body += f',\n  "input_final": {_indented(list(last.kept), "  ")}'
     try:
         path.write_text("{\n" + body + "\n}\n", encoding="utf-8")
     except OSError as exc:
@@ -106,26 +100,19 @@ def _indented(value, pad: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _dump_pass(
-    log: RunLog, result: Optional[MinimizationResult], deterministic: bool, pad: str
-) -> str:
+def _dump_pass(result: MinimizationResult, deterministic: bool, pad: str) -> str:
     """A pass's keys, each on a line of its own after ``pad``, and each test
     record on one line of its own.  The report is one such pass at the top
     level."""
-    if result is None:
-        final, ratio, verified = [], 0.0, None
-    else:
-        final = list(result.final.members)
-        ratio, verified = result.reduction_ratio, result.verified_1_minimal
+    log = result.log
     inner = pad + "  "
     tests = f"[\n{_test_lines(log, deterministic, inner)}\n{pad}]" if log.records else "[]"
     fields = {
         "universe_size": _indented(log.universe_size, pad),
-        "final": _indented(final, pad),
+        "final": _indented(list(result.final.members), pad),
         "counters": _indented(log.counts_by_source(), pad),
         "tests": tests,
-        "ratio": _indented(ratio, pad),
-        "verified_1_minimal": _indented(verified, pad),
+        "ratio": _indented(result.reduction_ratio, pad),
+        "verified_1_minimal": _indented(result.verified_1_minimal, pad),
     }
     return ",\n".join(f'{pad}"{key}": {text}' for key, text in fields.items())
-

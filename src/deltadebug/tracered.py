@@ -97,7 +97,6 @@ class ReplayOracle:
 class TraceReduction:
     program: Program
     trace: Trace
-    expectation: OutputExpectation
     passes: list[Pass]  # one pass, whose ids are event numbers
     slice_events: list[Event]
 
@@ -127,7 +126,6 @@ def reduce_trace(
     return TraceReduction(
         program=program,
         trace=trace,
-        expectation=expectation,
         passes=passes,
         slice_events=[trace[i] for i in passes[-1].kept],
     )

@@ -17,7 +17,7 @@ from deltadebug.core import (
     MinimizationResult,
     OracleLike,
     Outcome,
-    RunLog,
+    Pass,
     TestRecord,
     as_oracle,
 )
@@ -117,6 +117,12 @@ def from_bitmap_hex(universe_size: int, text: str) -> Configuration:
     return Configuration.from_bits(universe_size, bits)
 
 
+def passes_of(result: MinimizationResult, label: str = "ddmin") -> list[Pass]:
+    """A library ``ddmin`` result as the one pass of a run whose input ids
+    are its delta ids."""
+    return [Pass(label, result, [(i,) for i in range(result.log.universe_size)])]
+
+
 @dataclass
 class Report:
     """The fields of a run report, with its test records as ``TestRecord``s."""
@@ -129,15 +135,15 @@ class Report:
     verified_1_minimal: Optional[bool]
 
     @classmethod
-    def of(cls, log: RunLog, result: Optional[MinimizationResult] = None) -> "Report":
-        """What ``write_report(log, path, result)`` writes."""
+    def of(cls, result: MinimizationResult) -> "Report":
+        """What ``write_report(passes_of(result), path)`` writes."""
         return cls(
-            universe_size=log.universe_size,
-            final=list(result.final.members) if result else [],
-            counters=log.counts_by_source(),
-            records=log.records,
-            ratio=result.reduction_ratio if result else 0.0,
-            verified_1_minimal=result.verified_1_minimal if result else None,
+            universe_size=result.log.universe_size,
+            final=list(result.final.members),
+            counters=result.log.counts_by_source(),
+            records=result.log.records,
+            ratio=result.reduction_ratio,
+            verified_1_minimal=result.verified_1_minimal,
         )
 
 

@@ -36,7 +36,7 @@ from deltadebug.proc import (
 from deltadebug.report import write_report
 from deltadebug.toylang import parse_program, trace_program
 from deltadebug.tracered import OutputExpectation, reduce_trace
-from support import Report, random_table, read_report, verify_n_minimal
+from support import Report, passes_of, random_table, read_report, verify_n_minimal
 
 
 def verdict(criterion: int, text: str) -> None:
@@ -239,8 +239,8 @@ def test_criterion_7_round_trip_suites(tmp_path):
     # Report serialization round-trip.
     result = ddmin(Configuration.full(10), random_table(10, seed=9))
     result = dataclasses.replace(result, verified_1_minimal=False)
-    write_report(result.log, tmp_path / "r.json", result)
-    assert read_report(tmp_path / "r.json") == Report.of(result.log, result)
+    write_report(passes_of(result), tmp_path / "r.json")
+    assert read_report(tmp_path / "r.json") == Report.of(result)
 
     verdict(7, "tokenize/render (3x1000), diff split/apply (100), and "
                "report round-trip all exact")

@@ -548,8 +548,8 @@ class TestMinimizeChanges(ShOracleMixin):
         spec = self.bug_spec(make_script, workspace_root)
         direct = minimize_changes(baseline, cs, spec)
         grouped = minimize_changes(baseline, cs, spec, groups="file")
-        assert direct.final == grouped.final
-        assert len(direct.final) == 1
+        assert direct.passes[-1].kept == grouped.passes[-1].kept
+        assert len(direct.passes[-1].kept) == 1
         assert "BUG" in direct.diff_text
 
     def test_member_pass_takes_axiom_answers_from_the_group_pass(
@@ -595,6 +595,6 @@ class TestMinimizeChanges(ShOracleMixin):
         stacked = ChangeSet(changes=(cs1.changes[0], cs2.changes[0]))
         spec = self.bug_spec(make_script, workspace_root)
         outcome = minimize_changes(baseline, stacked, spec)
-        assert outcome.final == Configuration(2, [0, 1])
+        assert outcome.passes[-1].kept == (0, 1)
         records = outcome.passes[-1].result.log.records
         assert any(r.outcome == Outcome.UNRESOLVED for r in records)

@@ -92,7 +92,7 @@ def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_ro
     changeset = ChangeSet(tuple(split_unified_diff(diff)), parse_dependencies(deps))
     spec = CommandOracleSpec(argv=[test], workspace_root=workspace_root)
     outcome = minimize_changes(baseline, changeset, spec, groups="file")
-    assert outcome.final.members == (1, 2, 4, 5, 10)
+    assert outcome.passes[-1].kept == (1, 2, 4, 5, 10)
     assert [(p.label, digest(p.result.log)) for p in outcome.passes] == [
         ("groups", "cca833a27602a3aa0dae297a639ea2db5112d2b4e515ffaed34eeab76bb53a1e"),
         ("changes", "d23978bd8bbd0c8707db50645630b990f4d3966cfe72317d99a64ac4e5e302f4"),

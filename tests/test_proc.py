@@ -444,7 +444,6 @@ class TestRunWorkspace:
             for oracle, _, axiom in (p.result.log.test_counts() for p in run.passes)
         )
         assert seqs.read_text().split() == [str(i) for i in range(1, spawned + 1)]
-        assert run.oracle.tests_run == spawned
         assert list(workspace_root.iterdir()) == []
 
     def test_a_kept_workspace_is_never_reused(self, make_script, workspace_root):

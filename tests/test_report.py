@@ -4,10 +4,12 @@ import json
 import pytest
 
 from deltadebug import Configuration, EngineOptions, Outcome, TestRecord, ddmin
-from deltadebug.core import SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_ORACLE
+from deltadebug.core import (
+    SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_ORACLE, MinimizationResult, Pass,
+)
 from deltadebug.oracles import conjunction
 from deltadebug.report import render_log_line, write_report
-from support import Report, random_table, read_report
+from support import Report, passes_of, random_table, read_report
 
 
 def record(universe, members, outcome, source=SOURCE_ORACLE, granularity=2):
@@ -45,14 +47,14 @@ class TestReportDocument:
         result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
         result = dataclasses.replace(result, verified_1_minimal=False)
         path = tmp_path / "report.json"
-        write_report(result.log, path, result)
+        write_report(passes_of(result), path)
         loaded = read_report(path)
         assert loaded.verified_1_minimal is False
-        assert loaded == Report.of(result.log, result)
+        assert loaded == Report.of(result)
 
     def test_conjunction_run_fields(self, tmp_path):
         result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
-        write_report(result.log, tmp_path / "report.json", result)
+        write_report(passes_of(result), tmp_path / "report.json")
         doc = read_report(tmp_path / "report.json")
         assert doc.universe_size == 8
         assert doc.final == [2, 5]
@@ -65,26 +67,45 @@ class TestReportDocument:
 
         with pytest.raises(AxiomViolation) as info:
             ddmin(Configuration.full(4), lambda c: Outcome.PASS)
-        write_report(info.value.log, tmp_path / "report.json")
+        log = info.value.log
+        aborted = Pass("aborted", MinimizationResult(Configuration(4), log), ())
+        write_report([aborted], tmp_path / "report.json")
         doc = read_report(tmp_path / "report.json")
         assert set(doc.counters) == {SOURCE_AXIOM}
         assert doc.final == []
+        assert doc.ratio == 0.0
+        assert doc.verified_1_minimal is None
+        assert json.loads((tmp_path / "report.json").read_text())["input_final"] == []
 
     def test_each_earlier_pass_is_written_as_its_own_report(self, tmp_path):
-        runs = [ddmin(Configuration.full(n), conjunction(n, [1, n - 2])) for n in (4, 8, 6)]
-        *earlier, last = [(f"pass {i}", result) for i, result in enumerate(runs)]
-        write_report(last[1].log, tmp_path / "run.json", last[1], earlier=earlier)
+        passes = [
+            passes_of(ddmin(Configuration.full(n), conjunction(n, [1, n - 2])), f"pass {i}")[0]
+            for i, n in enumerate((4, 8, 6))
+        ]
+        write_report(passes, tmp_path / "run.json")
         doc = json.loads((tmp_path / "run.json").read_text())
         alone = []
-        for label, result in [*earlier, last]:
-            write_report(result.log, tmp_path / "pass.json", result)
-            alone.append({"label": label, **json.loads((tmp_path / "pass.json").read_text())})
+        for p in passes:
+            write_report([p], tmp_path / "pass.json")
+            keys = json.loads((tmp_path / "pass.json").read_text())
+            assert keys.pop("input_final") == list(p.kept)
+            alone.append({"label": p.label, **keys})
+        assert doc.pop("input_final") == list(passes[-1].kept)
         assert doc.pop("passes") == alone[:-1]
-        assert {"label": last[0], **doc} == alone[-1]
+        assert {"label": passes[-1].label, **doc} == alone[-1]
+
+    def test_input_final_names_the_last_pass_in_input_ids(self, tmp_path):
+        result = ddmin(Configuration.full(4), conjunction(4, [1, 3]))
+        # Delta i stands for input ids 10i and 10i + 1.
+        run = Pass("pairs", result, [(10 * i, 10 * i + 1) for i in range(4)])
+        write_report([run], tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["final"] == [1, 3]
+        assert doc["input_final"] == [10, 11, 30, 31]
 
     def test_deterministic_mode_zeroes_durations(self, tmp_path):
         result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
-        write_report(result.log, tmp_path / "det.json", result, deterministic=True)
+        write_report(passes_of(result), tmp_path / "det.json", deterministic=True)
         loaded = read_report(tmp_path / "det.json")
         assert all(r.duration_ms == 0.0 for r in loaded.records)
 

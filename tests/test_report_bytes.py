@@ -15,11 +15,11 @@ from deltadebug import Configuration, Outcome, RunLog, TestRecord, ddmin
 from deltadebug.cli import run
 from deltadebug.changes import write_tree
 from deltadebug.core import (
-    SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_FEASIBILITY, SOURCE_MONOTONY, SOURCE_ORACLE,
+    MinimizationResult, SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_FEASIBILITY, SOURCE_MONOTONY, SOURCE_ORACLE,
 )
 from deltadebug.oracles import conjunction
 from deltadebug.report import write_report
-from support import bitmap_hex
+from support import bitmap_hex, passes_of
 
 
 def sha256(path) -> str:
@@ -124,9 +124,7 @@ def test_minimize_changes_report_bytes(name, tmp_path, two_cause_changes, capsys
 def test_ddmin_report_bytes(tmp_path):
     result = ddmin(Configuration.full(8), conjunction(8, [2, 5]))
     report = tmp_path / "report.json"
-    write_report(
-        result.log, report, result, deterministic=True, input_final=result.final.members
-    )
+    write_report(passes_of(result), report, deterministic=True)
     assert sha256(report) == (
         "de93a720bca59ff5bf008699a251c93f6f50d7f0b450f91a5ba74acdd14f530b"
     )
@@ -145,7 +143,7 @@ def test_records_are_written_as_json_dumps_would(tmp_path):
             Configuration(12, range(i)), 2 + i, outcomes[i % 3], sources[i % 5], duration,
         ))
     report = tmp_path / "report.json"
-    write_report(log, report)
+    write_report(passes_of(MinimizationResult(Configuration(12), log)), report)
     lines = report.read_text().splitlines()
     start = lines.index('  "tests": [') + 1
     assert lines[start:start + len(durations) + 1] == [
