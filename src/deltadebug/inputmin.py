@@ -11,6 +11,7 @@ output is not valid UTF-8, the char pass runs over bytes instead.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,29 +25,16 @@ DEFAULT_SCHEDULE = ("line", "char")
 DEFAULT_CANDIDATE_NAME = "candidate.dat"
 
 
-def _split_lines(data: bytes) -> list[bytes]:
-    # Terminator-inclusive: a trailing fragment without a newline is a token.
-    tokens = []
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start)
-        if end < 0:
-            tokens.append(data[start:])
-            break
-        tokens.append(data[start:end + 1])
-        start = end + 1
-    return tokens
-
-
 def tokenize(data: bytes, granularity: str) -> tuple[bytes, ...]:
     """Split ``data`` into tokens; concatenation reproduces it exactly.
 
-    Line tokens include their terminators; char tokens are whole unicode
-    scalar values (the input must be valid UTF-8); byte tokens are single
-    bytes.
+    Line tokens end at each newline byte and include it; char tokens are
+    whole unicode scalar values (the input must be valid UTF-8); byte tokens
+    are single bytes.
     """
     if granularity == "line":
-        tokens = _split_lines(data)
+        # Split at "\n" only, each line keeping it; a "\r" is line content.
+        tokens = io.BytesIO(data).readlines()
     elif granularity == "char":
         try:
             text = data.decode("utf-8")

@@ -21,6 +21,18 @@ class TestTokenize:
         t = tokenize(b"ab\ncd", "line")
         assert t == (b"ab\n", b"cd")
 
+    def test_carriage_returns_stay_inside_their_line(self):
+        assert tokenize(b"a\rb\r\nc\r", "line") == (b"a\rb\r\n", b"c\r")
+        rng = random.Random(17)
+        for _ in range(2000):
+            data = b"".join(
+                rng.choice([b"\n", b"\r", b"\r\n", b"\xff", b"x"])
+                for _ in range(rng.randrange(12))
+            )
+            *lines, rest = data.split(b"\n")
+            expected = [line + b"\n" for line in lines] + ([rest] if rest else [])
+            assert tokenize(data, "line") == tuple(expected), data
+
     def test_char_tokens_are_unicode_scalars(self):
         assert tokenize(b"ab", "char") == (b"a", b"b")
         t = tokenize("hé".encode(), "char")
