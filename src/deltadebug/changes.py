@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import (
+    AxiomViolation,
     Configuration,
     EngineOptions,
     OracleLike,
@@ -498,7 +499,8 @@ def minimize_changes(
     axiom answers from the group pass.  Infeasible subsets (per the
     dependency relation) are rejected before any process is spawned.  Both
     passes share one command oracle and its workspace, which is removed
-    when the run ends, also on an exception.
+    when the run ends, also on an exception.  An axiom violation says so
+    when the full diff does not apply to the baseline.
     """
     n = len(changeset)
     materializer = change_materializer(baseline, changeset)
@@ -511,7 +513,16 @@ def minimize_changes(
     if groups is not None:
         grouped = list(group_deltas(changeset, groups).values())
         steps.insert(0, lambda kept: step("groups", grouped))
-    with CommandOracle(spec.with_materializer(materializer)) as command:
-        passes = run_passes(range(n), steps, options)
+    try:
+        with CommandOracle(spec.with_materializer(materializer)) as command:
+            passes = run_passes(range(n), steps, options)
+    except AxiomViolation as exc:
+        try:
+            apply_subset(baseline, changeset, Configuration.full(n))
+        except ChangeConflict as conflict:
+            raise AxiomViolation(
+                f"{exc}; the full diff does not apply: {conflict}", exc.log
+            ) from exc
+        raise
     diff_text = render_unified_diff([changeset.changes[i] for i in passes[-1].kept])
     return ChangeMinimization(passes, diff_text, command.kept_workspace)

@@ -333,6 +333,40 @@ class TestMinimizeChangesCommand:
             b"--- a/a.txt\n+++ b/a.txt\n@@ -1,1 +1,1 @@\n-one\r\n+BUG\r\n"
         )
 
+    def test_axiom_message_says_when_the_full_diff_does_not_apply(
+        self, tmp_path, make_script, capsys
+    ):
+        # A CRLF diff against an LF baseline: every test is a patch conflict.
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "a.txt").write_bytes(b"one\ntwo\n")
+        diff = tmp_path / "crlf.diff"
+        diff.write_bytes(b"--- a/a.txt\r\n+++ b/a.txt\r\n@@ -1 +1 @@\r\n-one\r\n+BUG\r\n")
+        report = tmp_path / "report.json"
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir), "--diff", str(diff),
+            "--test", make_script('grep -q BUG "$1/a.txt"'), "--report", str(report),
+            *common_flags(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "axiom violation: changes pass: the full configuration must FAIL but "
+            "tested UNRESOLVED; the full diff does not apply: "
+            "change 0 at a.txt:1: context mismatch\n"
+        )
+        doc = json.loads(report.read_text())
+        assert [t["source"] for t in doc["tests"]] == ["axiom", "axiom"]
+        # A diff that applies gets the plain message.
+        diff.write_bytes(b"--- a/a.txt\n+++ b/a.txt\n@@ -1 +1 @@\n-one\n+ONE\n")
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir), "--diff", str(diff),
+            "--test", make_script('grep -q BUG "$1/a.txt"'), *common_flags(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "axiom violation: changes pass: the full configuration must FAIL but tested PASS\n"
+        )
+
     def test_malformed_diff_is_a_hard_error(self, tmp_path, make_script, capsys):
         baseline_dir = tmp_path / "b"
         baseline_dir.mkdir()
