@@ -89,6 +89,31 @@ class TestParser:
         assert out.stdout == 'a\tb\\c"d\n'
 
 
+class TestLexer:
+    # One row per source: the ToyParseError text, or what running it prints.
+    ROWS = [
+        ('x = "ab', "1:5: unterminated string"),
+        ('x = "ab\ny = 1;\n', "1:5: unterminated string"),
+        ('x = "a\\q";\n', "1:7: unknown escape"),
+        ('x = "a\\', "1:7: unknown escape"),
+        ("\tx = 1 @ 2;\n", "1:8: unexpected character '@'"),
+        ("x = 1;\r\ny = $;\n", "2:5: unexpected character '$'"),
+        ("x = ½;\n", "1:5: unexpected character '½'"),
+        ("é_1 = ٣;\nprint(é_1);\n", "3"),
+        ("x = 12ab;\n", "1:7: expected ';', found 'ab'"),
+    ]
+
+    @pytest.mark.parametrize("source, expected", ROWS)
+    def test_table(self, source, expected):
+        try:
+            program = parse_program(source)
+        except ToyParseError as exc:
+            got = str(exc)
+        else:
+            got = trace_program(program, [])[1].stdout
+        assert got == expected
+
+
 class TestTraceProgram:
     def test_sample_run_has_37_events(self, sample_source):
         program = parse_program(sample_source)
