@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import random
 import re
 import sys
@@ -15,6 +17,7 @@ from deltadebug.toylang import (
     Read,
     ToyParseError,
     While,
+    format_trace,
     parse_program,
     parse_trace,
     read_trace,
@@ -389,6 +392,71 @@ class TestReplayIdentityProperty:
                 program, trace, Configuration.full(len(trace)), []
             )
             assert replayed.stdout == traced.stdout
+
+
+def seeded_program(rng: random.Random) -> str:
+    """A seeded program of reads, prints and assignments in loops nested up
+    to three deep.
+
+    Each loop counts its own counter to a bound of at most 3, and nothing
+    else assigns a counter, so every loop ends; a divisor may be 0.
+    """
+    lines = []
+    names = ("a", "b", "c")
+
+    def block(depth: int) -> None:
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            v, w, u = (rng.choice(names) for _ in range(3))
+            if roll < 0.25 and depth < 3:
+                counter = f"i{depth}"
+                lines.append(f"{counter} = 0;")
+                lines.append(f"while ({counter} < {rng.randint(0, 3)}) {{")
+                block(depth + 1)
+                lines.append(f"{counter} = {counter} + 1;")
+                lines.append("}")
+            elif roll < 0.4:
+                lines.append(f'{v} = input("{v}? ");')
+            elif roll < 0.55:
+                lines.append(f'print("{v}=", {v}, "\\n");')
+            else:
+                op = rng.choice(("+", "-", "+", "/", "<", "==", "!="))
+                lines.append(f"{v} = {w} {op} {u} {rng.choice('+-*')} {rng.randint(1, 3)};")
+
+    block(0)
+    return "\n".join(lines) + "\n"
+
+
+class TestTracePinned:
+    # SHA-256 over 600 seeded programs of the trace text, stdout, status
+    # and error of each run, and of full and three seeded partial replays.
+    DIGEST = "ab0a51afd0669e9dae45cef11fa1b35bb91b1cc9509f9aa3c4cc556914b7c6ee"
+
+    def test_seeded_programs_trace_as_pinned(self):
+        rng = random.Random(18)
+        h = hashlib.sha256()
+        statuses = collections.Counter()
+        innermost_heads = 0
+        for _ in range(600):
+            program = parse_program(seeded_program(rng))
+            stdin = [rng.randint(-3, 9) for _ in range(rng.randint(0, 4))]
+            budget = rng.choice((10, 40, 1_000_000))
+            trace, out = trace_program(program, stdin, budget)
+            statuses[out.status] += 1
+            innermost_heads += sum(
+                program.source_line(e.line).startswith("while (i2") for e in trace
+            )
+            h.update(format_trace(trace).encode() + repr(tuple(out)).encode() + b"\n")
+            configs = [Configuration.full(len(trace))] + [
+                Configuration.from_bits(len(trace), rng.getrandbits(len(trace)))
+                for _ in range(3)
+            ]
+            for config in configs:
+                replayed = replay_events(program, trace, config, stdin, budget)
+                h.update(repr(tuple(replayed)).encode() + b"\n")
+        assert innermost_heads > 30  # loops nested three deep ran
+        assert min(statuses[s] for s in ("completed", "runtime-error", "budget-exhausted")) > 30
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestTraceFile:
