@@ -27,6 +27,7 @@ spelled out by the trace, and skipped reads consume no input.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -159,8 +160,15 @@ class _Token(NamedTuple):
 
 
 _KEYWORDS = {"while", "input", "print"}
-_TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
-_ONE_CHAR_OPS = "=+-*/<>(){},;"
+# One token per match.  An "other" match, and an "ident" match that does not
+# start with a letter or "_", are errors.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+) | (?P<newline>\n)
+  | (?P<string>"(?P<body>(?:[^"\\\n]|\\.?)*)(?P<close>"?))
+  | (?P<int>\d+) | (?P<ident>\w+)
+  | (?P<op><=|>=|==|!=|[-=+*/<>(){},;]) | (?P<other>.)
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.?)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _BINARY_PRECEDENCE = {
     "<=": 1, "<": 1, "==": 1, "!=": 1, ">": 1, ">=": 1,
@@ -173,72 +181,27 @@ _PRECEDENCE = {**_BINARY_PRECEDENCE, _NEG: 4}
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch == '"':
-            i += 1
-            col += 1
-            value = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ToyParseError("unterminated string", line, start_col)
-                if text[i] == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise ToyParseError("unknown escape", line, col)
-                    value.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    col += 2
-                else:
-                    value.append(text[i])
-                    i += 1
-                    col += 1
-            if i >= n:
-                raise ToyParseError("unterminated string", line, start_col)
-            i += 1
-            col += 1
-            tokens.append(_Token("string", "".join(value), line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text[i:i + 2] in _TWO_CHAR_OPS:
-            tokens.append(_Token("op", text[i:i + 2], line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(_Token("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ToyParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0  # the line's number and its offset in ``text``
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "string":
+            def unescape(escape: re.Match) -> str:
+                if escape[1] not in _ESCAPES:
+                    raise ToyParseError("unknown escape", line, col + 1 + escape.start())
+                return _ESCAPES[escape[1]]
+
+            value = _ESCAPE.sub(unescape, match["body"])
+            if not match["close"]:
+                raise ToyParseError("unterminated string", line, col)
+            tokens.append(_Token(kind, value, line, col))
+        elif kind == "other" or kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+            raise ToyParseError(f"unexpected character {value[0]!r}", line, col)
+        elif kind != "space":
+            tokens.append(_Token(kind, value, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -116,6 +116,13 @@ class TestLexer:
             got = trace_program(program, [])[1].stdout
         assert got == expected
 
+    @pytest.mark.parametrize("source, col", [("x = ²;\n", 5), ("x = 1²;\n", 6)])
+    def test_a_non_decimal_digit_is_an_unexpected_character(self, source, col):
+        # str.isdigit holds for "²", but integer literals are decimal digits.
+        with pytest.raises(ToyParseError) as info:
+            parse_program(source)
+        assert str(info.value) == f"1:{col}: unexpected character '²'"
+
 
 class TestTraceProgram:
     def test_sample_run_has_37_events(self, sample_source):
