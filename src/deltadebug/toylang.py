@@ -456,10 +456,6 @@ _ARITHMETIC = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 _COMPARISON = {
     "<=": ast.LtE, "<": ast.Lt, "==": ast.Eq, "!=": ast.NotEq, ">": ast.Gt, ">=": ast.GtE,
 }
-# A subtree this deep is first computed into a local variable: how deep a
-# tree ``compile`` accepts differs between Python versions and shrinks as
-# the caller's stack grows.
-_SPLIT_DEPTH = 64
 
 
 class _Builder:
@@ -503,45 +499,37 @@ class _Builder:
     def expr(self, expr: Expr) -> ast.expr:
         """``expr`` as a Python expression reading the local ``store``.
 
-        Built with explicit stacks, post-order, so any depth works.  When a
-        subtree reaches ``_SPLIT_DEPTH`` it goes into a local, and so do the
-        left operands still waiting for it, first: evaluation stays left to
-        right.
+        Built with an explicit stack, post-order, so any depth works.  Each
+        operator's result goes into a fresh local as soon as its operands
+        are built: evaluation runs left to right, and no built tree is deep.
         """
-        done: list[tuple[ast.expr, int]] = []  # built operands and their depths
+        done: list[ast.expr] = []
         todo: list = [expr]
         while todo:
             match todo.pop():
                 case IntLit(value):
-                    done.append((self.const(value), 1))
+                    done.append(self.const(value))
                 case VarRef(name):
-                    read = self.method("store", "get", self.const(name), self.const(0))
-                    done.append((read, 3))
+                    done.append(self.method("store", "get", self.const(name), self.const(0)))
                 case Neg(operand):
                     todo += (_NEG, operand)
                 case BinOp(op, left, right):
                     todo += (op, right, left)
                 case op:  # the operands of ``op`` are the last ones built
-                    tree, depth = self._apply(op, done)
-                    if depth >= _SPLIT_DEPTH:
-                        done[:] = [(self.local(t), 1) if d > 1 else (t, d) for t, d in done]
-                        tree, depth = self.local(tree), 1
-                    done.append((tree, depth))
-        return done.pop()[0]
+                    done.append(self.local(self._apply(op, done)))
+        return done.pop()
 
-    def _apply(self, op: str, done: list[tuple[ast.expr, int]]) -> tuple[ast.expr, int]:
-        """Pop the operands of ``op`` off ``done``; the node and its depth."""
+    def _apply(self, op: str, done: list[ast.expr]) -> ast.expr:
+        """Pop the operands of ``op`` off ``done``; the node applying ``op``."""
         if op == _NEG:
-            operand, depth = done.pop()
-            return self.at(ast.UnaryOp(ast.USub(), operand)), depth + 1
-        (right, right_depth), (left, left_depth) = done.pop(), done.pop()
-        depth = max(left_depth, right_depth) + 1
+            return self.at(ast.UnaryOp(ast.USub(), done.pop()))
+        right, left = done.pop(), done.pop()
         if op in _ARITHMETIC:
-            return self.at(ast.BinOp(left, _ARITHMETIC[op](), right)), depth
+            return self.at(ast.BinOp(left, _ARITHMETIC[op](), right))
         if op == "/":
-            return self.call(self.name("_divide"), left, right), depth
+            return self.call(self.name("_divide"), left, right)
         test = self.at(ast.Compare(left, [_COMPARISON[op]()], [right]))
-        return self.call(self.name("int"), test), depth + 1
+        return self.call(self.name("int"), test)
 
     def compile(self) -> Action:
         module = ast.parse(_TEMPLATE)

@@ -212,9 +212,9 @@ def test_180_nested_parentheses(check):
 
 
 def test_deep_trees_evaluate_left_to_right(monkeypatch):
-    # n / 1 for n = 1..200, each right operand nesting the rest: the deep
-    # end is computed into locals first, and the divisions left of it must
-    # still run before it.
+    # n / 1 for n = 1..200, each right operand nesting the rest: each
+    # operator's result goes into a local in post-order, so every division
+    # runs before the nested operand to its right.
     dividends = []
 
     def divide_and_note(left, right):
