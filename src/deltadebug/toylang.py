@@ -11,17 +11,20 @@ Grammar (statements end with ';', one statement per line):
     arg     := STRING | expr
     expr    := integer arithmetic and comparisons with the usual precedence
 
-Strings support \\n, \\t, \\" and \\\\ escapes.  Expressions nest to any
-depth; loops nest at most MAX_LOOP_NESTING deep.  Variables hold integers and
-start out undefined; an undefined value coerces to 0 in arithmetic and
-comparisons and prints as the empty string.  Reading consumes the next
-stdin token and echoes the prompt (if any) to the output.
+An IDENT starts with a letter or "_" and goes on with letters, digits and
+"_"; an integer literal is a run of decimal digits.  Strings support \\n,
+\\t, \\" and \\\\ escapes.  Expressions nest to any depth; loops nest at
+most MAX_LOOP_NESTING deep.  Variables hold integers and start out
+undefined; an undefined value coerces to 0 in arithmetic and comparisons
+and prints as the empty string.  Reading consumes the next stdin token and
+echoes the prompt (if any) to the output.
 
 Tracing records one event per executed statement, one loop-head event per
 condition evaluation, and one loop-end event per completed iteration (the
 closing brace line).  Replay executes a chosen subset of recorded events
 in trace order: control-flow events are no-ops because the flow is already
-spelled out by the trace, and skipped reads consume no input.
+spelled out by the trace, and skipped reads consume no input.  A statement
+event on a line without an assignment, read or print is a runtime error.
 """
 
 from __future__ import annotations
@@ -126,8 +129,9 @@ class Program:
     def __init__(self, statements: tuple[Stmt, ...], source_lines: tuple[str, ...]):
         self.statements = statements
         self.source_lines = source_lines
-        # Functions of the statements run so far, by line; see ``_compiled``.
-        self._compiled: dict[int, _Compiled] = {}
+        # Functions of the statements and loop conditions run so far, by
+        # line; see ``_action``.
+        self._compiled: dict[int, Action] = {}
 
     def flattened(self) -> list[Stmt]:
         out: list[Stmt] = []
@@ -395,13 +399,14 @@ class ReplayOutput(NamedTuple):
 
 # --- compiled evaluation -----------------------------------------------------
 #
-# Each statement is compiled once, on first use, into one Python function:
-# its toy expressions are translated into a Python ``ast`` tree, spliced
-# into a fixed template and compiled.  Toy names and strings enter that
-# tree only as constants, so no toy text is ever parsed as Python.  Tracing
-# and replay both run these functions.  Variables that were never assigned
-# are absent from the store: they read as 0 in arithmetic and comparisons
-# and print as the empty string.
+# Each assignment, read, print and loop condition is compiled once, on
+# first use, into one Python function: its toy expressions are translated
+# into Python ``ast`` statements, each operator's result into a local,
+# spliced into a fixed template and compiled.  Toy names and strings enter
+# that tree only as constants, so no toy text is ever parsed as Python.
+# Tracing and replay both run these functions.  Variables that were never
+# assigned are absent from the store: they read as 0 in arithmetic and
+# comparisons and print as the empty string.
 
 Store = dict[str, int]
 
@@ -552,17 +557,44 @@ def _print_arg(build: _Builder, arg: PrintArg) -> ast.expr:
     return build.call(build.name("_show"), build.expr(arg))
 
 
-class _Compiled(NamedTuple):
-    effect: Optional[Action]  # what a replayed statement event does; None: nothing
-    trace: Action  # runs the statement and records its events
+def _action(program: Program, stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
+    """The function of ``stmt``, compiled on first use and kept with ``program``.
 
-
-def _compiled(program: Program, stmt: Stmt) -> _Compiled:
-    """The functions of ``stmt``, compiled on first use and kept with ``program``."""
+    A loop's function is its condition: it returns the condition's value.
+    """
     found = program._compiled.get(stmt.line)
     if found is None:
-        found = program._compiled[stmt.line] = _compile_statement(program, stmt)
+        found = program._compiled[stmt.line] = _compile(stmt)
     return found
+
+
+def _compile(stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
+    build = _Builder(stmt.line)
+    match stmt:
+        case Assign(_, name, expr):
+            value = build.expr(expr)
+            target = ast.Subscript(build.name("store"), build.const(name), ast.Store())
+            build.assign(build.at(target), value)
+
+        case Read(line, name, prompt):
+            def read(machine: _Machine) -> None:
+                machine.out.append(prompt)
+                if machine.next_token >= len(machine.tokens):
+                    raise ToyRuntimeError(f"line {line}: input underrun")
+                machine.store[name] = machine.tokens[machine.next_token]
+                machine.next_token += 1
+
+            return read
+
+        case PrintStmt(_, args):
+            build.assign(build.name("out", ast.Store()), build.attribute("machine", "out"))
+            for arg in args:
+                text = _print_arg(build, arg)
+                build.body.append(build.at(ast.Expr(build.method("out", "append", text))))
+
+        case While(_, cond, _):
+            build.body.append(build.at(ast.Return(build.expr(cond))))
+    return build.compile()
 
 
 def _not_a_statement(line: int) -> Action:
@@ -572,65 +604,24 @@ def _not_a_statement(line: int) -> Action:
     return effect
 
 
-def _compile_statement(program: Program, stmt: Stmt) -> _Compiled:
-    line = stmt.line
-    match stmt:
-        case Assign(_, name, expr):
-            build = _Builder(line)
-            value = build.expr(expr)
-            target = ast.Subscript(build.name("store"), build.const(name), ast.Store())
-            build.assign(build.at(target), value)
-            effect = build.compile()
-
-        case Read(_, name, prompt):
-            def effect(machine: _Machine) -> None:
-                machine.out.append(prompt)
-                if machine.next_token >= len(machine.tokens):
-                    raise ToyRuntimeError(f"line {line}: input underrun")
-                machine.store[name] = machine.tokens[machine.next_token]
-                machine.next_token += 1
-
-        case PrintStmt(_, args):
-            build = _Builder(line)
-            build.assign(build.name("out", ast.Store()), build.attribute("machine", "out"))
-            for arg in args:
-                text = _print_arg(build, arg)
-                build.body.append(build.at(ast.Expr(build.method("out", "append", text))))
-            effect = build.compile()
-
-        case LoopEnd():
-            def trace_end(machine: _Machine) -> None:
-                machine.emit(line, KIND_LOOP_END)
-
-            return _Compiled(effect=None, trace=trace_end)
-
-        case While(_, cond, body):
-            build = _Builder(line)
-            build.body.append(build.at(ast.Return(build.expr(cond))))
-            test = build.compile()
-            steps = tuple(_compiled(program, s).trace for s in body)
-
-            def run(machine: _Machine) -> None:
-                while True:
-                    machine.emit(line, KIND_LOOP_HEAD)
-                    if test(machine) == 0:
-                        return
-                    for step in steps:
-                        step(machine)
-
-            return _Compiled(effect=_not_a_statement(line), trace=run)
-
-        case _:
-            raise ToyRuntimeError(f"cannot execute {stmt!r}")
-
-    def trace(machine: _Machine) -> None:
-        machine.emit(line, KIND_STATEMENT)
-        effect(machine)
-
-    return _Compiled(effect=effect, trace=trace)
-
-
 # --- tracing and replay ------------------------------------------------------
+
+def _trace(program: Program, machine: _Machine, statements: Sequence[Stmt]) -> None:
+    """Run ``statements`` on ``machine``, recording their events."""
+    for stmt in statements:
+        if isinstance(stmt, LoopEnd):
+            machine.emit(stmt.line, KIND_LOOP_END)
+        elif isinstance(stmt, While):
+            test = _action(program, stmt)
+            while True:
+                machine.emit(stmt.line, KIND_LOOP_HEAD)
+                if test(machine) == 0:
+                    break
+                _trace(program, machine, stmt.body)
+        else:
+            machine.emit(stmt.line, KIND_STATEMENT)
+            _action(program, stmt)(machine)
+
 
 def trace_program(
     program: Program,
@@ -640,8 +631,7 @@ def trace_program(
     """Execute the program, recording the sequence of events."""
     machine = _Machine(stdin_tokens, budget)
     try:
-        for stmt in program.statements:
-            _compiled(program, stmt).trace(machine)
+        _trace(program, machine, program.statements)
         status, error = STATUS_COMPLETED, None
     except ToyRuntimeError as exc:
         status, error = STATUS_RUNTIME_ERROR, str(exc)
@@ -685,10 +675,10 @@ def resolve_trace(program: Program, trace: Sequence[Event]) -> ResolvedTrace:
         stmt = line_map.get(event.line)
         if event.kind != KIND_STATEMENT:
             actions.append(None)
-        elif stmt is None:
-            actions.append(_not_a_statement(event.line))
+        elif isinstance(stmt, (Assign, Read, PrintStmt)):
+            actions.append(_action(program, stmt))
         else:
-            actions.append(_compiled(program, stmt).effect)
+            actions.append(_not_a_statement(event.line))
     return ResolvedTrace(program, trace, tuple(actions))
 
 

@@ -273,6 +273,16 @@ class TestReplayEvents:
             assert replayed.status == "runtime-error"
             assert replayed.error == f"event at line {line} is not a statement"
 
+    def test_statement_event_on_a_closing_brace(self):
+        # Line 4 is a loop's closing brace: like a loop head, not a statement.
+        program = parse_program("i = 0;\nwhile (i < 1) {\ni = i + 1;\n}\nprint(i);\n")
+        trace = [Event(line=line, seq=seq, kind="statement")
+                 for seq, line in enumerate((1, 4, 5), start=1)]
+        replayed = replay_events(program, trace, Configuration.full(3), [])
+        assert (replayed.status, replayed.error, replayed.stdout) == (
+            "runtime-error", "event at line 4 is not a statement", ""
+        )
+
     def test_universe_mismatch_rejected(self, sample_source):
         program = parse_program(sample_source)
         trace, _ = trace_program(program, [0, 5])
