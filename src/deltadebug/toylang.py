@@ -164,15 +164,16 @@ class _Token(NamedTuple):
 
 
 _KEYWORDS = {"while", "input", "print"}
-# One token per match.  An "other" match, and an "ident" match that does not
-# start with a letter or "_", are errors.
+# One token per match.  \d matches only decimal digits, the ones int()
+# reads.  A string's closing quote is optional, so that a missing one can be
+# reported.  An "other" match, and an "ident" match that does not start with
+# a letter or "_", are errors.
 _TOKEN = re.compile(r"""
     (?P<space>[ \t\r]+) | (?P<newline>\n)
   | (?P<string>"(?P<body>(?:[^"\\\n]|\\.?)*)(?P<close>"?))
   | (?P<int>\d+) | (?P<ident>\w+)
   | (?P<op><=|>=|==|!=|[-=+*/<>(){},;]) | (?P<other>.)
 """, re.VERBOSE)
-_ESCAPE = re.compile(r"\\(.?)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _BINARY_PRECEDENCE = {
     "<=": 1, "<": 1, "==": 1, "!=": 1, ">": 1, ">=": 1,
@@ -197,7 +198,7 @@ def _lex(text: str) -> list[_Token]:
                     raise ToyParseError("unknown escape", line, col + 1 + escape.start())
                 return _ESCAPES[escape[1]]
 
-            value = _ESCAPE.sub(unescape, match["body"])
+            value = re.sub(r"\\(.?)", unescape, match["body"])
             if not match["close"]:
                 raise ToyParseError("unterminated string", line, col)
             tokens.append(_Token(kind, value, line, col))
@@ -504,9 +505,10 @@ class _Builder:
     def expr(self, expr: Expr) -> ast.expr:
         """``expr`` as a Python expression reading the local ``store``.
 
-        Built with an explicit stack, post-order, so any depth works.  Each
-        operator's result goes into a fresh local as soon as its operands
-        are built: evaluation runs left to right, and no built tree is deep.
+        Built with an explicit stack, post-order, so any depth works.  The
+        result of each operator but the last goes into a fresh local as soon
+        as its operands are built: evaluation runs left to right, and no
+        built tree is deep.
         """
         done: list[ast.expr] = []
         todo: list = [expr]
@@ -521,7 +523,8 @@ class _Builder:
                 case BinOp(op, left, right):
                     todo += (op, right, left)
                 case op:  # the operands of ``op`` are the last ones built
-                    done.append(self.local(self._apply(op, done)))
+                    tree = self._apply(op, done)
+                    done.append(self.local(tree) if todo else tree)
         return done.pop()
 
     def _apply(self, op: str, done: list[ast.expr]) -> ast.expr:
