@@ -85,6 +85,16 @@ class TestSplitUnifiedDiff:
     def test_empty_diff_yields_no_changes(self):
         assert split_unified_diff("") == []
 
+    def test_git_headers_and_blank_lines_between_files_are_skipped(self):
+        plain = make_diff({"x": "a\nb\n", "y": "c\n"}, {"x": "a\nB\n", "y": "C\n"})
+        x_part, y_part = plain.split("--- a/y")
+        git = (
+            "diff --git a/x b/x\nindex 5626abf..f719efd 100644\n" + x_part
+            + "\ndiff --git a/y b/y\nnew file mode 100644\n--- a/y" + y_part
+        )
+        assert split_unified_diff(git) == split_unified_diff(plain)
+        assert len(split_unified_diff(plain)) == 2
+
     def test_pure_insertion_anchor(self):
         baseline = {"f": "a\nb\n"}
         modified = {"f": "a\nX\nb\n"}

@@ -448,6 +448,18 @@ class TestReduceTraceCommand:
         assert rows, "expected bitmap rows"
         assert all(l.split()[0].strip("*.") == "" for l in rows)
 
+    def test_expect_decodes_tab_backslash_and_newline_only(self, tmp_path):
+        # The toy program prints: a, tab, b, backslash, n, c, backslash, q, 1.
+        program = tmp_path / "escapes.toy"
+        program.write_text('x = 1;\nprint("a\\tb\\\\nc\\\\q", x, "\\n");\n')
+        report = tmp_path / "report.json"
+        code = run([
+            "reduce-trace", "--program", str(program),
+            "--expect", "a\\tb\\\\nc\\q1\\n", "--report", str(report),
+        ])
+        assert code == 0
+        assert json.loads(report.read_text())["final"] == [0, 1]
+
     def test_unsatisfiable_expectation_exits_2(self, tmp_path, sample_source):
         program = tmp_path / "sample.toy"
         program.write_text(sample_source)

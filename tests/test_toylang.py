@@ -107,6 +107,7 @@ class TestLexer:
         # str.isdigit holds for "²", but integer literals are decimal digits.
         ("x = ²;\n", "1:5: unexpected character '²'"),
         ("x = 1²;\n", "1:6: unexpected character '²'"),
+        ("x = (1 + 2;\n", "1:11: expected ')', found ';'"),
     ]
 
     @pytest.mark.parametrize("source, expected", ROWS)
