@@ -9,6 +9,7 @@ one does).
 from __future__ import annotations
 
 import argparse
+import re
 import signal
 import sys
 from pathlib import Path
@@ -39,27 +40,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_EXPECT_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\"}
+
+
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i] == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(text[i])
-        i += 1
-    return "".join(out)
+    """Decode \\n, \\t and \\\\; any other backslash stays as it is."""
+    return re.sub(r"\\([nt\\])", lambda escape: _EXPECT_ESCAPES[escape[1]], text)
 
 
 class _Progress:
