@@ -23,8 +23,10 @@ Tracing records one event per executed statement, one loop-head event per
 condition evaluation, and one loop-end event per completed iteration (the
 closing brace line).  Replay executes a chosen subset of recorded events
 in trace order: control-flow events are no-ops because the flow is already
-spelled out by the trace, and skipped reads consume no input.  A statement
-event on a line without an assignment, read or print is a runtime error.
+spelled out by the trace, and skipped reads consume no input.  An event is
+a runtime error unless its line holds its kind of statement: an assignment,
+read or print for a statement event, a ``while`` for a loop head, a closing
+brace for a loop end.
 """
 
 from __future__ import annotations
@@ -600,9 +602,15 @@ def _compile(stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
     return build.compile()
 
 
-def _not_a_statement(line: int) -> Action:
+# The statements each kind of event must sit on.
+_EVENT_STATEMENTS = {
+    KIND_STATEMENT: (Assign, Read, PrintStmt), KIND_LOOP_HEAD: While, KIND_LOOP_END: LoopEnd,
+}
+
+
+def _misplaced(event: Event) -> Action:
     def effect(machine: _Machine) -> None:
-        raise ToyRuntimeError(f"event at line {line} is not a statement")
+        raise ToyRuntimeError(f"event at line {event.line} is not a {event.kind}")
 
     return effect
 
@@ -648,8 +656,8 @@ class ResolvedTrace(tuple):
     """A trace whose events are paired with what replaying them does.
 
     ``actions[i]`` is the effect of event ``i`` under ``program``, or None
-    for an event that only counts against the budget (loop heads and loop
-    ends).  Built by ``resolve_trace``; a replayer holding one does not
+    for an event that only counts against the budget (a loop head on a
+    ``while`` line, a loop end on a closing brace).  Built by ``resolve_trace``; a replayer holding one does not
     resolve the trace again for every configuration.
     """
 
@@ -676,12 +684,12 @@ def resolve_trace(program: Program, trace: Sequence[Event]) -> ResolvedTrace:
     actions = []
     for event in trace:
         stmt = line_map.get(event.line)
-        if event.kind != KIND_STATEMENT:
-            actions.append(None)
-        elif isinstance(stmt, (Assign, Read, PrintStmt)):
+        if not isinstance(stmt, _EVENT_STATEMENTS.get(event.kind, ())):
+            actions.append(_misplaced(event))
+        elif event.kind == KIND_STATEMENT:
             actions.append(_action(program, stmt))
         else:
-            actions.append(_not_a_statement(event.line))
+            actions.append(None)
     return ResolvedTrace(program, trace, tuple(actions))
 
 
@@ -695,7 +703,8 @@ def replay_events(
     """Execute exactly the included trace events, in trace order.
 
     Loop heads and loop ends are no-ops (conditions are never evaluated;
-    the trace already dictates the flow).  Skipped events have no effect
+    the trace already dictates the flow).  An event on a line without a
+    statement of its kind is a runtime error.  Skipped events have no effect
     at all, and skipped reads consume no stdin tokens.  Every included
     event counts against ``budget``.  Pass a ``resolve_trace`` result to
     replay many configurations of one trace without resolving it each time.

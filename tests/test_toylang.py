@@ -280,6 +280,26 @@ class TestReplayEvents:
             "runtime-error", "event at line 4 is not a statement", ""
         )
 
+    def test_control_event_off_its_line(self):
+        # Line 1 is an assignment and line 99 does not exist: no loop head.
+        program = parse_program("x = 1;\nprint(x);\n")
+        trace = [Event(1, 1, "loop-head"), Event(2, 2, "statement"), Event(99, 3, "loop-head")]
+        replayed = replay_events(program, trace, Configuration.full(3), [])
+        assert (replayed.status, replayed.error, replayed.stdout) == (
+            "runtime-error", "event at line 1 is not a loop-head", ""
+        )
+        replayed = replay_events(program, trace, Configuration(3, [1, 2]), [])
+        assert (replayed.status, replayed.error) == (
+            "runtime-error", "event at line 99 is not a loop-head"
+        )
+        # A loop's head and its closing brace are not interchangeable.
+        program = parse_program("i = 0;\nwhile (i < 1) {\ni = i + 1;\n}\n")
+        for line, kind in ((2, "loop-end"), (4, "loop-head")):
+            replayed = replay_events(program, [Event(line, 1, kind)], Configuration.full(1), [])
+            assert (replayed.status, replayed.error) == (
+                "runtime-error", f"event at line {line} is not a {kind}"
+            )
+
     def test_universe_mismatch_rejected(self, sample_source):
         program = parse_program(sample_source)
         trace, _ = trace_program(program, [0, 5])
