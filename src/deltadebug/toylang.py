@@ -31,7 +31,6 @@ brace for a loop end.
 
 from __future__ import annotations
 
-import ast
 import re
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -403,10 +402,10 @@ class ReplayOutput(NamedTuple):
 # --- compiled evaluation -----------------------------------------------------
 #
 # Each assignment, read, print and loop condition is compiled once, on
-# first use, into one Python function: its toy expressions are translated
-# into Python ``ast`` statements, each operator's result into a local,
-# spliced into a fixed template and compiled.  Toy names and strings enter
-# that tree only as constants, so no toy text is ever parsed as Python.
+# first use, into one Python function: ``_source`` writes its Python text,
+# with the result of each operator but the last in a local, and ``_compile``
+# compiles that.  Toy names, strings and integers enter the text only as
+# ``repr`` literals, so no toy text is ever read as Python.
 # Tracing and replay both run these functions.  Variables that were never
 # assigned are absent from the store: they read as 0 in arithmetic and
 # comparisons and print as the empty string.
@@ -455,111 +454,74 @@ class _Machine:
 
 Action = Callable[[_Machine], None]
 
-# Every compiled statement starts from this template; its body grows by
-# the statement's own Python statements.
-_TEMPLATE = "def statement(machine):\n    store = machine.store\n"
+# The Python text of each toy operator applied to its operands' texts.
+_OPERATORS = {
+    "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})",
+    **{op: f"int({{}} {op} {{}})" for op in ("<=", "<", "==", "!=", ">", ">=")},
+    _NEG: "-{}",
+}
 # The only names compiled statements can reach: no builtins.
 _GLOBALS = {"__builtins__": {}, "_divide": _divide, "_show": _show, "int": int}
-_ARITHMETIC = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
-_COMPARISON = {
-    "<=": ast.LtE, "<": ast.Lt, "==": ast.Eq, "!=": ast.NotEq, ">": ast.Gt, ">=": ast.GtE,
-}
 
 
-class _Builder:
-    """Python ``ast`` nodes for one statement, all placed at its toy line."""
+def _source(stmt: Union[Assign, PrintStmt, While]) -> str:
+    """The Python source of the function ``statement`` that runs ``stmt``.
 
-    def __init__(self, line: int):
-        self.line = line
-        self.body: list[ast.stmt] = []
-        self._locals = 0
+    Toy names, strings and integers enter it only as ``repr`` literals.  A
+    loop's function is its condition: it returns the condition's value.
+    """
+    lines = ["def statement(machine):", "store = machine.store"]
+    count = 0  # locals written so far
 
-    def at(self, node):
-        node.lineno = node.end_lineno = self.line
-        node.col_offset = node.end_col_offset = 0
-        return node
-
-    def const(self, value) -> ast.expr:
-        return self.at(ast.Constant(value))
-
-    def name(self, name: str, ctx=None) -> ast.expr:
-        return self.at(ast.Name(name, ctx or ast.Load()))
-
-    def call(self, func: ast.expr, *args: ast.expr) -> ast.expr:
-        return self.at(ast.Call(func, list(args), []))
-
-    def attribute(self, obj: str, attr: str) -> ast.expr:
-        return self.at(ast.Attribute(self.name(obj), attr, ast.Load()))
-
-    def method(self, obj: str, method: str, *args: ast.expr) -> ast.expr:
-        return self.call(self.attribute(obj, method), *args)
-
-    def assign(self, target: ast.expr, value: ast.expr) -> None:
-        self.body.append(self.at(ast.Assign([target], value)))
-
-    def local(self, value: ast.expr) -> ast.expr:
-        """Compute ``value`` into a fresh local now; return a reference to it."""
-        name = f"_{self._locals}"
-        self._locals += 1
-        self.assign(self.name(name, ast.Store()), value)
-        return self.name(name)
-
-    def expr(self, expr: Expr) -> ast.expr:
-        """``expr`` as a Python expression reading the local ``store``.
+    def expr(root: Expr) -> str:
+        """``root`` as Python text reading the local ``store``.
 
         Built with an explicit stack, post-order, so any depth works.  The
         result of each operator but the last goes into a fresh local as soon
         as its operands are built: evaluation runs left to right, and no
-        built tree is deep.
+        expression nests.
         """
-        done: list[ast.expr] = []
-        todo: list = [expr]
+        nonlocal count
+        done: list[str] = []
+        todo: list = [root]
         while todo:
             match todo.pop():
                 case IntLit(value):
-                    done.append(self.const(value))
+                    done.append(repr(value))
                 case VarRef(name):
-                    done.append(self.method("store", "get", self.const(name), self.const(0)))
+                    done.append(f"store.get({name!r}, 0)")
                 case Neg(operand):
                     todo += (_NEG, operand)
                 case BinOp(op, left, right):
                     todo += (op, right, left)
                 case op:  # the operands of ``op`` are the last ones built
-                    tree = self._apply(op, done)
-                    done.append(self.local(tree) if todo else tree)
+                    arity = 1 if op == _NEG else 2
+                    text = _OPERATORS[op].format(*done[-arity:])
+                    del done[-arity:]
+                    if todo:
+                        lines.append(f"_{count} = {text}")
+                        text, count = f"_{count}", count + 1
+                    done.append(text)
         return done.pop()
 
-    def _apply(self, op: str, done: list[ast.expr]) -> ast.expr:
-        """Pop the operands of ``op`` off ``done``; the node applying ``op``."""
-        if op == _NEG:
-            return self.at(ast.UnaryOp(ast.USub(), done.pop()))
-        right, left = done.pop(), done.pop()
-        if op in _ARITHMETIC:
-            return self.at(ast.BinOp(left, _ARITHMETIC[op](), right))
-        if op == "/":
-            return self.call(self.name("_divide"), left, right)
-        test = self.at(ast.Compare(left, [_COMPARISON[op]()], [right]))
-        return self.call(self.name("int"), test)
-
-    def compile(self) -> Action:
-        module = ast.parse(_TEMPLATE)
-        module.body[0].body += self.body
-        namespace = dict(_GLOBALS)
-        exec(compile(module, f"<toy line {self.line}>", "exec"), namespace)
-        return namespace["statement"]
-
-
-def _print_arg(build: _Builder, arg: PrintArg) -> ast.expr:
-    match arg:
-        case str():
-            return build.const(arg)
-        case VarRef(name):
-            # Print shows the raw variable: undefined renders empty, not 0.
-            key, store = build.const(name), build.name("store")
-            defined = build.at(ast.Compare(key, [ast.In()], [store]))
-            text = build.call(build.name("_show"), build.at(ast.Subscript(store, key, ast.Load())))
-            return build.at(ast.IfExp(defined, text, build.const("")))
-    return build.call(build.name("_show"), build.expr(arg))
+    match stmt:
+        case Assign(_, name, value):
+            lines.append(f"store[{name!r}] = {expr(value)}")
+        case PrintStmt(_, args):
+            lines.append("out = machine.out")
+            for arg in args:
+                match arg:
+                    case str():
+                        text = repr(arg)
+                    case VarRef(name):
+                        # Print shows the raw variable: undefined renders empty, not 0.
+                        text = f"_show(store[{name!r}]) if {name!r} in store else ''"
+                    case _:
+                        text = f"_show({expr(arg)})"
+                lines.append(f"out.append({text})")
+        case While(_, cond, _):
+            lines.append(f"return {expr(cond)}")
+    return "\n    ".join(lines) + "\n"
 
 
 def _action(program: Program, stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
@@ -574,13 +536,7 @@ def _action(program: Program, stmt: Union[Assign, Read, PrintStmt, While]) -> Ac
 
 
 def _compile(stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
-    build = _Builder(stmt.line)
     match stmt:
-        case Assign(_, name, expr):
-            value = build.expr(expr)
-            target = ast.Subscript(build.name("store"), build.const(name), ast.Store())
-            build.assign(build.at(target), value)
-
         case Read(line, name, prompt):
             def read(machine: _Machine) -> None:
                 machine.out.append(prompt)
@@ -590,16 +546,9 @@ def _compile(stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
                 machine.next_token += 1
 
             return read
-
-        case PrintStmt(_, args):
-            build.assign(build.name("out", ast.Store()), build.attribute("machine", "out"))
-            for arg in args:
-                text = _print_arg(build, arg)
-                build.body.append(build.at(ast.Expr(build.method("out", "append", text))))
-
-        case While(_, cond, _):
-            build.body.append(build.at(ast.Return(build.expr(cond))))
-    return build.compile()
+    namespace = dict(_GLOBALS)
+    exec(compile(_source(stmt), f"<toy line {stmt.line}>", "exec"), namespace)
+    return namespace["statement"]
 
 
 # The statements each kind of event must sit on.
