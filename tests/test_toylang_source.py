@@ -9,6 +9,8 @@ import ast
 import random
 import re
 
+import pytest
+
 from deltadebug import toylang
 from deltadebug.toylang import Assign, BinOp, Neg, PrintStmt, VarRef, While, parse_program
 
@@ -63,6 +65,47 @@ def toy_texts(stmt):
     return texts
 
 
+def python_source(stmt):
+    return toylang._source(stmt)
+
+
+HEAD = "def statement(machine):\n    store = machine.store\n"
+# One row per toy source: the Python source of its first statement, after
+# HEAD.  Each operator's result but the last goes into the next local ``_<n>``.
+SOURCE_ROWS = [
+    ("r = a + 1;", "store['r'] = store.get('a', 0) + 1"),
+    ("r = a - 1;", "store['r'] = store.get('a', 0) - 1"),
+    ("r = a * 2;", "store['r'] = store.get('a', 0) * 2"),
+    ("r = a / 2;", "store['r'] = _divide(store.get('a', 0), 2)"),
+    ("r = a <= b;", "store['r'] = int(store.get('a', 0) <= store.get('b', 0))"),
+    ("r = a < b;", "store['r'] = int(store.get('a', 0) < store.get('b', 0))"),
+    ("r = a == b;", "store['r'] = int(store.get('a', 0) == store.get('b', 0))"),
+    ("r = a != b;", "store['r'] = int(store.get('a', 0) != store.get('b', 0))"),
+    ("r = a > b;", "store['r'] = int(store.get('a', 0) > store.get('b', 0))"),
+    ("r = a >= b;", "store['r'] = int(store.get('a', 0) >= store.get('b', 0))"),
+    ("r = -5;", "store['r'] = -5"),
+    ("r = -a;", "store['r'] = -store.get('a', 0)"),
+    ("r = (a - (b + 1)) * c;",
+     "_0 = store.get('b', 0) + 1\n"
+     "    _1 = store.get('a', 0) - _0\n"
+     "    store['r'] = _1 * store.get('c', 0)"),
+    # A bare variable, parenthesized or not, prints empty when undefined.
+    ('print("x\\"\\\\\\n", x, (x), x + 1);',
+     "out = machine.out\n"
+     "    out.append('x\"\\\\\\n')\n"
+     "    out.append(_show(store['x']) if 'x' in store else '')\n"
+     "    out.append(_show(store['x']) if 'x' in store else '')\n"
+     "    out.append(_show(store.get('x', 0) + 1))"),
+    ("while (i < 3) {\n}\n", "return int(store.get('i', 0) < 3)"),
+    ("store = machine * _0;", "store['store'] = store.get('machine', 0) * store.get('_0', 0)"),
+]
+
+
+@pytest.mark.parametrize("toy, body", SOURCE_ROWS)
+def test_python_source_table(toy, body):
+    assert python_source(parse_program(toy).statements[0]) == HEAD + "    " + body + "\n"
+
+
 def shape(tree):
     """``tree`` dumped with every constant blanked."""
     for node in ast.walk(tree):
@@ -84,12 +127,12 @@ def test_toy_text_enters_the_python_source_only_as_constants():
         for stmt, twin in zip(toy.flattened(), renamed.flattened(), strict=True):
             if not isinstance(stmt, (Assign, PrintStmt, While)):
                 continue
-            tree = ast.parse(toylang._source(stmt))
+            tree = ast.parse(python_source(stmt))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     assert node.id in PYTHON_NAMES or OPERATOR_LOCAL.fullmatch(node.id)
             constants = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
             assert toy_texts(stmt) <= constants
-            assert shape(tree) == shape(ast.parse(toylang._source(twin)))
+            assert shape(tree) == shape(ast.parse(python_source(twin)))
             checked += 1
     assert checked == 1200
