@@ -13,11 +13,15 @@ Grammar (statements end with ';', one statement per line):
 
 An IDENT starts with a letter or "_" and goes on with letters, digits and
 "_"; an integer literal is a run of decimal digits.  Strings support \\n,
-\\t, \\" and \\\\ escapes.  Expressions nest to any depth; loops nest at
-most MAX_LOOP_NESTING deep.  Variables hold integers and start out
-undefined; an undefined value coerces to 0 in arithmetic and comparisons
-and prints as the empty string.  Reading consumes the next stdin token and
-echoes the prompt (if any) to the output.
+\\t, \\" and \\\\ escapes.  Expressions and loops nest to any depth.
+Variables hold integers and start out undefined; an undefined value
+coerces to 0 in arithmetic and comparisons and prints as the empty string.
+Reading consumes the next stdin token and echoes the prompt (if any) to
+the output.
+
+The parser writes a program as one flat table of statements, each
+assignment, print and loop condition with its Python source; the tracer
+walks that table with a program counter.
 
 Tracing records one event per executed statement, one loop-head event per
 condition evaluation, and one loop-end event per completed iteration (the
@@ -38,8 +42,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .core import Configuration
 
 DEFAULT_STEP_BUDGET = 1_000_000
-# Parsing, compiling and running a loop recurse once per enclosing loop.
-MAX_LOOP_NESTING = 200
 
 KIND_STATEMENT = "statement"
 KIND_LOOP_HEAD = "loop-head"
@@ -65,11 +67,10 @@ class _Budget(Exception):
     pass
 
 
-# --- AST ---------------------------------------------------------------------
+# --- statements --------------------------------------------------------------
 #
-# Nodes compare by identity and print with the default repr: no method
-# walks a tree, so a program of any depth can be printed, compared and
-# hashed.
+# A program's statements are one flat table in source order.  They compare
+# by identity and print with the default repr.
 
 class _Node:
     __slots__ = ()
@@ -79,49 +80,30 @@ class _Node:
             setattr(self, name, value)
 
 
-class IntLit(_Node):
-    __slots__ = __match_args__ = ("value",)
+class Statement(_Node):
+    """An assignment or print; ``source`` is the Python text that runs it."""
 
-
-class VarRef(_Node):
-    __slots__ = __match_args__ = ("name",)
-
-
-class BinOp(_Node):
-    __slots__ = __match_args__ = ("op", "left", "right")
-
-
-class Neg(_Node):
-    __slots__ = __match_args__ = ("operand",)
-
-
-Expr = Union[IntLit, VarRef, BinOp, Neg]
-PrintArg = Union[str, Expr]  # a string literal is its decoded text
-
-
-class Assign(_Node):
-    __slots__ = __match_args__ = ("line", "name", "expr")
+    __slots__ = ("line", "source")
 
 
 class Read(_Node):
     __slots__ = __match_args__ = ("line", "name", "prompt")
 
 
-class PrintStmt(_Node):
-    __slots__ = __match_args__ = ("line", "args")
+class While(_Node):
+    """A loop head; ``source`` returns its condition's value, and ``end`` is
+    the index after its ``LoopEnd``."""
+
+    __slots__ = ("line", "source", "end")
 
 
 class LoopEnd(_Node):
-    """The closing brace of a loop body; marks the back edge."""
+    """The closing brace of a loop body; ``head`` is its ``While``'s index."""
 
-    __slots__ = __match_args__ = ("line",)
-
-
-class While(_Node):
-    __slots__ = __match_args__ = ("line", "cond", "body")  # body ends with a LoopEnd
+    __slots__ = ("line", "head")
 
 
-Stmt = Union[Assign, Read, PrintStmt, While, LoopEnd]
+Stmt = Union[Statement, Read, While, LoopEnd]
 
 
 class Program:
@@ -133,21 +115,6 @@ class Program:
         # Functions of the statements and loop conditions run so far, by
         # line; see ``_action``.
         self._compiled: dict[int, Action] = {}
-
-    def flattened(self) -> list[Stmt]:
-        out: list[Stmt] = []
-
-        def walk(stmts: Sequence[Stmt]) -> None:
-            for s in stmts:
-                out.append(s)
-                if isinstance(s, While):
-                    walk(s.body)
-
-        walk(self.statements)
-        return out
-
-    def line_map(self) -> dict[int, Stmt]:
-        return {s.line: s for s in self.flattened()}
 
     def source_line(self, line: int) -> str:
         if 1 <= line <= len(self.source_lines):
@@ -212,13 +179,31 @@ def _lex(text: str) -> list[_Token]:
 
 
 # --- parser ------------------------------------------------------------------
+#
+# The parser writes each assignment, print and loop condition as the Python
+# source of one function, ``statement(machine)``, which reads and writes
+# the local ``store``.  Toy names, strings and integers enter that text only
+# as ``repr`` literals, so no toy text is ever read as Python.
+
+# The Python text of each toy operator applied to its operands' texts.
+_OPERATORS = {
+    "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})",
+    **{op: f"int({{}} {op} {{}})" for op in ("<=", "<", "==", "!=", ">", ">=")},
+    _NEG: "-{}",
+}
+
+
+def _define(lines: list[str]) -> str:
+    """The source of the function ``statement`` whose body is ``lines``."""
+    return "\n    ".join(["def statement(machine):", "store = machine.store", *lines]) + "\n"
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
         self._used_lines: set[int] = set()
-        self._loops = 0  # loops open around the statement being parsed
+        self._locals = 0  # operator results ``_<n>`` in the statement's source so far
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -241,21 +226,29 @@ class _Parser:
         self._used_lines.add(tok.line)
         return tok.line
 
-    def parse_program(self) -> tuple[Stmt, ...]:
+    def statements(self) -> tuple[Stmt, ...]:
         stmts: list[Stmt] = []
-        while self._peek().kind != "eof":
-            stmts.append(self._statement())
+        open_loops: list[tuple[int, _Token]] = []  # each open loop's index and ``while``
+        while (tok := self._peek()).kind != "eof":
+            self._locals = 0
+            if open_loops and tok.kind == "op" and tok.value == "}":
+                self._next()
+                index = open_loops.pop()[0]
+                stmts[index].end = len(stmts) + 1
+                stmts.append(LoopEnd(self._claim_line(tok), index))
+            elif tok.kind == "ident" and tok.value == "while":
+                open_loops.append((len(stmts), tok))
+                stmts.append(self._while())
+            elif tok.kind == "ident" and tok.value == "print":
+                stmts.append(self._print())
+            elif tok.kind == "ident" and tok.value not in _KEYWORDS:
+                stmts.append(self._assign_or_read())
+            else:
+                raise ToyParseError(f"expected a statement, found {tok.value!r}", tok.line, tok.col)
+        if open_loops:
+            head = open_loops[-1][1]
+            raise ToyParseError("unterminated loop body", head.line, head.col)
         return tuple(stmts)
-
-    def _statement(self) -> Stmt:
-        tok = self._peek()
-        if tok.kind == "ident" and tok.value == "while":
-            return self._while()
-        if tok.kind == "ident" and tok.value == "print":
-            return self._print()
-        if tok.kind == "ident" and tok.value not in _KEYWORDS:
-            return self._assign_or_read()
-        raise ToyParseError(f"expected a statement, found {tok.value!r}", tok.line, tok.col)
 
     def _assign_or_read(self) -> Stmt:
         name_tok = self._next()
@@ -271,63 +264,69 @@ class _Parser:
             self._expect("op", ")")
             self._expect("op", ";")
             return Read(line, name_tok.value, prompt)
-        expr = self._expr()
+        lines: list[str] = []
+        value = self._expr(lines)[0]
         self._expect("op", ";")
-        return Assign(line, name_tok.value, expr)
+        lines.append(f"store[{name_tok.value!r}] = {value}")
+        return Statement(line, _define(lines))
 
     def _print(self) -> Stmt:
-        tok = self._next()
-        line = self._claim_line(tok)
+        line = self._claim_line(self._next())
         self._expect("op", "(")
-        args: list[PrintArg] = [self._arg()]
+        lines = ["out = machine.out"]
+        self._arg(lines)
         while self._peek().value == ",":
             self._next()
-            args.append(self._arg())
+            self._arg(lines)
         self._expect("op", ")")
         self._expect("op", ";")
-        return PrintStmt(line, tuple(args))
+        return Statement(line, _define(lines))
 
-    def _arg(self) -> PrintArg:
+    def _arg(self, lines: list[str]) -> None:
         if self._peek().kind == "string":
-            return self._next().value
-        return self._expr()
+            text = repr(self._next().value)
+        else:
+            value, name = self._expr(lines)
+            if name is None:
+                text = f"_show({value})"
+            else:  # print shows the raw variable: undefined renders empty, not 0
+                text = f"_show(store[{name!r}]) if {name!r} in store else ''"
+        lines.append(f"out.append({text})")
 
-    def _while(self) -> Stmt:
-        tok = self._next()
-        line = self._claim_line(tok)
-        if self._loops == MAX_LOOP_NESTING:
-            raise ToyParseError("loops nested too deeply", tok.line, tok.col)
-        self._loops += 1
+    def _while(self) -> While:
+        line = self._claim_line(self._next())
         self._expect("op", "(")
-        cond = self._expr()
+        lines: list[str] = []
+        cond = self._expr(lines)[0]
         self._expect("op", ")")
         self._expect("op", "{")
-        body: list[Stmt] = []
-        while not (self._peek().kind == "op" and self._peek().value == "}"):
-            if self._peek().kind == "eof":
-                raise ToyParseError("unterminated loop body", tok.line, tok.col)
-            body.append(self._statement())
-        brace = self._next()
-        body.append(LoopEnd(self._claim_line(brace)))
-        self._loops -= 1
-        return While(line, cond, tuple(body))
+        lines.append(f"return {cond}")
+        return While(line, _define(lines), None)  # ``statements`` sets ``end``
 
     # Operator precedence parsing with explicit stacks: nesting and long
     # operator chains cost no recursion.  Precedence: comparison < additive
     # < multiplicative < unary minus; binary operators are left-associative.
-    def _expr(self) -> Expr:
-        operands: list[Expr] = []
+    # Operators are applied in post-order, and each result goes into the
+    # next local ``_<n>`` as it is applied: evaluation runs left to right,
+    # and no expression nests.
+    def _expr(self, lines: list[str]) -> tuple[str, Optional[str]]:
+        """Parse an expression, appending the lines of its operators but the
+        last to ``lines``; return its value's text and, if it is a bare
+        variable, that variable's name."""
+        operands: list[str] = []
         pending: list[str] = []  # binary operators, _NEG and "(" not yet applied
+        written = len(lines)
 
         def apply(precedence: int) -> None:
             """Apply the pending operators that bind at least this tightly."""
             while pending and pending[-1] != "(" and _PRECEDENCE[pending[-1]] >= precedence:
                 op = pending.pop()
-                if op == _NEG:
-                    operands.append(Neg(operands.pop()))
-                else:
-                    right = operands.pop()
-                    operands.append(BinOp(op, operands.pop(), right))
+                arity = 1 if op == _NEG else 2
+                text = _OPERATORS[op].format(*operands[-arity:])
+                del operands[-arity:]
+                operands.append(f"_{self._locals}")
+                lines.append(f"_{self._locals} = {text}")
+                self._locals += 1
 
         open_parens = 0
         while True:
@@ -337,6 +336,7 @@ class _Parser:
                 pending.append(_NEG if tok.value == "-" else "(")
                 open_parens += tok.value == "("
                 continue
+            primary = tok
             operands.append(self._primary())
             tok = self._peek()
             while open_parens and tok.kind == "op" and tok.value == ")":
@@ -353,14 +353,17 @@ class _Parser:
             if open_parens:
                 self._expect("op", ")")
             apply(1)
-            return operands.pop()
+            if len(lines) == written:  # no operator: one literal or variable
+                return operands.pop(), primary.value if primary.kind == "ident" else None
+            self._locals -= 1  # the last operator's result stays in place
+            return lines.pop().partition(" = ")[2], None
 
-    def _primary(self) -> Expr:
+    def _primary(self) -> str:
         tok = self._peek()
         if tok.kind == "int":
             self._next()
             try:
-                return IntLit(int(tok.value))
+                return repr(int(tok.value))
             except ValueError:  # past the interpreter's int/str digit limit
                 raise ToyParseError(
                     f"integer literal of {len(tok.value)} digits is too long",
@@ -368,14 +371,12 @@ class _Parser:
                 ) from None
         if tok.kind == "ident" and tok.value not in _KEYWORDS:
             self._next()
-            return VarRef(tok.value)
+            return f"store.get({tok.value!r}, 0)"
         raise ToyParseError(f"expected an expression, found {tok.value!r}", tok.line, tok.col)
 
 
 def parse_program(text: str) -> Program:
-    tokens = _lex(text)
-    statements = _Parser(tokens).parse_program()
-    return Program(statements, tuple(text.split("\n")))
+    return Program(_Parser(_lex(text)).statements(), tuple(text.split("\n")))
 
 
 # --- trace events ------------------------------------------------------------
@@ -402,10 +403,8 @@ class ReplayOutput(NamedTuple):
 # --- compiled evaluation -----------------------------------------------------
 #
 # Each assignment, read, print and loop condition is compiled once, on
-# first use, into one Python function: ``_source`` writes its Python text,
-# with the result of each operator but the last in a local, and ``_compile``
-# compiles that.  Toy names, strings and integers enter the text only as
-# ``repr`` literals, so no toy text is ever read as Python.
+# first use, into one Python function: a read into a closure, the others
+# from the source the parser wrote for them.
 # Tracing and replay both run these functions.  Variables that were never
 # assigned are absent from the store: they read as 0 in arithmetic and
 # comparisons and print as the empty string.
@@ -454,88 +453,19 @@ class _Machine:
 
 Action = Callable[[_Machine], None]
 
-# The Python text of each toy operator applied to its operands' texts.
-_OPERATORS = {
-    "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})",
-    **{op: f"int({{}} {op} {{}})" for op in ("<=", "<", "==", "!=", ">", ">=")},
-    _NEG: "-{}",
-}
 # The only names compiled statements can reach: no builtins.
 _GLOBALS = {"__builtins__": {}, "_divide": _divide, "_show": _show, "int": int}
 
 
-def _source(stmt: Union[Assign, PrintStmt, While]) -> str:
-    """The Python source of the function ``statement`` that runs ``stmt``.
-
-    Toy names, strings and integers enter it only as ``repr`` literals.  A
-    loop's function is its condition: it returns the condition's value.
-    """
-    lines = ["def statement(machine):", "store = machine.store"]
-    count = 0  # locals written so far
-
-    def expr(root: Expr) -> str:
-        """``root`` as Python text reading the local ``store``.
-
-        Built with an explicit stack, post-order, so any depth works.  The
-        result of each operator but the last goes into a fresh local as soon
-        as its operands are built: evaluation runs left to right, and no
-        expression nests.
-        """
-        nonlocal count
-        done: list[str] = []
-        todo: list = [root]
-        while todo:
-            match todo.pop():
-                case IntLit(value):
-                    done.append(repr(value))
-                case VarRef(name):
-                    done.append(f"store.get({name!r}, 0)")
-                case Neg(operand):
-                    todo += (_NEG, operand)
-                case BinOp(op, left, right):
-                    todo += (op, right, left)
-                case op:  # the operands of ``op`` are the last ones built
-                    arity = 1 if op == _NEG else 2
-                    text = _OPERATORS[op].format(*done[-arity:])
-                    del done[-arity:]
-                    if todo:
-                        lines.append(f"_{count} = {text}")
-                        text, count = f"_{count}", count + 1
-                    done.append(text)
-        return done.pop()
-
-    match stmt:
-        case Assign(_, name, value):
-            lines.append(f"store[{name!r}] = {expr(value)}")
-        case PrintStmt(_, args):
-            lines.append("out = machine.out")
-            for arg in args:
-                match arg:
-                    case str():
-                        text = repr(arg)
-                    case VarRef(name):
-                        # Print shows the raw variable: undefined renders empty, not 0.
-                        text = f"_show(store[{name!r}]) if {name!r} in store else ''"
-                    case _:
-                        text = f"_show({expr(arg)})"
-                lines.append(f"out.append({text})")
-        case While(_, cond, _):
-            lines.append(f"return {expr(cond)}")
-    return "\n    ".join(lines) + "\n"
-
-
-def _action(program: Program, stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
-    """The function of ``stmt``, compiled on first use and kept with ``program``.
-
-    A loop's function is its condition: it returns the condition's value.
-    """
+def _action(program: Program, stmt: Union[Statement, Read, While]) -> Action:
+    """The function of ``stmt``, compiled on first use and kept with ``program``."""
     found = program._compiled.get(stmt.line)
     if found is None:
         found = program._compiled[stmt.line] = _compile(stmt)
     return found
 
 
-def _compile(stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
+def _compile(stmt: Union[Statement, Read, While]) -> Action:
     match stmt:
         case Read(line, name, prompt):
             def read(machine: _Machine) -> None:
@@ -547,13 +477,13 @@ def _compile(stmt: Union[Assign, Read, PrintStmt, While]) -> Action:
 
             return read
     namespace = dict(_GLOBALS)
-    exec(compile(_source(stmt), f"<toy line {stmt.line}>", "exec"), namespace)
+    exec(compile(stmt.source, f"<toy line {stmt.line}>", "exec"), namespace)
     return namespace["statement"]
 
 
 # The statements each kind of event must sit on.
 _EVENT_STATEMENTS = {
-    KIND_STATEMENT: (Assign, Read, PrintStmt), KIND_LOOP_HEAD: While, KIND_LOOP_END: LoopEnd,
+    KIND_STATEMENT: (Statement, Read), KIND_LOOP_HEAD: While, KIND_LOOP_END: LoopEnd,
 }
 
 
@@ -566,18 +496,19 @@ def _misplaced(event: Event) -> Action:
 
 # --- tracing and replay ------------------------------------------------------
 
-def _trace(program: Program, machine: _Machine, statements: Sequence[Stmt]) -> None:
-    """Run ``statements`` on ``machine``, recording their events."""
-    for stmt in statements:
+def _trace(program: Program, machine: _Machine) -> None:
+    """Run ``program`` on ``machine``, recording its events."""
+    statements, pc = program.statements, 0
+    while pc < len(statements):
+        stmt = statements[pc]
+        pc += 1
         if isinstance(stmt, LoopEnd):
             machine.emit(stmt.line, KIND_LOOP_END)
+            pc = stmt.head
         elif isinstance(stmt, While):
-            test = _action(program, stmt)
-            while True:
-                machine.emit(stmt.line, KIND_LOOP_HEAD)
-                if test(machine) == 0:
-                    break
-                _trace(program, machine, stmt.body)
+            machine.emit(stmt.line, KIND_LOOP_HEAD)
+            if _action(program, stmt)(machine) == 0:
+                pc = stmt.end
         else:
             machine.emit(stmt.line, KIND_STATEMENT)
             _action(program, stmt)(machine)
@@ -591,7 +522,7 @@ def trace_program(
     """Execute the program, recording the sequence of events."""
     machine = _Machine(stdin_tokens, budget)
     try:
-        _trace(program, machine, program.statements)
+        _trace(program, machine)
         status, error = STATUS_COMPLETED, None
     except ToyRuntimeError as exc:
         status, error = STATUS_RUNTIME_ERROR, str(exc)
@@ -629,10 +560,10 @@ def resolve_trace(program: Program, trace: Sequence[Event]) -> ResolvedTrace:
     """Pair each event with its compiled effect, once per trace."""
     if isinstance(trace, ResolvedTrace) and trace.program is program:
         return trace
-    line_map = program.line_map()
+    by_line = {stmt.line: stmt for stmt in program.statements}
     actions = []
     for event in trace:
-        stmt = line_map.get(event.line)
+        stmt = by_line.get(event.line)
         if not isinstance(stmt, _EVENT_STATEMENTS.get(event.kind, ())):
             actions.append(_misplaced(event))
         elif event.kind == KIND_STATEMENT:

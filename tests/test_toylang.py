@@ -9,11 +9,8 @@ import pytest
 from deltadebug import Configuration
 from deltadebug.core import Outcome
 from deltadebug.toylang import (
-    MAX_LOOP_NESTING,
-    Assign,
     Event,
     LoopEnd,
-    PrintStmt,
     Read,
     ToyParseError,
     While,
@@ -31,19 +28,22 @@ from deltadebug.tracered import OutputExpectation, ReplayOracle, reduce_trace
 class TestParser:
     def test_sample_parses_to_eleven_statements(self, sample_source):
         program = parse_program(sample_source)
-        flat = program.flattened()
+        flat = program.statements
         assert len(flat) == 11
         assert [s.line for s in flat] == list(range(1, 12))
-        loop = next(s for s in flat if isinstance(s, While))
-        assert len(loop.body) == 4  # three assignments plus the closing brace
-        assert isinstance(loop.body[-1], LoopEnd)
-        assert loop.body[-1].line == 9
+        head = next(i for i, s in enumerate(flat) if isinstance(s, While))
+        assert flat[head].line == 5
+        end = flat[head].end
+        assert end - head - 1 == 4  # three assignments plus the closing brace
+        assert isinstance(flat[end - 1], LoopEnd)
+        assert flat[end - 1].line == 9
+        assert flat[end - 1].head == head
 
     def test_statement_kinds(self, sample_source):
         program = parse_program(sample_source)
         kinds = [type(s).__name__ for s in program.statements]
-        assert kinds == ["Assign", "Assign", "Read", "Read", "While",
-                         "PrintStmt", "PrintStmt"]
+        assert kinds == ["Statement", "Statement", "Read", "Read", "While", "Statement",
+                         "Statement", "Statement", "LoopEnd", "Statement", "Statement"]
 
     def test_missing_expression_is_a_syntax_error(self):
         with pytest.raises(ToyParseError) as info:
@@ -74,11 +74,12 @@ class TestParser:
             "    i = i + 1;\n"
             "}\n"
         )
-        program = parse_program(src)
-        outer = program.statements[1]
-        assert isinstance(outer, While)
-        inner = outer.body[1]
-        assert isinstance(inner, While)
+        stmts = parse_program(src).statements
+        outer, inner = stmts[1], stmts[3]
+        assert isinstance(outer, While) and isinstance(inner, While)
+        assert (outer.end, inner.end) == (8, 6)
+        assert isinstance(stmts[5], LoopEnd) and stmts[5].head == 3
+        assert isinstance(stmts[7], LoopEnd) and stmts[7].head == 1
 
     def test_operator_precedence(self):
         src = "x = 1 + 2 * 3;\nprint(x == 7);\n"
@@ -369,14 +370,18 @@ class TestNoPythonErrorEscapes:
         assert reduction.slice_labels == ["1_1", "2_2", "3_3"]
         assert "TraceReduction(program=<deltadebug.toylang.Program" in repr(reduction)
 
-    def test_loop_nesting_is_capped_at_parse_time(self):
-        def nested(depth):
-            return "while (0) {\n" * depth + "}\n" * depth
-
-        trace, out = trace_program(parse_program(nested(MAX_LOOP_NESTING)), [])
-        assert out.status == "completed"
-        with pytest.raises(ToyParseError, match="loops nested too deeply"):
-            parse_program(nested(MAX_LOOP_NESTING + 1))
+    def test_loops_nest_to_any_depth(self):
+        # Nothing recurses per loop: not the parser, the tracer or replay.
+        trace, out = trace_program(parse_program("while (0) {\n" * 5000 + "}\n" * 5000), [])
+        assert (out.status, len(trace)) == ("completed", 1)
+        # Each of 300 levels runs its body once: the innermost sets d = 1.
+        level = "d = 0;\nwhile (d == 0) {\nn = n + 1;\n"
+        source = level * 300 + "d = 1;\n" + "}\n" * 300 + "print(n);\n"
+        program = parse_program(source)
+        trace, out = trace_program(program, [])
+        assert (out.status, out.stdout) == ("completed", "300")
+        replayed = replay_events(program, trace, Configuration.full(len(trace)), [])
+        assert (replayed.status, replayed.stdout) == ("completed", "300")
 
 
 def random_program(rng: random.Random) -> str:

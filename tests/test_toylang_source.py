@@ -12,7 +12,7 @@ import re
 import pytest
 
 from deltadebug import toylang
-from deltadebug.toylang import Assign, BinOp, Neg, PrintStmt, VarRef, While, parse_program
+from deltadebug.toylang import Statement, While, parse_program
 
 from test_toylang_compile import DEFINED, UNDEFINED, random_tree, render
 
@@ -41,32 +41,16 @@ def random_source(rng, name, string):
     )
 
 
-def toy_texts(stmt):
-    """The toy names and decoded strings that ``stmt`` holds."""
-    texts, todo = set(), []
-    match stmt:
-        case Assign(_, name, expr):
-            texts.add(name)
-            todo.append(expr)
-        case PrintStmt(_, args):
-            todo += args
-        case While(_, cond, _):
-            todo.append(cond)
-    while todo:
-        match todo.pop():
-            case str() as text:
-                texts.add(text)
-            case VarRef(name):
-                texts.add(name)
-            case BinOp(_, left, right):
-                todo += (left, right)
-            case Neg(operand):
-                todo.append(operand)
-    return texts
+def toy_texts(program, stmt):
+    """The toy names and decoded strings on ``stmt``'s line."""
+    return {
+        tok.value for tok in toylang._lex(program.source_line(stmt.line))
+        if tok.kind == "string" or tok.kind == "ident" and tok.value not in toylang._KEYWORDS
+    }
 
 
 def python_source(stmt):
-    return toylang._source(stmt)
+    return stmt.source
 
 
 HEAD = "def statement(machine):\n    store = machine.store\n"
@@ -124,15 +108,15 @@ def test_toy_text_enters_the_python_source_only_as_constants():
         renamed = parse_program(random_source(
             rng, lambda name: f"v{TOY_NAMES.index(name)}", lambda string: "s"
         ))
-        for stmt, twin in zip(toy.flattened(), renamed.flattened(), strict=True):
-            if not isinstance(stmt, (Assign, PrintStmt, While)):
+        for stmt, twin in zip(toy.statements, renamed.statements, strict=True):
+            if not isinstance(stmt, (Statement, While)):
                 continue
             tree = ast.parse(python_source(stmt))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     assert node.id in PYTHON_NAMES or OPERATOR_LOCAL.fullmatch(node.id)
             constants = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
-            assert toy_texts(stmt) <= constants
+            assert toy_texts(toy, stmt) <= constants
             assert shape(tree) == shape(ast.parse(python_source(twin)))
             checked += 1
     assert checked == 1200
