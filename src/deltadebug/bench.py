@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Configuration, EngineOptions, MinimizationResult, ddmin
+from .core import Configuration, EngineOptions, ddmin
 from . import oracles
 
 ORACLE_NAMES = ("single", "conjunction:K", "random-monotone:SEED", "adversarial")
@@ -70,20 +70,19 @@ class BenchRow:
 CSV_HEADER = "n,tests_oracle,tests_cached,bound_quadratic,bound_log"
 
 
-def run_one(oracle_name: str, n: int, monotone: bool = False) -> tuple[BenchRow, MinimizationResult]:
+def run_one(oracle_name: str, n: int, monotone: bool = False) -> BenchRow:
     oracle = make_oracle(oracle_name, n)
     result = ddmin(
         Configuration.full(n), oracle, EngineOptions(monotone=monotone)
     )
     tests_oracle, tests_cached, _ = result.log.test_counts()
-    row = BenchRow(
+    return BenchRow(
         n=n,
         tests_oracle=tests_oracle,
         tests_cached=tests_cached,
         bound_quadratic=quadratic_bound(n),
         bound_log=log_bound(n),
     )
-    return row, result
 
 
 def run_bench(
@@ -93,7 +92,7 @@ def run_bench(
     rows = []
     violations = []
     for n in sizes:
-        row, _ = run_one(oracle_name, n, monotone=monotone)
+        row = run_one(oracle_name, n, monotone=monotone)
         rows.append(row)
         if not row.within_quadratic_bound:
             violations.append(
@@ -110,17 +109,16 @@ def parse_sizes(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo_text, _, hi_text = part.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad size range {part!r}")
-            sizes.extend(range(lo, hi + 1))
-        else:
-            value = int(part)
-            if value < 1:
-                raise ValueError(f"sizes must be positive, got {value}")
-            sizes.append(value)
+        lo_text, dots, hi_text = part.partition("..")
+        try:
+            lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+        except ValueError:
+            raise ValueError(f"bad size {'range ' if dots else ''}{part!r}") from None
+        if dots and (lo < 1 or hi < lo):
+            raise ValueError(f"bad size range {part!r}")
+        if lo < 1:
+            raise ValueError(f"sizes must be positive, got {lo}")
+        sizes.extend(range(lo, hi + 1))
     if not sizes:
         raise ValueError("no sizes given")
     return sizes

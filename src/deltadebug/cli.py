@@ -75,8 +75,7 @@ class _Progress:
 
 def _engine_options(args) -> EngineOptions:
     return EngineOptions(
-        monotone=getattr(args, "monotone_cache", False),
-        on_record=_Progress(getattr(args, "verbose", False)),
+        monotone=args.monotone_cache, on_record=_Progress(args.verbose),
     )
 
 
@@ -191,7 +190,12 @@ def cmd_reduce_trace(args) -> int:
     from . import toylang, tracered
 
     program = toylang.parse_program(Path(args.program).read_text(encoding="utf-8"))
-    tokens = [int(t) for t in args.stdin.split(",") if t.strip()] if args.stdin else []
+    tokens = []
+    for token in filter(None, map(str.strip, args.stdin.split(","))):
+        try:
+            tokens.append(int(token))
+        except ValueError:
+            raise ValueError(f"--stdin: token {token!r} is not an integer") from None
     prefixes = (
         [p for p in args.filter.split(",") if p] if args.filter else None
     )

@@ -115,7 +115,7 @@ def test_criterion_4_monotony_optimization():
     for seed in seeds:
         counts = {}
         for n in (8, 16, 32, 64):
-            row, _ = run_one(f"random-monotone:{seed}", n, monotone=True)
+            row = run_one(f"random-monotone:{seed}", n, monotone=True)
             counts[n] = row.tests_oracle
         for n in (8, 16, 32):
             assert counts[2 * n] <= 2.5 * counts[n], (seed, n, counts)

@@ -53,7 +53,7 @@ class TestMakeOracle:
 
 class TestBounds:
     def test_single_cause_1024_within_logarithmic_budget(self):
-        row, _ = run_one("single", 1024)
+        row = run_one("single", 1024)
         assert row.tests_oracle <= 22
 
     def test_adversarial_sweep_respects_quadratic_bound(self):
@@ -63,19 +63,19 @@ class TestBounds:
             assert row.tests_oracle <= quadratic_bound(row.n)
 
     def test_adversarial_16_explicit_bound(self):
-        row, _ = run_one("adversarial", 16)
+        row = run_one("adversarial", 16)
         assert row.tests_oracle <= 304
 
     def test_random_monotone_growth_with_cache(self):
         counts = {}
         for n in (8, 16, 32, 64):
-            row, _ = run_one("random-monotone:7", n, monotone=True)
+            row = run_one("random-monotone:7", n, monotone=True)
             counts[n] = row.tests_oracle
         for n in (8, 16, 32):
             assert counts[2 * n] <= 2.5 * counts[n]
 
     def test_csv_row_shape(self):
-        row, _ = run_one("single", 16)
+        row = run_one("single", 16)
         fields = row.csv().split(",")
         assert len(fields) == len(CSV_HEADER.split(","))
         assert fields[0] == "16"

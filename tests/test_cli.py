@@ -478,6 +478,16 @@ class TestReduceTraceCommand:
         ])
         assert code == 1
 
+    def test_a_bad_stdin_token_names_the_flag(self, tmp_path, sample_source, capsys):
+        program = tmp_path / "sample.toy"
+        program.write_text(sample_source)
+        code = run([
+            "reduce-trace", "--program", str(program), "--stdin", "0, a",
+            "--expect", "sum = 15\\n",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --stdin: token 'a' is not an integer\n"
+
 
 class TestBenchCommand:
     def test_csv_to_stdout(self, capsys):
@@ -513,6 +523,10 @@ class TestBenchCommand:
 
     def test_unknown_oracle_exits_1(self, capsys):
         assert run(["bench", "--oracle", "bogus", "--sizes", "8"]) == 1
+
+    def test_a_bad_size_entry_is_named(self, capsys):
+        assert run(["bench", "--oracle", "single", "--sizes", "4.."]) == 1
+        assert capsys.readouterr().err == "error: bad size range '4..'\n"
 
     def test_bench_runs_are_reproducible(self, tmp_path):
         outputs = []
