@@ -11,7 +11,6 @@ from deltadebug.core import Outcome
 from deltadebug.toylang import (
     Event,
     LoopEnd,
-    Read,
     ToyParseError,
     While,
     format_trace,
@@ -359,7 +358,7 @@ class TestNoPythonErrorEscapes:
         assert replayed.stdout == "3000"
 
     def test_a_3000_term_program_prints_compares_and_hashes(self):
-        # Nodes compare by identity, so nothing here walks the deep tree.
+        # Statements compare by identity, so nothing here walks the program.
         source = "x = 1;\na = " + " + ".join(["x"] * 3000) + ";\nprint(a);\n"
         program = parse_program(source)
         assert repr(program).startswith("<deltadebug.toylang.Program object")

@@ -53,9 +53,10 @@ def python_source(stmt):
     return stmt.source
 
 
-HEAD = "def statement(machine):\n    store = machine.store\n"
+PROLOGUE = "def statement(machine):\n    store = machine.store\n"
 # One row per toy source: the Python source of its first statement, after
-# HEAD.  Each operator's result but the last goes into the next local ``_<n>``.
+# PROLOGUE.  Each operator's result but the last goes into the next local
+# ``_<n>``.
 SOURCE_ROWS = [
     ("r = a + 1;", "store['r'] = store.get('a', 0) + 1"),
     ("r = a - 1;", "store['r'] = store.get('a', 0) - 1"),
@@ -87,7 +88,7 @@ SOURCE_ROWS = [
 
 @pytest.mark.parametrize("toy, body", SOURCE_ROWS)
 def test_python_source_table(toy, body):
-    assert python_source(parse_program(toy).statements[0]) == HEAD + "    " + body + "\n"
+    assert python_source(parse_program(toy).statements[0]) == PROLOGUE + "    " + body + "\n"
 
 
 def shape(tree):
