@@ -81,9 +81,13 @@ class _Node:
 
 
 class Statement(_Node):
-    """An assignment or print; ``source`` is the Python text that runs it."""
+    """An assignment or print; ``source`` is the Python text that runs it.
 
-    __slots__ = ("line", "source")
+    ``writes`` is the name an assignment writes, None for a print; ``reads``
+    are the names it reads, and ``strings`` a print's string literals.
+    """
+
+    __slots__ = ("line", "source", "writes", "reads", "strings")
 
 
 class Read(_Node):
@@ -204,6 +208,7 @@ class _Parser:
         self._pos = 0
         self._used_lines: set[int] = set()
         self._locals = 0  # operator results ``_<n>`` in the statement's source so far
+        self._reads: set[str] = set()  # the toy names the statement reads so far
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -231,6 +236,7 @@ class _Parser:
         open_loops: list[tuple[int, _Token]] = []  # each open loop's index and ``while``
         while (tok := self._peek()).kind != "eof":
             self._locals = 0
+            self._reads = set()
             if open_loops and tok.kind == "op" and tok.value == "}":
                 self._next()
                 index = open_loops.pop()[0]
@@ -268,23 +274,25 @@ class _Parser:
         value = self._expr(lines)[0]
         self._expect("op", ";")
         lines.append(f"store[{name_tok.value!r}] = {value}")
-        return Statement(line, _define(lines))
+        return Statement(line, _define(lines), name_tok.value, frozenset(self._reads), ())
 
     def _print(self) -> Stmt:
         line = self._claim_line(self._next())
         self._expect("op", "(")
         lines = ["out = machine.out"]
-        self._arg(lines)
+        strings: list[str] = []
+        self._arg(lines, strings)
         while self._peek().value == ",":
             self._next()
-            self._arg(lines)
+            self._arg(lines, strings)
         self._expect("op", ")")
         self._expect("op", ";")
-        return Statement(line, _define(lines))
+        return Statement(line, _define(lines), None, frozenset(self._reads), tuple(strings))
 
-    def _arg(self, lines: list[str]) -> None:
+    def _arg(self, lines: list[str], strings: list[str]) -> None:
         if self._peek().kind == "string":
-            text = repr(self._next().value)
+            strings.append(self._next().value)
+            text = repr(strings[-1])
         else:
             value, name = self._expr(lines)
             if name is None:
@@ -371,6 +379,7 @@ class _Parser:
                 ) from None
         if tok.kind == "ident" and tok.value not in _KEYWORDS:
             self._next()
+            self._reads.add(tok.value)
             return f"store.get({tok.value!r}, 0)"
         raise ToyParseError(f"expected an expression, found {tok.value!r}", tok.line, tok.col)
 
@@ -537,8 +546,9 @@ class ResolvedTrace(tuple):
 
     ``actions[i]`` is the effect of event ``i`` under ``program``, or None
     for an event that only counts against the budget (a loop head on a
-    ``while`` line, a loop end on a closing brace).  Built by ``resolve_trace``; a replayer holding one does not
-    resolve the trace again for every configuration.
+    ``while`` line, a loop end on a closing brace).  Built by
+    ``resolve_trace``; a replayer holding one does not resolve the trace
+    again for every configuration.
     """
 
     program: Program

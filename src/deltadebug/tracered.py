@@ -7,6 +7,12 @@ glue themselves onto the next real output line: a line contributes its
 suffix starting at the first occurrence of any configured prefix, and
 lines without a match are dropped.  By default the prefixes are derived
 from the leading word of each expected line.
+
+Only replayable events are reduced: a loop head or loop end replays as
+nothing, and the traced run completed, so removing one never changes an
+outcome.  A first pass tests the dynamic data slice of the prints that
+write a prefix, and the trace pass then reduces what survives event by
+event.
 """
 
 from __future__ import annotations
@@ -23,9 +29,12 @@ from .core import (
 )
 from .toylang import (
     Event,
+    KIND_STATEMENT,
     Program,
+    Read,
     ReplayOutput,
     STATUS_COMPLETED,
+    Statement,
     Trace,
     replay_events,
     resolve_trace,
@@ -93,11 +102,60 @@ class ReplayOracle:
         return Outcome.PASS
 
 
+class _ExpandedOracle:
+    """Tests a pass's deltas on a replay oracle: delta ``i`` stands for the
+    events of the full-trace bitmap ``parts[i]``."""
+
+    def __init__(self, oracle: ReplayOracle, parts: Sequence[int]):
+        self._oracle = oracle
+        self._parts = parts
+
+    def evaluate(self, config: Configuration) -> Outcome:
+        bits = 0
+        for i in config.members:
+            bits |= self._parts[i]
+        return self._oracle.evaluate(Configuration.from_bits(len(self._oracle.trace), bits))
+
+
+def data_slice(program: Program, trace: Trace, prefixes: Sequence[str]) -> list[int]:
+    """The ascending event numbers of the dynamic data slice of ``trace``.
+
+    The criteria are the print events with a string literal that contains
+    one of ``prefixes``.  Walking the trace backwards, an event joins when
+    it writes a name that a later slice event reads, as the last writer
+    before that read.  A read joins also when a later read has joined,
+    since replay hands out stdin tokens in order.
+    """
+    by_line = {stmt.line: stmt for stmt in program.statements}
+    needed: set[str] = set()  # the names later slice events read
+    reading = False  # a later read has joined
+    joined = []
+    for i in range(len(trace) - 1, -1, -1):
+        event = trace[i]
+        stmt = by_line.get(event.line) if event.kind == KIND_STATEMENT else None
+        if isinstance(stmt, Read):
+            writes, reads = stmt.name, ()
+            joins = reading = reading or writes in needed
+        elif isinstance(stmt, Statement):
+            writes, reads = stmt.writes, stmt.reads
+            if writes is None:  # a print
+                joins = any(p in text for text in stmt.strings for p in prefixes)
+            else:
+                joins = writes in needed
+        else:
+            continue
+        if joins:
+            needed.discard(writes)
+            needed.update(reads)
+            joined.append(i)
+    return joined[::-1]
+
+
 @dataclass
 class TraceReduction:
     program: Program
     trace: Trace
-    passes: list[Pass]  # one pass, whose ids are event numbers
+    passes: list[Pass]  # the slice pass, then the trace pass; ids are event numbers
     slice_events: list[Event]
 
     @property
@@ -113,16 +171,29 @@ def reduce_trace(
 ) -> TraceReduction:
     """Trace the program, then shrink the event set to a critical slice.
 
-    The full-trace replay must satisfy the expectation and the empty
-    replay must not; those are exactly the engine's axiom checks.
+    The universe is the replayable events.  A ``slice`` pass over the
+    groups {data slice, rest} tests the slice, and falls back to both when
+    it does not FAIL; the ``trace`` pass then reduces the survivors event by
+    event.  The replay of every replayable event must satisfy the
+    expectation and the empty replay must not; those are exactly the
+    engine's axiom checks.
     """
     trace, traced = trace_program(program, stdin_tokens)
     if traced.status != STATUS_COMPLETED:
         raise ValueError(f"tracing did not complete: {traced.status} ({traced.error})")
     oracle = ReplayOracle(program, trace, stdin_tokens, expectation)
-    passes = run_passes(
-        range(len(trace)), [lambda kept: ("trace", [(i,) for i in kept], oracle)], options
-    )
+    replayable = [i for i, action in enumerate(oracle.trace.actions) if action is not None]
+    sliced = data_slice(program, trace, expectation.prefixes)
+    rest = sorted(set(replayable).difference(sliced))
+
+    def step(label: str, ids: list[Sequence[int]]):
+        parts = [sum(1 << i for i in members) for members in ids]
+        return label, ids, _ExpandedOracle(oracle, parts)
+
+    passes = run_passes(replayable, [
+        lambda kept: step("slice", [group for group in (sliced, rest) if group]),
+        lambda kept: step("trace", [(i,) for i in kept]),
+    ], options)
     return TraceReduction(
         program=program,
         trace=trace,

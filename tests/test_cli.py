@@ -399,8 +399,11 @@ class TestReduceTraceCommand:
         assert (tmp_path / "sample.toy.slice").exists()
         out = capsys.readouterr().out
         assert "critical slice (13 events)" in out
-        # Each progress line tallies the outcomes of the tests so far.
-        outcomes = [t["outcome"] for t in doc["tests"]]
+        # Each progress line tallies the outcomes of the tests so far, over
+        # the slice pass and then the trace pass.
+        assert [p["label"] for p in doc["passes"]] == ["slice"]
+        outcomes = [t["outcome"] for p in doc["passes"] for t in p["tests"]]
+        outcomes += [t["outcome"] for t in doc["tests"]]
         progress = re.findall(
             r"^\.\.\. (\d+) tests \(fail=(\d+) pass=(\d+) unresolved=(\d+)\)$", out, re.M
         )

@@ -1,16 +1,21 @@
+import collections
+import random
+
 import pytest
 
-from deltadebug import Configuration, Outcome
+from deltadebug import Configuration, Outcome, ddmin
 from deltadebug.core import AxiomViolation
-from deltadebug.toylang import parse_program, trace_program
+from deltadebug.toylang import KIND_STATEMENT, parse_program, trace_program
 from deltadebug.tracered import (
     OutputExpectation,
     ReplayOracle,
+    data_slice,
     filter_output,
     reduce_trace,
     render_two_column,
 )
 from support import verify_n_minimal
+from test_toylang import random_program, seeded_program
 
 SUM_CORE = {"8_8", "6_11", "8_13", "6_16", "8_18", "6_21", "8_23", "6_26", "8_28", "6_31"}
 
@@ -85,15 +90,17 @@ class TestReduceTrace:
         expectation = OutputExpectation.derive("sum = 15\nmul = 0\n")
         reduction = reduce_trace(sample_program, [0, 5], expectation)
         oracle = ReplayOracle(sample_program, reduction.trace, [0, 5], expectation)
-        replayed = oracle.replay(reduction.passes[-1].result.final)
-        from deltadebug.tracered import filter_output as fo
-        assert fo(replayed.stdout, expectation.prefixes) == expectation.expected_text
+        final = Configuration(len(reduction.trace), reduction.passes[-1].kept)
+        assert oracle.evaluate(final) == Outcome.FAIL
+        replayed = oracle.replay(final)
+        assert filter_output(replayed.stdout, expectation.prefixes) == expectation.expected_text
 
     def test_removing_any_single_slice_event_breaks_the_output(self, sample_program):
         expectation = OutputExpectation.derive("sum = 15\nmul = 0\n")
         reduction = reduce_trace(sample_program, [0, 5], expectation)
         oracle = ReplayOracle(sample_program, reduction.trace, [0, 5], expectation)
-        final = reduction.passes[-1].result.final
+        final = Configuration(len(reduction.trace), reduction.passes[-1].kept)
+        assert len(final) == 13
         for member in final.members:
             assert oracle.evaluate(final.without([member])) != Outcome.FAIL
         assert verify_n_minimal(final, oracle, 1)
@@ -104,6 +111,107 @@ class TestReduceTrace:
                 sample_program, [0, 5],
                 OutputExpectation.derive("sum = 99\n", ["sum"]),
             )
+
+
+def is_1_minimal_on_the_full_trace(reduction, stdin, expectation) -> bool:
+    """The kept events FAIL on a replay oracle over the whole trace, and no
+    set of them minus one does."""
+    oracle = ReplayOracle(reduction.program, reduction.trace, stdin, expectation)
+    final = Configuration(len(reduction.trace), reduction.passes[-1].kept)
+    return oracle.evaluate(final) == Outcome.FAIL and verify_n_minimal(final, oracle, 1)
+
+
+def pass_events(reduction):
+    return [reduction.trace[i] for p in reduction.passes for ids in p.ids for i in ids]
+
+
+class TestDataSlice:
+    def test_desk_slices(self, sample_program):
+        trace, _ = trace_program(sample_program, [0, 5])
+        sizes = [
+            len(data_slice(sample_program, trace, prefixes))
+            for prefixes in (["sum", "mul"], ["sum"], ["mul"])
+        ]
+        assert sizes == [22, 14, 14]
+        sum_slice = [trace[i].label for i in data_slice(sample_program, trace, ["sum"])]
+        # The last write of each name before a read, back from the sum print;
+        # the loop heads and the b read are not data dependencies.
+        assert sum_slice == [
+            "1_1", "3_3", "6_6", "8_8", "6_11", "8_13", "6_16", "8_18",
+            "6_21", "8_23", "6_26", "8_28", "6_31", "10_36",
+        ]
+
+    def test_a_read_in_the_slice_pulls_in_every_earlier_read(self):
+        program = parse_program(
+            'a = input("a? ");\nb = input("b? ");\nx = 5;\nc = input("c? ");\n'
+            'print("c=", c, "\\n");\nd = input("d? ");\n'
+        )
+        trace, _ = trace_program(program, [1, 2, 3, 4])
+        assert data_slice(program, trace, ["c="]) == [0, 1, 3, 4]
+        expectation = OutputExpectation.derive("c=3\n", ["c="])
+        reduction = reduce_trace(program, [1, 2, 3, 4], expectation)
+        assert [(p.label, p.kept) for p in reduction.passes] == [
+            ("slice", (0, 1, 3, 4)), ("trace", (0, 1, 3, 4)),
+        ]
+        assert is_1_minimal_on_the_full_trace(reduction, [1, 2, 3, 4], expectation)
+
+    def test_prints_without_a_prefix_in_a_string_are_not_criteria(self):
+        program = parse_program('x = 1;\ny = 2;\nprint(x, y);\nprint("y", y);\n')
+        trace, _ = trace_program(program, [])
+        assert data_slice(program, trace, ["y"]) == [1, 3]
+        assert data_slice(program, trace, ["1"]) == []
+
+
+class TestReducedUniverse:
+    def test_no_pass_holds_a_loop_head_or_loop_end(self, sample_program):
+        reduction = reduce_trace(
+            sample_program, [0, 5], OutputExpectation.derive("sum = 15\nmul = 0\n")
+        )
+        assert [p.label for p in reduction.passes] == ["slice", "trace"]
+        kinds = {e.kind for e in reduction.trace}
+        assert kinds == {"statement", "loop-head", "loop-end"}
+        assert {e.kind for e in pass_events(reduction)} == {KIND_STATEMENT}
+        # The slice FAILs: the group pass keeps it and tests nothing else.
+        first = reduction.passes[0]
+        assert len(first.ids) == 2 and len(first.ids[0]) == 22
+        assert first.result.final.members == (0,)
+        assert first.result.log.test_counts() == (1, 0, 2)
+
+    def test_a_slice_that_does_not_fail_falls_back(self):
+        # The newline comes from a print that writes no prefix, so the slice
+        # prints "x=1" without it and PASSes.
+        program = parse_program('x = 1;\ny = 2;\nprint("x=", x);\nprint("\\n");\n')
+        expectation = OutputExpectation.derive("x=1\n", ["x="])
+        reduction = reduce_trace(program, [], expectation)
+        first = reduction.passes[0]
+        assert first.ids == [[0, 2], [1, 3]]
+        assert first.result.final == Configuration.full(2)
+        # An event-only reduction: one pass over the replayable events.
+        trace = reduction.trace
+        oracle = ReplayOracle(program, trace, [], expectation)
+        event_only = ddmin(Configuration.full(len(trace)), oracle)
+        assert reduction.passes[-1].kept == event_only.final.members == (0, 2, 3)
+        assert is_1_minimal_on_the_full_trace(reduction, [], expectation)
+
+    def test_seeded_programs_reduce_to_1_minimal_full_trace_slices(self):
+        # A digit prefix is in no print's string, so its slice is empty and
+        # the slice pass has the one group of every replayable event.
+        rng = random.Random(21)
+        groups = collections.Counter()
+        for k in range(400):
+            program = parse_program((seeded_program if k % 2 else random_program)(rng))
+            stdin = [rng.randint(-3, 9) for _ in range(rng.randint(0, 4))]
+            trace, out = trace_program(program, stdin)
+            prefix = rng.choice(("a=", "b=", "c=", "=", "1"))
+            expected = filter_output(out.stdout, [prefix])
+            if out.status != "completed" or not expected:
+                continue
+            expectation = OutputExpectation.derive(expected, [prefix])
+            reduction = reduce_trace(program, stdin, expectation)
+            groups[len(reduction.passes[0].ids)] += 1
+            assert {e.kind for e in pass_events(reduction)} == {KIND_STATEMENT}
+            assert is_1_minimal_on_the_full_trace(reduction, stdin, expectation)
+        assert groups[1] > 20 and groups[2] > 150
 
 
 class TestTwoColumnRendering:
