@@ -29,15 +29,15 @@ def sha256(path) -> str:
 TRACE_SLICES = {
     "sum-and-mul": (
         ["--expect", "sum = 15\\nmul = 0\\n"],
-        "f75f2f21efeca8fd198a4d3105e83fe57d8f65e827e1a42ab1ba0838ea4231cf",
+        "db450445b493f636aa2a8bda73b8be5311175162fb7302a6c56eb6cd87acbefe",
     ),
     "sum-only": (
         ["--expect", "sum = 15\\n", "--filter", "sum"],
-        "22df668287491b1b00272f93ed0ea6e27015a6a94e5ded42ab41df217c68614d",
+        "4407d9fb80fa5ab2f7f66cf39102450819ce95193fb00c920337022221225ec7",
     ),
     "mul-only": (
         ["--expect", "mul = 0\\n", "--filter", "mul"],
-        "c82ceaf7af6cf5a084b16a03dcbafad4a7e27efd089b7f88cffa3b06d84e9d98",
+        "da573c99f56a86d39ef2c189968e7f57090089700c5e550cbc5d618dd7668e0a",
     ),
 }
 
