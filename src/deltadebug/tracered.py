@@ -7,12 +7,6 @@ glue themselves onto the next real output line: a line contributes its
 suffix starting at the first occurrence of any configured prefix, and
 lines without a match are dropped.  By default the prefixes are derived
 from the leading word of each expected line.
-
-Only replayable events are reduced: a loop head or loop end replays as
-nothing, and the traced run completed, so removing one never changes an
-outcome.  A first pass tests the dynamic data slice of the prints that
-write a prefix, and the trace pass then reduces what survives event by
-event.
 """
 
 from __future__ import annotations
@@ -102,21 +96,6 @@ class ReplayOracle:
         return Outcome.PASS
 
 
-class _ExpandedOracle:
-    """Tests a pass's deltas on a replay oracle: delta ``i`` stands for the
-    events of the full-trace bitmap ``parts[i]``."""
-
-    def __init__(self, oracle: ReplayOracle, parts: Sequence[int]):
-        self._oracle = oracle
-        self._parts = parts
-
-    def evaluate(self, config: Configuration) -> Outcome:
-        bits = 0
-        for i in config.members:
-            bits |= self._parts[i]
-        return self._oracle.evaluate(Configuration.from_bits(len(self._oracle.trace), bits))
-
-
 def data_slice(program: Program, trace: Trace, prefixes: Sequence[str]) -> list[int]:
     """The ascending event numbers of the dynamic data slice of ``trace``.
 
@@ -171,12 +150,13 @@ def reduce_trace(
 ) -> TraceReduction:
     """Trace the program, then shrink the event set to a critical slice.
 
-    The universe is the replayable events.  A ``slice`` pass over the
-    groups {data slice, rest} tests the slice, and falls back to both when
-    it does not FAIL; the ``trace`` pass then reduces the survivors event by
-    event.  The replay of every replayable event must satisfy the
-    expectation and the empty replay must not; those are exactly the
-    engine's axiom checks.
+    The universe is the replayable events: a loop head or loop end replays
+    as nothing, and the traced run completed, so removing one never changes
+    an outcome.  A ``slice`` pass over the groups {data slice, rest} tests
+    the slice, and keeps both when it does not FAIL; the ``trace`` pass then
+    reduces the survivors event by event.  The replay of every replayable
+    event must satisfy the expectation and the empty replay must not; those
+    are exactly the engine's axiom checks.
     """
     trace, traced = trace_program(program, stdin_tokens)
     if traced.status != STATUS_COMPLETED:
@@ -187,8 +167,17 @@ def reduce_trace(
     rest = sorted(set(replayable).difference(sliced))
 
     def step(label: str, ids: list[Sequence[int]]):
+        """A pass whose delta ``i`` stands for the events ``ids[i]``, each
+        test a replay of the full-trace configuration of its events."""
         parts = [sum(1 << i for i in members) for members in ids]
-        return label, ids, _ExpandedOracle(oracle, parts)
+
+        def evaluate(config: Configuration) -> Outcome:
+            bits = 0
+            for i in config.members:
+                bits |= parts[i]
+            return oracle.evaluate(Configuration.from_bits(len(trace), bits))
+
+        return label, ids, evaluate
 
     passes = run_passes(replayable, [
         lambda kept: step("slice", [group for group in (sliced, rest) if group]),
