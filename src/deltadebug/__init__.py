@@ -9,6 +9,7 @@ from .core import (
     MinimizationResult,
     Outcome,
     Pass,
+    PassOracle,
     RunLog,
     TestOracle,
     TestRecord,
@@ -27,6 +28,7 @@ __all__ = [
     "MinimizationResult",
     "Outcome",
     "Pass",
+    "PassOracle",
     "RunLog",
     "TestOracle",
     "TestRecord",

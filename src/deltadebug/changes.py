@@ -21,18 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import (
-    AxiomViolation,
-    Configuration,
-    EngineOptions,
-    OracleLike,
-    Outcome,
-    Pass,
-    SOURCE_FEASIBILITY,
-    SOURCE_ORACLE,
-    as_oracle,
-    run_passes,
-)
+from .core import AxiomViolation, Configuration, EngineOptions, Pass, PassOracle, run_passes
 from .proc import CommandOracle, CommandOracleSpec, MaterializeConflict
 
 FileTree = dict[str, str]
@@ -159,10 +148,17 @@ _SKIP_PREFIXES = (
 )
 
 
-def _strip_diff_path(raw: str) -> str:
+def _strip_diff_path(raw: str, lineno: int) -> str:
+    """A file header's path, its ``a/`` or ``b/`` prefix stripped; one that
+    could leave the test's tree, absolute or with a ``..`` component, is an
+    error.  ``/dev/null`` stands for no file."""
     path = raw.split("\t")[0].strip()
+    if path == "/dev/null":
+        return path
     if path.startswith(("a/", "b/")):
         path = path[2:]
+    if path.startswith("/") or ".." in path.split("/"):
+        raise DiffParseError(f"path {path!r} leaves the tree", lineno)
     return path
 
 
@@ -186,11 +182,11 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
         line = lines[i]
         lineno = i + 1
         if line.startswith("--- "):
-            old_path = _strip_diff_path(line[4:])
+            old_path = _strip_diff_path(line[4:], lineno)
             i += 1
             continue
         if line.startswith("+++ "):
-            new_path = _strip_diff_path(line[4:])
+            new_path = _strip_diff_path(line[4:], lineno)
             current_file = new_path if new_path != "/dev/null" else old_path
             i += 1
             continue
@@ -398,46 +394,6 @@ def group_deltas(changeset: ChangeSet, key: GroupKey) -> dict[str, list[int]]:
     return groups
 
 
-class ChangeOracle:
-    """Tests a universe of deltas over the raw changes of a change set:
-    delta ``i`` stands for the raw-change bitmap ``parts[i]``.
-
-    A subset whose raw changes lack one that a member requires (per
-    ``dependencies``, child id -> required ids) is answered UNRESOLVED as a
-    feasibility reject, without consulting ``oracle``.
-    """
-
-    def __init__(
-        self, oracle: OracleLike, universe_size: int, parts: Sequence[int],
-        dependencies: Mapping[int, frozenset[int]],
-    ):
-        self._oracle = as_oracle(oracle)
-        self._universe_size = universe_size
-        self._parts = parts
-        # (bit, bitmap of the changes it requires) per change with dependencies.
-        self._requires = [
-            (1 << child, sum(1 << parent for parent in parents))
-            for child, parents in dependencies.items()
-        ]
-
-    def expand(self, config: Configuration) -> Configuration:
-        bits = 0
-        for i in config.members:
-            bits |= self._parts[i]
-        return Configuration.from_bits(self._universe_size, bits)
-
-    def evaluate(self, config: Configuration) -> Outcome:
-        return self.evaluate_ex(config)[0]
-
-    def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
-        raw = self.expand(config)
-        bits = raw.bits
-        for child, required in self._requires:
-            if bits & child and required & ~bits:
-                return Outcome.UNRESOLVED, SOURCE_FEASIBILITY
-        return self._oracle.evaluate(raw), SOURCE_ORACLE
-
-
 # --- TSV inputs ---------------------------------------------------------------
 
 def _read_tsv(text: str, columns: str, ids: int, id_error: str) -> Iterator[tuple[int, list]]:
@@ -503,18 +459,17 @@ def minimize_changes(
     when the full diff does not apply to the baseline.
     """
     n = len(changeset)
-    materializer = change_materializer(baseline, changeset)
 
     def step(label: str, ids: Sequence[Sequence[int]]):
-        parts = [sum(1 << i for i in members) for members in ids]
-        return label, ids, ChangeOracle(command, n, parts, changeset.dependencies)
+        return label, ids, PassOracle(command, n, ids, changeset.dependencies)
 
     steps = [lambda kept: step("changes", [(i,) for i in kept])]
     if groups is not None:
         grouped = list(group_deltas(changeset, groups).values())
         steps.insert(0, lambda kept: step("groups", grouped))
     try:
-        with CommandOracle(spec.with_materializer(materializer)) as command:
+        with CommandOracle(spec) as command:
+            command.materializer = change_materializer(baseline, changeset)
             passes = run_passes(range(n), steps, options)
     except AxiomViolation as exc:
         try:

@@ -20,7 +20,7 @@ import itertools
 import operator
 from time import perf_counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, Union
 
 # Provenance tags for test records.
 SOURCE_ORACLE = "oracle"
@@ -212,6 +212,54 @@ def as_oracle(oracle: OracleLike) -> TestOracle:
     raise TypeError(f"not a test oracle: {oracle!r}")
 
 
+class PassOracle:
+    """Tests a pass over a run's input ids: delta ``i`` stands for the input
+    ids ``ids[i]``, and each test asks ``oracle`` about the configuration of
+    those input ids over ``universe_size``.
+
+    A configuration holding an input id without one it ``requires`` (input
+    id -> required input ids) is answered UNRESOLVED as a feasibility
+    reject, without consulting ``oracle``.
+    """
+
+    def __init__(
+        self, oracle: OracleLike, universe_size: int, ids: Sequence[Sequence[int]],
+        requires: Optional[Mapping[int, Iterable[int]]] = None,
+    ):
+        self._oracle = as_oracle(oracle)
+        self._universe_size = universe_size
+        self._width = width = len(ids)
+        owner = [width] * universe_size  # each input id's delta; width: none
+        for delta, members in enumerate(ids):
+            for m in members:
+                if not 0 <= m < universe_size:
+                    raise ValueError(f"input id {m} outside universe 0..{universe_size - 1}")
+                if owner[m] != width:
+                    raise ValueError(f"input id {m} is in deltas {owner[m]} and {delta}")
+                owner[m] = delta
+        # Reads a test's digits (see ``bit_string``, one digit longer so that
+        # index ``width`` reads 0) as the input ids' digits, highest id first.
+        # Two leading zeros keep the result a tuple for a universe of one id.
+        self._gather = operator.itemgetter(width, width, *reversed(owner))
+        # (bit, bitmap of the input ids it requires) per id with requirements.
+        self._requires = [
+            (1 << child, sum(1 << parent for parent in parents))
+            for child, parents in (requires or {}).items()
+        ]
+
+    def evaluate(self, config: Configuration) -> Outcome:
+        return self.evaluate_ex(config)[0]
+
+    def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
+        digits = self._gather(bit_string(config.bits, self._width + 1))
+        bits = int("".join(digits), 2)
+        for child, required in self._requires:
+            if bits & child and required & ~bits:
+                return Outcome.UNRESOLVED, SOURCE_FEASIBILITY
+        config = Configuration.from_bits(self._universe_size, bits)
+        return self._oracle.evaluate(config), SOURCE_ORACLE
+
+
 def _scan(passed: set[int], bits: int) -> Optional[list[int]]:
     """None if a kept pass covers ``bits``, else the kept passes that
     ``bits`` contains."""
@@ -338,8 +386,8 @@ def ddmin(
     opts = options or EngineOptions()
     oracle = as_oracle(oracle)
     # ``ask`` answers with its provenance: an oracle with ``evaluate_ex``
-    # tags its own answers (the change-set oracle rejects infeasible
-    # subsets); a plain answer is an oracle call.
+    # tags its own answers (a ``PassOracle`` rejects infeasible subsets); a
+    # plain answer is an oracle call.
     ask = getattr(oracle, "evaluate_ex", None)
     if ask is None:
         evaluate = oracle.evaluate

@@ -110,7 +110,7 @@ def minimize_input(
             if first:
                 raise
             granularity, tokens = "byte", tokenize(current, "byte")
-        oracle.spec = spec.with_materializer(candidate_materializer(tokens, candidate_name))
+        oracle.materializer = candidate_materializer(tokens, candidate_name)
         # Token i is current[lo:hi], the input's bytes at kept[lo:hi].
         bounds = list(itertools.accumulate(map(len, tokens), initial=0))
         return granularity, [kept[lo:hi] for lo, hi in zip(bounds, bounds[1:])], oracle

@@ -33,7 +33,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -68,14 +68,11 @@ def map_exit_status(returncode: Optional[int]) -> Outcome:
 
 @dataclass
 class CommandOracleSpec:
-    """How to run the external test command.
-
-    The materializer is provided by a front-end module; ``argv`` may be
-    extended per test with whatever it returns (e.g. the candidate path).
-    """
+    """How to run the external test command; ``argv`` is extended per test
+    with whatever the oracle's materializer returns (e.g. the candidate
+    path)."""
 
     argv: list[str]
-    materializer: Optional[Materializer] = None
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     workspace_root: Optional[Union[str, Path]] = None
     keep_failing: bool = False
@@ -85,9 +82,6 @@ class CommandOracleSpec:
             raise ValueError("argv must not be empty")
         if self.timeout_ms <= 0:
             raise ValueError("timeout must be positive")
-
-    def with_materializer(self, materializer: Materializer) -> "CommandOracleSpec":
-        return replace(self, materializer=materializer)
 
 
 @dataclass
@@ -188,8 +182,8 @@ def evaluate_command(
     ``kept_workspace``.
     """
     spec = oracle.spec
-    if spec.materializer is None:
-        raise ValueError("spec has no materializer")
+    if oracle.materializer is None:
+        raise ValueError("oracle has no materializer")
     oracle.tests_run += 1
     workspace = oracle._empty_workspace()
     tree = workspace / TREE_NAME
@@ -199,7 +193,7 @@ def evaluate_command(
         return (time.perf_counter() - started) * 1000.0
 
     try:
-        extra = spec.materializer(config, tree)
+        extra = oracle.materializer(config, tree)
     except MaterializeConflict as exc:
         return Outcome.UNRESOLVED, ExecutionEvidence(
             returncode=None,
@@ -269,6 +263,7 @@ class CommandOracle:
 
     def __init__(self, spec: CommandOracleSpec):
         self.spec = spec
+        self.materializer: Optional[Materializer] = None  # set by the front-end
         self.tests_run = 0
         self.kept_workspace: Optional[str] = None
         # The command's cwd is the workspace's tree, so the tree path (and

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (
-    Configuration,
-    EngineOptions,
-    Outcome,
-    Pass,
-    run_passes,
-)
+from .core import Configuration, EngineOptions, Outcome, Pass, PassOracle, run_passes
 from .toylang import (
     Event,
     KIND_STATEMENT,
@@ -167,17 +161,7 @@ def reduce_trace(
     rest = sorted(set(replayable).difference(sliced))
 
     def step(label: str, ids: list[Sequence[int]]):
-        """A pass whose delta ``i`` stands for the events ``ids[i]``, each
-        test a replay of the full-trace configuration of its events."""
-        parts = [sum(1 << i for i in members) for members in ids]
-
-        def evaluate(config: Configuration) -> Outcome:
-            bits = 0
-            for i in config.members:
-                bits |= parts[i]
-            return oracle.evaluate(Configuration.from_bits(len(trace), bits))
-
-        return label, ids, evaluate
+        return label, ids, PassOracle(oracle, len(trace), ids)
 
     passes = run_passes(replayable, [
         lambda kept: step("slice", [group for group in (sliced, rest) if group]),

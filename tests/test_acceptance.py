@@ -15,11 +15,11 @@ from deltadebug import (
     Configuration,
     EngineOptions,
     Outcome,
+    PassOracle,
     ddmin,
 )
 from deltadebug.bench import parse_sizes, quadratic_bound, run_bench, run_one
 from deltadebug.changes import (
-    ChangeOracle,
     ChangeSet,
     apply_subset,
     split_unified_diff,
@@ -134,7 +134,7 @@ def test_criterion_4_monotony_optimization():
 def test_criterion_5_dependency_degeneration():
     n = 64
     dependencies = {i: frozenset([i - 1]) for i in range(1, n)}
-    oracle = ChangeOracle(single_cause(n, 32), n, [1 << i for i in range(n)], dependencies)
+    oracle = PassOracle(single_cause(n, 32), n, [(i,) for i in range(n)], dependencies)
     result = ddmin(Configuration.full(n), oracle)
     count = result.log.test_counts()[0]
     assert count <= 2 * 6 + 2  # 2*ceil(log2 64) + 2 = 14
@@ -266,11 +266,11 @@ def test_criterion_8_exit_code_protocol(make_script, workspace_root):
     def run_script(body, timeout_ms=60_000):
         spec = CommandOracleSpec(
             argv=[make_script(body)],
-            materializer=lambda c, w: [],
             workspace_root=workspace_root,
             timeout_ms=timeout_ms,
         )
         with CommandOracle(spec) as oracle:
+            oracle.materializer = lambda c, w: []
             return evaluate_command(oracle, config)
 
     for code in (0, 1, 124, 125, 126, 127, 128):

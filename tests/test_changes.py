@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from deltadebug import Configuration, Outcome, ddmin
+from deltadebug import Configuration, Outcome, PassOracle, ddmin
 from deltadebug.changes import (
     AtomicChange,
     ChangeConflict,
-    ChangeOracle,
     ChangeSet,
     DiffParseError,
     apply_subset,
@@ -53,8 +52,8 @@ def one_line_changes(count: int) -> tuple[AtomicChange, ...]:
 
 
 def raw_oracle(oracle, n, dependencies):
-    """A ChangeOracle whose delta i is raw change i."""
-    return ChangeOracle(oracle, n, [1 << i for i in range(n)], dependencies)
+    """A PassOracle whose delta i is raw change i."""
+    return PassOracle(oracle, n, [(i,) for i in range(n)], dependencies)
 
 
 class TestSplitUnifiedDiff:
@@ -116,6 +115,22 @@ class TestSplitUnifiedDiff:
         with pytest.raises(DiffParseError) as info:
             split_unified_diff("--- a/f\n+++ b/f\n@@ broken @@\n")
         assert info.value.line == 3
+
+    @pytest.mark.parametrize("header, line, path", [
+        ("--- /dev/null\n+++ /abs/file\n", 2, "/abs/file"),
+        ("--- a/f\n+++ b/../../../x\n", 2, "../../../x"),
+        ("--- a/f\n+++ b//etc/x\n", 2, "/etc/x"),
+        ("--- a/d/../../f\n+++ /dev/null\n", 1, "d/../../f"),
+    ])
+    def test_a_path_that_leaves_the_tree_is_rejected(self, header, line, path):
+        with pytest.raises(DiffParseError) as info:
+            split_unified_diff(header + "@@ -0,0 +1 @@\n+x\n")
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: path {path!r} leaves the tree"
+
+    def test_dotted_names_inside_the_tree_are_paths(self):
+        diff = "--- /dev/null\n+++ b/d/..x/.f\n@@ -0,0 +1 @@\n+x\n"
+        assert [ch.file for ch in split_unified_diff(diff)] == ["d/..x/.f"]
 
     def test_truncated_hunk_rejected(self):
         with pytest.raises(DiffParseError):
@@ -385,10 +400,16 @@ class TestGrouping:
 
     def test_group_expansion_is_exact(self):
         cs, _, _ = self.changeset_six()
-        parts = [sum(1 << i for i in ids) for ids in group_deltas(cs, "file").values()]
-        mapped = ChangeOracle(lambda c: Outcome.PASS, len(cs), parts, {})
-        assert mapped.expand(Configuration(3, [1])).members == (2, 3, 4)
-        assert mapped.expand(Configuration(3, [0, 2])).members == (0, 1, 5)
+        seen = []
+
+        def underlying(config):
+            seen.append(config)
+            return Outcome.PASS
+
+        mapped = PassOracle(underlying, len(cs), list(group_deltas(cs, "file").values()))
+        mapped.evaluate(Configuration(3, [1]))
+        mapped.evaluate(Configuration(3, [0, 2]))
+        assert seen == [Configuration(6, [2, 3, 4]), Configuration(6, [0, 1, 5])]
 
     def test_single_directory_collapses_to_one_delta(self):
         baseline = {"pkg/a": "x\n", "pkg/b": "y\n"}
@@ -505,9 +526,7 @@ class TestDependencies:
         assert oracle.evaluate(Configuration(4, [0, 1, 2])) == Outcome.PASS
         # Groups are checked as the raw changes they stand for: delta 0 is
         # changes {0, 1}, delta 1 is change 2 and delta 2 is change 3.
-        grouped = ChangeOracle(
-            lambda c: Outcome.PASS, len(cs), [0b0011, 0b0100, 0b1000], cs.dependencies
-        )
+        grouped = PassOracle(lambda c: Outcome.PASS, len(cs), [(0, 1), (2,), (3,)], cs.dependencies)
         assert grouped.evaluate_ex(Configuration(3, [0])) == (Outcome.PASS, SOURCE_ORACLE)
         assert grouped.evaluate(Configuration(3, [1])) == Outcome.UNRESOLVED
         assert grouped.evaluate(Configuration(3, [0, 2])) == Outcome.UNRESOLVED

@@ -381,6 +381,27 @@ class TestMinimizeChangesCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+    def test_a_diff_path_outside_the_tree_exits_1_and_writes_nothing(
+        self, tmp_path, make_script, capsys
+    ):
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "f").write_text("x\n")
+        outside = tmp_path / "outside.txt"
+        diff = tmp_path / "escape.diff"
+        diff.write_text(
+            "--- a/f\n+++ b/f\n@@ -1 +1 @@\n-x\n+y\n"
+            f"--- /dev/null\n+++ {outside}\n@@ -0,0 +1 @@\n+escaped\n"
+        )
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir),
+            "--diff", str(diff), "--test", make_script('grep -q y "$1/f"'),
+            "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        assert f"line 7: path {str(outside)!r} leaves the tree" in capsys.readouterr().err
+        assert not outside.exists()
+
 class TestReduceTraceCommand:
     def test_default_filter_gives_13_events(self, tmp_path, sample_source, capsys):
         program = tmp_path / "sample.toy"

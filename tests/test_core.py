@@ -8,6 +8,7 @@ from deltadebug import (
     Configuration,
     EngineOptions,
     Outcome,
+    PassOracle,
     ddmin,
     partition,
 )
@@ -295,6 +296,114 @@ class TestDdmin:
             result = ddmin(Configuration.full(n), single_cause(n))
             assert result.log.test_counts()[0] <= 2 * k + 2
 
+
+
+class Received:
+    """An oracle that records each configuration it is asked about."""
+
+    def __init__(self, outcome=Outcome.PASS):
+        self.outcome = outcome
+        self.configs = []
+
+    def evaluate(self, config):
+        self.configs.append(config)
+        return self.outcome
+
+
+def expanded(universe_size, ids, config):
+    """The configuration ``PassOracle`` hands on, as the OR of one bitmap per
+    member delta."""
+    bits = 0
+    for delta in config.members:
+        for i in ids[delta]:
+            bits |= 1 << i
+    return Configuration.from_bits(universe_size, bits)
+
+
+class TestPassOracle:
+    @pytest.mark.parametrize("universe_size, ids", [
+        (0, []),
+        (1, [(0,)]),
+        (2, [(1,), (0,)]),
+        (2, [(0, 1)]),
+        (10, [(7,), (3,)]),  # a later pass: ids the pass before it kept
+        (4321, [(i,) for i in range(4320, -1, -1)]),
+        (9000, [tuple(range(k, 9000, 7)) for k in range(7)]),
+    ])
+    def test_every_configuration_asked_is_the_union_of_its_deltas(self, universe_size, ids):
+        rng = random.Random(universe_size)
+        width = len(ids)
+        configs = [Configuration(width), Configuration.full(width)] + [
+            Configuration.from_bits(width, rng.getrandbits(width)) for _ in range(5)
+        ]
+        received = Received()
+        oracle = PassOracle(received, universe_size, ids)
+        for config in configs:
+            assert oracle.evaluate_ex(config) == (Outcome.PASS, SOURCE_ORACLE)
+        assert received.configs == [expanded(universe_size, ids, c) for c in configs]
+
+    def test_interleaved_groups(self):
+        # The slice/rest pass of reduce-trace and --groups dir both hand
+        # over groups whose input ids interleave.
+        received = Received()
+        oracle = PassOracle(received, 9, [(5, 1, 8), (0, 2, 3), (6,)])
+        for members in ([0], [1], [2], [0, 2], [0, 1, 2]):
+            oracle.evaluate(cfg(3, *members))
+        assert received.configs == [
+            cfg(9, 1, 5, 8), cfg(9, 0, 2, 3), cfg(9, 6), cfg(9, 1, 5, 6, 8),
+            cfg(9, 0, 1, 2, 3, 5, 6, 8),
+        ]
+
+    def test_a_missing_requirement_is_a_feasibility_reject(self):
+        counting = CountingOracle(lambda c: Outcome.FAIL)
+        # Input id 4 requires 0 and 2; delta 1 holds 4, delta 0 holds 0 and 1.
+        oracle = PassOracle(counting, 6, [(0, 1), (4,), (2,)], {4: {0, 2}})
+        assert oracle.evaluate_ex(cfg(3, 0, 1)) == (Outcome.UNRESOLVED, SOURCE_FEASIBILITY)
+        assert oracle.evaluate_ex(cfg(3, 1, 2)) == (Outcome.UNRESOLVED, SOURCE_FEASIBILITY)
+        assert counting.calls == 0
+        assert oracle.evaluate_ex(cfg(3, 0, 2)) == (Outcome.FAIL, SOURCE_ORACLE)
+        assert oracle.evaluate_ex(cfg(3, 0, 1, 2)) == (Outcome.FAIL, SOURCE_ORACLE)
+        assert counting.calls == 2
+        # FAIL needs input id 4, so a 1-minimal result holds all three deltas.
+        needs_4 = PassOracle(lambda c: Outcome.FAIL if 4 in c else Outcome.PASS, 6,
+                             [(0, 1), (4,), (2,)], {4: {0, 2}})
+        result = ddmin(Configuration.full(3), needs_4)
+        assert result.final == Configuration.full(3)
+        rejects = {r.config.members for r in result.log if r.source == SOURCE_FEASIBILITY}
+        assert rejects == {(0, 1), (1,), (1, 2)}
+
+    @pytest.mark.parametrize("universe_size, ids, message", [
+        (4, [(0,), (4,)], "input id 4 outside universe 0..3"),
+        (4, [(-1,)], "input id -1 outside universe 0..3"),
+        (0, [(0,)], "input id 0 outside universe 0..-1"),
+        (4, [(0, 2), (1,), (2, 3)], "input id 2 is in deltas 0 and 2"),
+        (4, [(1, 1)], "input id 1 is in deltas 0 and 0"),
+    ])
+    def test_bad_ids_are_rejected_when_built(self, universe_size, ids, message):
+        with pytest.raises(ValueError) as info:
+            PassOracle(Received(), universe_size, ids)
+        assert str(info.value) == message
+
+    def test_seeded_differential_against_or_of_bitmaps(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            universe_size = rng.randint(0, 300)
+            # A random share of the input ids, cut into random groups.
+            kept = [i for i in range(universe_size) if rng.random() < 0.7]
+            rng.shuffle(kept)
+            ids, rest = [], kept
+            while rest:
+                cut = rng.randint(1, len(rest))
+                ids.append(tuple(rest[:cut]))
+                rest = rest[cut:]
+            received = Received(Outcome.FAIL)
+            oracle = PassOracle(received, universe_size, ids)
+            configs = [
+                Configuration.from_bits(len(ids), rng.getrandbits(len(ids))) for _ in range(4)
+            ]
+            for config in configs:
+                assert oracle.evaluate(config) == Outcome.FAIL
+            assert received.configs == [expanded(universe_size, ids, c) for c in configs]
 
 class TestTestRecord:
     def test_five_stored_fields_and_cached_read_off_source(self):

@@ -151,9 +151,6 @@ class TestMinimizeInput:
         data = "junk\n778玉\nmore\n".encode("utf-8")
         outcome = minimize_input(data, substring_spec)
         tokenized = tokenize(outcome.minimized, "char")
-        with CommandOracle(
-            substring_spec.with_materializer(
-                candidate_materializer(tokenized, "candidate.dat")
-            )
-        ) as oracle:
+        with CommandOracle(substring_spec) as oracle:
+            oracle.materializer = candidate_materializer(tokenized, "candidate.dat")
             assert oracle.evaluate(Configuration.full(len(tokenized))) == Outcome.FAIL

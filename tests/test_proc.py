@@ -25,8 +25,15 @@ def null_materializer(config, workspace):
 
 
 def spec_for(argv, workspace_root, **kwargs):
-    kwargs.setdefault("materializer", null_materializer)
     return CommandOracleSpec(argv=argv, workspace_root=workspace_root, **kwargs)
+
+
+def oracle_for(spec, materializer=null_materializer):
+    """A command oracle over ``spec`` whose tests write ``materializer``'s
+    scenario."""
+    oracle = CommandOracle(spec)
+    oracle.materializer = materializer
+    return oracle
 
 
 def refuse_removal_like_a_user(monkeypatch):
@@ -48,9 +55,9 @@ def refuse_removal_like_a_user(monkeypatch):
     monkeypatch.setattr(os, "rmdir", guarded(os.rmdir))
 
 
-def run_once(spec, config, test_seq=1):
+def run_once(spec, config, test_seq=1, materializer=null_materializer):
     """Run ``config`` as test number ``test_seq`` of a run of its own."""
-    with CommandOracle(spec) as oracle:
+    with oracle_for(spec, materializer) as oracle:
         oracle.tests_run = test_seq - 1
         return evaluate_command(oracle, config)
 
@@ -140,7 +147,7 @@ class TestEvaluateCommand:
         self, make_script, workspace_root, wait_path
     ):
         spec = spec_for([make_script("exit 0")], workspace_root)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             for members in ([], [0], [0, 1]):
                 outcome, _ = evaluate_command(oracle, Configuration(2, members))
                 assert outcome == Outcome.FAIL
@@ -230,10 +237,9 @@ class TestEvaluateCommand:
 
         spec = CommandOracleSpec(
             argv=["/bin/sh", "-c", f"touch {witness}"],
-            materializer=conflicting,
             workspace_root=workspace_root,
         )
-        outcome, evidence = run_once(spec, Configuration(2, [1]))
+        outcome, evidence = run_once(spec, Configuration(2, [1]), materializer=conflicting)
         assert outcome == Outcome.UNRESOLVED
         assert evidence.returncode is None
         assert evidence.conflict == "change 1 does not apply"
@@ -243,6 +249,12 @@ class TestEvaluateCommand:
         spec = spec_for(["/no/such/binary"], workspace_root)
         with pytest.raises(OracleExecutionError):
             run_once(spec, Configuration(1, [0]))
+
+    def test_an_oracle_without_a_materializer_is_an_error(self, workspace_root):
+        with CommandOracle(spec_for(["true"], workspace_root)) as oracle:
+            with pytest.raises(ValueError, match="oracle has no materializer"):
+                oracle.evaluate(Configuration(1, [0]))
+        assert list(workspace_root.iterdir()) == []
 
     def test_environment_variables(self, make_script, workspace_root, tmp_path):
         out = tmp_path / "env.txt"
@@ -265,10 +277,9 @@ class TestEvaluateCommand:
 
         spec = CommandOracleSpec(
             argv=[make_script('grep -q 78 "$1"')],
-            materializer=materializer,
             workspace_root="ws",
         )
-        outcome, evidence = run_once(spec, Configuration(1, [0]))
+        outcome, evidence = run_once(spec, Configuration(1, [0]), materializer=materializer)
         assert outcome == Outcome.FAIL
         assert Path(evidence.workspace).is_absolute()
 
@@ -284,7 +295,7 @@ class TestEvaluateCommand:
         # Both tests run in the run's one workspace, its tree emptied between.
         script = make_script('test ! -e stale || exit 1; touch stale; exit 0')
         spec = spec_for([script], workspace_root)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
             second, ev2 = evaluate_command(oracle, Configuration(1, []))
         # If workspace files leaked between tests the second run would PASS.
@@ -299,10 +310,8 @@ class TestEvaluateCommand:
 
         # Exits 0 (FAIL) only if its working directory holds a.txt alone.
         script = make_script('test "$(ls -A)" = a.txt')
-        spec = spec_for(
-            [script], workspace_root, materializer=materializer, keep_failing=True
-        )
-        outcome, evidence = run_once(spec, Configuration(1, [0]))
+        spec = spec_for([script], workspace_root, keep_failing=True)
+        outcome, evidence = run_once(spec, Configuration(1, [0]), materializer=materializer)
         assert outcome == Outcome.FAIL
         kept = sorted(p.name for p in Path(evidence.workspace).iterdir())
         assert kept == ["stderr.log", "stdout.log", "tree"]
@@ -311,7 +320,7 @@ class TestEvaluateCommand:
         # A kept FAIL's workspace is never used again, and two runs over one
         # root never share a workspace.
         spec = spec_for([make_script("exit 0")], workspace_root, keep_failing=True)
-        with CommandOracle(spec) as first, CommandOracle(spec) as second:
+        with oracle_for(spec) as first, oracle_for(spec) as second:
             paths = [
                 evaluate_command(oracle, Configuration(1, [0]))[1].workspace
                 for oracle in (first, second, first, second)
@@ -341,10 +350,8 @@ class TestEvaluateCommand:
             return [str(candidate)]
 
         script = make_script(f'echo "$1" > {out}; exit 1')
-        spec = CommandOracleSpec(
-            argv=[script], materializer=materializer, workspace_root=workspace_root
-        )
-        run_once(spec, Configuration(1, [0]))
+        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        run_once(spec, Configuration(1, [0]), materializer=materializer)
         assert out.read_text().strip().endswith("input.bin")
 
 
@@ -366,7 +373,7 @@ class TestRunWorkspace:
         (outside / "keep.txt").write_text("keep\n")
         leave = f"echo x > file; mkdir -p sub/deeper; echo y > sub/deeper/f; ln -s {outside} link"
         spec = spec_for([self.script(make_script, leave)], workspace_root)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
             tree = Path(ev1.workspace) / "tree"
             assert sorted(p.name for p in tree.iterdir()) == ["file", "link", "sub"]
@@ -384,7 +391,7 @@ class TestRunWorkspace:
         (outside / "keep.txt").write_text("keep\n")
         leave = f"cd ..; rm -r tree; ln -s {outside} tree"
         spec = spec_for([self.script(make_script, leave)], workspace_root)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
             second, ev2 = evaluate_command(oracle, Configuration(1, [0]))
             assert not Path(ev1.workspace).exists()
@@ -398,7 +405,7 @@ class TestRunWorkspace:
         # anyone else gets a new workspace.  Either way the tree is empty.
         leave = "mkdir ro; echo stale > ro/f; chmod a-w ro"
         spec = spec_for([self.script(make_script, leave)], workspace_root)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             outcomes = [evaluate_command(oracle, Configuration(1, [0]))[0] for _ in range(2)]
         assert outcomes == [Outcome.PASS, Outcome.FAIL]
 
@@ -413,7 +420,7 @@ class TestRunWorkspace:
             refuse_removal_like_a_user(monkeypatch)
         script = make_script('test -z "$(ls -A)" || exit 1\nmkdir ro; echo x > ro/f; chmod a-w ro')
         spec = spec_for([script], workspace_root)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             for _ in range(3):
                 assert oracle.evaluate(Configuration(1, [0])) == Outcome.FAIL
                 assert len(list(workspace_root.iterdir())) == 1
@@ -426,7 +433,7 @@ class TestRunWorkspace:
             refuse_removal_like_a_user(monkeypatch)
         script = make_script("mkdir ro; echo x > ro/f; chmod a-w ro")
         spec = spec_for([script], workspace_root, keep_failing=True)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             for _ in range(3):
                 assert oracle.evaluate(Configuration(1, [0])) == Outcome.FAIL
                 assert len(list(workspace_root.iterdir())) == 1
@@ -454,7 +461,7 @@ class TestRunWorkspace:
             'echo "$DDMIN_TEST_SEQ" > seq; test "$DDMIN_TEST_SEQ" = 2'
         )
         spec = spec_for([script], workspace_root, keep_failing=True)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             runs = [evaluate_command(oracle, Configuration(1, [0])) for _ in range(4)]
             kept = Path(oracle.kept_workspace)
         assert [outcome for outcome, _ in runs] == [
@@ -479,9 +486,9 @@ class TestRunWorkspace:
             f'echo "$RUN" >> {seen}; test -z "$(ls -A)" || exit 1; touch "left-by-$RUN"'
         )
         spec = spec_for([script], workspace_root)
-        with CommandOracle(spec) as a:
+        with oracle_for(spec) as a:
             monkeypatch.setenv("RUN", "b")
-            with CommandOracle(spec) as b:
+            with oracle_for(spec) as b:
                 monkeypatch.setenv("RUN", "c")
                 runs = [
                     evaluate_command(oracle, Configuration(1, [0]))
@@ -497,7 +504,7 @@ class TestRunWorkspace:
 class TestCommandOracle:
     def test_keeps_only_the_last_failing_workspace(self, make_script, workspace_root):
         spec = spec_for([make_script("exit 0")], workspace_root, keep_failing=True)
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             oracle.evaluate(Configuration(2, [0]))
             first_kept = oracle.kept_workspace
             oracle.evaluate(Configuration(2, [1]))
@@ -511,7 +518,7 @@ class TestCommandOracle:
         spec = spec_for(
             [make_script(f'echo "$DDMIN_TEST_SEQ" >> {out}; exit 1')], workspace_root
         )
-        with CommandOracle(spec) as oracle:
+        with oracle_for(spec) as oracle:
             for _ in range(3):
                 oracle.evaluate(Configuration(1, [0]))
         assert out.read_text().split() == ["1", "2", "3"]

@@ -67,3 +67,31 @@ def test_every_public_name_has_a_reader():
         assert re.search(rf"\b{name}\b", (ROOT / reader).read_text(encoding="utf-8")), (
             f"{reader} no longer reads {qualified}"
         )
+
+
+def test_every_module_level_import_is_read():
+    """Each name a module of src/ imports at module level is read in that
+    module, or re-exported through its ``__all__``."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        unread += [
+            f"{path.name}:{line}: {name}"
+            for name, line in imported.items() if name not in read | exported
+        ]
+    assert unread == []

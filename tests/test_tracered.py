@@ -1,5 +1,6 @@
 import collections
 import random
+import tracemalloc
 
 import pytest
 
@@ -213,6 +214,26 @@ class TestReducedUniverse:
             assert is_1_minimal_on_the_full_trace(reduction, stdin, expectation)
         assert groups[1] > 20 and groups[2] > 150
 
+
+    def test_a_long_loop_reduces_in_memory_linear_in_the_trace(self):
+        # 10,000 iterations give 30,005 events.  Without a filter the
+        # derived prefix "x=7" is in no string, so the slice is empty and
+        # the trace pass starts from every replayable event.  Building one
+        # bitmap per delta for each test peaks near 25 MiB of Python
+        # allocations; gathering the digits, near 6 MiB.
+        program = parse_program(
+            'x = input("");\nn = input("");\ni = 0;\n'
+            'while (i < n) {\n  i = i + 1;\n}\nprint("x=", x, "\\n");\n'
+        )
+        tracemalloc.start()
+        try:
+            reduction = reduce_trace(program, [7, 10_000], OutputExpectation.derive("x=7\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reduction.trace) == 30_005
+        assert reduction.passes[-1].kept == (0, 30_004)  # x = input and the print
+        assert peak < 12 * 2**20
 
 class TestTwoColumnRendering:
     def test_rows_cover_every_event(self, sample_program):
