@@ -30,6 +30,10 @@ SOURCE_FEASIBILITY = "feasibility-reject"
 SOURCE_AXIOM = "axiom"
 
 CACHED_SOURCES = (SOURCE_EXACT_CACHE, SOURCE_MONOTONY)
+# The first answers a run carries into its later passes: tested and
+# preloaded ones.  A monotony answer is an assumption, and a feasibility
+# reject costs nothing to repeat.
+CARRIED_SOURCES = (SOURCE_ORACLE, SOURCE_AXIOM, SOURCE_EXACT_CACHE)
 
 # The kinds of a ddmin round's candidates.
 _CHUNK, _COMPLEMENT = "chunk", "complement"
@@ -212,6 +216,49 @@ def as_oracle(oracle: OracleLike) -> TestOracle:
     raise TypeError(f"not a test oracle: {oracle!r}")
 
 
+class _IdMap:
+    """A pass's deltas as sets of input ids: delta ``i`` stands for the
+    input ids ``ids[i]``, each below ``universe_size`` and in at most one
+    delta.
+
+    Maps a pass bitmap to the bitmap of the input ids it stands for, and
+    back.  Each way is one gather over the bitmap's digits (see
+    ``bit_string``): linear in the universe, with no Python loop per id.
+    """
+
+    def __init__(self, universe_size: int, ids: Sequence[Sequence[int]]):
+        self._size = universe_size
+        self._width = width = len(ids)
+        owner = [width] * universe_size  # each input id's delta; width: none
+        for delta, members in enumerate(ids):
+            for m in members:
+                if not 0 <= m < universe_size:
+                    raise ValueError(f"input id {m} outside universe 0..{universe_size - 1}")
+                if owner[m] != width:
+                    raise ValueError(f"input id {m} is in deltas {owner[m]} and {delta}")
+                owner[m] = delta
+        # Reads a pass bitmap's digits (one digit longer, so that index
+        # ``width`` reads 0) as the input ids' digits, highest id first.
+        # Two leading zeros keep the result a tuple for a universe of one id.
+        self._gather = operator.itemgetter(width, width, *reversed(owner))
+        # Reads each delta's digit off its first input id's, the other way
+        # round; an empty delta reads index ``universe_size``, a 0.
+        firsts = [members[0] if members else universe_size for members in ids]
+        self._pick = operator.itemgetter(universe_size, universe_size, *reversed(firsts))
+
+    def expand(self, bits: int) -> int:
+        """The input ids of the pass bitmap ``bits``."""
+        return int("".join(self._gather(bit_string(bits, self._width + 1))), 2)
+
+    def contract(self, input_bits: int) -> Optional[int]:
+        """The pass bitmap that stands for exactly the input ids
+        ``input_bits``, or None if no union of the pass's deltas does."""
+        if input_bits >> self._size:
+            return None
+        bits = int("".join(self._pick(bit_string(input_bits, self._size + 1))), 2)
+        return bits if self.expand(bits) == input_bits else None
+
+
 class PassOracle:
     """Tests a pass over a run's input ids: delta ``i`` stands for the input
     ids ``ids[i]``, and each test asks ``oracle`` about the configuration of
@@ -228,19 +275,7 @@ class PassOracle:
     ):
         self._oracle = as_oracle(oracle)
         self._universe_size = universe_size
-        self._width = width = len(ids)
-        owner = [width] * universe_size  # each input id's delta; width: none
-        for delta, members in enumerate(ids):
-            for m in members:
-                if not 0 <= m < universe_size:
-                    raise ValueError(f"input id {m} outside universe 0..{universe_size - 1}")
-                if owner[m] != width:
-                    raise ValueError(f"input id {m} is in deltas {owner[m]} and {delta}")
-                owner[m] = delta
-        # Reads a test's digits (see ``bit_string``, one digit longer so that
-        # index ``width`` reads 0) as the input ids' digits, highest id first.
-        # Two leading zeros keep the result a tuple for a universe of one id.
-        self._gather = operator.itemgetter(width, width, *reversed(owner))
+        self._expand = _IdMap(universe_size, ids).expand
         # (bit, bitmap of the input ids it requires) per id with requirements.
         self._requires = [
             (1 << child, sum(1 << parent for parent in parents))
@@ -251,8 +286,7 @@ class PassOracle:
         return self.evaluate_ex(config)[0]
 
     def evaluate_ex(self, config: Configuration) -> tuple[Outcome, str]:
-        digits = self._gather(bit_string(config.bits, self._width + 1))
-        bits = int("".join(digits), 2)
+        bits = self._expand(config.bits)
         for child, required in self._requires:
             if bits & child and required & ~bits:
                 return Outcome.UNRESOLVED, SOURCE_FEASIBILITY
@@ -504,21 +538,35 @@ def run_passes(
     (``input_ids`` at first) to its pass's label, ids and oracle, and the
     pass starts from the full configuration of those ids.
 
-    A later pass takes both axiom answers from the pass before it: the
-    empty configuration passed and its full configuration, that pass's
-    result, failed.  They replace any preloaded cache, whose bitmaps belong
-    to the first pass's universe.  An axiom violation names its pass.
+    No pass tests a scenario that an earlier pass tested.  The run keeps
+    one table from the input ids each tested configuration stands for to
+    its first answer, taken from the ``oracle``, ``axiom`` and
+    ``exact-cache`` records of each finished pass; a ``monotony`` answer is
+    an assumption and a ``feasibility-reject`` is free, so neither is
+    carried.  A later pass's preloaded cache holds every entry that a
+    union of its deltas stands for exactly.  Among them are both axiom
+    answers: the empty configuration passed, and the pass's full
+    configuration, the result of the pass before it, failed.  Any other
+    carried FAIL would contain that result, so none is in reach.  The
+    table replaces any preloaded cache, whose bitmaps belong to the first
+    pass's universe.  An axiom violation names its pass.
     """
     passes: list[Pass] = []
     kept = input_ids
-    for step in steps:
+    known: dict[int, Outcome] = {}  # input-id bitmap -> its first answer
+    steps = list(steps)
+    for number, step in enumerate(steps, 1):
         label, ids, oracle = step(kept)
         universe = Configuration.full(len(ids))
+        if len(steps) > 1:
+            id_map = _IdMap(max(itertools.chain.from_iterable(ids), default=-1) + 1, ids)
         if passes:
-            options = dataclasses.replace(
-                options or EngineOptions(),
-                preloaded_cache={0: Outcome.PASS, universe.bits: Outcome.FAIL},
-            )
+            preloaded = {}
+            for input_bits, outcome in known.items():
+                bits = id_map.contract(input_bits)
+                if bits is not None:
+                    preloaded[bits] = outcome
+            options = dataclasses.replace(options or EngineOptions(), preloaded_cache=preloaded)
         try:
             # Through the module global, so a wrapped ``ddmin`` sees every pass.
             result = ddmin(universe, oracle, options)
@@ -526,6 +574,13 @@ def run_passes(
             raise AxiomViolation(f"{label} pass: {exc}", exc.log) from exc
         passes.append(Pass(label, result, ids))
         kept = passes[-1].kept
+        if number < len(steps):
+            first: dict[int, TestRecord] = {}
+            for record in result.log.records:
+                first.setdefault(record.config.bits, record)
+            for bits, record in first.items():
+                if record.source in CARRIED_SOURCES:
+                    known.setdefault(id_map.expand(bits), record.outcome)
     return passes
 
 

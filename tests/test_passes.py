@@ -1,15 +1,21 @@
 """The pass driver: each pass's deltas mapped to the run's input ids."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from deltadebug import AxiomViolation, Configuration, EngineOptions, Outcome, Pass, run_passes
+from deltadebug import (
+    AxiomViolation, Configuration, EngineOptions, Outcome, Pass, PassOracle, ddmin, run_passes,
+)
 from deltadebug.changes import (
     ChangeSet, minimize_changes, parse_dependencies, parse_group_map, split_unified_diff,
 )
-from deltadebug.core import SOURCE_EXACT_CACHE, MinimizationResult, RunLog
+from deltadebug.core import (
+    SOURCE_AXIOM, SOURCE_EXACT_CACHE, SOURCE_FEASIBILITY, SOURCE_MONOTONY, SOURCE_ORACLE,
+    MinimizationResult, RunLog,
+)
 from deltadebug.inputmin import minimize_input
 from deltadebug.proc import CommandOracleSpec
 
@@ -61,6 +67,165 @@ class TestRunPasses:
     def test_kept_of_an_empty_result(self):
         result = MinimizationResult(Configuration(2), RunLog(2))
         assert Pass("p", result, [(0,), (1,)]).kept == ()
+
+
+def first_by_input_ids(p: Pass) -> dict[frozenset, object]:
+    """The first record of each configuration of pass ``p``, keyed by the
+    input ids it stands for."""
+    first = {}
+    for record in p.result.log.records:
+        ids = frozenset(itertools.chain.from_iterable(p.ids[d] for d in record.config.members))
+        first.setdefault(ids, record)
+    return first
+
+
+def singletons(make_oracle):
+    return lambda kept: ("members", [(i,) for i in kept], make_oracle([(i,) for i in kept]))
+
+
+class TestCarriedAnswers:
+    def test_a_later_pass_takes_every_answer_an_earlier_pass_tested(self):
+        # Both groups pass, so the members pass starts from all six ids,
+        # and its first chunks are the two groups.
+        groups = [(0, 1, 2), (3, 4, 5)]
+        calls = []
+
+        def counted(ids):
+            oracle = needs(0, 3)(ids)
+            return lambda config: calls.append(config) or oracle(config)
+
+        passes = run_passes(range(6), [
+            lambda kept: ("groups", groups, counted(groups)),
+            singletons(counted),
+        ])
+        assert passes[0].kept == tuple(range(6))
+        head = passes[1].result.log.records[:4]
+        assert [(r.config.members, r.outcome, r.source, r.duration_ms) for r in head] == [
+            ((), Outcome.PASS, SOURCE_EXACT_CACHE, 0.0),
+            ((0, 1, 2, 3, 4, 5), Outcome.FAIL, SOURCE_EXACT_CACHE, 0.0),
+            ((0, 1, 2), Outcome.PASS, SOURCE_EXACT_CACHE, 0.0),
+            ((3, 4, 5), Outcome.PASS, SOURCE_EXACT_CACHE, 0.0),
+        ]
+        assert passes[1].kept == (0, 3)
+        # One oracle call per oracle and axiom record, over both passes.
+        counts = [p.result.log.test_counts() for p in passes]
+        assert len(calls) == sum(oracle + axiom for oracle, _, axiom in counts)
+
+    def test_a_monotony_answer_is_not_carried(self):
+        # Pass 1 answers {0} and {2} by monotony; pass 2, over {0, 2},
+        # tests them.
+        step = singletons(needs(0, 2))
+        passes = run_passes(range(4), [step, step], EngineOptions(monotone=True))
+        earlier, later = map(first_by_input_ids, passes)
+        for ids in (frozenset({0}), frozenset({2})):
+            assert earlier[ids].source == SOURCE_MONOTONY
+            assert later[ids].source == SOURCE_ORACLE
+
+    def test_a_feasibility_reject_is_not_carried(self):
+        # Input id 0 requires 1: pass 1 rejects {0}, and so does pass 2.
+        def step(kept):
+            ids = [(i,) for i in kept]
+            return "members", ids, PassOracle(needs(0, 1)([(i,) for i in range(3)]), 3, ids, {0: {1}})
+
+        passes = run_passes(range(3), [step, step])
+        earlier, later = map(first_by_input_ids, passes)
+        assert earlier[frozenset({0})].source == SOURCE_FEASIBILITY
+        assert later[frozenset({0})].source == SOURCE_FEASIBILITY
+
+    def test_a_run_of_one_pass_takes_the_preloaded_cache(self):
+        preload = {0b011: Outcome.PASS}
+        passes = run_passes(range(3), [singletons(needs(2))], EngineOptions(preloaded_cache=preload))
+        sources = {r.config.bits: r.source for r in passes[0].result.log.records}
+        assert sources[0b011] == SOURCE_EXACT_CACHE
+
+
+def axiom_only_passes(input_ids, steps, options=None):
+    """The pass driver as it was before answers were carried: a later pass
+    took only both axiom answers from the pass before it."""
+    passes, kept = [], input_ids
+    for step in steps:
+        label, ids, oracle = step(kept)
+        universe = Configuration.full(len(ids))
+        if passes:
+            options = dataclasses.replace(
+                options or EngineOptions(),
+                preloaded_cache={0: Outcome.PASS, universe.bits: Outcome.FAIL},
+            )
+        passes.append(Pass(label, ddmin(universe, oracle, options), ids))
+        kept = passes[-1].kept
+    return passes
+
+
+def random_steps(rng: random.Random, input_ids: list[int], count: int, unresolved: bool):
+    """``count`` steps, each cutting the kept ids, shuffled, into random
+    groups, and an oracle over input-id sets: FAIL iff the set holds
+    ``input_ids``, else PASS or, with ``unresolved``, for some sets
+    UNRESOLVED."""
+    salt = rng.getrandbits(32)
+
+    def answer(present: frozenset) -> Outcome:
+        if present >= frozenset(input_ids):
+            return Outcome.FAIL
+        if unresolved and present and hash((salt, present)) % 5 == 0:
+            return Outcome.UNRESOLVED
+        return Outcome.PASS
+
+    def make_step(seed: int):
+        def step(kept):
+            order = list(kept)
+            random.Random(seed).shuffle(order)
+            cuts = sorted(random.Random(seed + 1).sample(range(1, len(order)), min(len(order) - 1, 3)))
+            ids = [tuple(order[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, len(order)])]
+
+            def oracle(config):
+                return answer(frozenset(itertools.chain.from_iterable(ids[d] for d in config.members)))
+            return "pass", ids, oracle
+        return step
+
+    return [make_step(rng.getrandbits(32)) for _ in range(count)]
+
+
+def test_carried_answers_change_only_sources_seeded():
+    rng = random.Random(20261019)
+    changed = 0
+    for _ in range(300):
+        universe = rng.randint(2, 40)
+        needed = rng.sample(range(universe), rng.randint(1, min(universe, 4)))
+        steps = random_steps(rng, needed, rng.randint(2, 4), unresolved=True)
+        before, after = axiom_only_passes(range(universe), steps), run_passes(range(universe), steps)
+        assert len(before) == len(after)
+        for old, new in zip(before, after):
+            assert new.result.final == old.result.final
+            assert new.result.verified_1_minimal == old.result.verified_1_minimal
+            pairs = list(zip(old.result.log.records, new.result.log.records, strict=True))
+            for was, now in pairs:
+                assert (now.config, now.granularity, now.outcome) == (was.config, was.granularity, was.outcome)
+                if now.source != was.source:
+                    assert (was.source, now.source) == (SOURCE_ORACLE, SOURCE_EXACT_CACHE)
+                    assert now.duration_ms == 0.0
+                    changed += 1
+    assert changed > 100
+
+
+def test_carried_answers_under_monotony_seeded():
+    # A later pass may answer from an earlier pass's test what monotony
+    # would have assumed: on a monotone oracle the source improves and the
+    # outcome stays PASS.
+    rng = random.Random(7)
+    for _ in range(200):
+        universe = rng.randint(2, 40)
+        needed = rng.sample(range(universe), rng.randint(1, min(universe, 4)))
+        steps = random_steps(rng, needed, rng.randint(2, 4), unresolved=False)
+        options = EngineOptions(monotone=True)
+        before, after = axiom_only_passes(range(universe), steps, options), run_passes(range(universe), steps, options)
+        for old, new in zip(before, after):
+            assert new.result.final == old.result.final
+            assert new.result.verified_1_minimal in (old.result.verified_1_minimal, True)
+            for was, now in zip(old.result.log.records, new.result.log.records, strict=True):
+                assert (now.config, now.outcome) == (was.config, was.outcome)
+                if now.source != was.source:
+                    assert was.source in (SOURCE_ORACLE, SOURCE_MONOTONY)
+                    assert now.source == SOURCE_EXACT_CACHE
 
 
 @pytest.fixture
@@ -134,3 +299,46 @@ def test_change_ids_through_a_group_map_out_of_id_order(two_cause_changes, works
     assert set(changes.kept) <= set(groups.kept)
     # The only 1-minimal failing set closed under the dependencies.
     assert changes.kept == (1, 2, 4, 5, 10)
+
+
+def spawned(passes) -> int:
+    """The oracle and axiom records of a run: one process each."""
+    counts = [p.result.log.test_counts() for p in passes]
+    return sum(oracle + axiom for oracle, _, axiom in counts)
+
+
+class TestNoScenarioRunsTwice:
+    def test_the_char_pass_takes_the_line_answers(self, make_script, workspace_root, tmp_path):
+        counter = tmp_path / "runs"
+        script = make_script(f'printf x >> {counter}; grep -q A "$1" && grep -q B "$1"')
+        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        outcome = minimize_input(b"xA\nyB\n", spec)
+        line, char = outcome.passes
+        assert line.kept == tuple(range(6))
+        # The char pass's first chunks are the two lines: no process runs.
+        head = char.result.log.records[2:4]
+        assert [(r.config.members, r.outcome, r.source) for r in head] == [
+            ((0, 1, 2), Outcome.PASS, SOURCE_EXACT_CACHE),
+            ((3, 4, 5), Outcome.PASS, SOURCE_EXACT_CACHE),
+        ]
+        assert outcome.minimized == b"AB"
+        assert len(counter.read_bytes()) == spawned(outcome.passes)
+
+    def test_a_grouped_change_run_spawns_once_per_record(
+        self, two_cause_changes, make_script, workspace_root, tmp_path
+    ):
+        baseline, diff, _, test = two_cause_changes
+        counter = tmp_path / "runs"
+        script = make_script(f'printf x >> {counter}; exec {test} "$1"')
+        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        changeset = ChangeSet(tuple(split_unified_diff(diff)))
+        outcome = minimize_changes(baseline, changeset, spec, groups="file")
+        groups, changes = outcome.passes
+        assert groups.kept == (0, 1, 2, 3, 8, 9, 10, 11)
+        # The changes pass's first chunks are the groups of lib/a.txt and
+        # main/c.txt, which the groups pass tested.
+        first = first_by_input_ids(changes)
+        for ids in ((0, 1, 2, 3), (8, 9, 10, 11)):
+            assert first[frozenset(ids)].source == SOURCE_EXACT_CACHE
+        assert changes.kept == (2, 10)
+        assert len(counter.read_bytes()) == spawned(outcome.passes)
