@@ -93,7 +93,7 @@ def test_axiom_violation_report_bytes(tmp_path, make_script, capsys):
 CHANGE_RUNS = {
     "groups-file": (
         ["--groups", "file"],
-        "ded6e7113ad4e8a7b10fc246f7075772f015d380c0c810b54325baa537545cad",
+        "1cbc98feb7ec376d189e014ebad0eb0cc63a4d65f6c59ee27a6391dbbb9a2402",
     ),
     "deps": (
         ["--deps", "deps.tsv"],
