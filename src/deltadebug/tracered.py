@@ -160,13 +160,17 @@ def reduce_trace(
     sliced = data_slice(program, trace, expectation.prefixes)
     rest = sorted(set(replayable).difference(sliced))
 
-    def step(label: str, ids: list[Sequence[int]]):
-        return label, ids, PassOracle(oracle, len(trace), ids)
+    def slice_step(kept: Sequence[int]):
+        groups = [group for group in (sliced, rest) if group]
+        return "slice", groups, PassOracle(oracle, len(trace), groups)
 
-    passes = run_passes(replayable, [
-        lambda kept: step("slice", [group for group in (sliced, rest) if group]),
-        lambda kept: step("trace", [(i,) for i in kept]),
-    ], options)
+    def trace_step(kept: Sequence[int]):
+        # Delta i is event kept[i]: replaying the kept events' own trace
+        # runs the same events in the same order as the full trace would.
+        events = [trace[i] for i in kept]
+        return "trace", [(i,) for i in kept], ReplayOracle(program, events, stdin_tokens, expectation)
+
+    passes = run_passes(replayable, [slice_step, trace_step], options)
     return TraceReduction(
         program=program,
         trace=trace,

@@ -4,9 +4,9 @@ import tracemalloc
 
 import pytest
 
-from deltadebug import Configuration, Outcome, ddmin
+from deltadebug import Configuration, Outcome, PassOracle, ddmin
 from deltadebug.core import AxiomViolation
-from deltadebug.toylang import KIND_STATEMENT, parse_program, trace_program
+from deltadebug.toylang import KIND_STATEMENT, parse_program, replay_events, trace_program
 from deltadebug.tracered import (
     OutputExpectation,
     ReplayOracle,
@@ -234,6 +234,35 @@ class TestReducedUniverse:
         assert len(reduction.trace) == 30_005
         assert reduction.passes[-1].kept == (0, 30_004)  # x = input and the print
         assert peak < 12 * 2**20
+
+def test_a_trace_pass_replays_its_own_events_as_the_full_trace_would():
+    # The trace pass asks a ReplayOracle over the kept events; expanding
+    # each configuration to the full trace gives the same replay, runtime
+    # errors and the step budget included.  A replay that keeps the
+    # division but not the assignment before it divides by zero.
+    rng = random.Random(23)
+    statuses = collections.Counter()
+    for k in range(300):
+        program = parse_program("z = 2;\nz = 6 / z;\n" + seeded_program(rng))
+        stdin = [rng.randint(-3, 9) for _ in range(rng.randint(0, 4))]
+        trace, out = trace_program(program, stdin)
+        if out.status != "completed" or len(trace) < 2:
+            continue
+        expectation = OutputExpectation.derive(out.stdout or "x", ["="])
+        kept = sorted(rng.sample(range(len(trace)), rng.randint(1, len(trace))))
+        full = ReplayOracle(program, trace, stdin, expectation)
+        expanded = PassOracle(full, len(trace), [(i,) for i in kept])
+        own = ReplayOracle(program, [trace[i] for i in kept], stdin, expectation)
+        for _ in range(4):
+            config = Configuration.from_bits(len(kept), rng.getrandbits(len(kept)))
+            wide = Configuration(len(trace), [kept[i] for i in config.members])
+            assert own.evaluate(config) == expanded.evaluate(config)
+            budget = rng.randint(0, len(config)) if rng.random() < 0.25 else len(config)
+            replayed = replay_events(program, own.trace, config, stdin, budget)
+            assert replayed == replay_events(program, full.trace, wide, stdin, budget)
+            statuses[replayed.status] += 1
+    assert min(statuses.values()) > 20 and len(statuses) == 3
+
 
 class TestTwoColumnRendering:
     def test_rows_cover_every_event(self, sample_program):
