@@ -151,14 +151,18 @@ _SKIP_PREFIXES = (
 def _strip_diff_path(raw: str, lineno: int) -> str:
     """A file header's path, its ``a/`` or ``b/`` prefix stripped; one that
     could leave the test's tree, absolute or with a ``..`` component, is an
-    error.  ``/dev/null`` stands for no file."""
+    error, and so is one that names no file: empty, ending in ``/`` or
+    ``.``.  ``/dev/null`` stands for no file."""
     path = raw.split("\t")[0].strip()
     if path == "/dev/null":
         return path
     if path.startswith(("a/", "b/")):
         path = path[2:]
-    if path.startswith("/") or ".." in path.split("/"):
+    parts = path.split("/")
+    if path.startswith("/") or ".." in parts:
         raise DiffParseError(f"path {path!r} leaves the tree", lineno)
+    if parts[-1] in ("", "."):
+        raise DiffParseError(f"path {path!r} names no file", lineno)
     return path
 
 

@@ -128,6 +128,18 @@ class TestSplitUnifiedDiff:
         assert info.value.line == line
         assert str(info.value) == f"line {line}: path {path!r} leaves the tree"
 
+    @pytest.mark.parametrize("header, line, path", [
+        ("--- /dev/null\n+++ b/\n", 2, ""),
+        ("--- /dev/null\n+++ b/sub/\n", 2, "sub/"),
+        ("--- /dev/null\n+++ b/.\n", 2, "."),
+        ("--- /dev/null\n+++ b/sub/.\n", 2, "sub/."),
+        ("--- a/\n+++ /dev/null\n", 1, ""),
+    ])
+    def test_a_path_that_names_no_file_is_rejected(self, header, line, path):
+        with pytest.raises(DiffParseError) as info:
+            split_unified_diff(header + "@@ -0,0 +1 @@\n+x\n")
+        assert str(info.value) == f"line {line}: path {path!r} names no file"
+
     def test_dotted_names_inside_the_tree_are_paths(self):
         diff = "--- /dev/null\n+++ b/d/..x/.f\n@@ -0,0 +1 @@\n+x\n"
         assert [ch.file for ch in split_unified_diff(diff)] == ["d/..x/.f"]

@@ -402,6 +402,23 @@ class TestMinimizeChangesCommand:
         assert f"line 7: path {str(outside)!r} leaves the tree" in capsys.readouterr().err
         assert not outside.exists()
 
+    @pytest.mark.parametrize("path", ["", "sub/"])
+    def test_a_diff_path_that_names_no_file_exits_1_and_writes_nothing(
+        self, path, tmp_path, make_script, capsys
+    ):
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        diff = tmp_path / "dir.diff"
+        diff.write_text(f"--- /dev/null\n+++ b/{path}\n@@ -0,0 +1 @@\n+x\n")
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir),
+            "--diff", str(diff), "--test", make_script("exit 0"),
+            "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        assert f"line 2: path {path!r} names no file" in capsys.readouterr().err
+        assert not (tmp_path / "dir.diff.min").exists()
+
 class TestReduceTraceCommand:
     def test_default_filter_gives_13_events(self, tmp_path, sample_source, capsys):
         program = tmp_path / "sample.toy"
