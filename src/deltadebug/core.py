@@ -8,7 +8,8 @@ removing any single remaining delta makes the failure disappear.
 
 The engine is deterministic: each round tests one ordered list, the chunks
 then their complements, and the first failing candidate wins, so two runs
-against the same oracle behavior produce identical run logs.
+against the same oracle behavior produce identical run logs.  A chunk that
+lies inside a configuration that passed in an earlier round is not tested.
 """
 
 from __future__ import annotations
@@ -397,10 +398,20 @@ def ddmin(
     then their complements.  The first FAIL wins and becomes the current
     configuration; a chunk resets the granularity to 2, a complement drops
     it by one, floored at 2.  If none fails, the granularity doubles up to
-    the configuration size, or the run stops: every chunk and complement
-    passed at singleton granularity, so removing any one delta no longer
-    fails.  At n = 2 the complements equal the chunks and are answered
-    from the exact cache.
+    the configuration size, or the run stops: no complement failed at
+    singleton granularity, so removing any one delta no longer fails.  At
+    n = 2 the complements equal the chunks and are answered from the exact
+    cache.
+
+    A chunk that this run has not asked yet is skipped, with no record,
+    when it lies inside a PASS candidate of an earlier round that found no
+    FAIL.  Complements are always asked, so the last round still tests
+    every ``current - {d}``.  Under an oracle where nothing inside a
+    passing configuration fails (a monotone failure, also one whose
+    invalid inputs answer UNRESOLVED), a skipped chunk could not have
+    failed: the run makes the same reductions and returns the same result
+    as testing every chunk would, with fewer tests.  Under any other
+    oracle the result is still 1-minimal with respect to the tests run.
 
     Only FAIL triggers reduction; UNRESOLVED steers like PASS but is
     tallied separately.  The empty and the full configuration are tested
@@ -488,22 +499,32 @@ def ddmin(
     # a reduction slices the member list instead of re-reading the bitmap.
     current, members = universe.bits, universe.members
     n = 2
+    # The PASS candidates of the earlier rounds that found no FAIL, newest
+    # first: the latest round's complements hold most of the next chunks.
+    covers: list[int] = []
     while len(members) >= 2:
         # Recursion invariant: current is known to FAIL and n <= |current|.
         chunks = partition(current, members, n)
         candidates = [(chunk, _CHUNK, lo, hi) for lo, hi, chunk in chunks] + [
             (current ^ chunk, _COMPLEMENT, lo, hi) for lo, hi, chunk in chunks
         ]
+        passes = []  # this round's PASS candidates
         for bits, kind, lo, hi in candidates:
-            if run_test(bits, n) is Outcome.FAIL:
+            if kind is _CHUNK and any(bits & p == bits for p in covers) and bits not in first:
+                continue  # inside a configuration that passed: it would not FAIL
+            outcome = run_test(bits, n)
+            if outcome is Outcome.FAIL:
                 if kind is _CHUNK:
                     current, members, n = bits, members[lo:hi], 2
                 else:
                     current, members, n = bits, members[:lo] + members[hi:], max(n - 1, 2)
                 break
+            if outcome is Outcome.PASS:
+                passes.append(bits)
         else:
             if n >= len(members):
                 break
+            covers[:0] = passes
             n = min(len(members), 2 * n)
 
     final = Configuration.from_bits(size, current)

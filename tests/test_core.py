@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 
@@ -21,6 +22,7 @@ from deltadebug.core import (
     MinimizationResult,
     RunLog,
     TestRecord,
+    as_oracle,
 )
 from deltadebug.oracles import (
     CountingOracle,
@@ -507,7 +509,7 @@ class TestCachedOracle:
             if rec.config.bits & asked.bits == rec.config.bits
             and rec.source != SOURCE_EXACT_CACHE
         ]
-        assert {rec.config for rec in covered} >= {cfg(8, 0, 1), cfg(8, 2, 3), cfg(8, 0)}
+        assert {rec.config for rec in covered} >= {cfg(8, 0, 1), cfg(8, 0)}
         assert all(rec.source == SOURCE_MONOTONY for rec in covered)
         oracle_tests, _, axiom_tests = result.log.test_counts()
         assert counting.calls == oracle_tests + axiom_tests
@@ -588,11 +590,19 @@ class ListScanCache:
             self.passed.append(bits)
 
 
-def reference_ddmin(universe, oracle, opts):
+def reference_ddmin(universe, oracle, opts, classic=False):
     """The ddmin loop on ``Configuration`` objects, with a list-scan cache
-    and member-by-member chunks: the reference the engine must equal."""
+    and member-by-member chunks: the reference the engine must equal.
+
+    A chunk not asked yet is skipped when its members are a subset of a
+    configuration that passed in an earlier round without a FAIL; with
+    ``classic`` every chunk is asked, as the paper's ddmin does.
+    """
     cache = ListScanCache(oracle, opts.monotone, opts.preloaded_cache or {})
     log = RunLog(universe.universe_size)
+    asked = set()
+    passed_in_round = []
+    covers = []  # member sets of the PASS candidates of earlier rounds without a FAIL
 
     def run_test(config, granularity, axiom=False):
         outcome, source = cache.evaluate_ex(config)
@@ -600,9 +610,16 @@ def reference_ddmin(universe, oracle, opts):
             source = SOURCE_AXIOM
         record = TestRecord(config, granularity, outcome, source, 0.0)
         log.records.append(record)
+        asked.add(config)
+        if outcome == Outcome.PASS:
+            passed_in_round.append(set(config.members))
         if opts.on_record is not None:
             opts.on_record(record)
         return outcome
+
+    def covered(chunk):
+        members = set(chunk.members)
+        return chunk not in asked and any(members <= cover for cover in covers)
 
     got = run_test(Configuration(universe.universe_size), 0, axiom=True)
     if got != Outcome.PASS:
@@ -619,7 +636,10 @@ def reference_ddmin(universe, oracle, opts):
     while len(current) >= 2:
         chunks = reference_partition(current, n)
         reduced = None
+        passed_in_round.clear()
         for chunk in chunks:
+            if not classic and covered(chunk):
+                continue
             if run_test(chunk, n) == Outcome.FAIL:
                 reduced = (chunk, 2)
                 break
@@ -636,6 +656,7 @@ def reference_ddmin(universe, oracle, opts):
             current, n = reduced
             continue
         if n < len(current):
+            covers.extend(passed_in_round)
             n = min(len(current), 2 * n)
             continue
         break
@@ -723,6 +744,103 @@ class TestEngineMatchesReference:
                 assert got == self.observe(reference_ddmin, *args), (draw, mode)
                 compared += 1
         assert compared >= 2000
+
+
+def bracket(n, causes):
+    """UNRESOLVED whenever a pair (2i, 2i + 1) is split, else FAIL iff every
+    cause is included: an invalid input inside a passing one never FAILs."""
+    need = sum(1 << c for c in causes)
+    low = sum(1 << i for i in range(0, n - 1, 2))  # the first id of each pair
+
+    def evaluate(config):
+        bits = config.bits
+        if (bits ^ bits >> 1) & low:
+            return Outcome.UNRESOLVED
+        return Outcome.FAIL if bits & need == need else Outcome.PASS
+
+    return evaluate
+
+
+def suppressor(causes, suppressed, unless):
+    """FAIL iff every cause is included and ``suppressed`` is not, unless
+    ``unless`` is: removing ``suppressed`` from a passing set can FAIL."""
+    need = sum(1 << c for c in causes)
+
+    def evaluate(config):
+        bits = config.bits
+        if bits & need != need:
+            return Outcome.PASS
+        if bits >> suppressed & 1 and not bits >> unless & 1:
+            return Outcome.PASS
+        return Outcome.FAIL
+
+    return evaluate
+
+
+class TestSkippedChunksAgainstClassic:
+    """Seeded differential of ``ddmin`` against the classic reference, which
+    asks every chunk."""
+
+    @staticmethod
+    def run_both(n, oracle):
+        new, old = CountingOracle(oracle), CountingOracle(oracle)
+        result = ddmin(Configuration.full(n), new)
+        classic = reference_ddmin(Configuration.full(n), old, EngineOptions(), classic=True)
+        return result, new.calls, classic, old.calls
+
+    @staticmethod
+    def fails(log):
+        return [rec.config for rec in log if rec.outcome == Outcome.FAIL]
+
+    def test_same_reductions_and_no_more_calls_where_nothing_inside_a_pass_fails(self):
+        rng = random.Random(2416)
+        calls = collections.Counter()
+        for i in range(280):
+            n = rng.randint(2, 40)
+            family = i % 7
+            if family == 0:
+                oracle = single_cause(n, rng.randrange(n))
+            elif family == 1:
+                k = rng.randint(1, min(n, 6))
+                start = rng.randint(0, n - k)
+                oracle = conjunction(n, list(range(start, start + k)))
+            elif family == 2:
+                oracle = conjunction_spread(n, rng.randint(1, min(n, 8)))
+            elif family == 3:
+                oracle = conjunction(n, rng.sample(range(n), rng.randint(1, min(n, 6))))
+            elif family == 4:
+                oracle = random_monotone(n, seed=7000 + i)
+            elif family == 5:
+                oracle = adversarial(n)
+            else:
+                n += n % 2
+                oracle = bracket(n, rng.sample(range(n), rng.randint(1, 3)))
+            result, new_calls, classic, old_calls = self.run_both(n, oracle)
+            assert result.final == classic.final, i
+            assert self.fails(result.log) == self.fails(classic.log), i
+            assert new_calls <= old_calls, i
+            assert result.verified_1_minimal is classic.verified_1_minimal is True
+            calls["new", family] += new_calls
+            calls["classic", family] += old_calls
+        # Single causes halve without a subset test to skip; every other
+        # family asks fewer chunks.
+        assert calls["new", 0] == calls["classic", 0]
+        assert all(calls["new", f] < calls["classic", f] for f in range(1, 7))
+
+    def test_results_stay_1_minimal_where_something_inside_a_pass_fails(self):
+        rng = random.Random(2417)
+        for i in range(160):
+            if i % 2:
+                n = rng.randint(5, 12)
+                oracle = random_table(n, seed=9500 + i)
+            else:
+                n = rng.randint(4, 40)
+                suppressed, unless, *causes = rng.sample(range(n), rng.randint(3, min(n, 5)))
+                oracle = suppressor(causes, suppressed, unless)
+            result = ddmin(Configuration.full(n), oracle)
+            assert as_oracle(oracle).evaluate(result.final) == Outcome.FAIL
+            assert verify_n_minimal(result.final, oracle, 1)
+            assert result.verified_1_minimal is not False
 
 
 class TestVerifiedFromLog:
