@@ -28,23 +28,23 @@ def digest(log) -> str:
 ENGINE_RUNS = {
     "conjunction-9000": (
         lambda: conjunction_spread(9000, 8), 9000, False,
-        "d77a67c53e6d389f78f8c948f937da97f2f2135b80556b2711a187f49a94dfd0",
+        "00a5597ed589c539e234f26287be0416e6a8f087a68386a4fb65297f37d4e355",
     ),
     "adversarial-128": (
         lambda: adversarial(128), 128, False,
-        "f75e501c7b263bc06ac0b88939ffd1f5e0e528d6b2df9c316f31a1a3b116f895",
+        "6d39bc34f479d761dee6bb78bf4d0d94d16ac7cd359617b515da7732bda83c00",
     ),
     "adversarial-128-monotone": (
         lambda: adversarial(128), 128, True,
-        "ad10d9a27cad2116b2058c8fba89aeac17357d1638d1d0ac64f51b226eb152ad",
+        "27d2bc2c9a5526868bcc8b339e5f5459be0df9d2d86f3bbf286215d671ef4f6c",
     ),
     "random-table-12-seed-9": (
         lambda: random_table(12, seed=9, fail_p=0.1, unresolved_p=0.3), 12, False,
-        "b0fe932c693209dc5680c29129757b25378d881bbe189d250571d319ec9bab65",
+        "8329240ef535e3c8470fdeee819cb24b880ef6802b777e64a4e9211255443725",
     ),
     "random-table-13-seed-17": (
         lambda: random_table(13, seed=17, fail_p=0.1, unresolved_p=0.3), 13, False,
-        "a23fa417c6a1a14f6ed9408452bed28ac37cefbaaa91cc08c7e59652ff8947a5",
+        "14d0e22a0bae3b6be3030bce14b6f51adde15b9700f812959f374e1e4e727fb2",
     ),
 }
 
@@ -64,15 +64,15 @@ SLICE_PASS = "e1407aef5dd15ee4473006bccf7b574ca753e3ec2a9a8cdeb80293c99dfb94ef"
 DESK_SLICES = {
     "sum-and-mul": (
         "sum = 15\nmul = 0\n", None,
-        "d2fd75ee7f2c787a94a2591967a4d7b41e7a0daa0e659ee9aeb014aa16826ad2",
+        "75e900cad6dc3119a7602fde1335efeb25d4a85e3d9d02177517c819d5e8a898",
     ),
     "sum-only": (
         "sum = 15\n", ["sum"],
-        "c3f4ac12de3141116f637c458eab0f1c470a87418b4d8c4353a52480d7fa2892",
+        "2918e3c7f267177f6c2863848cd4111c8a2b3ab8e26c984eaece9f63ed5283ea",
     ),
     "mul-only": (
         "mul = 0\n", ["mul"],
-        "cc16094f1db887979f0e6f08aa24b0c23985fc5c4399007219aa15fcd4084d71",
+        "efd3d5a46e98284f60884e22981066861385b0a14c3c2f1f7b49bf795f94e761",
     ),
 }
 
@@ -99,6 +99,6 @@ def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_ro
     outcome = minimize_changes(baseline, changeset, spec, groups="file")
     assert outcome.passes[-1].kept == (1, 2, 4, 5, 10)
     assert [(p.label, digest(p.result.log)) for p in outcome.passes] == [
-        ("groups", "cca833a27602a3aa0dae297a639ea2db5112d2b4e515ffaed34eeab76bb53a1e"),
-        ("changes", "d23978bd8bbd0c8707db50645630b990f4d3966cfe72317d99a64ac4e5e302f4"),
+        ("groups", "fe1ce501fa310c3502ff91c24f282ad463e349aac4ef5507aa686562301b8711"),
+        ("changes", "5b19e7c2991ef0a08cb02775b5ed9ad93aa93c5cf8c1125a7de0058cb380fe86"),
     ]

@@ -29,15 +29,15 @@ def sha256(path) -> str:
 TRACE_SLICES = {
     "sum-and-mul": (
         ["--expect", "sum = 15\\nmul = 0\\n"],
-        "db450445b493f636aa2a8bda73b8be5311175162fb7302a6c56eb6cd87acbefe",
+        "40a1c9ec9211f5c6119a4c0e7b5142f7a2d0cb18ee609976b304ee7b64c84c25",
     ),
     "sum-only": (
         ["--expect", "sum = 15\\n", "--filter", "sum"],
-        "4407d9fb80fa5ab2f7f66cf39102450819ce95193fb00c920337022221225ec7",
+        "64d4dd60098bf1edaebef89c47ff9076d6b0128d0a8a7e7a22d7e446cde6ceec",
     ),
     "mul-only": (
         ["--expect", "mul = 0\\n", "--filter", "mul"],
-        "da573c99f56a86d39ef2c189968e7f57090089700c5e550cbc5d618dd7668e0a",
+        "97c0450332a98ec6da4334c4b10b4578313a58adf76e1c613ff20394a588db0a",
     ),
 }
 
@@ -93,11 +93,11 @@ def test_axiom_violation_report_bytes(tmp_path, make_script, capsys):
 CHANGE_RUNS = {
     "groups-file": (
         ["--groups", "file"],
-        "1cbc98feb7ec376d189e014ebad0eb0cc63a4d65f6c59ee27a6391dbbb9a2402",
+        "5a8bdf344b157ea362d00119cf16c4f3c80db79ac1755ae96e8ef2f9e2bcecde",
     ),
     "deps": (
         ["--deps", "deps.tsv"],
-        "84ccefe66da7bab3794a48d97f6c1346dfbe98dcc7c731bba4be89d52b0f3d5d",
+        "63b3bac610cb77bd4d519549e8ed3aebb7a68d029ab31eb5e3c6327028d8da5a",
     ),
 }
 
@@ -126,7 +126,7 @@ def test_ddmin_report_bytes(tmp_path):
     report = tmp_path / "report.json"
     write_report(passes_of(result), report, deterministic=True)
     assert sha256(report) == (
-        "de93a720bca59ff5bf008699a251c93f6f50d7f0b450f91a5ba74acdd14f530b"
+        "95a839fb02523daaa0e1f0021f6fe27c8428e7db4a41d71fc5f7bd9c39d97c80"
     )
 
 
