@@ -21,6 +21,7 @@ from .toylang import (
     Program,
     Read,
     ReplayOutput,
+    ResolvedTrace,
     STATUS_COMPLETED,
     Statement,
     Trace,
@@ -167,7 +168,9 @@ def reduce_trace(
     def trace_step(kept: Sequence[int]):
         # Delta i is event kept[i]: replaying the kept events' own trace
         # runs the same events in the same order as the full trace would.
-        events = [trace[i] for i in kept]
+        # Their actions were resolved with the full trace.
+        actions = oracle.trace.actions
+        events = ResolvedTrace(program, [trace[i] for i in kept], tuple([actions[i] for i in kept]))
         return "trace", [(i,) for i in kept], ReplayOracle(program, events, stdin_tokens, expectation)
 
     passes = run_passes(replayable, [slice_step, trace_step], options)

@@ -6,7 +6,9 @@ import pytest
 
 from deltadebug import Configuration, Outcome, PassOracle, ddmin
 from deltadebug.core import AxiomViolation
-from deltadebug.toylang import KIND_STATEMENT, parse_program, replay_events, trace_program
+from deltadebug.toylang import (
+    KIND_STATEMENT, ResolvedTrace, parse_program, replay_events, resolve_trace, trace_program,
+)
 from deltadebug.tracered import (
     OutputExpectation,
     ReplayOracle,
@@ -252,7 +254,12 @@ def test_a_trace_pass_replays_its_own_events_as_the_full_trace_would():
         kept = sorted(rng.sample(range(len(trace)), rng.randint(1, len(trace))))
         full = ReplayOracle(program, trace, stdin, expectation)
         expanded = PassOracle(full, len(trace), [(i,) for i in kept])
-        own = ReplayOracle(program, [trace[i] for i in kept], stdin, expectation)
+        # As reduce_trace builds it: the kept events with the actions the
+        # full trace resolved, which are those they resolve to on their own.
+        events = [trace[i] for i in kept]
+        actions = tuple([full.trace.actions[i] for i in kept])
+        assert actions == resolve_trace(program, events).actions
+        own = ReplayOracle(program, ResolvedTrace(program, events, actions), stdin, expectation)
         for _ in range(4):
             config = Configuration.from_bits(len(kept), rng.getrandbits(len(kept)))
             wide = Configuration(len(trace), [kept[i] for i in config.members])
