@@ -511,7 +511,7 @@ def ddmin(
         passes = []  # this round's PASS candidates
         for bits, kind, lo, hi in candidates:
             if kind is _CHUNK and any(bits & p == bits for p in covers) and bits not in first:
-                continue  # inside a configuration that passed: it would not FAIL
+                continue  # not asked yet, and inside a configuration that passed
             outcome = run_test(bits, n)
             if outcome is Outcome.FAIL:
                 if kind is _CHUNK:

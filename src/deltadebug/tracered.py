@@ -170,7 +170,9 @@ def reduce_trace(
         # runs the same events in the same order as the full trace would.
         # Their actions were resolved with the full trace.
         actions = oracle.trace.actions
-        events = ResolvedTrace(program, [trace[i] for i in kept], tuple([actions[i] for i in kept]))
+        events = ResolvedTrace(
+            program, [trace[i] for i in kept], tuple([actions[i] for i in kept])
+        )
         return "trace", [(i,) for i in kept], ReplayOracle(program, events, stdin_tokens, expectation)
 
     passes = run_passes(replayable, [slice_step, trace_step], options)
