@@ -8,8 +8,10 @@ removing any single remaining delta makes the failure disappear.
 
 The engine is deterministic: each round tests one ordered list, the chunks
 then their complements, and the first failing candidate wins, so two runs
-against the same oracle behavior produce identical run logs.  A chunk that
-lies inside a configuration that passed in an earlier round is not tested.
+against the same oracle behavior produce identical run logs.  A candidate
+that lies inside a configuration that passed in an earlier round is not
+tested, except that a round at singleton granularity tests such
+complements after its other candidates.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import dataclasses
 import enum
 import itertools
 import operator
+from bisect import bisect_left
 from time import perf_counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, Union
@@ -37,7 +40,7 @@ CACHED_SOURCES = (SOURCE_EXACT_CACHE, SOURCE_MONOTONY)
 CARRIED_SOURCES = (SOURCE_ORACLE, SOURCE_AXIOM, SOURCE_EXACT_CACHE)
 
 # The kinds of a ddmin round's candidates.
-_CHUNK, _COMPLEMENT = "chunk", "complement"
+_CHUNK, _COMPLEMENT, _LATE = "chunk", "complement", "late"
 
 
 class Outcome(enum.Enum):
@@ -295,17 +298,94 @@ class PassOracle:
         return self._oracle.evaluate(config), SOURCE_ORACLE
 
 
-def _scan(passed: set[int], bits: int) -> Optional[list[int]]:
-    """None if a kept pass covers ``bits``, else the kept passes that
-    ``bits`` contains."""
-    subsumed = []
-    for p in passed:
-        common = bits & p
-        if common == bits:
-            return None
-        if common == p:
-            subsumed.append(p)
-    return subsumed
+def _round(
+    current: int, chunks: list[tuple[int, int, int]], last: bool,
+    held: list[tuple[int, int]], gaps: list[tuple[int, int]], asked: Mapping[int, object],
+) -> Iterator[tuple[int, str, int, int]]:
+    """The candidates of a ddmin round over ``current``, split into
+    ``chunks`` (see ``partition``), as ``(bits, kind, lo, hi)`` in the
+    order they are asked: the chunks, then the complements.
+
+    A candidate not in ``asked`` is *covered* when it lies inside a PASS
+    candidate of an earlier round, given as intervals [lo, hi) of member
+    positions: ``held``, the outermost positions that a passing chunk
+    holds, and ``gaps``, the innermost positions that a passing complement
+    leaves out, each ascending in both ends.  The gap ``(width, 0)`` lies
+    inside every interval: a passing complement that holds all of
+    ``current``.  A covered candidate is skipped, except that the ``last``
+    round asks its covered complements after all other candidates, tagged
+    ``_LATE``.
+    """
+    width = chunks[-1][1]
+    # A gap that ends before a chunk or starts after it leaves it whole.
+    first_end = gaps[0][1] if gaps else width + 1
+    last_start = gaps[-1][0] if gaps else -1
+    for lo, hi, chunk in chunks:
+        if first_end <= lo or last_start >= hi:
+            covered = True
+        else:
+            i = bisect_left(held, (lo + 1,))
+            covered = i > 0 and held[i - 1][1] >= hi
+        if not covered or chunk in asked:
+            yield chunk, _CHUNK, lo, hi
+    late = []
+    for lo, hi, chunk in chunks:
+        bits = current ^ chunk
+        # A gap inside the chunk, or a chunk pass that holds every position
+        # outside it, from the first (out_lo) to the last (out_hi - 1).
+        i = bisect_left(gaps, (lo,))
+        if i < len(gaps) and gaps[i][1] <= hi:
+            covered = True
+        else:
+            out_lo, out_hi = (0 if lo else hi), (width if hi < width else lo)
+            i = bisect_left(held, (out_lo + 1,))
+            covered = i > 0 and held[i - 1][1] >= out_hi
+        if not covered or bits in asked:
+            yield bits, _COMPLEMENT, lo, hi
+        elif last:
+            late.append((bits, _LATE, lo, hi))
+    yield from late
+
+
+def _mapped(
+    intervals: list[tuple[int, int]], lo: int, hi: int, kept: bool
+) -> list[tuple[int, int]]:
+    """Position intervals mapped to the configuration that a reduction
+    leaves: the chunk [lo, hi) if ``kept``, which clamps them to it, else
+    everything but it, which collapses it to its start."""
+    d = hi - lo
+    if kept:
+        return [
+            (0 if l <= lo else l - lo if l <= hi else d, 0 if h <= lo else h - lo if h <= hi else d)
+            for l, h in intervals
+        ]
+    return [
+        (l if l <= lo else lo if l <= hi else l - d, h if h <= lo else lo if h <= hi else h - d)
+        for l, h in intervals
+    ]
+
+
+def _outermost(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The intervals that lie inside no other, ascending."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(intervals):
+        if out and out[-1][0] == lo:
+            out.pop()  # it lies inside this one
+        if not out or out[-1][1] < hi:
+            out.append((lo, hi))
+    return out
+
+
+def _innermost(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The intervals that hold no other, ascending."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(intervals, reverse=True):
+        if out and out[-1][0] == lo:
+            out.pop()  # it holds this one
+        if not out or hi < out[-1][1]:
+            out.append((lo, hi))
+    out.reverse()
+    return out
 
 
 @dataclass(slots=True)
@@ -403,15 +483,19 @@ def ddmin(
     n = 2 the complements equal the chunks and are answered from the exact
     cache.
 
-    A chunk that this run has not asked yet is skipped, with no record,
-    when it lies inside a PASS candidate of an earlier round that found no
-    FAIL.  Complements are always asked, so the last round still tests
-    every ``current - {d}``.  Under an oracle where nothing inside a
-    passing configuration fails (a monotone failure, also one whose
-    invalid inputs answer UNRESOLVED), a skipped chunk could not have
-    failed: the run makes the same reductions and returns the same result
-    as testing every chunk would, with fewer tests.  Under any other
-    oracle the result is still 1-minimal with respect to the tests run.
+    A candidate that this run has not asked yet is *covered* when it lies
+    inside a candidate of an earlier round (one that found a FAIL too)
+    that answered PASS, from the oracle, a cache or monotony.  A covered
+    chunk is skipped, with no record, and so is a covered complement below
+    singleton granularity.  A round at singleton granularity asks its
+    covered complements after all its other candidates, in list order, so
+    the last round still tests every ``current - {d}``.  Under an oracle
+    where nothing inside a passing configuration fails (a monotone
+    failure, also one whose invalid inputs answer UNRESOLVED), a covered
+    candidate cannot fail: the run makes the same reductions and returns
+    the same result as testing every candidate in order would, with no
+    more tests.  Under any other oracle the result is still 1-minimal with
+    respect to the tests run.
 
     Only FAIL triggers reduction; UNRESOLVED steers like PASS but is
     tallied separately.  The empty and the full configuration are tested
@@ -422,11 +506,10 @@ def ddmin(
 
     No configuration is tested twice: a repeat, like a configuration in
     ``preloaded_cache``, is answered untimed as an ``exact-cache`` record,
-    with its first answer.  With ``monotone`` a subset of a passed
-    configuration is answered PASS as a ``monotony`` record.  Only the
-    maximal passed bitmaps are kept for that scan (an antichain): a new
-    PASS replaces every kept one it contains, and a preloaded PASS joins
-    when it is first asked, not before.
+    with its first answer.  With ``monotone`` the covered complements of a
+    round at singleton granularity are answered PASS as ``monotony``
+    records, unless the preload holds them.  A preloaded PASS covers
+    nothing until a round asks it.
     """
     opts = options or EngineOptions()
     oracle = as_oracle(oracle)
@@ -441,14 +524,13 @@ def ddmin(
             return evaluate(config), SOURCE_ORACLE
     monotone = opts.monotone
     preloaded = opts.preloaded_cache or {}
-    passed: set[int] = set()  # the maximal passed bitmaps, if monotone
     size = universe.universe_size
     log = RunLog(size)
     append = log.records.append
     on_record = opts.on_record
     first: dict[int, TestRecord] = {}  # the first record of each bitmap asked
 
-    def run_test(bits: int, granularity: int, axiom: bool = False) -> Outcome:
+    def run_test(bits: int, granularity: int, assumed: bool = False, axiom: bool = False) -> Outcome:
         earlier = first.get(bits)
         if earlier is not None:
             # An exact hit: one dict lookup, not worth a timer.  The record
@@ -461,21 +543,17 @@ def ddmin(
             config = _new_configuration(Configuration)
             _set_universe_size(config, size)
             _set_bits(config, bits)
-            # The preload answers untimed, else monotony, else ``ask``.
+            # The preload answers untimed, else an ``assumed`` PASS, else ``ask``.
             outcome = preloaded.get(bits)
             start = None if outcome is not None else perf_counter()
-            subsumed = _scan(passed, bits) if monotone else None
             if outcome is not None:
                 source = SOURCE_EXACT_CACHE
-            elif monotone and subsumed is None:
+            elif assumed:
                 outcome, source = Outcome.PASS, SOURCE_MONOTONY
             else:
                 outcome, source = ask(config)
                 if axiom and source == SOURCE_ORACLE:
                     source = SOURCE_AXIOM
-            if subsumed is not None and outcome is Outcome.PASS:
-                passed.difference_update(subsumed)
-                passed.add(bits)
             duration = 0.0 if start is None else (perf_counter() - start) * 1000.0
             record = TestRecord(config, granularity, outcome, source, duration)
             first[bits] = record
@@ -499,33 +577,41 @@ def ddmin(
     # a reduction slices the member list instead of re-reading the bitmap.
     current, members = universe.bits, universe.members
     n = 2
-    # The PASS candidates of the earlier rounds that found no FAIL, newest
-    # first: the latest round's complements hold most of the next chunks.
-    covers: list[int] = []
+    # The PASS candidates of the earlier rounds, as intervals of positions
+    # in ``members`` (see ``_round``); a reduction maps them to its result.
+    held: list[tuple[int, int]] = []
+    gaps: list[tuple[int, int]] = []
     while len(members) >= 2:
         # Recursion invariant: current is known to FAIL and n <= |current|.
+        width = len(members)
         chunks = partition(current, members, n)
-        candidates = [(chunk, _CHUNK, lo, hi) for lo, hi, chunk in chunks] + [
-            (current ^ chunk, _COMPLEMENT, lo, hi) for lo, hi, chunk in chunks
-        ]
-        passes = []  # this round's PASS candidates
-        for bits, kind, lo, hi in candidates:
-            if kind is _CHUNK and any(bits & p == bits for p in covers) and bits not in first:
-                continue  # not asked yet, and inside a configuration that passed
-            outcome = run_test(bits, n)
+        # This round's PASS candidates, as intervals like ``held`` and ``gaps``.
+        chunk_passes, gap_passes = [], []
+        for bits, kind, lo, hi in _round(current, chunks, n == width, held, gaps, first):
+            outcome = run_test(bits, n, monotone and kind is _LATE)
             if outcome is Outcome.FAIL:
-                if kind is _CHUNK:
-                    current, members, n = bits, members[lo:hi], 2
-                else:
-                    current, members, n = bits, members[:lo] + members[hi:], max(n - 1, 2)
                 break
             if outcome is Outcome.PASS:
-                passes.append(bits)
+                (chunk_passes if kind is _CHUNK else gap_passes).append((lo, hi))
         else:
-            if n >= len(members):
+            if n >= width:
                 break
-            covers[:0] = passes
-            n = min(len(members), 2 * n)
+            n = min(width, 2 * n)
+            held = _outermost(held + chunk_passes)
+            gaps = _innermost(gaps + gap_passes)
+            continue
+        kept = kind is _CHUNK
+        if kept:
+            current, members, n = bits, members[lo:hi], 2
+        else:
+            current, members, n = bits, members[:lo] + members[hi:], max(n - 1, 2)
+        # A chunk pass with no position left holds nothing of ``current``;
+        # a gap with none left is a pass that holds all of it.
+        width = len(members)
+        held = _outermost([p for p in _mapped(held + chunk_passes, lo, hi, kept) if p[0] < p[1]])
+        gaps = _innermost([
+            p if p[0] < p[1] else (width, 0) for p in _mapped(gaps + gap_passes, lo, hi, kept)
+        ])
 
     final = Configuration.from_bits(size, current)
     return MinimizationResult(

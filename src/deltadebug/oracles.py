@@ -78,11 +78,14 @@ def random_monotone(universe_size: int, seed: int) -> SetFamilyOracle:
 
 
 def adversarial(universe_size: int) -> SetFamilyOracle:
-    """A test-hungry family: FAIL iff every odd-id delta is included.
+    """The deepest family: FAIL iff every odd-id delta is included.
 
     The cause set is maximally spread out, so no contiguous chunk ever
     fails, granularity climbs all the way to singletons, and reduction
-    then proceeds one complement at a time.
+    then proceeds one complement at a time.  Asked in the paper's order,
+    that costs a quadratic number of tests; ``ddmin`` skips the
+    complements that lie inside a passing configuration and needs about
+    two oracle tests per delta.
     """
     odds = frozenset(range(1, universe_size, 2))
     if not odds:

@@ -62,6 +62,13 @@ class TestBounds:
         for row in rows:
             assert row.tests_oracle <= quadratic_bound(row.n)
 
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_adversarial_stays_linear_without_monotony(self, n):
+        # Complements that lie inside a passing configuration are asked
+        # only at singleton granularity, so each reduction costs about two
+        # tests.
+        assert run_one("adversarial", n).tests_oracle <= 3 * n
+
     def test_adversarial_16_explicit_bound(self):
         row = run_one("adversarial", 16)
         assert row.tests_oracle <= 304

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -469,8 +470,10 @@ class TestCachedOracle:
                 monotony += 1
             elif rec.outcome == Outcome.PASS:
                 passed.append(rec.config.bits)
-        # {0}, {1}, {6} and {7} lie inside the passed halves.
-        assert monotony >= 4
+        # Only the last round's complements {7} and {0}, inside the passed
+        # {4, 5, 6, 7} and {0, 1, 2, 3}; no earlier round asks a covered
+        # candidate.
+        assert monotony == 2
         oracle_tests, _, axiom_tests = result.log.test_counts()
         assert counting.calls == oracle_tests + axiom_tests
 
@@ -494,7 +497,8 @@ class TestCachedOracle:
         assert unasked.bits not in records
         assert records[asked.bits].source == SOURCE_ORACLE
         # {0..3} is asked first and answered from the preload, never
-        # invoked; from then on it covers its subsets by monotony.
+        # invoked; from then on it covers its subsets: they are skipped, or
+        # answered by monotony in the last round.
         counting = CountingOracle(oracle)
         result = ddmin(
             Configuration.full(8), counting,
@@ -509,7 +513,7 @@ class TestCachedOracle:
             if rec.config.bits & asked.bits == rec.config.bits
             and rec.source != SOURCE_EXACT_CACHE
         ]
-        assert {rec.config for rec in covered} >= {cfg(8, 0, 1), cfg(8, 0)}
+        assert {rec.config for rec in covered} == {cfg(8, 0)}
         assert all(rec.source == SOURCE_MONOTONY for rec in covered)
         oracle_tests, _, axiom_tests = result.log.test_counts()
         assert counting.calls == oracle_tests + axiom_tests
@@ -562,64 +566,46 @@ class TestCachedOracle:
             assert on.final == off.final
 
 
-class ListScanCache:
-    """Reference monotony cache: every passed bitmap kept in a list."""
-
-    def __init__(self, oracle, monotone, preload):
-        self.oracle = oracle
-        self.monotone = monotone
-        self.exact = dict(preload)
-        self.passed: list[int] = []
-
-    def evaluate_ex(self, config):
-        bits = config.bits
-        hit = self.exact.get(bits)
-        if hit is not None:
-            self.note_pass(bits, hit)
-            return hit, SOURCE_EXACT_CACHE
-        if self.monotone and any(bits & p == bits for p in self.passed):
-            self.exact[bits] = Outcome.PASS
-            return Outcome.PASS, SOURCE_MONOTONY
-        outcome = self.oracle.evaluate(config)
-        self.exact[bits] = outcome
-        self.note_pass(bits, outcome)
-        return outcome, SOURCE_ORACLE
-
-    def note_pass(self, bits, outcome):
-        if outcome == Outcome.PASS and bits not in self.passed:
-            self.passed.append(bits)
-
-
 def reference_ddmin(universe, oracle, opts, classic=False):
-    """The ddmin loop on ``Configuration`` objects, with a list-scan cache
-    and member-by-member chunks: the reference the engine must equal.
+    """The ddmin loop on ``Configuration`` objects, with member sets and
+    member-by-member chunks: the reference the engine must equal.
 
-    A chunk not asked yet is skipped when its members are a subset of a
-    configuration that passed in an earlier round without a FAIL; with
-    ``classic`` every chunk is asked, as the paper's ddmin does.
+    A candidate not asked yet is covered when its members are a subset of
+    a PASS candidate of any earlier round.  A covered chunk is skipped, and
+    so is a covered complement, except in a round at granularity
+    ``len(current)``: it asks its covered complements after every other
+    candidate, answered PASS by monotony if ``opts.monotone``.  With
+    ``classic`` every candidate is asked in the paper's order.
     """
-    cache = ListScanCache(oracle, opts.monotone, opts.preloaded_cache or {})
+    oracle = as_oracle(oracle)
+    preload = opts.preloaded_cache or {}
     log = RunLog(universe.universe_size)
-    asked = set()
+    answered = {}  # configuration -> its first record
+    passed = []  # member sets of the PASS candidates of the earlier rounds
     passed_in_round = []
-    covers = []  # member sets of the PASS candidates of earlier rounds without a FAIL
 
-    def run_test(config, granularity, axiom=False):
-        outcome, source = cache.evaluate_ex(config)
-        if axiom and source == SOURCE_ORACLE:
-            source = SOURCE_AXIOM
+    def run_test(config, granularity, axiom=False, assumed=False):
+        if config in answered:
+            outcome, source = answered[config].outcome, SOURCE_EXACT_CACHE
+        elif config.bits in preload:
+            outcome, source = preload[config.bits], SOURCE_EXACT_CACHE
+        elif assumed:
+            outcome, source = Outcome.PASS, SOURCE_MONOTONY
+        else:
+            outcome = oracle.evaluate(config)
+            source = SOURCE_AXIOM if axiom else SOURCE_ORACLE
         record = TestRecord(config, granularity, outcome, source, 0.0)
         log.records.append(record)
-        asked.add(config)
+        answered.setdefault(config, record)
         if outcome == Outcome.PASS:
             passed_in_round.append(set(config.members))
         if opts.on_record is not None:
             opts.on_record(record)
         return outcome
 
-    def covered(chunk):
-        members = set(chunk.members)
-        return chunk not in asked and any(members <= cover for cover in covers)
+    def covered(config):
+        members = set(config.members)
+        return config not in answered and any(members <= p for p in passed)
 
     got = run_test(Configuration(universe.universe_size), 0, axiom=True)
     if got != Outcome.PASS:
@@ -635,36 +621,45 @@ def reference_ddmin(universe, oracle, opts, classic=False):
     n = 2
     while len(current) >= 2:
         chunks = reference_partition(current, n)
-        reduced = None
+        complements = (
+            Configuration(
+                current.universe_size,
+                set(current.members) - set(chunk.members),
+            )
+            for chunk in chunks
+        )
+        candidates = itertools.chain(
+            ((c, 2, False) for c in chunks),
+            ((c, max(n - 1, 2), True) for c in complements),
+        )
         passed_in_round.clear()
-        for chunk in chunks:
-            if not classic and covered(chunk):
+        reduced = None
+        late = []
+        for config, next_n, is_complement in candidates:
+            if not classic and covered(config):
+                if is_complement and n == len(current):
+                    late.append((config, next_n))
                 continue
-            if run_test(chunk, n) == Outcome.FAIL:
-                reduced = (chunk, 2)
+            if run_test(config, n) == Outcome.FAIL:
+                reduced = (config, next_n)
                 break
-        if reduced is None:
-            for chunk in chunks:
-                complement = Configuration(
-                    current.universe_size,
-                    [m for m in current.members if m not in chunk.members],
-                )
-                if run_test(complement, n) == Outcome.FAIL:
-                    reduced = (complement, max(n - 1, 2))
+        else:
+            for config, next_n in late:
+                if run_test(config, n, assumed=opts.monotone) == Outcome.FAIL:
+                    reduced = (config, next_n)
                     break
+        passed.extend(passed_in_round)
         if reduced is not None:
             current, n = reduced
             continue
         if n < len(current):
-            covers.extend(passed_in_round)
             n = min(len(current), 2 * n)
             continue
         break
 
-    first = {}
-    for record in log:
-        first.setdefault(record.config, record)
-    witnesses = [first.get(current)] + [first.get(current.without([m])) for m in current]
+    witnesses = [answered.get(current)] + [
+        answered.get(current.without([m])) for m in current
+    ]
     if None in witnesses or any(r.source == SOURCE_MONOTONY for r in witnesses):
         verified = None
     else:
@@ -779,7 +774,7 @@ def suppressor(causes, suppressed, unless):
 
 class TestSkippedChunksAgainstClassic:
     """Seeded differential of ``ddmin`` against the classic reference, which
-    asks every chunk."""
+    asks every candidate."""
 
     @staticmethod
     def run_both(n, oracle):
@@ -796,7 +791,7 @@ class TestSkippedChunksAgainstClassic:
         rng = random.Random(2416)
         calls = collections.Counter()
         for i in range(280):
-            n = rng.randint(2, 40)
+            n = rng.randint(2, 120)
             family = i % 7
             if family == 0:
                 oracle = single_cause(n, rng.randrange(n))
@@ -822,8 +817,8 @@ class TestSkippedChunksAgainstClassic:
             assert result.verified_1_minimal is classic.verified_1_minimal is True
             calls["new", family] += new_calls
             calls["classic", family] += old_calls
-        # Single causes halve without a subset test to skip; every other
-        # family asks fewer chunks.
+        # Single causes halve without a covered candidate to skip; every
+        # other family asks fewer.
         assert calls["new", 0] == calls["classic", 0]
         assert all(calls["new", f] < calls["classic", f] for f in range(1, 7))
 
@@ -841,6 +836,44 @@ class TestSkippedChunksAgainstClassic:
             assert as_oracle(oracle).evaluate(result.final) == Outcome.FAIL
             assert verify_n_minimal(result.final, oracle, 1)
             assert result.verified_1_minimal is not False
+
+
+class TestCoveredComplements:
+    """A complement that lies inside a PASS of an earlier round is asked
+    only at singleton granularity, after every other candidate."""
+
+    def test_skipped_until_singleton_granularity(self):
+        result = ddmin(Configuration.full(6), adversarial(6))
+        asked = [(rec.granularity, rec.config) for rec in result.log]
+        # At granularity 3 over {0, 1, 2, 3, 5}, the complements {2, 3, 5}
+        # and {0, 1, 5} lie inside {2, 3, 4, 5} and {0, 1, 4, 5}, which
+        # passed at granularity 4; {0, 1, 2, 3} lies inside no pass.
+        assert (4, cfg(6, 2, 3, 4, 5)) in asked and (4, cfg(6, 0, 1, 4, 5)) in asked
+        assert (3, cfg(6, 0, 1, 2, 3)) in asked
+        assert (3, cfg(6, 2, 3, 5)) not in asked and (3, cfg(6, 0, 1, 5)) not in asked
+        # The last round over {1, 3, 5} finds all three complements covered
+        # and asks them, in order, so that the result is tested 1-minimal.
+        assert asked[-3:] == [(3, cfg(6, 3, 5)), (3, cfg(6, 1, 5)), (3, cfg(6, 1, 3))]
+        assert result.final == cfg(6, 1, 3, 5)
+        assert result.verified_1_minimal is True
+
+    @pytest.mark.parametrize("monotone, source, verified", [
+        (False, SOURCE_ORACLE, True), (True, SOURCE_MONOTONY, None),
+    ])
+    def test_asked_after_the_other_candidates_of_the_last_round(self, monotone, source, verified):
+        result = ddmin(
+            Configuration.full(5), conjunction(5, [0, 1, 2, 3]), EngineOptions(monotone=monotone)
+        )
+        assert result.final == cfg(5, 0, 1, 2, 3)
+        # The last round's chunks lie inside passes; of its complements,
+        # {0, 1, 3} lies inside {0, 1, 3, 4}, which passed at granularity
+        # 4, and comes after {0, 1, 2}, which comes from the exact cache.
+        last = [(rec.config, rec.source) for rec in result.log if rec.granularity == 4][-4:]
+        assert last == [
+            (cfg(5, 1, 2, 3), SOURCE_ORACLE), (cfg(5, 0, 2, 3), SOURCE_ORACLE),
+            (cfg(5, 0, 1, 2), SOURCE_EXACT_CACHE), (cfg(5, 0, 1, 3), source),
+        ]
+        assert result.verified_1_minimal is verified
 
 
 class TestVerifiedFromLog:
