@@ -28,23 +28,23 @@ def digest(log) -> str:
 ENGINE_RUNS = {
     "conjunction-9000": (
         lambda: conjunction_spread(9000, 8), 9000, False,
-        "00a5597ed589c539e234f26287be0416e6a8f087a68386a4fb65297f37d4e355",
+        "90c1d6e95ce82b7aa656dba3c84196f196b659ae31ef1c15186ebd3f9b39e92a",
     ),
     "adversarial-128": (
         lambda: adversarial(128), 128, False,
-        "6d39bc34f479d761dee6bb78bf4d0d94d16ac7cd359617b515da7732bda83c00",
+        "1b25064b710092643a7047ae5bf3e9b6cae254864c47552634438684d03ffd6e",
     ),
     "adversarial-128-monotone": (
         lambda: adversarial(128), 128, True,
-        "27d2bc2c9a5526868bcc8b339e5f5459be0df9d2d86f3bbf286215d671ef4f6c",
+        "2d98795e0d75c19417c9d26b462ce7ab1d02a2b61593e219904efbcf05d63fbd",
     ),
     "random-table-12-seed-9": (
         lambda: random_table(12, seed=9, fail_p=0.1, unresolved_p=0.3), 12, False,
-        "8329240ef535e3c8470fdeee819cb24b880ef6802b777e64a4e9211255443725",
+        "6dcbacac51818daa8b41b97f83a41ce32d107dbeb6589573712e05c1f219e95a",
     ),
     "random-table-13-seed-17": (
         lambda: random_table(13, seed=17, fail_p=0.1, unresolved_p=0.3), 13, False,
-        "14d0e22a0bae3b6be3030bce14b6f51adde15b9700f812959f374e1e4e727fb2",
+        "3f82a550a203ba6362499c2303435bc6cd52df1f3ae9511d3fd16a262023945e",
     ),
 }
 
@@ -64,7 +64,7 @@ SLICE_PASS = "e1407aef5dd15ee4473006bccf7b574ca753e3ec2a9a8cdeb80293c99dfb94ef"
 DESK_SLICES = {
     "sum-and-mul": (
         "sum = 15\nmul = 0\n", None,
-        "75e900cad6dc3119a7602fde1335efeb25d4a85e3d9d02177517c819d5e8a898",
+        "a889f5d1d2ab1c32b0ce1f55f3c7595c7277b9aeb0d3091b23f59116b1e1d672",
     ),
     "sum-only": (
         "sum = 15\n", ["sum"],
@@ -100,5 +100,5 @@ def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_ro
     assert outcome.passes[-1].kept == (1, 2, 4, 5, 10)
     assert [(p.label, digest(p.result.log)) for p in outcome.passes] == [
         ("groups", "fe1ce501fa310c3502ff91c24f282ad463e349aac4ef5507aa686562301b8711"),
-        ("changes", "5b19e7c2991ef0a08cb02775b5ed9ad93aa93c5cf8c1125a7de0058cb380fe86"),
+        ("changes", "ee8e85d3b0528d2e98101b9caeabb4e292baf21f8b22e53da6a975767eb9d88e"),
     ]

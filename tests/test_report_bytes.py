@@ -29,7 +29,7 @@ def sha256(path) -> str:
 TRACE_SLICES = {
     "sum-and-mul": (
         ["--expect", "sum = 15\\nmul = 0\\n"],
-        "40a1c9ec9211f5c6119a4c0e7b5142f7a2d0cb18ee609976b304ee7b64c84c25",
+        "6090300fbe1f30ae4b65a95b83a09141a6c739a1b3b0d1b6f61caf49fdd041e3",
     ),
     "sum-only": (
         ["--expect", "sum = 15\\n", "--filter", "sum"],
@@ -93,11 +93,11 @@ def test_axiom_violation_report_bytes(tmp_path, make_script, capsys):
 CHANGE_RUNS = {
     "groups-file": (
         ["--groups", "file"],
-        "5a8bdf344b157ea362d00119cf16c4f3c80db79ac1755ae96e8ef2f9e2bcecde",
+        "1f2de65fd395e281d5325992351a0d99a7fbf47b79e06284c601e8491d19bfc9",
     ),
     "deps": (
         ["--deps", "deps.tsv"],
-        "63b3bac610cb77bd4d519549e8ed3aebb7a68d029ab31eb5e3c6327028d8da5a",
+        "a7ad331d70389290dc6cbe920bd137c501d33c134b5641e703d6a931e357d987",
     ),
 }
 
@@ -126,7 +126,7 @@ def test_ddmin_report_bytes(tmp_path):
     report = tmp_path / "report.json"
     write_report(passes_of(result), report, deterministic=True)
     assert sha256(report) == (
-        "95a839fb02523daaa0e1f0021f6fe27c8428e7db4a41d71fc5f7bd9c39d97c80"
+        "8429ff21deb518cb730cb88d76b3709d99eca692bdc1555826eb93f57c420dac"
     )
 
 
