@@ -14,7 +14,6 @@ from .core import (
     TestOracle,
     TestRecord,
     ddmin,
-    partition,
     run_passes,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "TestOracle",
     "TestRecord",
     "ddmin",
-    "partition",
     "run_passes",
 ]

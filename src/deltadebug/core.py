@@ -8,10 +8,11 @@ removing any single remaining delta makes the failure disappear.
 
 The engine is deterministic: each round tests one ordered list, the chunks
 then their complements, and the first failing candidate wins, so two runs
-against the same oracle behavior produce identical run logs.  A candidate
-that lies inside a configuration that passed in an earlier round is not
-tested, except that a round at singleton granularity tests such
-complements after its other candidates.
+against the same oracle behavior produce identical run logs.  Only the
+candidates asked are built.  A candidate that lies inside a configuration
+that passed in an earlier round is not tested, asked before or not,
+except that a round at singleton granularity tests such complements after
+its other candidates.
 """
 
 from __future__ import annotations
@@ -170,29 +171,6 @@ _set_universe_size = Configuration.universe_size.__set__
 _set_bits = Configuration.bits.__set__
 
 
-def partition(bits: int, members: Sequence[int], n: int) -> list[tuple[int, int, int]]:
-    """Split the configuration ``bits`` into ``n`` contiguous chunks of
-    near-equal size, as ``(lo, hi, chunk)`` triples.
-
-    ``members`` are the ascending member ids of ``bits``; chunk ``i`` holds
-    ``members[lo:hi]`` and ``chunk`` is its bitmap.  Chunk sizes differ by
-    at most one; the first ``len(members) % n`` chunks carry the extra
-    element.  Concatenating the chunks in order reproduces ``members``.
-    """
-    if not 2 <= n <= len(members):
-        raise ValueError(f"granularity {n} out of range 2..{len(members)}")
-    q, r = divmod(len(members), n)
-    chunks = []
-    lo = 0
-    for i in range(n):
-        hi = lo + q + (i < r)
-        # The ids members[lo] .. members[hi - 1], masked to those in ``bits``.
-        mask = (1 << members[hi - 1] + 1) - (1 << members[lo])
-        chunks.append((lo, hi, bits & mask))
-        lo = hi
-    return chunks
-
-
 class TestOracle(Protocol):
     __test__ = False  # not a pytest class, despite the name
 
@@ -299,38 +277,45 @@ class PassOracle:
 
 
 def _round(
-    current: int, chunks: list[tuple[int, int, int]], last: bool,
-    held: list[tuple[int, int]], gaps: list[tuple[int, int]], asked: Mapping[int, object],
+    current: int, members: Sequence[int], n: int,
+    held: list[tuple[int, int]], gaps: list[tuple[int, int]],
 ) -> Iterator[tuple[int, str, int, int]]:
-    """The candidates of a ddmin round over ``current``, split into
-    ``chunks`` (see ``partition``), as ``(bits, kind, lo, hi)`` in the
-    order they are asked: the chunks, then the complements.
+    """The candidates of a ddmin round that splits ``current``, with the
+    ascending member ids ``members``, into ``n`` contiguous chunks, as
+    ``(bits, kind, lo, hi)`` in the order they are asked: the chunks, then
+    the complements.  Chunk ``i`` holds ``members[lo:hi]``; chunk sizes
+    differ by at most one, and the first ``len(members) % n`` chunks carry
+    the extra member.  Only a candidate that is yielded gets a bitmap.
 
-    A candidate not in ``asked`` is *covered* when it lies inside a PASS
-    candidate of an earlier round, given as intervals [lo, hi) of member
-    positions: ``held``, the outermost positions that a passing chunk
-    holds, and ``gaps``, the innermost positions that a passing complement
-    leaves out, each ascending in both ends.  The gap ``(width, 0)`` lies
-    inside every interval: a passing complement that holds all of
-    ``current``.  A covered candidate is skipped, except that the ``last``
-    round asks its covered complements after all other candidates, tagged
-    ``_LATE``.
+    A candidate is *covered* when it lies inside a PASS candidate of an
+    earlier round, given as intervals [lo, hi) of member positions:
+    ``held``, the outermost positions that a passing chunk holds, and
+    ``gaps``, the innermost positions that a passing complement leaves out,
+    each ascending in both ends.  The gap ``(width, 0)`` lies inside every
+    interval: a passing complement that holds all of ``current``.  A
+    covered candidate is skipped, except that a round at singleton
+    granularity asks its covered complements after all other candidates,
+    tagged ``_LATE``.
     """
-    width = chunks[-1][1]
+    width = len(members)
+    q, r = divmod(width, n)
+    bounds = [(i * q + min(i, r), (i + 1) * q + min(i + 1, r)) for i in range(n)]
+
+    def chunk(lo: int, hi: int) -> int:
+        # The ids members[lo] .. members[hi - 1], masked to those in ``current``.
+        return current & (1 << members[hi - 1] + 1) - (1 << members[lo])
+
     # A gap that ends before a chunk or starts after it leaves it whole.
     first_end = gaps[0][1] if gaps else width + 1
     last_start = gaps[-1][0] if gaps else -1
-    for lo, hi, chunk in chunks:
+    for lo, hi in bounds:
         if first_end <= lo or last_start >= hi:
-            covered = True
-        else:
-            i = bisect_left(held, (lo + 1,))
-            covered = i > 0 and held[i - 1][1] >= hi
-        if not covered or chunk in asked:
-            yield chunk, _CHUNK, lo, hi
+            continue
+        i = bisect_left(held, (lo + 1,))
+        if i == 0 or held[i - 1][1] < hi:
+            yield chunk(lo, hi), _CHUNK, lo, hi
     late = []
-    for lo, hi, chunk in chunks:
-        bits = current ^ chunk
+    for lo, hi in bounds:
         # A gap inside the chunk, or a chunk pass that holds every position
         # outside it, from the first (out_lo) to the last (out_hi - 1).
         i = bisect_left(gaps, (lo,))
@@ -340,11 +325,12 @@ def _round(
             out_lo, out_hi = (0 if lo else hi), (width if hi < width else lo)
             i = bisect_left(held, (out_lo + 1,))
             covered = i > 0 and held[i - 1][1] >= out_hi
-        if not covered or bits in asked:
-            yield bits, _COMPLEMENT, lo, hi
-        elif last:
-            late.append((bits, _LATE, lo, hi))
-    yield from late
+        if not covered:
+            yield current ^ chunk(lo, hi), _COMPLEMENT, lo, hi
+        elif n == width:
+            late.append((lo, hi))
+    for lo, hi in late:
+        yield current ^ chunk(lo, hi), _LATE, lo, hi
 
 
 def _mapped(
@@ -483,11 +469,11 @@ def ddmin(
     n = 2 the complements equal the chunks and are answered from the exact
     cache.
 
-    A candidate that this run has not asked yet is *covered* when it lies
-    inside a candidate of an earlier round (one that found a FAIL too)
-    that answered PASS, from the oracle, a cache or monotony.  A covered
-    chunk is skipped, with no record, and so is a covered complement below
-    singleton granularity.  A round at singleton granularity asks its
+    A candidate is *covered* when it lies inside a candidate of an earlier
+    round (one that found a FAIL too) that answered PASS, from the oracle,
+    a cache or monotony.  A covered chunk is skipped, with no record, and
+    so is a covered complement below singleton granularity, whether or not
+    the run asked it before.  A round at singleton granularity asks its
     covered complements after all its other candidates, in list order, so
     the last round still tests every ``current - {d}``.  Under an oracle
     where nothing inside a passing configuration fails (a monotone
@@ -508,7 +494,7 @@ def ddmin(
     ``preloaded_cache``, is answered untimed as an ``exact-cache`` record,
     with its first answer.  With ``monotone`` the covered complements of a
     round at singleton granularity are answered PASS as ``monotony``
-    records, unless the preload holds them.  A preloaded PASS covers
+    records, unless asked before or preloaded.  A preloaded PASS covers
     nothing until a round asks it.
     """
     opts = options or EngineOptions()
@@ -584,10 +570,9 @@ def ddmin(
     while len(members) >= 2:
         # Recursion invariant: current is known to FAIL and n <= |current|.
         width = len(members)
-        chunks = partition(current, members, n)
         # This round's PASS candidates, as intervals like ``held`` and ``gaps``.
         chunk_passes, gap_passes = [], []
-        for bits, kind, lo, hi in _round(current, chunks, n == width, held, gaps, first):
+        for bits, kind, lo, hi in _round(current, members, n, held, gaps):
             outcome = run_test(bits, n, monotone and kind is _LATE)
             if outcome is Outcome.FAIL:
                 break

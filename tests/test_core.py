@@ -12,7 +12,6 @@ from deltadebug import (
     Outcome,
     PassOracle,
     ddmin,
-    partition,
 )
 from deltadebug.core import (
     SOURCE_AXIOM,
@@ -80,52 +79,6 @@ class TestConfiguration:
         assert bitmap_hex(cfg(16, 0, 8)) == "0101"
 
 
-def chunk_configs(config: Configuration, n: int) -> list[Configuration]:
-    """``partition`` of ``config`` as configurations, after checking that
-    each chunk's bitmap holds exactly its slice of the member list."""
-    members = config.members
-    chunks = []
-    for lo, hi, bits in partition(config.bits, members, n):
-        chunk = Configuration.from_bits(config.universe_size, bits)
-        assert chunk.members == members[lo:hi]
-        chunks.append(chunk)
-    return chunks
-
-
-class TestPartition:
-    def test_even_split(self):
-        chunks = chunk_configs(Configuration.full(4), 2)
-        assert [c.members for c in chunks] == [(0, 1), (2, 3)]
-
-    def test_remainder_goes_to_earliest_chunks(self):
-        chunks = chunk_configs(Configuration.full(5), 2)
-        assert [c.members for c in chunks] == [(0, 1, 2), (3, 4)]
-
-    def test_granularity_equal_to_size_gives_singletons(self):
-        chunks = chunk_configs(Configuration.full(8), 8)
-        assert [c.members for c in chunks] == [(i,) for i in range(8)]
-
-    def test_out_of_range_granularity(self):
-        full = Configuration.full(4)
-        with pytest.raises(ValueError):
-            partition(full.bits, full.members, 1)
-        with pytest.raises(ValueError):
-            partition(full.bits, full.members, 5)
-
-    def test_partition_soundness_property(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            universe = rng.randint(2, 40)
-            members = sorted(rng.sample(range(universe), rng.randint(2, universe)))
-            c = Configuration(universe, members)
-            n = rng.randint(2, len(c))
-            chunks = chunk_configs(c, n)
-            sizes = [len(ch) for ch in chunks]
-            assert max(sizes) - min(sizes) <= 1
-            concat = [m for ch in chunks for m in ch.members]
-            assert concat == list(members)  # disjoint, ordered, union = c
-
-
 def shift_loop_members(bits: int) -> tuple[int, ...]:
     """Reference reader: one shift per bit."""
     out = []
@@ -170,12 +123,6 @@ class TestBitmapReadingMatchesShiftLoop:
         assert Configuration(0).members == ()
         for config in seeded_bitmaps(rng):
             assert config.members == shift_loop_members(config.bits)
-
-    def test_partition_at_every_granularity(self):
-        rng = random.Random(4402)
-        for config in seeded_bitmaps(rng):
-            for n in range(2, len(config) + 1):
-                assert chunk_configs(config, n) == reference_partition(config, n)
 
 
 class TestDdmin:
@@ -605,7 +552,7 @@ def reference_ddmin(universe, oracle, opts, classic=False):
 
     def covered(config):
         members = set(config.members)
-        return config not in answered and any(members <= p for p in passed)
+        return any(members <= p for p in passed)
 
     got = run_test(Configuration(universe.universe_size), 0, axiom=True)
     if got != Outcome.PASS:
@@ -740,6 +687,24 @@ class TestEngineMatchesReference:
                 compared += 1
         assert compared >= 2000
 
+    def test_wide_sparse_universes(self):
+        # The engine's chunk arithmetic on member positions against the
+        # reference's member-by-member chunks, also over universes of 5000
+        # to 9000 ids that hold only high ids.
+        rng = random.Random(4402)
+        for draw, universe in enumerate(seeded_bitmaps(rng)):
+            members, size = universe.members, universe.universe_size
+            oracles = [
+                conjunction(size, rng.sample(members, rng.randint(1, min(len(members), 5)))),
+                conjunction(size, members[1::2] or members),  # adversarial's shape
+            ]
+            if len(members) >= 3:
+                suppressed, unless, *causes = rng.sample(members, rng.randint(3, min(len(members), 5)))
+                oracles.append(suppressor(causes, suppressed, unless))
+            for oracle in oracles:
+                args = (universe, oracle, draw % 2 == 1, None, False)
+                assert self.observe(ddmin, *args) == self.observe(reference_ddmin, *args), draw
+
 
 def bracket(n, causes):
     """UNRESOLVED whenever a pair (2i, 2i + 1) is split, else FAIL iff every
@@ -840,7 +805,20 @@ class TestSkippedChunksAgainstClassic:
 
 class TestCoveredComplements:
     """A complement that lies inside a PASS of an earlier round is asked
-    only at singleton granularity, after every other candidate."""
+    only at singleton granularity, after every other candidate, whether or
+    not the run asked it before."""
+
+    def test_skipped_though_asked_before(self):
+        counting = CountingOracle(conjunction(8, [2, 5]))
+        result = ddmin(Configuration.full(8), counting)
+        # At granularity 3 over {2, ..., 7}, the complement {4, 5, 6, 7} is
+        # the chunk that passed at granularity 2: no record, not even an
+        # exact-cache one.
+        asked = [(rec.granularity, rec.config) for rec in result.log]
+        assert (2, cfg(8, 4, 5, 6, 7)) in asked and (3, cfg(8, 4, 5, 6, 7)) not in asked
+        assert len(result.log) == 14
+        assert result.log.test_counts()[0] == 10 and counting.calls == 12
+        assert result.final == cfg(8, 2, 5)
 
     def test_skipped_until_singleton_granularity(self):
         result = ddmin(Configuration.full(6), adversarial(6))
