@@ -845,11 +845,12 @@ class TestCoveredComplements:
         assert result.final == cfg(5, 0, 1, 2, 3)
         # The last round's chunks lie inside passes; of its complements,
         # {0, 1, 3} lies inside {0, 1, 3, 4}, which passed at granularity
-        # 4, and comes after {0, 1, 2}, which comes from the exact cache.
+        # 4, and {0, 1, 2} is the chunk that passed at granularity 2.  Both
+        # come last, in list order, {0, 1, 2} from the exact cache.
         last = [(rec.config, rec.source) for rec in result.log if rec.granularity == 4][-4:]
         assert last == [
             (cfg(5, 1, 2, 3), SOURCE_ORACLE), (cfg(5, 0, 2, 3), SOURCE_ORACLE),
-            (cfg(5, 0, 1, 2), SOURCE_EXACT_CACHE), (cfg(5, 0, 1, 3), source),
+            (cfg(5, 0, 1, 3), source), (cfg(5, 0, 1, 2), SOURCE_EXACT_CACHE),
         ]
         assert result.verified_1_minimal is verified
 

@@ -49,12 +49,12 @@ ENGINE_RUNS = {
     "adversarial-128": (
         lambda: adversarial(128), 128, False,
         (254, 2), tuple(range(1, 128, 2)), True,
-        "1b25064b710092643a7047ae5bf3e9b6cae254864c47552634438684d03ffd6e",
+        "ea11032b6440ff259e161f6a2eefc77714eb00e307c99b49e0b5dd5a98ce78f3",
     ),
     "adversarial-128-monotone": (
         lambda: adversarial(128), 128, True,
         (190, 2), tuple(range(1, 128, 2)), None,
-        "2d98795e0d75c19417c9d26b462ce7ab1d02a2b61593e219904efbcf05d63fbd",
+        "3435c9184c46a38aa780cbbcabe34266e0ccd9385ff9f4afe46cfc2134677003",
     ),
     "random-table-12-seed-9": (
         lambda: random_table(12, seed=9, fail_p=0.1, unresolved_p=0.3), 12, False,
@@ -64,7 +64,7 @@ ENGINE_RUNS = {
     "random-table-13-seed-17": (
         lambda: random_table(13, seed=17, fail_p=0.1, unresolved_p=0.3), 13, False,
         (27, 2), (0, 1, 2, 4, 6, 10, 11), True,
-        "3f82a550a203ba6362499c2303435bc6cd52df1f3ae9511d3fd16a262023945e",
+        "589e8a80fe3fadc6c2766fb5a203440f5a9306a60e0badfaecc83289971e828d",
     ),
 }
 
@@ -87,17 +87,17 @@ DESK_SLICES = {
     "sum-and-mul": (
         "sum = 15\nmul = 0\n", None,
         (42, 0), (7, 10, 12, 15, 16, 17, 20, 22, 25, 27, 30, 35, 36),
-        "a889f5d1d2ab1c32b0ce1f55f3c7595c7277b9aeb0d3091b23f59116b1e1d672",
+        "b1d8e25b4415818921f2c0f52511f28c6585edf5a58389c4e5a1f8d2f357d002",
     ),
     "sum-only": (
         "sum = 15\n", ["sum"],
         (25, 0), (7, 10, 12, 15, 17, 20, 22, 25, 27, 30, 35),
-        "2918e3c7f267177f6c2863848cd4111c8a2b3ab8e26c984eaece9f63ed5283ea",
+        "ed988d4362fe67f8cc8e5268d7fac111196dc3dfcb36c4a3be93b490528d5629",
     ),
     "mul-only": (
         "mul = 0\n", ["mul"],
         (8, 0), (31, 36),
-        "efd3d5a46e98284f60884e22981066861385b0a14c3c2f1f7b49bf795f94e761",
+        "61cbf087e3822ef8fe0c5d3cc1da73284d61c18e0271e6fa9cbeb984914fba2f",
     ),
 }
 
@@ -128,5 +128,5 @@ def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_ro
     assert all(p.result.verified_1_minimal for p in outcome.passes)
     assert [(p.label, counts(p.result.log), digest(p.result.log)) for p in outcome.passes] == [
         ("groups", (1, 2), "fe1ce501fa310c3502ff91c24f282ad463e349aac4ef5507aa686562301b8711"),
-        ("changes", (13, 0), "ee8e85d3b0528d2e98101b9caeabb4e292baf21f8b22e53da6a975767eb9d88e"),
+        ("changes", (13, 0), "409f128530e682c9474a75b60570b5223f688ae6c77d16864dee25040a020f3f"),
     ]

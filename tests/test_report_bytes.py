@@ -29,15 +29,15 @@ def sha256(path) -> str:
 TRACE_SLICES = {
     "sum-and-mul": (
         ["--expect", "sum = 15\\nmul = 0\\n"],
-        "6090300fbe1f30ae4b65a95b83a09141a6c739a1b3b0d1b6f61caf49fdd041e3",
+        "841f42c8ef563d418fad21e4d60cff4e9f8b3ec52ea81fb7716780e314428239",
     ),
     "sum-only": (
         ["--expect", "sum = 15\\n", "--filter", "sum"],
-        "64d4dd60098bf1edaebef89c47ff9076d6b0128d0a8a7e7a22d7e446cde6ceec",
+        "43c7422a8f32913f43c3cf3fe99178644aeb0054880a19bd74325ca9424f5525",
     ),
     "mul-only": (
         ["--expect", "mul = 0\\n", "--filter", "mul"],
-        "97c0450332a98ec6da4334c4b10b4578313a58adf76e1c613ff20394a588db0a",
+        "59b9a5090e18309ab30f800579de52e6e9053e7400ee3032cee286cfde8023c9",
     ),
 }
 
@@ -93,11 +93,11 @@ def test_axiom_violation_report_bytes(tmp_path, make_script, capsys):
 CHANGE_RUNS = {
     "groups-file": (
         ["--groups", "file"],
-        "1f2de65fd395e281d5325992351a0d99a7fbf47b79e06284c601e8491d19bfc9",
+        "16af33c88d83d0bc19a727dc9130dadf951148102d1c1af12a06bb08815233fd",
     ),
     "deps": (
         ["--deps", "deps.tsv"],
-        "a7ad331d70389290dc6cbe920bd137c501d33c134b5641e703d6a931e357d987",
+        "ec50ab795ead49aec12d7dd19dd7d336e603c35cf38f438670a00958be72f7b1",
     ),
 }
 
@@ -126,7 +126,7 @@ def test_ddmin_report_bytes(tmp_path):
     report = tmp_path / "report.json"
     write_report(passes_of(result), report, deterministic=True)
     assert sha256(report) == (
-        "8429ff21deb518cb730cb88d76b3709d99eca692bdc1555826eb93f57c420dac"
+        "e1377feb784c25132856359296200abda68f0c6cc7c12574233a544a10c7cbbd"
     )
 
 
