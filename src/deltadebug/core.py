@@ -283,9 +283,8 @@ def _round(
     """The candidates of a ddmin round that splits ``current``, with the
     ascending member ids ``members``, into ``n`` contiguous chunks, as
     ``(bits, kind, lo, hi)`` in the order they are asked: the chunks, then
-    the complements.  Chunk ``i`` holds ``members[lo:hi]``; chunk sizes
-    differ by at most one, and the first ``len(members) % n`` chunks carry
-    the extra member.  Only a candidate that is yielded gets a bitmap.
+    the complements.  Chunk ``i`` holds ``members[lo:hi]``, and only a
+    candidate that is yielded gets a bitmap.
 
     A candidate is *covered* when it lies inside a PASS candidate of an
     earlier round, given as intervals [lo, hi) of member positions:
@@ -299,15 +298,16 @@ def _round(
     """
     width = len(members)
     q, r = divmod(width, n)
-    bounds = [(i * q + min(i, r), (i + 1) * q + min(i + 1, r)) for i in range(n)]
+    # Chunk i starts at i*q + min(i, r): the first r chunks hold q + 1 members.
+    starts = [*range(0, r * (q + 1), q + 1), *range(r * (q + 1), width + 1, q)]
+    bounds = list(zip(starts, starts[1:]))
 
     def chunk(lo: int, hi: int) -> int:
         # The ids members[lo] .. members[hi - 1], masked to those in ``current``.
         return current & (1 << members[hi - 1] + 1) - (1 << members[lo])
 
     # A gap that ends before a chunk or starts after it leaves it whole.
-    first_end = gaps[0][1] if gaps else width + 1
-    last_start = gaps[-1][0] if gaps else -1
+    first_end, last_start = (gaps[0][1], gaps[-1][0]) if gaps else (width + 1, -1)
     for lo, hi in bounds:
         if first_end <= lo or last_start >= hi:
             continue
