@@ -13,6 +13,11 @@ candidates asked are built.  A candidate that lies inside a configuration
 that passed in an earlier round is not tested, asked before or not,
 except that a round at singleton granularity tests such complements after
 its other candidates.
+
+A run may instead start with a *scan*, for a configuration that is
+expected to be nearly 1-minimal already: rounds at singleton granularity
+that ask only complements, until two FAILs in a row show removable deltas
+side by side, and the run goes on from granularity 2.
 """
 
 from __future__ import annotations
@@ -278,7 +283,7 @@ class PassOracle:
 
 def _round(
     current: int, members: Sequence[int], n: int,
-    held: list[tuple[int, int]], gaps: list[tuple[int, int]],
+    held: list[tuple[int, int]], gaps: list[tuple[int, int]], chunks: bool = True,
 ) -> Iterator[tuple[int, str, int, int]]:
     """The candidates of a ddmin round that splits ``current``, with the
     ascending member ids ``members``, into ``n`` contiguous chunks, as
@@ -294,7 +299,7 @@ def _round(
     interval: a passing complement that holds all of ``current``.  A
     covered candidate is skipped, except that a round at singleton
     granularity asks its covered complements after all other candidates,
-    tagged ``_LATE``.
+    tagged ``_LATE``.  Without ``chunks`` the round asks complements only.
     """
     width = len(members)
     q, r = divmod(width, n)
@@ -308,7 +313,7 @@ def _round(
 
     # A gap that ends before a chunk or starts after it leaves it whole.
     first_end, last_start = (gaps[0][1], gaps[-1][0]) if gaps else (width + 1, -1)
-    for lo, hi in bounds:
+    for lo, hi in bounds if chunks else ():
         if first_end <= lo or last_start >= hi:
             continue
         i = bisect_left(held, (lo + 1,))
@@ -450,6 +455,7 @@ class EngineOptions:
     monotone: bool = False
     preloaded_cache: Optional[dict[int, Outcome]] = None
     on_record: Optional[Callable[[TestRecord], None]] = None
+    scan: bool = False
 
 
 def ddmin(
@@ -496,6 +502,21 @@ def ddmin(
     round at singleton granularity are answered PASS as ``monotony``
     records, unless asked before or preloaded.  A preloaded PASS covers
     nothing until a round asks it.
+
+    With ``scan`` the run starts with a scan, for a ``universe`` that is
+    nearly 1-minimal: coarse rounds would find nothing to remove there.
+    It starts at singleton granularity and asks no chunks, only the
+    complements, in list order; the covered ones still come last, so
+    ``verified_1_minimal`` rests on the same tests.  A FAIL leaves the
+    granularity at the new size, and the next round asks first the
+    complements after the one removed.  When a round's first candidate
+    FAILs right after the FAIL that ended the round before, with no other
+    answer between them, two removable deltas lie side by side, and
+    bisection removes such a run faster: the scan ends, and the run goes
+    on from n = 2, keeping every PASS as cover.  Where nothing inside a
+    passing configuration fails, a scan that ends the run costs at most
+    one test per delta plus one per delta kept; a scan round asks each
+    complement at most once, so the run stays within n^2 + 3n tests.
     """
     opts = options or EngineOptions()
     oracle = as_oracle(oracle)
@@ -562,7 +583,9 @@ def ddmin(
     # The current configuration as a bitmap and as its ascending member ids;
     # a reduction slices the member list instead of re-reading the bitmap.
     current, members = universe.bits, universe.members
-    n = 2
+    scan = opts.scan
+    n = len(members) if scan else 2
+    last_fail = -2  # the log length right after the scan's last FAIL; none yet
     # The PASS candidates of the earlier rounds, as intervals of positions
     # in ``members`` (see ``_round``); a reduction maps them to its result.
     held: list[tuple[int, int]] = []
@@ -572,7 +595,7 @@ def ddmin(
         width = len(members)
         # This round's PASS candidates, as intervals like ``held`` and ``gaps``.
         chunk_passes, gap_passes = [], []
-        for bits, kind, lo, hi in _round(current, members, n, held, gaps):
+        for bits, kind, lo, hi in _round(current, members, n, held, gaps, not scan):
             outcome = run_test(bits, n, monotone and kind is _LATE)
             if outcome is Outcome.FAIL:
                 break
@@ -590,6 +613,12 @@ def ddmin(
             current, members, n = bits, members[lo:hi], 2
         else:
             current, members, n = bits, members[:lo] + members[hi:], max(n - 1, 2)
+        if scan:
+            # Two FAILs in a row: removable deltas side by side, which
+            # bisection removes faster.
+            if len(log.records) == last_fail + 1:
+                scan, n = False, 2
+            last_fail = len(log.records)
         # A chunk pass with no position left holds nothing of ``current``;
         # a gap with none left is a pass that holds all of it.
         width = len(members)
@@ -623,12 +652,15 @@ class Pass:
 
 def run_passes(
     input_ids: Sequence[int],
-    steps: Iterable[Callable[[Sequence[int]], tuple[str, Sequence[Sequence[int]], OracleLike]]],
+    steps: Iterable[Callable[[Sequence[int]], tuple]],
     options: Optional[EngineOptions] = None,
 ) -> list[Pass]:
     """Run one ddmin pass per step.  A step maps the input ids kept so far
     (``input_ids`` at first) to its pass's label, ids and oracle, and the
-    pass starts from the full configuration of those ids.
+    pass starts from the full configuration of those ids.  The first pass
+    runs with ``options`` as given.  A later step may add a fourth item,
+    ``scan``, which sets ``EngineOptions.scan`` for its pass; without it
+    the pass does not scan.
 
     No pass tests a scenario that an earlier pass tested.  The run keeps
     one table from the input ids each tested configuration stands for to
@@ -648,7 +680,7 @@ def run_passes(
     known: dict[int, Outcome] = {}  # input-id bitmap -> its first answer
     steps = list(steps)
     for number, step in enumerate(steps, 1):
-        label, ids, oracle = step(kept)
+        label, ids, oracle, *scan = step(kept)
         universe = Configuration.full(len(ids))
         if len(steps) > 1:
             id_map = _IdMap(max(itertools.chain.from_iterable(ids), default=-1) + 1, ids)
@@ -658,7 +690,9 @@ def run_passes(
                 bits = id_map.contract(input_bits)
                 if bits is not None:
                     preloaded[bits] = outcome
-            options = dataclasses.replace(options or EngineOptions(), preloaded_cache=preloaded)
+            options = dataclasses.replace(
+                options or EngineOptions(), preloaded_cache=preloaded, scan=bool(scan and scan[0])
+            )
         try:
             # Through the module global, so a wrapped ``ddmin`` sees every pass.
             result = ddmin(universe, oracle, options)

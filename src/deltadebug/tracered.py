@@ -149,9 +149,12 @@ def reduce_trace(
     as nothing, and the traced run completed, so removing one never changes
     an outcome.  A ``slice`` pass over the groups {data slice, rest} tests
     the slice, and keeps both when it does not FAIL; the ``trace`` pass then
-    reduces the survivors event by event.  The replay of every replayable
-    event must satisfy the expectation and the empty replay must not; those
-    are exactly the engine's axiom checks.
+    reduces the survivors event by event.  When the slice pass kept just
+    the slice, the slice FAILed alone and few of its events can go, so
+    the trace pass scans it (see ``EngineOptions.scan``): it asks each
+    event's complement in turn, and bisects once two events in a row go.
+    The replay of every replayable event must satisfy the expectation and
+    the empty replay must not; those are exactly the engine's axiom checks.
     """
     trace, traced = trace_program(program, stdin_tokens)
     if traced.status != STATUS_COMPLETED:
@@ -173,7 +176,8 @@ def reduce_trace(
         events = ResolvedTrace(
             program, [trace[i] for i in kept], tuple([actions[i] for i in kept])
         )
-        return "trace", [(i,) for i in kept], ReplayOracle(program, events, stdin_tokens, expectation)
+        own = ReplayOracle(program, events, stdin_tokens, expectation)
+        return "trace", [(i,) for i in kept], own, bool(sliced) and kept == tuple(sliced)
 
     passes = run_passes(replayable, [slice_step, trace_step], options)
     return TraceReduction(

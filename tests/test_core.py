@@ -803,6 +803,107 @@ class TestSkippedChunksAgainstClassic:
             assert result.verified_1_minimal is not False
 
 
+class TestScan:
+    """``EngineOptions(scan=True)``: the run starts at singleton granularity
+    and asks only complements, until two FAILs in a row send it on as
+    ddmin from n = 2."""
+
+    @staticmethod
+    def scanned(log, universe):
+        """How many records after the axiom checks belong to the scan.  Each
+        must ask the current configuration minus one delta, at singleton
+        granularity, and the scan ends right after two FAILs in a row."""
+        current, last_fail = universe.bits, None
+        records = log.records[2:]
+        for k, rec in enumerate(records):
+            removed = current & ~rec.config.bits
+            assert rec.config.bits | removed == current and removed.bit_count() == 1, k
+            assert rec.granularity == current.bit_count(), k
+            if rec.outcome is Outcome.FAIL:
+                current = rec.config.bits
+                if last_fail == k - 1:
+                    return k + 1
+                last_fail = k
+        return len(records)
+
+    def test_monotone_and_bracket_families(self):
+        # The families of TestSkippedChunksAgainstClassic, where nothing
+        # inside a passing configuration fails.
+        rng = random.Random(2418)
+        fell_back = collections.Counter()
+        for i in range(280):
+            n = rng.randint(2, 120)
+            family = i % 7
+            if family == 0:
+                oracle = single_cause(n, rng.randrange(n))
+            elif family == 1:
+                k = rng.randint(1, min(n, 6))
+                start = rng.randint(0, n - k)
+                oracle = conjunction(n, list(range(start, start + k)))
+            elif family == 2:
+                oracle = conjunction_spread(n, rng.randint(1, min(n, 8)))
+            elif family == 3:
+                oracle = conjunction(n, rng.sample(range(n), rng.randint(1, min(n, 6))))
+            elif family == 4:
+                oracle = random_monotone(n, seed=7000 + i)
+            elif family == 5:
+                oracle = adversarial(n)
+            else:
+                n += n % 2
+                oracle = bracket(n, rng.sample(range(n), rng.randint(1, min(n, 3))))
+            universe = Configuration.full(n)
+            result = ddmin(universe, oracle, EngineOptions(scan=True))
+            assert as_oracle(oracle).evaluate(result.final) == Outcome.FAIL, i
+            assert verify_n_minimal(result.final, oracle, 1), i
+            assert result.verified_1_minimal is True, i
+            assert result.log.test_counts()[0] <= n * n + 3 * n, i
+            scanned = self.scanned(result.log, universe)
+            fell_back[scanned < len(result.log) - 2] += 1
+        assert fell_back[True] > 100 and fell_back[False] > 50
+
+    def test_a_lone_removable_delta_does_not_end_the_scan(self):
+        # Only delta 3 can go.  The scan asks the complements in order,
+        # removes 3 and goes on from 4; the complements of 0, 1 and 2 lie
+        # inside passes, so they come last.
+        oracle = CountingOracle(conjunction(8, [0, 1, 2, 4, 5, 6, 7]))
+        result = ddmin(Configuration.full(8), oracle, EngineOptions(scan=True))
+        assert result.final == cfg(8, 0, 1, 2, 4, 5, 6, 7)
+        asked = [(rec.granularity, rec.config.members) for rec in result.log.records[2:]]
+        removed = [sorted(set(range(8)) - set(config)) for _, config in asked]
+        assert removed == [[0], [1], [2], [3], [3, 4], [3, 5], [3, 6], [3, 7], [0, 3], [1, 3], [2, 3]]
+        assert [g for g, _ in asked] == [8] * 4 + [7] * 7
+        assert oracle.calls == 2 + 11
+        assert result.verified_1_minimal is True
+
+    def test_two_removable_deltas_in_a_row_fall_back_to_bisection(self):
+        # Deltas 1 and 2 go one by one; the scan would then ask 61 more
+        # complements to find each of 3 .. 62.  From n = 2 the run halves
+        # instead, and the passing complement without 0 still covers every
+        # chunk that lacks delta 0.
+        universe = Configuration.full(64)
+        result = ddmin(universe, conjunction(64, [0, 63]), EngineOptions(scan=True))
+        assert result.final == cfg(64, 0, 63)
+        records = result.log.records
+        assert [(r.config, r.outcome) for r in records[2:5]] == [
+            (universe.without([0]), Outcome.PASS),
+            (universe.without([1]), Outcome.FAIL),
+            (universe.without([1, 2]), Outcome.FAIL),
+        ]
+        assert self.scanned(result.log, universe) == 3
+        assert records[5].granularity == 2
+        classic = ddmin(universe, conjunction(64, [0, 63]))
+        assert result.log.test_counts()[0] <= classic.log.test_counts()[0] + 3
+        assert result.verified_1_minimal is True
+
+    def test_every_delta_needed_costs_one_test_each(self):
+        oracle = CountingOracle(conjunction(40, list(range(40))))
+        result = ddmin(Configuration.full(40), oracle, EngineOptions(scan=True))
+        assert result.final == Configuration.full(40)
+        assert result.log.test_counts() == (40, 0, 2) and oracle.calls == 42
+        classic = ddmin(Configuration.full(40), conjunction(40, list(range(40))))
+        assert classic.log.test_counts()[0] > 40
+
+
 class TestCoveredComplements:
     """A complement that lies inside a PASS of an earlier round is asked
     only at singleton granularity, after every other candidate, whether or

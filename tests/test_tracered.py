@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from deltadebug import Configuration, Outcome, PassOracle, ddmin
+from deltadebug import Configuration, Outcome, PassOracle, core, ddmin
 from deltadebug.core import AxiomViolation
 from deltadebug.toylang import (
     KIND_STATEMENT, ResolvedTrace, parse_program, replay_events, resolve_trace, trace_program,
@@ -236,6 +236,67 @@ class TestReducedUniverse:
         assert len(reduction.trace) == 30_005
         assert reduction.passes[-1].kept == (0, 30_004)  # x = input and the print
         assert peak < 12 * 2**20
+
+class TestTracePassScan:
+    """The trace pass scans the data slice when the slice FAILed alone,
+    and bisects as usual otherwise."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Whether each ddmin pass of a run was asked to scan."""
+        seen = []
+        ddmin = core.ddmin
+
+        def spy(universe, oracle, options=None):
+            seen.append(options is not None and options.scan)
+            return ddmin(universe, oracle, options)
+
+        monkeypatch.setattr(core, "ddmin", spy)
+        return seen
+
+    def test_a_run_of_removable_events_falls_back_to_bisection(self, sample_program, scans):
+        # With a = 0, mul stays 0, and an undefined mul counts as 0 too: of
+        # the 1604 slice events, one mul update and the print are enough.
+        # A scan alone would ask about one complement per event.
+        reduction = reduce_trace(
+            sample_program, [0, 800], OutputExpectation.derive("mul = 0\n", ["mul"])
+        )
+        trace_pass = reduction.passes[-1]
+        assert scans == [False, True]
+        assert len(trace_pass.ids) == 1604 and len(trace_pass.kept) == 2
+        assert trace_pass.result.log.test_counts()[0] <= 30
+        assert trace_pass.result.verified_1_minimal is True
+
+    def test_a_dense_slice_costs_about_one_test_per_event(self, sample_program, scans):
+        # From a = 1 every sum update counts; only "sum = 0" can go, since
+        # an undefined sum counts as 0.
+        expectation = OutputExpectation.derive("sum = 210\n", ["sum"])
+        reduction = reduce_trace(sample_program, [1, 20], expectation)
+        trace_pass = reduction.passes[-1]
+        assert scans == [False, True]
+        events, kept = len(trace_pass.ids), len(trace_pass.kept)
+        assert (events, kept) == (42, 41)
+        assert trace_pass.result.log.test_counts()[0] <= events + kept + 2
+        assert trace_pass.result.verified_1_minimal is True
+        assert is_1_minimal_on_the_full_trace(reduction, [1, 20], expectation)
+
+    def test_an_empty_slice_is_not_scanned(self, scans):
+        # The derived prefix "x=7" is in no string, so the slice is empty.
+        program = parse_program(
+            'x = input("");\nn = input("");\ni = 0;\n'
+            'while (i < n) {\n  i = i + 1;\n}\nprint("x=", x, "\\n");\n'
+        )
+        reduction = reduce_trace(program, [7, 50], OutputExpectation.derive("x=7\n"))
+        assert len(reduction.passes[0].ids) == 1
+        assert scans == [False, False]
+        assert reduction.passes[-1].kept == (0, len(reduction.trace) - 1)
+
+    def test_a_slice_that_does_not_fail_is_not_scanned(self, scans):
+        program = parse_program('x = 1;\ny = 2;\nprint("x=", x);\nprint("\\n");\n')
+        reduction = reduce_trace(program, [], OutputExpectation.derive("x=1\n", ["x="]))
+        assert reduction.passes[0].result.final == Configuration.full(2)
+        assert scans == [False, False]
+
 
 def test_a_trace_pass_replays_its_own_events_as_the_full_trace_would():
     # The trace pass asks a ReplayOracle over the kept events; expanding
