@@ -79,25 +79,25 @@ def test_engine_run_log_is_unchanged(name):
 
 
 # The slice pass tests the data slice once and keeps it, so its log is the
-# same for all three; the trace pass then reduces the slice's events.  Each
+# same for all three; the trace pass then scans the slice's events.  Each
 # run: its expected output and filter, then the trace pass's (oracle, axiom)
 # test counts, kept trace events and digest.
 SLICE_PASS = (1, 2), "e1407aef5dd15ee4473006bccf7b574ca753e3ec2a9a8cdeb80293c99dfb94ef"
 DESK_SLICES = {
     "sum-and-mul": (
         "sum = 15\nmul = 0\n", None,
-        (42, 0), (7, 10, 12, 15, 16, 17, 20, 22, 25, 27, 30, 35, 36),
-        "b1d8e25b4415818921f2c0f52511f28c6585edf5a58389c4e5a1f8d2f357d002",
+        (43, 0), (7, 10, 12, 15, 16, 17, 20, 22, 25, 27, 30, 35, 36),
+        "c0a469bd34ee1e1b3e219cb820b4d50da0fe34a7eb77d473a29ebaa08547e684",
     ),
     "sum-only": (
         "sum = 15\n", ["sum"],
-        (25, 0), (7, 10, 12, 15, 17, 20, 22, 25, 27, 30, 35),
-        "ed988d4362fe67f8cc8e5268d7fac111196dc3dfcb36c4a3be93b490528d5629",
+        (27, 0), (7, 10, 12, 15, 17, 20, 22, 25, 27, 30, 35),
+        "4ae3043ec555e10004631ffe2bfc2fcb6f9a16cc4bba4c895f355f7aea9cf804",
     ),
     "mul-only": (
         "mul = 0\n", ["mul"],
-        (8, 0), (31, 36),
-        "61cbf087e3822ef8fe0c5d3cc1da73284d61c18e0271e6fa9cbeb984914fba2f",
+        (10, 0), (31, 36),
+        "20423da7ebb689c320385342e48762b5d2e8bdb843073d1896314d6e0b9b9357",
     ),
 }
 

@@ -29,15 +29,15 @@ def sha256(path) -> str:
 TRACE_SLICES = {
     "sum-and-mul": (
         ["--expect", "sum = 15\\nmul = 0\\n"],
-        "841f42c8ef563d418fad21e4d60cff4e9f8b3ec52ea81fb7716780e314428239",
+        "a09b51ea6770d04089ea6424f93ef4a698650f2d9f7abde7300010d5416d2a9f",
     ),
     "sum-only": (
         ["--expect", "sum = 15\\n", "--filter", "sum"],
-        "43c7422a8f32913f43c3cf3fe99178644aeb0054880a19bd74325ca9424f5525",
+        "1dc90af0ce46b5dc53d348f4275fc9ea7e111608f927b3925f29bbb7c0f485d3",
     ),
     "mul-only": (
         ["--expect", "mul = 0\\n", "--filter", "mul"],
-        "59b9a5090e18309ab30f800579de52e6e9053e7400ee3032cee286cfde8023c9",
+        "32c3df4f81338fecda8520506c6b5a4fc576b06e23bd280b6777ef6d1fd3675c",
     ),
 }
 
