@@ -283,7 +283,7 @@ class PassOracle:
 
 def _round(
     current: int, members: Sequence[int], n: int,
-    held: list[tuple[int, int]], gaps: list[tuple[int, int]], chunks: bool = True,
+    held: list[tuple[int, int]], gaps: list[tuple[int, int]], chunks: bool,
 ) -> Iterator[tuple[int, str, int, int]]:
     """The candidates of a ddmin round that splits ``current``, with the
     ascending member ids ``members``, into ``n`` contiguous chunks, as

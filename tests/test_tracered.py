@@ -48,6 +48,20 @@ def sample_program(sample_source):
     return parse_program(sample_source)
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """Whether each ddmin pass of a run was asked to scan."""
+    seen = []
+    ddmin = core.ddmin
+
+    def spy(universe, oracle, options=None):
+        seen.append(options is not None and options.scan)
+        return ddmin(universe, oracle, options)
+
+    monkeypatch.setattr(core, "ddmin", spy)
+    return seen
+
+
 class TestReplayOracle:
     def test_outcomes(self, sample_program):
         trace, _ = trace_program(sample_program, [0, 5])
@@ -180,7 +194,7 @@ class TestReducedUniverse:
         assert first.result.final.members == (0,)
         assert first.result.log.test_counts() == (1, 0, 2)
 
-    def test_a_slice_that_does_not_fail_falls_back(self):
+    def test_a_slice_that_does_not_fail_falls_back(self, scans):
         # The newline comes from a print that writes no prefix, so the slice
         # prints "x=1" without it and PASSes.
         program = parse_program('x = 1;\ny = 2;\nprint("x=", x);\nprint("\\n");\n')
@@ -189,6 +203,7 @@ class TestReducedUniverse:
         first = reduction.passes[0]
         assert first.ids == [[0, 2], [1, 3]]
         assert first.result.final == Configuration.full(2)
+        assert scans == [False, False]  # the trace pass bisects
         # An event-only reduction: one pass over the replayable events.
         trace = reduction.trace
         oracle = ReplayOracle(program, trace, [], expectation)
@@ -241,19 +256,6 @@ class TestTracePassScan:
     """The trace pass scans the data slice when the slice FAILed alone,
     and bisects as usual otherwise."""
 
-    @pytest.fixture
-    def scans(self, monkeypatch):
-        """Whether each ddmin pass of a run was asked to scan."""
-        seen = []
-        ddmin = core.ddmin
-
-        def spy(universe, oracle, options=None):
-            seen.append(options is not None and options.scan)
-            return ddmin(universe, oracle, options)
-
-        monkeypatch.setattr(core, "ddmin", spy)
-        return seen
-
     def test_a_run_of_removable_events_falls_back_to_bisection(self, sample_program, scans):
         # With a = 0, mul stays 0, and an undefined mul counts as 0 too: of
         # the 1604 slice events, one mul update and the print are enough.
@@ -290,12 +292,6 @@ class TestTracePassScan:
         assert len(reduction.passes[0].ids) == 1
         assert scans == [False, False]
         assert reduction.passes[-1].kept == (0, len(reduction.trace) - 1)
-
-    def test_a_slice_that_does_not_fail_is_not_scanned(self, scans):
-        program = parse_program('x = 1;\ny = 2;\nprint("x=", x);\nprint("\\n");\n')
-        reduction = reduce_trace(program, [], OutputExpectation.derive("x=1\n", ["x="]))
-        assert reduction.passes[0].result.final == Configuration.full(2)
-        assert scans == [False, False]
 
 
 def test_a_trace_pass_replays_its_own_events_as_the_full_trace_would():
