@@ -14,6 +14,7 @@ subsets be rejected before any process is spawned.
 
 from __future__ import annotations
 
+import graphlib
 import io
 import posixpath
 import re
@@ -98,21 +99,13 @@ def _check_ordering(changes: Sequence[AtomicChange], strict: bool = True) -> Non
 
 
 def _check_acyclic(dependencies: Mapping[int, frozenset[int]]) -> None:
-    done: set[int] = set()
-    for root in dependencies:
-        # The walk from root to the current (last) node, each node with an
-        # iterator over its parents not yet visited; a loop, not recursion,
-        # since a chain may be thousands of changes long.
-        path = {root: iter(dependencies.get(root, ()))}
-        while path:
-            parents = next(reversed(path.values()))  # the last node's
-            parent = next(parents, None)
-            if parent is None:
-                done.add(path.popitem()[0])
-            elif parent in path:
-                raise ValueError(f"dependency cycle through change {parent}: {[*path, parent]}")
-            elif parent not in done:
-                path[parent] = iter(dependencies.get(parent, ()))
+    try:
+        graphlib.TopologicalSorter(dependencies).prepare()
+    except graphlib.CycleError as exc:
+        # graphlib lists each node before one that requires it; reversed,
+        # each change comes before one that it requires.
+        cycle = exc.args[1][::-1]
+        raise ValueError(f"dependency cycle through change {cycle[0]}: {cycle}") from None
 
 
 # --- tree helpers -----------------------------------------------------------

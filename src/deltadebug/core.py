@@ -95,6 +95,7 @@ def bit_string(bits: int, width: int) -> str:
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Configuration:
     """An ordered subset of a delta universe, canonically a bitmap.
 
@@ -103,7 +104,8 @@ class Configuration:
     are equal.
     """
 
-    __slots__ = ("universe_size", "bits")
+    universe_size: int
+    bits: int
 
     def __init__(self, universe_size: int, members: Iterable[int] = ()):
         if universe_size < 0:
@@ -115,9 +117,6 @@ class Configuration:
             bits |= 1 << m
         object.__setattr__(self, "universe_size", universe_size)
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Configuration is immutable")
 
     @classmethod
     def from_bits(cls, universe_size: int, bits: int) -> "Configuration":
@@ -147,16 +146,6 @@ class Configuration:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Configuration)
-            and self.universe_size == other.universe_size
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe_size, self.bits))
-
     def __repr__(self) -> str:
         members = ",".join(str(m) for m in self.members)
         return f"<Configuration {{{members}}}/{self.universe_size}>"
@@ -170,7 +159,7 @@ class Configuration:
 
 # Build a Configuration like ``from_bits`` but without its bounds check, for
 # bitmaps the engine derives from one it holds.  The slot setters bypass the
-# immutability guard in ``__setattr__``.
+# frozen dataclass's ``__setattr__``.
 _new_configuration = Configuration.__new__
 _set_universe_size = Configuration.universe_size.__set__
 _set_bits = Configuration.bits.__set__

@@ -1,7 +1,7 @@
 """Test oracles realized as external commands over materialized scenarios.
 
 A run's tests share one workspace under the workspace root, whose
-``tree`` directory is emptied before each test.  A front-end supplied
+``tree`` directory is replaced by a new empty one before each test.  A front-end supplied
 materializer writes the scenario into that tree (and may return extra argv
 entries such as the candidate file path).  The command runs with the tree
 as its working directory, so it sees only the scenario; its stdout and
@@ -132,20 +132,6 @@ def _kill_group_and_reap(proc: subprocess.Popen) -> int:
     return proc.wait()
 
 
-def _empty(tree: Path) -> None:
-    """Remove everything inside ``tree``, unlinking symlinks without
-    following them; raise ``OSError`` if ``tree`` is no longer a plain
-    directory or something in it cannot be removed."""
-    if not stat.S_ISDIR(os.lstat(tree).st_mode):
-        raise NotADirectoryError(f"{tree} is not a directory")
-    with os.scandir(tree) as entries:
-        for entry in entries:
-            if entry.is_dir(follow_symlinks=False):
-                shutil.rmtree(entry.path)
-            else:
-                os.unlink(entry.path)
-
-
 def _retry_writable(func, path: str, _error) -> None:
     """``shutil.rmtree``'s error hook: where removing ``path`` failed, give
     the owner write permission on the directory that holds it, which is
@@ -170,8 +156,8 @@ def _remove(workspace: Union[str, Path]) -> None:
 def evaluate_command(
     oracle: "CommandOracle", config: Configuration
 ) -> tuple[Outcome, ExecutionEvidence]:
-    """Run the oracle's next test: materialize ``config`` into the emptied
-    tree of the run's workspace and run the command there.
+    """Run the oracle's next test: materialize ``config`` into the new
+    empty tree of the run's workspace and run the command there.
 
     This is the body of ``CommandOracle.evaluate``, kept at module level so
     that it can be wrapped by name.  The command's process group is killed
@@ -246,8 +232,8 @@ class CommandOracle:
 
     The workspace root is resolved and created, and the command's
     environment taken, once, when the oracle is made.  Test after test then
-    runs in one workspace whose tree is emptied before each test; if
-    anything stays in it, the workspace is given up for a new one, so the
+    runs in one workspace whose tree is replaced by a new empty one
+    before each test; if something in it cannot be removed, the workspace is given up for a new one, so the
     command never sees a file from an earlier test.
 
     With ``keep_failing``, a FAIL's workspace is set aside as
@@ -293,10 +279,14 @@ class CommandOracle:
             self._workspace = None
 
     def _empty_workspace(self) -> Path:
-        """The run's workspace, its tree empty."""
+        """The run's workspace, its tree replaced by a new empty one."""
         if self._workspace is not None:
+            tree = self._workspace / TREE_NAME
             try:
-                _empty(self._workspace / TREE_NAME)
+                # rmtree refuses a tree that became a symlink or a file, and
+                # unlinks symlinks inside without following them.
+                shutil.rmtree(tree)
+                tree.mkdir()
                 return self._workspace
             except OSError:
                 self._drop_workspace()
