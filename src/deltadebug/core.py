@@ -251,7 +251,8 @@ class PassOracle:
     ):
         self._oracle = as_oracle(oracle)
         self._universe_size = universe_size
-        self._expand = _IdMap(universe_size, ids).expand
+        self._id_map = _IdMap(universe_size, ids)
+        self._expand = self._id_map.expand
         # (bit, bitmap of the input ids it requires) per id with requirements.
         self._requires = [
             (1 << child, sum(1 << parent for parent in parents))
@@ -662,7 +663,8 @@ def run_passes(
     configuration, the result of the pass before it, failed.  Any other
     carried FAIL would contain that result, so none is in reach.  The
     table replaces any preloaded cache, whose bitmaps belong to the first
-    pass's universe.  An axiom violation names its pass.
+    pass's universe.  A ``PassOracle`` must be over its step's ids: the
+    run maps the table through its id map.  An axiom violation names its pass.
     """
     passes: list[Pass] = []
     kept = input_ids
@@ -671,7 +673,9 @@ def run_passes(
     for number, step in enumerate(steps, 1):
         label, ids, oracle, *scan = step(kept)
         universe = Configuration.full(len(ids))
-        if len(steps) > 1:
+        if isinstance(oracle, PassOracle):
+            id_map = oracle._id_map  # built over the same ids
+        elif len(steps) > 1:
             id_map = _IdMap(max(itertools.chain.from_iterable(ids), default=-1) + 1, ids)
         if passes:
             preloaded = {}

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from deltadebug import (
-    AxiomViolation, Configuration, EngineOptions, Outcome, Pass, PassOracle, ddmin, run_passes,
+    AxiomViolation, Configuration, EngineOptions, Outcome, Pass, PassOracle, core, ddmin,
+    run_passes,
 )
 from deltadebug.changes import (
     ChangeSet, minimize_changes, parse_dependencies, parse_group_map, split_unified_diff,
@@ -18,6 +19,8 @@ from deltadebug.core import (
 )
 from deltadebug.inputmin import minimize_input
 from deltadebug.proc import CommandOracleSpec
+from deltadebug.toylang import parse_program
+from deltadebug.tracered import OutputExpectation, reduce_trace
 
 
 def needs(*input_ids):
@@ -342,3 +345,45 @@ class TestNoScenarioRunsTwice:
             assert first[frozenset(ids)].source == SOURCE_EXACT_CACHE
         assert changes.kept == (2, 10)
         assert len(counter.read_bytes()) == spawned(outcome.passes)
+
+
+@pytest.fixture
+def id_map_builds(monkeypatch):
+    """The number of ``_IdMap`` tables built, by ``PassOracle`` and by
+    ``run_passes`` alike."""
+    builds = []
+
+    class Counted(core._IdMap):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(core, "_IdMap", Counted)
+    return builds
+
+
+class TestOneIdMapPerPass:
+    def test_pass_oracles_lend_their_map(self, id_map_builds):
+        # The README's groups/members example: one map per pass oracle, none
+        # built again by run_passes.
+        needs_3_and_7 = needs(3, 7)([(i,) for i in range(12)])
+
+        def groups(kept):
+            ids = [(5, 1), (7, 0), (11, 3, 9), (2, 4, 6, 8, 10)]
+            return "groups", ids, PassOracle(needs_3_and_7, 12, ids)
+
+        def members(kept):
+            ids = [(i,) for i in kept]
+            return "members", ids, PassOracle(needs_3_and_7, 12, ids)
+
+        first, second = run_passes(range(12), [groups, members])
+        assert second.kept == (3, 7)
+        assert len(id_map_builds) == 2
+
+    def test_a_desk_trace_run_builds_one_map_per_pass(self, id_map_builds, sample_source):
+        # The slice pass's map is its PassOracle's; the trace pass's oracle
+        # is a replay oracle, so run_passes builds that pass's map.
+        expectation = OutputExpectation.derive("sum = 15\nmul = 0\n")
+        reduction = reduce_trace(parse_program(sample_source), [0, 5], expectation)
+        assert [p.label for p in reduction.passes] == ["slice", "trace"]
+        assert len(id_map_builds) == 2
