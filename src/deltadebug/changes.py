@@ -119,7 +119,10 @@ def load_tree(root: Union[str, Path]) -> FileTree:
     for path in sorted(root.rglob("*")):
         if path.is_file():
             rel = path.relative_to(root).as_posix()
-            tree[rel] = path.read_bytes().decode("utf-8")
+            try:
+                tree[rel] = path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{rel}: {exc}") from None
     return tree
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from deltadebug import bench
 from deltadebug.cli import run
 
 
@@ -100,6 +101,31 @@ class TestMinimizeInputCommand:
         out = capsys.readouterr().out
         assert "byte pass: 5 -> 3 deltas" in out
         assert "verified 1-minimal at byte granularity: True" in out
+
+    def test_a_first_char_pass_over_bytes_that_are_not_utf8_exits_1(
+        self, tmp_path, make_script, capsys
+    ):
+        crash = tmp_path / "crash.txt"
+        crash.write_bytes(b"a\nBUG\xff\nb\n")
+        code = run([
+            "minimize-input", "--input", str(crash), "--test", make_script('grep -q BUG "$1"'),
+            "--granularity", "char", *common_flags(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input is not valid UTF-8; use byte granularity instead\n"
+        )
+
+    def test_a_report_that_cannot_be_written_exits_1(
+        self, tmp_path, crash_input, grep_script, capsys
+    ):
+        report = tmp_path / "missing" / "report.json"
+        code = run([
+            "minimize-input", "--input", str(crash_input), "--test", grep_script,
+            "--report", str(report), *common_flags(tmp_path),
+        ])
+        assert code == 1
+        assert f"cannot write report {report}" in capsys.readouterr().err
 
     def test_missing_test_flag_is_a_usage_error(self, crash_input):
         assert run(["minimize-input", "--input", str(crash_input)]) == 1
@@ -287,6 +313,36 @@ class TestMinimizeChangesCommand:
         err = capsys.readouterr().err
         assert "change 5" in err
         assert "axiom" not in err
+
+    def test_a_dependency_cycle_exits_1(self, tmp_path, make_script, capsys):
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "f").write_text("".join(f"{i}\n" for i in range(10)))
+        diff = tmp_path / "two.diff"
+        diff.write_text("--- a/f\n+++ b/f\n@@ -1 +1 @@\n-0\n+x\n@@ -9 +9 @@\n-8\n+y\n")
+        deps = tmp_path / "deps.tsv"
+        deps.write_text("0\t1\n1\t0\n")
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir), "--diff", str(diff),
+            "--deps", str(deps), "--test", make_script('grep -q y "$1/f"'),
+            "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: dependency cycle through change 0: [0, 1, 0]\n"
+
+    def test_a_baseline_file_that_is_not_utf8_is_named(self, tmp_path, make_script, capsys):
+        baseline_dir = tmp_path / "b"
+        (baseline_dir / "img").mkdir(parents=True)
+        (baseline_dir / "f").write_text("x\n")
+        (baseline_dir / "img" / "logo.png").write_bytes(b"\x89PNG\xff\n")
+        diff = tmp_path / "one.diff"
+        diff.write_text("--- a/f\n+++ b/f\n@@ -1 +1 @@\n-x\n+y\n")
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir), "--diff", str(diff),
+            "--test", make_script('grep -q y "$1/f"'), "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: img/logo.png: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("groups, named", [
         ("0\tx\n1\ty\n99\tz\n", "change 99, but the diff has 2 changes"),
@@ -568,6 +624,14 @@ class TestBenchCommand:
     def test_a_bad_size_entry_is_named(self, capsys):
         assert run(["bench", "--oracle", "single", "--sizes", "4.."]) == 1
         assert capsys.readouterr().err == "error: bad size range '4..'\n"
+
+    def test_a_bound_violation_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "quadratic_bound", lambda n: 1)
+        assert run(["bench", "--oracle", "single", "--sizes", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].endswith(",1,8")
+        assert captured.err.startswith("BOUND VIOLATION: n=8: ")
+        assert captured.err.endswith(" oracle tests exceed the n^2+3n bound of 1\n")
 
     def test_bench_runs_are_reproducible(self, tmp_path):
         outputs = []
