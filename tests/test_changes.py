@@ -11,6 +11,7 @@ from deltadebug.changes import (
     ChangeSet,
     DiffParseError,
     apply_subset,
+    change_materializer,
     group_deltas,
     minimize_changes,
     parse_dependencies,
@@ -20,7 +21,7 @@ from deltadebug.changes import (
 )
 from deltadebug.core import SOURCE_EXACT_CACHE, SOURCE_FEASIBILITY, SOURCE_ORACLE
 from deltadebug.oracles import CountingOracle
-from deltadebug.proc import CommandOracleSpec
+from deltadebug.proc import CommandOracle, CommandOracleSpec, evaluate_command
 
 
 def make_diff(baseline: dict[str, str], modified: dict[str, str], context: int = 3) -> str:
@@ -320,6 +321,11 @@ class TestApplySubset:
         assert applied == step2
         with pytest.raises(ChangeConflict, match="context mismatch"):
             apply_subset(baseline, stacked, Configuration(2, [1]))
+
+    def test_stacked_changes_must_keep_anchor_order(self):
+        early, late = one_line_changes(2)
+        with pytest.raises(ValueError, match="changes in f are out of anchor order near line 1"):
+            ChangeSet(changes=(late, early))
 
     @pytest.mark.parametrize("hunk, message", [
         # The diff says line 2 ends in a newline; the file's last line has none.
@@ -621,6 +627,21 @@ class TestMinimizeChanges(ShOracleMixin):
         spec = self.bug_spec(make_script, workspace_root)
         with pytest.raises(AxiomViolation):
             minimize_changes(baseline, cs, spec)
+
+    def test_a_change_outside_its_file_is_unresolved_without_a_process(
+        self, make_script, workspace_root, tmp_path
+    ):
+        runs = tmp_path / "runs"
+        script = make_script(f'echo >> "{runs}"')
+        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        beyond = ChangeSet((AtomicChange("f", anchor=5, old_lines=("x\n",), new_lines=("y\n",)),))
+        with CommandOracle(spec) as command:
+            command.materializer = change_materializer({"f": "a\n"}, beyond)
+            outcome, evidence = evaluate_command(command, Configuration.full(1))
+        assert outcome == Outcome.UNRESOLVED
+        assert evidence.conflict == "change 0 at f:5: range falls outside the file"
+        assert evidence.returncode is None
+        assert not runs.exists()
 
     def test_stacked_conflicts_stay_unresolved_but_final_is_correct(
         self, make_script, workspace_root

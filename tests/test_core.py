@@ -70,6 +70,15 @@ class TestConfiguration:
         assert cfg(8, 1, 2) != cfg(9, 1, 2)
         assert cfg(8, 1, 2) != cfg(8, 1, 3)
 
+    def test_fields_cannot_be_assigned(self):
+        c = cfg(8, 1, 2)
+        for name in ("universe_size", "bits"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 0)
+        assert not hasattr(c, "__dict__")
+        assert c == cfg(8, 1, 2)
+        assert hash(c) == hash((8, 0b110))
+
     def test_bitmap_hex_round_trip(self):
         c = Configuration(12, [0, 1, 9])
         assert from_bitmap_hex(12, bitmap_hex(c)) == c

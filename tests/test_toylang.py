@@ -108,6 +108,8 @@ class TestLexer:
         ("x = ²;\n", "1:5: unexpected character '²'"),
         ("x = 1²;\n", "1:6: unexpected character '²'"),
         ("x = (1 + 2;\n", "1:11: expected ')', found ';'"),
+        ("x = 1;\n}\n", "2:1: expected a statement, found '}'"),
+        ("x = 1;\nwhile (x < 3) {\nx = x + 1;\n", "2:1: unterminated loop body"),
     ]
 
     @pytest.mark.parametrize("source, expected", ROWS)

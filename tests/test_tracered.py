@@ -122,6 +122,15 @@ class TestReduceTrace:
             assert oracle.evaluate(final.without([member])) != Outcome.FAIL
         assert verify_n_minimal(final, oracle, 1)
 
+    @pytest.mark.parametrize("source, status", [
+        ("x = 1 / 0;\n", "runtime-error (division by zero)"),
+        ('x = input("x? ");\n', "runtime-error (line 1: input underrun)"),
+    ])
+    def test_a_traced_run_that_does_not_complete_is_named(self, source, status):
+        with pytest.raises(ValueError) as info:
+            reduce_trace(parse_program(source), [], OutputExpectation.derive("x\n"))
+        assert str(info.value) == f"tracing did not complete: {status}"
+
     def test_impossible_expectation_is_an_axiom_violation(self, sample_program):
         with pytest.raises(AxiomViolation):
             reduce_trace(
