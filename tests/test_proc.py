@@ -400,6 +400,17 @@ class TestRunWorkspace:
         assert sorted(p.name for p in outside.iterdir()) == ["keep.txt"]
         assert list(workspace_root.iterdir()) == []
 
+    def test_a_tree_replaced_by_a_file_gives_the_workspace_up(self, make_script, workspace_root):
+        leave = "cd ..; rm -r tree; echo x > tree"
+        spec = spec_for([self.script(make_script, leave)], workspace_root)
+        with oracle_for(spec) as oracle:
+            first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
+            second, ev2 = evaluate_command(oracle, Configuration(1, [0]))
+            assert not Path(ev1.workspace).exists()
+        assert (first, second) == (Outcome.PASS, Outcome.FAIL)
+        assert ev1.workspace != ev2.workspace
+        assert list(workspace_root.iterdir()) == []
+
     def test_a_read_only_directory_leaves_no_stale_file(self, make_script, workspace_root):
         # Without write permission on ro/, only the superuser can empty it;
         # anyone else gets a new workspace.  Either way the tree is empty.
