@@ -1,7 +1,7 @@
 """Test oracles realized as external commands over materialized scenarios.
 
 A run's tests share one workspace under the workspace root, whose
-``tree`` directory is replaced by a new empty one before each test.  A front-end supplied
+``tree`` directory is recreated empty before each test.  A front-end supplied
 materializer writes the scenario into that tree (and may return extra argv
 entries such as the candidate file path).  The command runs with the tree
 as its working directory, so it sees only the scenario; its stdout and
@@ -232,9 +232,9 @@ class CommandOracle:
 
     The workspace root is resolved and created, and the command's
     environment taken, once, when the oracle is made.  Test after test then
-    runs in one workspace whose tree is replaced by a new empty one
-    before each test; if something in it cannot be removed, the workspace is given up for a new one, so the
-    command never sees a file from an earlier test.
+    runs in one workspace whose tree is recreated empty before each test;
+    if something in it cannot be removed, the workspace is given up for a
+    new one, so the command never sees a file from an earlier test.
 
     With ``keep_failing``, a FAIL's workspace is set aside as
     ``kept_workspace``, replacing (and removing) the one kept before, and
@@ -279,7 +279,7 @@ class CommandOracle:
             self._workspace = None
 
     def _empty_workspace(self) -> Path:
-        """The run's workspace, its tree replaced by a new empty one."""
+        """The run's workspace, its tree recreated empty."""
         if self._workspace is not None:
             tree = self._workspace / TREE_NAME
             try:
