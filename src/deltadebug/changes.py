@@ -115,6 +115,8 @@ def _check_acyclic(dependencies: Mapping[int, frozenset[int]]) -> None:
 
 def load_tree(root: Union[str, Path]) -> FileTree:
     root = Path(root)
+    if not root.is_dir():
+        raise ValueError(f"{root}: not a directory")
     tree: FileTree = {}
     for path in sorted(root.rglob("*")):
         if path.is_file():

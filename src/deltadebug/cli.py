@@ -73,6 +73,16 @@ class _Progress:
             )
 
 
+def _read_text(path: str, newline: Optional[str] = None) -> str:
+    """The UTF-8 text of ``path``, named in the error if it is not UTF-8.
+    ``newline=""`` keeps every line ending as it is, CRs included."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _engine_options(args) -> EngineOptions:
     return EngineOptions(
         monotone=args.monotone_cache, on_record=_Progress(args.verbose),
@@ -153,13 +163,11 @@ def cmd_minimize_changes(args) -> int:
     baseline = changes.load_tree(args.baseline)
     # No newline translation: a CRLF diff's lines keep their CR, as do the
     # baseline's (see changes.load_tree).
-    diff_text = Path(args.diff).read_bytes().decode("utf-8")
+    diff_text = _read_text(args.diff, newline="")
     atomic = changes.split_unified_diff(diff_text)
     dependencies = {}
     if args.deps:
-        dependencies = changes.parse_dependencies(
-            Path(args.deps).read_text(encoding="utf-8")
-        )
+        dependencies = changes.parse_dependencies(_read_text(args.deps))
     changeset = changes.ChangeSet(changes=tuple(atomic), dependencies=dependencies)
     print(f"split diff into {len(changeset)} atomic changes")
 
@@ -168,9 +176,7 @@ def cmd_minimize_changes(args) -> int:
         if args.groups in ("file", "dir"):
             groups = "file" if args.groups == "file" else "directory"
         else:
-            groups = changes.parse_group_map(
-                Path(args.groups).read_text(encoding="utf-8")
-            )
+            groups = changes.parse_group_map(_read_text(args.groups))
 
     spec = _command_spec(args)
     options = _engine_options(args)
@@ -189,7 +195,7 @@ def cmd_minimize_changes(args) -> int:
 def cmd_reduce_trace(args) -> int:
     from . import toylang, tracered
 
-    program = toylang.parse_program(Path(args.program).read_text(encoding="utf-8"))
+    program = toylang.parse_program(_read_text(args.program))
     tokens = []
     for token in filter(None, map(str.strip, args.stdin.split(","))):
         try:

@@ -32,7 +32,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -86,9 +85,9 @@ class CommandOracleSpec:
 
 @dataclass
 class ExecutionEvidence:
+    """Why a test got its outcome."""
+
     returncode: Optional[int]  # None: a timeout, or no process (a conflict)
-    workspace: str  # holds the tree and the two logs
-    duration_ms: float
     conflict: Optional[str] = None
 
 
@@ -173,20 +172,10 @@ def evaluate_command(
     oracle.tests_run += 1
     workspace = oracle._empty_workspace()
     tree = workspace / TREE_NAME
-    started = time.perf_counter()
-
-    def elapsed_ms() -> float:
-        return (time.perf_counter() - started) * 1000.0
-
     try:
         extra = oracle.materializer(config, tree)
     except MaterializeConflict as exc:
-        return Outcome.UNRESOLVED, ExecutionEvidence(
-            returncode=None,
-            workspace=str(workspace),
-            duration_ms=elapsed_ms(),
-            conflict=str(exc),
-        )
+        return Outcome.UNRESOLVED, ExecutionEvidence(None, str(exc))
 
     argv = list(spec.argv) + [str(a) for a in (extra or [])]
     env = {
@@ -220,11 +209,7 @@ def evaluate_command(
     outcome = map_exit_status(returncode)
     if spec.keep_failing and outcome == Outcome.FAIL:
         oracle._keep_workspace()
-    return outcome, ExecutionEvidence(
-        returncode=returncode,
-        workspace=str(workspace),
-        duration_ms=elapsed_ms(),
-    )
+    return outcome, ExecutionEvidence(returncode)
 
 
 class CommandOracle:

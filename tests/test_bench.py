@@ -10,7 +10,13 @@ from deltadebug.bench import (
     run_bench,
     run_one,
 )
-from deltadebug.oracles import adversarial, random_monotone, single_cause
+from deltadebug.oracles import (
+    SetFamilyOracle,
+    adversarial,
+    conjunction_spread,
+    random_monotone,
+    single_cause,
+)
 
 
 class TestParseSizes:
@@ -49,6 +55,17 @@ class TestMakeOracle:
             make_oracle("mystery", 8)
         with pytest.raises(ValueError):
             make_oracle("conjunction:x", 8)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SetFamilyOracle(4, []), "need at least one generator set"),
+        (lambda: SetFamilyOracle(4, [frozenset([1]), frozenset()]),
+         "generator sets must be nonempty"),
+        (lambda: conjunction_spread(4, 0), "k must be in 1..4"),
+    ], ids=["no-generator", "empty-generator", "no-cause"])
+    def test_a_family_without_a_cause_is_rejected(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestBounds:

@@ -299,6 +299,12 @@ class TestApplySubset:
         tree = apply_subset(self.BASELINE, cs, Configuration(len(cs)))
         assert tree == self.BASELINE
 
+    def test_a_configuration_over_another_universe_is_rejected(self):
+        cs = self.changeset()
+        with pytest.raises(ValueError) as info:
+            apply_subset(self.BASELINE, cs, Configuration(len(cs) + 1))
+        assert str(info.value) == f"configuration is over {len(cs) + 1} deltas, change set has {len(cs)}"
+
     def test_offsets_accumulate_for_unbalanced_changes(self):
         baseline = {"f": "a\nb\nc\nd\ne\nf\ng\nh\ni\n"}
         modified = {"f": "a\nX\nY\nZ\nc\nd\ne\nf\ng\nh\nI\n"}  # grow at 2, edit at 9
@@ -435,6 +441,11 @@ class TestGrouping:
         cs = changeset_for(baseline, modified)
         grouped = group_deltas(cs, "directory")
         assert len(grouped) == 1
+
+    def test_an_unknown_grouping_key_is_rejected(self):
+        cs, _, _ = self.changeset_six()
+        with pytest.raises(ValueError, match="unknown grouping key 'hunk'"):
+            group_deltas(cs, "hunk")
 
     def test_custom_map_must_cover_every_change(self):
         cs, _, _ = self.changeset_six()

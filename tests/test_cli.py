@@ -127,6 +127,20 @@ class TestMinimizeInputCommand:
         assert code == 1
         assert f"cannot write report {report}" in capsys.readouterr().err
 
+    def test_an_empty_input_reports_a_ratio_of_zero(self, tmp_path, make_script):
+        # Its one configuration is both the full and the empty one, so one
+        # axiom fails; the report still covers the empty universe.
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        report = tmp_path / "report.json"
+        code = run([
+            "minimize-input", "--input", str(empty), "--test", make_script("exit 0"),
+            "--report", str(report), *common_flags(tmp_path),
+        ])
+        assert code == 2
+        doc = json.loads(report.read_text())
+        assert (doc["universe_size"], doc["final"], doc["ratio"]) == (0, [], 0.0)
+
     def test_missing_test_flag_is_a_usage_error(self, crash_input):
         assert run(["minimize-input", "--input", str(crash_input)]) == 1
 
@@ -343,6 +357,52 @@ class TestMinimizeChangesCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: img/logo.png: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_a_baseline_that_is_not_a_directory_exits_1_before_any_test(
+        self, kind, tmp_path, make_script, capsys
+    ):
+        baseline = tmp_path / "baseline"
+        if kind == "file":
+            baseline.write_text("x\n")
+        diff = tmp_path / "new.diff"
+        diff.write_text("--- /dev/null\n+++ b/a.txt\n@@ -0,0 +1 @@\n+x\n")
+        runs = tmp_path / "runs"
+        code = run([
+            "minimize-changes", "--baseline", str(baseline), "--diff", str(diff),
+            "--test", make_script(f'echo >> "{runs}"\nexit 0'),
+            "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {baseline}: not a directory\n"
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("option", ["--diff", "--deps", "--groups"])
+    def test_an_input_file_that_is_not_utf8_is_named(
+        self, option, tmp_path, make_script, capsys
+    ):
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "f").write_text("x\n")
+        files = {
+            "--diff": b"--- a/f\n+++ b/f\n@@ -1 +1 @@\n-x\n+y\n",
+            "--deps": b"",
+            "--groups": b"0\tf\n",
+        }
+        files[option] = b"0\t\xff\n"
+        paths = {}
+        for name, content in files.items():
+            paths[name] = tmp_path / f"{name[2:]}.txt"
+            paths[name].write_bytes(content)
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir),
+            *(arg for name, path in paths.items() for arg in (name, str(path))),
+            "--test", make_script('grep -q y "$1/f"'), "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {paths[option]}: 'utf-8' codec can't decode byte 0xff in position 2"
+        )
 
     @pytest.mark.parametrize("groups, named", [
         ("0\tx\n1\ty\n99\tz\n", "change 99, but the diff has 2 changes"),
@@ -574,6 +634,15 @@ class TestReduceTraceCommand:
             "--expect", "x\\n",
         ])
         assert code == 1
+
+    def test_a_program_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        program = tmp_path / "sample.toy"
+        program.write_bytes(b'print("\xff");\n')
+        code = run(["reduce-trace", "--program", str(program), "--expect", "x\\n"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {program}: 'utf-8' codec can't decode byte 0xff in position 7"
+        )
 
     def test_a_bad_stdin_token_names_the_flag(self, tmp_path, sample_source, capsys):
         program = tmp_path / "sample.toy"

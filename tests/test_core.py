@@ -65,6 +65,16 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration(4, [-1])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Configuration(-1), "universe_size must be >= 0"),
+        (lambda: Configuration.from_bits(4, 1 << 4), "bitmap has bits outside the universe"),
+        (lambda: Configuration.from_bits(4, -1), "bitmap has bits outside the universe"),
+    ], ids=["negative-universe", "bit-above", "negative-bits"])
+    def test_a_bad_universe_or_bitmap_is_rejected(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_equality_is_member_list_equality(self):
         assert cfg(8, 1, 2) == cfg(8, 2, 1)
         assert cfg(8, 1, 2) != cfg(9, 1, 2)
@@ -135,6 +145,10 @@ class TestBitmapReadingMatchesShiftLoop:
 
 
 class TestDdmin:
+    def test_an_object_that_is_no_oracle_is_rejected(self):
+        with pytest.raises(TypeError, match="not a test oracle"):
+            as_oracle(object())
+
     def test_single_cause_example(self):
         oracle = single_cause(8, 5)
         result = ddmin(Configuration.full(8), oracle)

@@ -137,6 +137,12 @@ class TestMinimizeInput:
             == alone.passes[0].result.log.fingerprint()[2:]
         )
 
+    def test_an_empty_schedule_is_rejected_before_any_test(self, make_script, workspace_root):
+        spec = CommandOracleSpec(argv=[make_script("exit 0")], workspace_root=workspace_root)
+        with pytest.raises(ValueError, match="at least one granularity"):
+            minimize_input(b"a\n", spec, schedule=())
+        assert list(workspace_root.iterdir()) == []
+
     def test_axiom_violation_names_the_pass(self, make_script, workspace_root):
         script = make_script("exit 1")  # never fails
         spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)

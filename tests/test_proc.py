@@ -55,6 +55,18 @@ def refuse_removal_like_a_user(monkeypatch):
     monkeypatch.setattr(os, "rmdir", guarded(os.rmdir))
 
 
+def recording(materializer=null_materializer):
+    """``materializer`` wrapped to record the workspace of each test, the
+    parent of the tree it is handed; returns the wrapper and that list."""
+    workspaces = []
+
+    def record(config, tree):
+        workspaces.append(tree.parent)
+        return materializer(config, tree)
+
+    return record, workspaces
+
+
 def run_once(spec, config, test_seq=1, materializer=null_materializer):
     """Run ``config`` as test number ``test_seq`` of a run of its own."""
     with oracle_for(spec, materializer) as oracle:
@@ -142,6 +154,17 @@ class TestMapExitStatus:
         assert map_exit_status(status) == expected
 
 
+class TestCommandOracleSpec:
+    @pytest.mark.parametrize("fields, message", [
+        ({"argv": []}, "argv must not be empty"),
+        ({"argv": ["true"], "timeout_ms": 0}, "timeout must be positive"),
+    ], ids=["no-argv", "zero-timeout"])
+    def test_a_spec_that_cannot_run_is_rejected(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            CommandOracleSpec(**fields)
+        assert str(info.value) == message
+
+
 class TestEvaluateCommand:
     def test_exit_zero_is_fail_regardless_of_config(
         self, make_script, workspace_root, wait_path
@@ -161,7 +184,7 @@ class TestEvaluateCommand:
         elapsed = time.monotonic() - start
         assert outcome == Outcome.UNRESOLVED
         assert evidence.returncode is None
-        assert evidence.duration_ms >= 300
+        assert elapsed >= 0.3
         assert elapsed < 2.3  # timeout + 2000 ms leeway
 
     def test_timeout_kills_whole_process_tree(
@@ -279,9 +302,10 @@ class TestEvaluateCommand:
             argv=[make_script('grep -q 78 "$1"')],
             workspace_root="ws",
         )
-        outcome, evidence = run_once(spec, Configuration(1, [0]), materializer=materializer)
+        materializer, workspaces = recording(materializer)
+        outcome, _ = run_once(spec, Configuration(1, [0]), materializer=materializer)
         assert outcome == Outcome.FAIL
-        assert Path(evidence.workspace).is_absolute()
+        assert workspaces[0].is_absolute()
 
     def test_env_passthrough_flag(self, make_script, workspace_root, tmp_path, monkeypatch):
         monkeypatch.setenv("DDMIN_PROBE", "hello")
@@ -295,13 +319,14 @@ class TestEvaluateCommand:
         # Both tests run in the run's one workspace, its tree emptied between.
         script = make_script('test ! -e stale || exit 1; touch stale; exit 0')
         spec = spec_for([script], workspace_root)
-        with oracle_for(spec) as oracle:
-            first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
-            second, ev2 = evaluate_command(oracle, Configuration(1, []))
+        materializer, workspaces = recording()
+        with oracle_for(spec, materializer) as oracle:
+            first, _ = evaluate_command(oracle, Configuration(1, [0]))
+            second, _ = evaluate_command(oracle, Configuration(1, []))
         # If workspace files leaked between tests the second run would PASS.
         assert first == Outcome.FAIL
         assert second == Outcome.FAIL
-        assert ev1.workspace == ev2.workspace
+        assert workspaces[0] == workspaces[1]
 
     def test_the_command_sees_only_the_materialized_files(self, make_script, workspace_root):
         def materializer(config, directory):
@@ -311,35 +336,36 @@ class TestEvaluateCommand:
         # Exits 0 (FAIL) only if its working directory holds a.txt alone.
         script = make_script('test "$(ls -A)" = a.txt')
         spec = spec_for([script], workspace_root, keep_failing=True)
-        outcome, evidence = run_once(spec, Configuration(1, [0]), materializer=materializer)
+        materializer, workspaces = recording(materializer)
+        outcome, _ = run_once(spec, Configuration(1, [0]), materializer=materializer)
         assert outcome == Outcome.FAIL
-        kept = sorted(p.name for p in Path(evidence.workspace).iterdir())
+        kept = sorted(p.name for p in workspaces[0].iterdir())
         assert kept == ["stderr.log", "stdout.log", "tree"]
 
     def test_workspace_paths_never_repeat(self, make_script, workspace_root):
         # A kept FAIL's workspace is never used again, and two runs over one
         # root never share a workspace.
         spec = spec_for([make_script("exit 0")], workspace_root, keep_failing=True)
-        with oracle_for(spec) as first, oracle_for(spec) as second:
-            paths = [
-                evaluate_command(oracle, Configuration(1, [0]))[1].workspace
-                for oracle in (first, second, first, second)
-            ]
-        assert len(set(paths)) == 4
+        materializer, workspaces = recording()
+        with oracle_for(spec, materializer) as first, oracle_for(spec, materializer) as second:
+            for oracle in (first, second, first, second):
+                evaluate_command(oracle, Configuration(1, [0]))
+        assert len(set(workspaces)) == 4
 
     def test_workspace_deleted_unless_keep_failing_and_fail(self, make_script, workspace_root):
+        materializer, workspaces = recording()
         spec = spec_for([make_script("exit 0")], workspace_root)
-        _, ev = run_once(spec, Configuration(1, [0]))
-        assert not Path(ev.workspace).exists()
+        run_once(spec, Configuration(1, [0]), materializer=materializer)
+        assert not workspaces[-1].exists()
 
         keep = spec_for([make_script("echo boom; exit 0")], workspace_root, keep_failing=True)
-        _, ev = run_once(keep, Configuration(1, [0]))
-        assert Path(ev.workspace).exists()
-        assert "boom" in (Path(ev.workspace) / "stdout.log").read_text()
+        run_once(keep, Configuration(1, [0]), materializer=materializer)
+        assert workspaces[-1].exists()
+        assert "boom" in (workspaces[-1] / "stdout.log").read_text()
 
         keep_pass = spec_for([make_script("exit 1")], workspace_root, keep_failing=True)
-        _, ev = run_once(keep_pass, Configuration(1, [0]))
-        assert not Path(ev.workspace).exists()
+        run_once(keep_pass, Configuration(1, [0]), materializer=materializer)
+        assert not workspaces[-1].exists()
 
     def test_materializer_extra_args_are_appended(self, make_script, workspace_root, tmp_path):
         out = tmp_path / "args.txt"
@@ -373,13 +399,14 @@ class TestRunWorkspace:
         (outside / "keep.txt").write_text("keep\n")
         leave = f"echo x > file; mkdir -p sub/deeper; echo y > sub/deeper/f; ln -s {outside} link"
         spec = spec_for([self.script(make_script, leave)], workspace_root)
-        with oracle_for(spec) as oracle:
-            first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
-            tree = Path(ev1.workspace) / "tree"
+        materializer, workspaces = recording()
+        with oracle_for(spec, materializer) as oracle:
+            first, _ = evaluate_command(oracle, Configuration(1, [0]))
+            tree = workspaces[0] / "tree"
             assert sorted(p.name for p in tree.iterdir()) == ["file", "link", "sub"]
-            second, ev2 = evaluate_command(oracle, Configuration(1, [0]))
+            second, _ = evaluate_command(oracle, Configuration(1, [0]))
         assert (first, second) == (Outcome.PASS, Outcome.FAIL)
-        assert ev1.workspace == ev2.workspace
+        assert workspaces[0] == workspaces[1]
         assert (outside / "keep.txt").read_text() == "keep\n"
         assert list(workspace_root.iterdir()) == []
 
@@ -391,24 +418,26 @@ class TestRunWorkspace:
         (outside / "keep.txt").write_text("keep\n")
         leave = f"cd ..; rm -r tree; ln -s {outside} tree"
         spec = spec_for([self.script(make_script, leave)], workspace_root)
-        with oracle_for(spec) as oracle:
-            first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
-            second, ev2 = evaluate_command(oracle, Configuration(1, [0]))
-            assert not Path(ev1.workspace).exists()
+        materializer, workspaces = recording()
+        with oracle_for(spec, materializer) as oracle:
+            first, _ = evaluate_command(oracle, Configuration(1, [0]))
+            second, _ = evaluate_command(oracle, Configuration(1, [0]))
+            assert not workspaces[0].exists()
         assert (first, second) == (Outcome.PASS, Outcome.FAIL)
-        assert ev1.workspace != ev2.workspace
+        assert workspaces[0] != workspaces[1]
         assert sorted(p.name for p in outside.iterdir()) == ["keep.txt"]
         assert list(workspace_root.iterdir()) == []
 
     def test_a_tree_replaced_by_a_file_gives_the_workspace_up(self, make_script, workspace_root):
         leave = "cd ..; rm -r tree; echo x > tree"
         spec = spec_for([self.script(make_script, leave)], workspace_root)
-        with oracle_for(spec) as oracle:
-            first, ev1 = evaluate_command(oracle, Configuration(1, [0]))
-            second, ev2 = evaluate_command(oracle, Configuration(1, [0]))
-            assert not Path(ev1.workspace).exists()
+        materializer, workspaces = recording()
+        with oracle_for(spec, materializer) as oracle:
+            first, _ = evaluate_command(oracle, Configuration(1, [0]))
+            second, _ = evaluate_command(oracle, Configuration(1, [0]))
+            assert not workspaces[0].exists()
         assert (first, second) == (Outcome.PASS, Outcome.FAIL)
-        assert ev1.workspace != ev2.workspace
+        assert workspaces[0] != workspaces[1]
         assert list(workspace_root.iterdir()) == []
 
     def test_a_read_only_directory_leaves_no_stale_file(self, make_script, workspace_root):
@@ -472,15 +501,15 @@ class TestRunWorkspace:
             'echo "$DDMIN_TEST_SEQ" > seq; test "$DDMIN_TEST_SEQ" = 2'
         )
         spec = spec_for([script], workspace_root, keep_failing=True)
-        with oracle_for(spec) as oracle:
+        materializer, workspaces = recording()
+        with oracle_for(spec, materializer) as oracle:
             runs = [evaluate_command(oracle, Configuration(1, [0])) for _ in range(4)]
             kept = Path(oracle.kept_workspace)
         assert [outcome for outcome, _ in runs] == [
             Outcome.PASS, Outcome.FAIL, Outcome.PASS, Outcome.PASS
         ]
-        workspaces = [evidence.workspace for _, evidence in runs]
-        assert workspaces[:2] == [str(kept)] * 2
-        assert workspaces[2] == workspaces[3] != str(kept)
+        assert workspaces[:2] == [kept] * 2
+        assert workspaces[2] == workspaces[3] != kept
         assert (kept / "stdout.log").read_text() == "out 2\n"
         assert (kept / "stderr.log").read_text() == "err 2\n"
         assert (kept / "tree" / "seq").read_text() == "2\n"
@@ -497,16 +526,16 @@ class TestRunWorkspace:
             f'echo "$RUN" >> {seen}; test -z "$(ls -A)" || exit 1; touch "left-by-$RUN"'
         )
         spec = spec_for([script], workspace_root)
-        with oracle_for(spec) as a:
+        materializer, paths = recording()
+        with oracle_for(spec, materializer) as a:
             monkeypatch.setenv("RUN", "b")
-            with oracle_for(spec) as b:
+            with oracle_for(spec, materializer) as b:
                 monkeypatch.setenv("RUN", "c")
                 runs = [
                     evaluate_command(oracle, Configuration(1, [0]))
                     for oracle in (a, b, a, b)
                 ]
         assert [outcome for outcome, _ in runs] == [Outcome.FAIL] * 4
-        paths = [evidence.workspace for _, evidence in runs]
         assert paths[0] == paths[2] != paths[1] == paths[3]
         assert seen.read_text().split() == ["b", "b"]
         assert list(workspace_root.iterdir()) == []

@@ -42,6 +42,12 @@ class TestFilterOutput:
         exp = OutputExpectation.derive("sum = 15\n", ["sum"])
         assert exp.prefixes == ("sum",)
 
+    @pytest.mark.parametrize("text, prefixes", [("sum = 15\n", []), ("\n\n", None)],
+                             ids=["given-none", "derived-none"])
+    def test_an_expectation_without_a_prefix_is_rejected(self, text, prefixes):
+        with pytest.raises(ValueError, match="at least one filter prefix"):
+            OutputExpectation.derive(text, prefixes)
+
 
 @pytest.fixture
 def sample_program(sample_source):
