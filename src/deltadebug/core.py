@@ -27,7 +27,7 @@ import dataclasses
 import enum
 import itertools
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from time import perf_counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, Union
@@ -47,6 +47,7 @@ CARRIED_SOURCES = (SOURCE_ORACLE, SOURCE_AXIOM, SOURCE_EXACT_CACHE)
 
 # The kinds of a ddmin round's candidates.
 _CHUNK, _COMPLEMENT, _LATE = "chunk", "complement", "late"
+_START, _END = operator.itemgetter(0), operator.itemgetter(1)
 
 
 class Outcome(enum.Enum):
@@ -290,37 +291,50 @@ def _round(
     covered candidate is skipped, except that a round at singleton
     granularity asks its covered complements after all other candidates,
     tagged ``_LATE``.  Without ``chunks`` the round asks complements only.
+
+    Chunk bounds are arithmetic, and only the chunks that every gap cuts
+    are visited.  The complements are visited in one walk along ``gaps``;
+    ``held`` covers only the first and the last, or all if one interval
+    holds every position.
     """
     width = len(members)
     q, r = divmod(width, n)
     # Chunk i starts at i*q + min(i, r): the first r chunks hold q + 1 members.
-    starts = [*range(0, r * (q + 1), q + 1), *range(r * (q + 1), width + 1, q)]
-    bounds = list(zip(starts, starts[1:]))
+    cut = r * (q + 1)
 
     def chunk(lo: int, hi: int) -> int:
         # The ids members[lo] .. members[hi - 1], masked to those in ``current``.
         return current & (1 << members[hi - 1] + 1) - (1 << members[lo])
 
-    # A gap that ends before a chunk or starts after it leaves it whole.
-    first_end, last_start = (gaps[0][1], gaps[-1][0]) if gaps else (width + 1, -1)
-    for lo, hi in bounds if chunks else ():
-        if first_end <= lo or last_start >= hi:
-            continue
-        i = bisect_left(held, (lo + 1,))
-        if i == 0 or held[i - 1][1] < hi:
-            yield chunk(lo, hi), _CHUNK, lo, hi
+    if held and held[0] == (0, width):
+        gaps = [(width, 0)]  # a chunk pass that holds all covers all, as this gap does
+    if chunks:
+        # A gap that ends before a chunk or starts after it leaves it whole:
+        # visit the chunks from the one that holds the last gap's start to
+        # the one that holds the first gap's last position.
+        end, start = (gaps[0][1] - 1, gaps[-1][0]) if gaps else (width - 1, 0)
+        i = start // (q + 1) if start < cut else r + (start - cut) // q
+        stop = (end // (q + 1) if end < cut else r + (end - cut) // q) + 1
+        lo = i * q + min(i, r)
+        for i in range(i, stop):
+            hi = lo + q + (i < r)
+            j = bisect_left(held, (lo + 1,))
+            if j == 0 or held[j - 1][1] < hi:
+                yield chunk(lo, hi), _CHUNK, lo, hi
+            lo = hi
+    # A chunk pass that holds every position outside the first chunk, or
+    # every one outside the last.
+    head = bool(held) and held[-1][0] <= q + (r > 0) and held[-1][1] == width
+    tail = bool(held) and held[0][0] == 0 and held[0][1] >= width - q
     late = []
+    j, gaps = 0, [*gaps, (width + 1, width + 1)]
+    gap_lo, gap_hi = gaps[0]  # the first gap that starts at lo or later
+    bounds = itertools.pairwise(itertools.chain(range(0, cut, q + 1), range(cut, width + 1, q)))
     for lo, hi in bounds:
-        # A gap inside the chunk, or a chunk pass that holds every position
-        # outside it, from the first (out_lo) to the last (out_hi - 1).
-        i = bisect_left(gaps, (lo,))
-        if i < len(gaps) and gaps[i][1] <= hi:
-            covered = True
-        else:
-            out_lo, out_hi = (0 if lo else hi), (width if hi < width else lo)
-            i = bisect_left(held, (out_lo + 1,))
-            covered = i > 0 and held[i - 1][1] >= out_hi
-        if not covered:
+        while gap_lo < lo:
+            j += 1
+            gap_lo, gap_hi = gaps[j]
+        if not (gap_hi <= hi or lo == 0 and head or hi == width and tail):
             yield current ^ chunk(lo, hi), _COMPLEMENT, lo, hi
         elif n == width:
             late.append((lo, hi))
@@ -344,6 +358,26 @@ def _mapped(
         (l if l <= lo else lo if l <= hi else l - d, h if h <= lo else lo if h <= hi else h - d)
         for l, h in intervals
     ]
+
+
+def _removed(gaps: list[tuple[int, int]], lo: int, hi: int, width: int) -> list[tuple[int, int]]:
+    """Innermost ``gaps`` mapped to the ``width`` positions left when [lo, hi)
+    is removed, as ``_mapped`` would, and innermost again: the whole gap
+    ``(width, 0)`` if one is left empty.  Gaps that end by ``lo`` stay, and
+    gaps that start at ``hi`` or later move down by its width.  Only the
+    others, and the last before and the first after them, are mapped.
+    """
+    i = bisect_right(gaps, lo, key=_END)  # the gaps before i end by lo
+    j = bisect_left(gaps, hi, key=_START)  # those from j on start at hi or later
+    near = []
+    if i != j:  # some overlap [lo, hi), or it is the whole gap
+        i, j = max(i - 1, 0), j + 1
+        near = _mapped(gaps[i:j], lo, hi, False)
+        near = _innermost([p if p[0] < p[1] else (width, 0) for p in near])
+        if near[:1] == [(width, 0)]:
+            return near
+    d = hi - lo
+    return gaps[:i] + near + [(l - d, h - d) for l, h in gaps[j:]]
 
 
 def _outermost(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -571,8 +605,9 @@ def ddmin(
         )
 
     # The current configuration as a bitmap and as its ascending member ids;
-    # a reduction slices the member list instead of re-reading the bitmap.
-    current, members = universe.bits, universe.members
+    # a reduction slices the member list, or deletes the removed chunk from
+    # it, instead of re-reading the bitmap.
+    current, members = universe.bits, list(universe.members)
     scan = opts.scan
     n = len(members) if scan else 2
     last_fail = -2  # the log length right after the scan's last FAIL; none yet
@@ -602,7 +637,8 @@ def ddmin(
         if kept:
             current, members, n = bits, members[lo:hi], 2
         else:
-            current, members, n = bits, members[:lo] + members[hi:], max(n - 1, 2)
+            current, n = bits, max(n - 1, 2)
+            del members[lo:hi]
         if scan:
             # Two FAILs in a row: removable deltas side by side, which
             # bisection removes faster.
@@ -613,9 +649,12 @@ def ddmin(
         # a gap with none left is a pass that holds all of it.
         width = len(members)
         held = _outermost([p for p in _mapped(held + chunk_passes, lo, hi, kept) if p[0] < p[1]])
-        gaps = _innermost([
-            p if p[0] < p[1] else (width, 0) for p in _mapped(gaps + gap_passes, lo, hi, kept)
-        ])
+        if kept:
+            gaps = _innermost([
+                p if p[0] < p[1] else (width, 0) for p in _mapped(gaps + gap_passes, lo, hi, kept)
+            ])
+        else:
+            gaps = _removed(_innermost(gaps + gap_passes) if gap_passes else gaps, lo, hi, width)
 
     final = Configuration.from_bits(size, current)
     return MinimizationResult(

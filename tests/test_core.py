@@ -22,6 +22,9 @@ from deltadebug.core import (
     MinimizationResult,
     RunLog,
     TestRecord,
+    _innermost,
+    _mapped,
+    _removed,
     as_oracle,
 )
 from deltadebug.oracles import (
@@ -677,6 +680,21 @@ class TestEngineMatchesReference:
                 if oracle.evaluate(sparse) == Outcome.FAIL:
                     preload[sparse.bits] = Outcome.FAIL
             yield universe, oracle, preload
+        # Long runs at singleton granularity: adversarial from full and from
+        # sparse universes (every odd id and some even ones), and the same
+        # with UNRESOLVED answers, whose complements stay uncovered and come
+        # back as exact-cache records.
+        for i, n in enumerate((48, 64, 96, 128, 56, 80)):
+            if i % 2:
+                universe = Configuration(n, [m for m in range(n) if m % 2 or rng.random() < 0.5])
+            else:
+                universe = Configuration.full(n)
+            oracle = adversarial(n)
+            if i >= 4:
+                oracle = unresolved_on(oracle, universe, seed=4406 + i)
+            below = Configuration.from_bits(n, universe.bits ^ 1 << n - 1)
+            preload = {below.bits: Outcome.PASS} if oracle.evaluate(below) == Outcome.PASS else {}
+            yield universe, oracle, preload
 
     @staticmethod
     def observe(engine, universe, oracle, monotone, preload, watch):
@@ -727,6 +745,67 @@ class TestEngineMatchesReference:
             for oracle in oracles:
                 args = (universe, oracle, draw % 2 == 1, None, False)
                 assert self.observe(ddmin, *args) == self.observe(reference_ddmin, *args), draw
+
+
+def unresolved_on(oracle, universe, seed, share=0.25):
+    """``oracle``'s answers, except UNRESOLVED on a seeded share of the
+    bitmaps other than the empty one and ``universe``'s: the axioms hold."""
+    oracle = as_oracle(oracle)
+
+    def evaluate(config):
+        bits = config.bits
+        if bits not in (0, universe.bits) and random.Random(bits ^ seed).random() < share:
+            return Outcome.UNRESOLVED
+        return oracle.evaluate(config)
+
+    return as_oracle(evaluate)
+
+
+class TestRemovedGaps:
+    """``_removed`` against mapping every gap and pass, the way ``ddmin``
+    did before it, which keeps no gap in place."""
+
+    @staticmethod
+    def reference(gaps, passes, lo, hi, width):
+        return _innermost([
+            p if p[0] < p[1] else (width, 0) for p in _mapped(gaps + passes, lo, hi, False)
+        ])
+
+    def test_seeded_draws(self):
+        rng = random.Random(4405)
+        seen = collections.Counter()
+        for draw in range(4000):
+            width = rng.randint(2, 40)
+            lo = rng.randrange(width)
+            hi = rng.randint(lo + 1, min(width, lo + 1 + width // 3))
+            if draw % 10 == 0:
+                gaps = [(width, 0)]
+            else:
+                gaps = []
+                for _ in range(rng.randint(0, 12)):
+                    l = rng.randrange(width)
+                    gaps.append((l, rng.randint(l + 1, min(width, l + rng.choice((1, 3, width))))))
+                if draw % 3 == 0:
+                    gaps.append((rng.randint(lo, hi - 1), hi))  # emptied by the removal
+                gaps = _innermost(gaps)
+            passes = []
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                l = rng.randrange(width)
+                passes.append((l, rng.randint(l + 1, width)))
+            merged = _innermost(gaps + passes) if passes else gaps
+            left = width - (hi - lo)
+            got = _removed(merged, lo, hi, left)
+            assert got == self.reference(gaps, passes, lo, hi, left), draw
+            seen["whole"] += got == [(left, 0)]
+            seen["moved"] += any(l >= hi for l, _ in merged if l < width)
+            seen["mapped"] += any(l < hi and lo < h for l, h in merged)
+        assert min(seen.values()) >= 400, seen
+
+    def test_the_whole_gap_takes_the_new_width(self):
+        assert _removed([(10, 0)], 2, 5, 7) == [(7, 0)]
+        assert _removed([(10, 0)], 7, 10, 7) == [(7, 0)]
+        assert _removed([(1, 3), (4, 6), (8, 9)], 4, 6, 8) == [(8, 0)]
+        assert _removed([(1, 3), (4, 6), (8, 9)], 3, 4, 9) == [(1, 3), (3, 5), (7, 8)]
 
 
 def bracket(n, causes):
