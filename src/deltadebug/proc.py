@@ -81,6 +81,8 @@ class CommandOracleSpec:
             raise ValueError("argv must not be empty")
         if self.timeout_ms <= 0:
             raise ValueError("timeout must be positive")
+        if self.timeout_ms > 2**31 - 1:  # ``poll`` takes a C int of milliseconds
+            raise ValueError(f"timeout must be at most {2**31 - 1} ms")
 
 
 @dataclass

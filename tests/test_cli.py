@@ -87,6 +87,19 @@ class TestMinimizeInputCommand:
         assert "unknown granularity 'chr'" in capsys.readouterr().err
         assert not runs.exists()
 
+    def test_a_timeout_beyond_what_poll_takes_exits_1_before_any_test(
+        self, tmp_path, crash_input, make_script, capsys
+    ):
+        runs = tmp_path / "runs"
+        code = run([
+            "minimize-input", "--input", str(crash_input),
+            "--test", make_script(f'echo >> "{runs}"\ngrep -q 78 "$1"'),
+            "--timeout", str(2**31), *common_flags(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: timeout must be at most 2147483647 ms\n"
+        assert not runs.exists()
+
     def test_char_pass_over_bytes_that_are_not_utf8_runs_over_bytes(
         self, tmp_path, make_script, capsys
     ):

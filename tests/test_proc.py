@@ -158,7 +158,8 @@ class TestCommandOracleSpec:
     @pytest.mark.parametrize("fields, message", [
         ({"argv": []}, "argv must not be empty"),
         ({"argv": ["true"], "timeout_ms": 0}, "timeout must be positive"),
-    ], ids=["no-argv", "zero-timeout"])
+        ({"argv": ["true"], "timeout_ms": 2**31}, "timeout must be at most 2147483647 ms"),
+    ], ids=["no-argv", "zero-timeout", "timeout-beyond-poll"])
     def test_a_spec_that_cannot_run_is_rejected(self, fields, message):
         with pytest.raises(ValueError) as info:
             CommandOracleSpec(**fields)
