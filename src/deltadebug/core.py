@@ -293,9 +293,9 @@ def _round(
     tagged ``_LATE``.  Without ``chunks`` the round asks complements only.
 
     Chunk bounds are arithmetic, and only the chunks that every gap cuts
-    are visited.  The complements are visited in one walk along ``gaps``;
-    ``held`` covers only the first and the last, or all if one interval
-    holds every position.
+    are visited.  One walk along ``gaps`` visits the complements; ``held``
+    covers only the first and the last, or all if one interval holds every
+    position.  The covered complements are listed only if nothing FAILed.
     """
     width = len(members)
     q, r = divmod(width, n)
@@ -326,7 +326,6 @@ def _round(
     # every one outside the last.
     head = bool(held) and held[-1][0] <= q + (r > 0) and held[-1][1] == width
     tail = bool(held) and held[0][0] == 0 and held[0][1] >= width - q
-    late = []
     j, gaps = 0, [*gaps, (width + 1, width + 1)]
     gap_lo, gap_hi = gaps[0]  # the first gap that starts at lo or later
     bounds = itertools.pairwise(itertools.chain(range(0, cut, q + 1), range(cut, width + 1, q)))
@@ -336,10 +335,13 @@ def _round(
             gap_lo, gap_hi = gaps[j]
         if not (gap_hi <= hi or lo == 0 and head or hi == width and tail):
             yield current ^ chunk(lo, hi), _COMPLEMENT, lo, hi
-        elif n == width:
-            late.append((lo, hi))
-    for lo, hi in late:
-        yield current ^ chunk(lo, hi), _LATE, lo, hi
+    if n == width:
+        # No complement FAILed: the covered ones, in order.  A gap inside
+        # singleton chunk i is (i, i + 1), or the whole gap.
+        late = {lo for lo, hi in gaps if hi == lo + 1}
+        late.update([0] * head + [width - 1] * tail)
+        for lo in range(width) if gaps[0][1] == 0 else sorted(late):
+            yield current ^ chunk(lo, lo + 1), _LATE, lo, lo + 1
 
 
 def _mapped(
@@ -361,12 +363,10 @@ def _mapped(
 
 
 def _removed(gaps: list[tuple[int, int]], lo: int, hi: int, width: int) -> list[tuple[int, int]]:
-    """Innermost ``gaps`` mapped to the ``width`` positions left when [lo, hi)
-    is removed, as ``_mapped`` would, and innermost again: the whole gap
-    ``(width, 0)`` if one is left empty.  Gaps that end by ``lo`` stay, and
-    gaps that start at ``hi`` or later move down by its width.  Only the
-    others, and the last before and the first after them, are mapped.
-    """
+    """Innermost ``gaps`` mapped, as ``_mapped`` does, to the ``width``
+    positions left when [lo, hi) is removed, and innermost again: the whole
+    gap if one is left empty.  Only the gaps that overlap [lo, hi), and the
+    last before and the first after them, are mapped; later ones move down."""
     i = bisect_right(gaps, lo, key=_END)  # the gaps before i end by lo
     j = bisect_left(gaps, hi, key=_START)  # those from j on start at hi or later
     near = []

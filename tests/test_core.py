@@ -682,8 +682,8 @@ class TestEngineMatchesReference:
             yield universe, oracle, preload
         # Long runs at singleton granularity: adversarial from full and from
         # sparse universes (every odd id and some even ones), and the same
-        # with UNRESOLVED answers, whose complements stay uncovered and come
-        # back as exact-cache records.
+        # with UNRESOLVED answers, whose complements stay uncovered, so a
+        # later round can ask one again from the exact cache.
         for i, n in enumerate((48, 64, 96, 128, 56, 80)):
             if i % 2:
                 universe = Configuration(n, [m for m in range(n) if m % 2 or rng.random() < 0.5])
@@ -695,6 +695,10 @@ class TestEngineMatchesReference:
             below = Configuration.from_bits(n, universe.bits ^ 1 << n - 1)
             preload = {below.bits: Outcome.PASS} if oracle.evaluate(below) == Outcome.PASS else {}
             yield universe, oracle, preload
+        # Tables where, at singleton granularity, a chunk pass holds every
+        # member but the first, and no gap covers the first complement.
+        for n, seed in ((4, 1273), (6, 493), (7, 187), (8, 274)):
+            yield Configuration.full(n), random_table(n, seed, fail_p=0.3, unresolved_p=0.2), {}
 
     @staticmethod
     def observe(engine, universe, oracle, monotone, preload, watch):
@@ -762,8 +766,8 @@ def unresolved_on(oracle, universe, seed, share=0.25):
 
 
 class TestRemovedGaps:
-    """``_removed`` against mapping every gap and pass, the way ``ddmin``
-    did before it, which keeps no gap in place."""
+    """``_removed`` against mapping every gap and pass with ``_mapped``,
+    which keeps no gap in place."""
 
     @staticmethod
     def reference(gaps, passes, lo, hi, width):
@@ -801,7 +805,7 @@ class TestRemovedGaps:
             seen["mapped"] += any(l < hi and lo < h for l, h in merged)
         assert min(seen.values()) >= 400, seen
 
-    def test_the_whole_gap_takes_the_new_width(self):
+    def test_whole_gaps_take_the_new_width_and_later_gaps_move_down(self):
         assert _removed([(10, 0)], 2, 5, 7) == [(7, 0)]
         assert _removed([(10, 0)], 7, 10, 7) == [(7, 0)]
         assert _removed([(1, 3), (4, 6), (8, 9)], 4, 6, 8) == [(8, 0)]
