@@ -344,18 +344,11 @@ def _round(
             yield current ^ chunk(lo, lo + 1), _LATE, lo, lo + 1
 
 
-def _mapped(
-    intervals: list[tuple[int, int]], lo: int, hi: int, kept: bool
-) -> list[tuple[int, int]]:
-    """Position intervals mapped to the configuration that a reduction
-    leaves: the chunk [lo, hi) if ``kept``, which clamps them to it, else
-    everything but it, which collapses it to its start."""
+def _mapped(intervals: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Position intervals mapped to the positions left when [lo, hi) is
+    removed: the removed positions collapse to ``lo``, later ones move
+    down.  Every reduction is such a removal, and keeping a chunk is two."""
     d = hi - lo
-    if kept:
-        return [
-            (0 if l <= lo else l - lo if l <= hi else d, 0 if h <= lo else h - lo if h <= hi else d)
-            for l, h in intervals
-        ]
     return [
         (l if l <= lo else lo if l <= hi else l - d, h if h <= lo else lo if h <= hi else h - d)
         for l, h in intervals
@@ -366,13 +359,14 @@ def _removed(gaps: list[tuple[int, int]], lo: int, hi: int, width: int) -> list[
     """Innermost ``gaps`` mapped, as ``_mapped`` does, to the ``width``
     positions left when [lo, hi) is removed, and innermost again: the whole
     gap if one is left empty.  Only the gaps that overlap [lo, hi), and the
-    last before and the first after them, are mapped; later ones move down."""
+    last before and the first after them, are mapped; later ones move down.
+    This is the only way that ``gaps`` follows a reduction."""
     i = bisect_right(gaps, lo, key=_END)  # the gaps before i end by lo
     j = bisect_left(gaps, hi, key=_START)  # those from j on start at hi or later
     near = []
     if i != j:  # some overlap [lo, hi), or it is the whole gap
         i, j = max(i - 1, 0), j + 1
-        near = _mapped(gaps[i:j], lo, hi, False)
+        near = _mapped(gaps[i:j], lo, hi)
         near = _innermost([p if p[0] < p[1] else (width, 0) for p in near])
         if near[:1] == [(width, 0)]:
             return near
@@ -605,24 +599,37 @@ def ddmin(
         )
 
     # The current configuration as a bitmap and as its ascending member ids;
-    # a reduction slices the member list, or deletes the removed chunk from
-    # it, instead of re-reading the bitmap.
+    # a reduction deletes the removed positions from the member list instead
+    # of re-reading the bitmap.
     current, members = universe.bits, list(universe.members)
     scan = opts.scan
     n = len(members) if scan else 2
     last_fail = -2  # the log length right after the scan's last FAIL; none yet
     # The PASS candidates of the earlier rounds, as intervals of positions
-    # in ``members`` (see ``_round``); a reduction maps them to its result.
+    # in ``members`` (see ``_round``).  After each round the update below
+    # merges in that round's passes and maps both lists through its removals.
     held: list[tuple[int, int]] = []
     gaps: list[tuple[int, int]] = []
     while len(members) >= 2:
         # Recursion invariant: current is known to FAIL and n <= |current|.
         width = len(members)
-        # This round's PASS candidates, as intervals like ``held`` and ``gaps``.
-        chunk_passes, gap_passes = [], []
+        # This round's PASS candidates, as intervals like ``held`` and ``gaps``,
+        # and the position intervals that its FAIL removes, in turn.
+        chunk_passes, gap_passes, removals = [], [], ()
         for bits, kind, lo, hi in _round(current, members, n, held, gaps, not scan):
             outcome = run_test(bits, n, monotone and kind is _LATE)
             if outcome is Outcome.FAIL:
+                if kind is _CHUNK:
+                    # Keeping [lo, hi) removes the positions after it, then those before.
+                    current, n, removals = bits, 2, ((hi, width), (0, lo))
+                else:
+                    current, n, removals = bits, max(n - 1, 2), ((lo, hi),)
+                if scan:
+                    # Two FAILs in a row: removable deltas side by side, which
+                    # bisection removes faster.
+                    if len(log.records) == last_fail + 1:
+                        scan, n = False, 2
+                    last_fail = len(log.records)
                 break
             if outcome is Outcome.PASS:
                 (chunk_passes if kind is _CHUNK else gap_passes).append((lo, hi))
@@ -630,31 +637,17 @@ def ddmin(
             if n >= width:
                 break
             n = min(width, 2 * n)
-            held = _outermost(held + chunk_passes)
+        # The one update, FAIL or not: merge the round's passes, then follow
+        # each removal.  A chunk pass with no position left holds nothing of
+        # ``current``; a gap with none left is a pass that holds all of it.
+        held = held + chunk_passes
+        if gap_passes:
             gaps = _innermost(gaps + gap_passes)
-            continue
-        kept = kind is _CHUNK
-        if kept:
-            current, members, n = bits, members[lo:hi], 2
-        else:
-            current, n = bits, max(n - 1, 2)
+        for lo, hi in removals:
             del members[lo:hi]
-        if scan:
-            # Two FAILs in a row: removable deltas side by side, which
-            # bisection removes faster.
-            if len(log.records) == last_fail + 1:
-                scan, n = False, 2
-            last_fail = len(log.records)
-        # A chunk pass with no position left holds nothing of ``current``;
-        # a gap with none left is a pass that holds all of it.
-        width = len(members)
-        held = _outermost([p for p in _mapped(held + chunk_passes, lo, hi, kept) if p[0] < p[1]])
-        if kept:
-            gaps = _innermost([
-                p if p[0] < p[1] else (width, 0) for p in _mapped(gaps + gap_passes, lo, hi, kept)
-            ])
-        else:
-            gaps = _removed(_innermost(gaps + gap_passes) if gap_passes else gaps, lo, hi, width)
+            held = [p for p in _mapped(held, lo, hi) if p[0] < p[1]]
+            gaps = _removed(gaps, lo, hi, len(members))
+        held = _outermost(held)
 
     final = Configuration.from_bits(size, current)
     return MinimizationResult(

@@ -24,6 +24,7 @@ from deltadebug.core import (
     TestRecord,
     _innermost,
     _mapped,
+    _outermost,
     _removed,
     as_oracle,
 )
@@ -765,14 +766,42 @@ def unresolved_on(oracle, universe, seed, share=0.25):
     return as_oracle(evaluate)
 
 
+def reference_mapped(intervals, lo, hi, kept):
+    """Position intervals mapped to the configuration that a reduction
+    leaves: the chunk [lo, hi) if ``kept``, which clamps them to it, else
+    everything but it, which collapses it to its start.  The reference for
+    ``_mapped``, which maps through removals only, and for keeping a chunk
+    as two removals."""
+    d = hi - lo
+    if kept:
+        return [
+            (0 if l <= lo else l - lo if l <= hi else d, 0 if h <= lo else h - lo if h <= hi else d)
+            for l, h in intervals
+        ]
+    return [
+        (l if l <= lo else lo if l <= hi else l - d, h if h <= lo else lo if h <= hi else h - d)
+        for l, h in intervals
+    ]
+
+
+def random_intervals(rng, width, count):
+    """``count`` seeded non-empty position intervals below ``width``."""
+    out = []
+    for _ in range(count):
+        l = rng.randrange(width)
+        out.append((l, rng.randint(l + 1, min(width, l + rng.choice((1, 3, width))))))
+    return out
+
+
 class TestRemovedGaps:
-    """``_removed`` against mapping every gap and pass with ``_mapped``,
-    which keeps no gap in place."""
+    """``_removed`` against mapping every gap and pass with the reference
+    ``_mapped``, which keeps no gap in place."""
 
     @staticmethod
     def reference(gaps, passes, lo, hi, width):
         return _innermost([
-            p if p[0] < p[1] else (width, 0) for p in _mapped(gaps + passes, lo, hi, False)
+            p if p[0] < p[1] else (width, 0)
+            for p in reference_mapped(gaps + passes, lo, hi, False)
         ])
 
     def test_seeded_draws(self):
@@ -785,10 +814,7 @@ class TestRemovedGaps:
             if draw % 10 == 0:
                 gaps = [(width, 0)]
             else:
-                gaps = []
-                for _ in range(rng.randint(0, 12)):
-                    l = rng.randrange(width)
-                    gaps.append((l, rng.randint(l + 1, min(width, l + rng.choice((1, 3, width))))))
+                gaps = random_intervals(rng, width, rng.randint(0, 12))
                 if draw % 3 == 0:
                     gaps.append((rng.randint(lo, hi - 1), hi))  # emptied by the removal
                 gaps = _innermost(gaps)
@@ -810,6 +836,73 @@ class TestRemovedGaps:
         assert _removed([(10, 0)], 7, 10, 7) == [(7, 0)]
         assert _removed([(1, 3), (4, 6), (8, 9)], 4, 6, 8) == [(8, 0)]
         assert _removed([(1, 3), (4, 6), (8, 9)], 3, 4, 9) == [(1, 3), (3, 5), (7, 8)]
+
+
+class TestChunkKeptAsTwoRemovals:
+    """Keeping the chunk [lo, hi) as ``ddmin`` does, by removing [hi, width)
+    and then [0, lo), against clamping every interval to the chunk in one
+    step with the reference ``_mapped``: the same ``held`` and ``gaps``."""
+
+    @staticmethod
+    def clamped(held, gaps, chunk_passes, gap_passes, lo, hi):
+        left = hi - lo
+        held = [p for p in reference_mapped(held + chunk_passes, lo, hi, True) if p[0] < p[1]]
+        gaps = _innermost([
+            p if p[0] < p[1] else (left, 0)
+            for p in reference_mapped(gaps + gap_passes, lo, hi, True)
+        ])
+        return _outermost(held), gaps
+
+    @staticmethod
+    def removed(held, gaps, chunk_passes, gap_passes, lo, hi, width):
+        # ddmin's update after a round whose chunk [lo, hi) FAILed.
+        held = held + chunk_passes
+        if gap_passes:
+            gaps = _innermost(gaps + gap_passes)
+        for l, h in ((hi, width), (0, lo)):
+            width -= h - l
+            held = [p for p in _mapped(held, l, h) if p[0] < p[1]]
+            gaps = _removed(gaps, l, h, width)
+        return _outermost(held), gaps
+
+    def test_seeded_draws(self):
+        rng = random.Random(4407)
+        seen = collections.Counter()
+        for draw in range(4000):
+            width = rng.randint(2, 40)
+            n = rng.randint(2, width)
+            q, r = divmod(width, n)
+            i = (0, n - 1, rng.randrange(n))[draw % 3]
+            lo = i * q + min(i, r)
+            hi = lo + q + (i < r)
+            held = _outermost(random_intervals(rng, width, rng.randint(0, 6)))
+            chunk_passes = random_intervals(rng, width, rng.choice((0, 0, 1, 2)))
+            if draw % 10 == 0:
+                gaps = [(width, 0)]
+            else:
+                gaps = _innermost(random_intervals(rng, width, rng.randint(0, 12)))
+            gap_passes = random_intervals(rng, width, rng.choice((0, 0, 1, 2)))
+            args = (held, gaps, chunk_passes, gap_passes, lo, hi)
+            got = self.removed(*args, width)
+            assert got == self.clamped(*args), draw
+            seen["lo == 0"] += lo == 0
+            seen["hi == width"] += hi == width
+            outside = [p for p in held + chunk_passes + gaps + gap_passes if p[1] <= lo or hi <= p[0]]
+            seen["emptied"] += bool(outside)
+            seen["whole"] += got[1][:1] == [(hi - lo, 0)]
+        assert min(seen.values()) >= 400, seen
+
+    def test_edges(self):
+        # The whole configuration kept: nothing moves.
+        assert self.removed([(0, 3)], [(1, 2)], [], [], 0, 5, 5) == ([(0, 3)], [(1, 2)])
+        # A held interval outside the chunk is dropped, a gap outside it
+        # becomes the whole gap, and the whole gap takes the new width.
+        assert self.removed([(0, 4), (5, 10)], [(1, 2), (4, 5), (7, 8)], [], [], 3, 6, 10) == (
+            [(0, 1), (2, 3)], [(3, 0)]
+        )
+        assert self.removed([], [(10, 0)], [], [], 5, 10, 10) == ([], [(5, 0)])
+        # Passes of the round are merged before the removals.
+        assert self.removed([], [], [(0, 5)], [(6, 8)], 5, 10, 10) == ([], [(1, 3)])
 
 
 def bracket(n, causes):
