@@ -1,6 +1,7 @@
-"""Benchmark mode: run ddmin against synthetic oracles and check the
-complexity claims (quadratic worst case, logarithmic best case, linear
-growth under the monotony shortcut)."""
+"""Benchmark mode: run ddmin against synthetic oracles and check each run
+against the worst-case bound of n^2 + 3n oracle tests.  The logarithmic
+best-case figure, ``bound_log``, is reported beside the counts, not
+checked."""
 
 from __future__ import annotations
 

@@ -140,9 +140,12 @@ def write_tree(tree: FileTree, root: Union[str, Path]) -> None:
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _NO_NEWLINE = "\\ No newline at end of file\n"
-_SKIP_PREFIXES = (
-    "diff ", "index ", "new file", "deleted file", "old mode", "new mode",
-    "similarity", "rename ", "copy ", "Binary files",
+_SKIP_PREFIXES = ("diff ", "index ", "new file", "deleted file", "old mode", "new mode")
+# Git header lines of changes that hunks do not carry: a pure rename or copy
+# has no hunk, and a binary file's content is not in the diff.  Skipping one
+# would drop its change without a word.
+_UNSUPPORTED_PREFIXES = (
+    "similarity index", "rename from", "rename to", "copy from", "copy to", "Binary files",
 )
 
 
@@ -171,6 +174,11 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
     more unchanged lines becomes one change; a separating run of exactly
     one unchanged line is folded into a single change (it appears in both
     the old and the new lines).
+
+    Git's ``diff``, ``index``, new and deleted file, and mode header lines
+    are read past.  A ``similarity index``, ``rename``, ``copy`` or
+    ``Binary files`` line is a ``DiffParseError`` that names it: no hunk
+    carries its change.
     """
     lines = diff_text.split("\n")
     if lines and lines[-1] == "":
@@ -248,6 +256,12 @@ def split_unified_diff(diff_text: str) -> list[AtomicChange]:
         if line == "" or line.startswith(_SKIP_PREFIXES):
             i += 1
             continue
+        if line.startswith(_UNSUPPORTED_PREFIXES):
+            raise DiffParseError(
+                f"unsupported git header {line!r}: renames, copies and binary files"
+                " cannot be applied",
+                lineno,
+            )
         raise DiffParseError(f"unexpected text outside any hunk: {line!r}", lineno)
 
     changes.sort(key=lambda ch: (ch.file, ch.anchor))

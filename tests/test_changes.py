@@ -95,6 +95,23 @@ class TestSplitUnifiedDiff:
         assert split_unified_diff(git) == split_unified_diff(plain)
         assert len(split_unified_diff(plain)) == 2
 
+    @pytest.mark.parametrize("header", [
+        "similarity index 100%",
+        "rename from x",
+        "rename to y",
+        "copy from x",
+        "copy to y",
+        "Binary files a/x and b/x differ",
+    ])
+    def test_git_headers_of_changes_without_hunks_are_errors(self, header):
+        # A pure rename or copy has no hunk and a binary file no text, so
+        # skipping the line would drop the change without a word.
+        plain = make_diff({"x": "a\n"}, {"x": "b\n"})
+        with pytest.raises(DiffParseError) as info:
+            split_unified_diff(f"diff --git a/x b/y\n{header}\n" + plain)
+        assert info.value.line == 2
+        assert str(info.value).startswith(f"line 2: unsupported git header {header!r}")
+
     def test_pure_insertion_anchor(self):
         baseline = {"f": "a\nb\n"}
         modified = {"f": "a\nX\nb\n"}

@@ -510,6 +510,30 @@ class TestMinimizeChangesCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+    def test_a_git_rename_exits_1_before_any_test(self, tmp_path, make_script, capsys):
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "old.txt").write_text("x\n")
+        diff = tmp_path / "rename.diff"
+        diff.write_text(
+            "diff --git a/old.txt b/new.txt\nsimilarity index 100%\n"
+            "rename from old.txt\nrename to new.txt\n"
+            "diff --git a/c.txt b/c.txt\nnew file mode 100644\nindex 0000000..3367afd\n"
+            "--- /dev/null\n+++ b/c.txt\n@@ -0,0 +1 @@\n+new\n"
+        )
+        runs = tmp_path / "runs"
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir),
+            "--diff", str(diff), "--test", make_script(f"printf x >> {runs}"),
+            "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        assert "error: line 2: unsupported git header 'similarity index 100%'" in (
+            capsys.readouterr().err
+        )
+        assert not runs.exists()
+        assert not (tmp_path / "rename.diff.min").exists()
+
     def test_a_diff_path_outside_the_tree_exits_1_and_writes_nothing(
         self, tmp_path, make_script, capsys
     ):
