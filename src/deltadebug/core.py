@@ -283,19 +283,21 @@ def _round(
     candidate that is yielded gets a bitmap.
 
     A candidate is *covered* when it lies inside a PASS candidate of an
-    earlier round, given as intervals [lo, hi) of member positions:
-    ``held``, the outermost positions that a passing chunk holds, and
-    ``gaps``, the innermost positions that a passing complement leaves out,
-    each ascending in both ends.  The gap ``(width, 0)`` lies inside every
-    interval: a passing complement that holds all of ``current``.  A
-    covered candidate is skipped, except that a round at singleton
-    granularity asks its covered complements after all other candidates,
-    tagged ``_LATE``.  Without ``chunks`` the round asks complements only.
+    earlier round, given as intervals [lo, hi) of member positions, each
+    list ascending in both ends.  ``held`` holds the outermost positions
+    of the passing chunks that reach neither end of ``current``.  ``gaps``
+    holds the innermost positions that a passing candidate leaves out,
+    for every one that leaves out a single interval: a complement, or a
+    chunk that reaches an end.  The gap ``(width, 0)`` lies inside every
+    interval: a pass that holds all of ``current``.  A covered candidate
+    is skipped, except that a round at singleton granularity asks its
+    covered complements after all other candidates, tagged ``_LATE``.
+    Without ``chunks`` the round asks complements only.
 
     Chunk bounds are arithmetic, and only the chunks that every gap cuts
-    are visited.  One walk along ``gaps`` visits the complements; ``held``
-    covers only the first and the last, or all if one interval holds every
-    position.  The covered complements are listed only if nothing FAILed.
+    are visited; ``held`` covers the rest.  One walk along ``gaps`` visits
+    the complements: one is covered when a gap lies inside it.  The
+    covered complements are listed only if nothing FAILed.
     """
     width = len(members)
     q, r = divmod(width, n)
@@ -306,8 +308,6 @@ def _round(
         # The ids members[lo] .. members[hi - 1], masked to those in ``current``.
         return current & (1 << members[hi - 1] + 1) - (1 << members[lo])
 
-    if held and held[0] == (0, width):
-        gaps = [(width, 0)]  # a chunk pass that holds all covers all, as this gap does
     if chunks:
         # A gap that ends before a chunk or starts after it leaves it whole:
         # visit the chunks from the one that holds the last gap's start to
@@ -322,10 +322,6 @@ def _round(
             if j == 0 or held[j - 1][1] < hi:
                 yield chunk(lo, hi), _CHUNK, lo, hi
             lo = hi
-    # A chunk pass that holds every position outside the first chunk, or
-    # every one outside the last.
-    head = bool(held) and held[-1][0] <= q + (r > 0) and held[-1][1] == width
-    tail = bool(held) and held[0][0] == 0 and held[0][1] >= width - q
     j, gaps = 0, [*gaps, (width + 1, width + 1)]
     gap_lo, gap_hi = gaps[0]  # the first gap that starts at lo or later
     bounds = itertools.pairwise(itertools.chain(range(0, cut, q + 1), range(cut, width + 1, q)))
@@ -333,14 +329,13 @@ def _round(
         while gap_lo < lo:
             j += 1
             gap_lo, gap_hi = gaps[j]
-        if not (gap_hi <= hi or lo == 0 and head or hi == width and tail):
+        if gap_hi > hi:
             yield current ^ chunk(lo, hi), _COMPLEMENT, lo, hi
     if n == width:
         # No complement FAILed: the covered ones, in order.  A gap inside
         # singleton chunk i is (i, i + 1), or the whole gap.
-        late = {lo for lo, hi in gaps if hi == lo + 1}
-        late.update([0] * head + [width - 1] * tail)
-        for lo in range(width) if gaps[0][1] == 0 else sorted(late):
+        late = [lo for lo, hi in gaps if hi == lo + 1]
+        for lo in range(width) if gaps[0][1] == 0 else late:
             yield current ^ chunk(lo, lo + 1), _LATE, lo, lo + 1
 
 
@@ -514,12 +509,20 @@ def ddmin(
     and excluded from the worst-case test accounting.  The result's
     ``verified_1_minimal`` is read off the log, without further tests.
 
-    No configuration is tested twice: a repeat, like a configuration in
-    ``preloaded_cache``, is answered untimed as an ``exact-cache`` record,
-    with its first answer.  With ``monotone`` the covered complements of a
-    round at singleton granularity are answered PASS as ``monotony``
-    records, unless asked before or preloaded.  A preloaded PASS covers
-    nothing until a round asks it.
+    No configuration is tested twice: a repeat is answered untimed as an
+    ``exact-cache`` record, with its first answer.  A configuration in
+    ``preloaded_cache`` is answered the same way: its entry is a first
+    answer given before the run, and an entry whose bitmap lies outside
+    the universe is a ``ValueError``, raised before any test.  With
+    ``monotone`` the covered complements of a round at singleton
+    granularity are answered PASS as ``monotony`` records, unless asked
+    before or preloaded.  A preloaded PASS covers nothing until a round
+    asks it.
+
+    The run keeps its cover as intervals of positions in the current
+    configuration: ``held``, the passing chunks that reach neither end,
+    and ``gaps``, what each other passing candidate leaves out, one
+    interval each (see ``_round``).
 
     With ``scan`` the run starts with a scan, for a ``universe`` that is
     nearly 1-minimal: coarse rounds would find nothing to remove there.
@@ -548,12 +551,16 @@ def ddmin(
         def ask(config: Configuration) -> tuple[Outcome, str]:
             return evaluate(config), SOURCE_ORACLE
     monotone = opts.monotone
-    preloaded = opts.preloaded_cache or {}
     size = universe.universe_size
     log = RunLog(size)
     append = log.records.append
     on_record = opts.on_record
-    first: dict[int, TestRecord] = {}  # the first record of each bitmap asked
+    # The first record of each bitmap asked or preloaded: a preloaded
+    # answer is a first answer given before the run.
+    first: dict[int, TestRecord] = {
+        bits: TestRecord(Configuration.from_bits(size, bits), 0, outcome, SOURCE_EXACT_CACHE, 0.0)
+        for bits, outcome in (opts.preloaded_cache or {}).items()
+    }
 
     def run_test(bits: int, granularity: int, assumed: bool = False, axiom: bool = False) -> Outcome:
         earlier = first.get(bits)
@@ -568,18 +575,15 @@ def ddmin(
             config = _new_configuration(Configuration)
             _set_universe_size(config, size)
             _set_bits(config, bits)
-            # The preload answers untimed, else an ``assumed`` PASS, else ``ask``.
-            outcome = preloaded.get(bits)
-            start = None if outcome is not None else perf_counter()
-            if outcome is not None:
-                source = SOURCE_EXACT_CACHE
-            elif assumed:
+            # An ``assumed`` PASS, else ``ask``.
+            start = perf_counter()
+            if assumed:
                 outcome, source = Outcome.PASS, SOURCE_MONOTONY
             else:
                 outcome, source = ask(config)
                 if axiom and source == SOURCE_ORACLE:
                     source = SOURCE_AXIOM
-            duration = 0.0 if start is None else (perf_counter() - start) * 1000.0
+            duration = (perf_counter() - start) * 1000.0
             record = TestRecord(config, granularity, outcome, source, duration)
             first[bits] = record
         append(record)
@@ -607,7 +611,8 @@ def ddmin(
     last_fail = -2  # the log length right after the scan's last FAIL; none yet
     # The PASS candidates of the earlier rounds, as intervals of positions
     # in ``members`` (see ``_round``).  After each round the update below
-    # merges in that round's passes and maps both lists through its removals.
+    # merges in that round's passes, maps both lists through its removals
+    # and moves each chunk pass that reaches an end into ``gaps``.
     held: list[tuple[int, int]] = []
     gaps: list[tuple[int, int]] = []
     while len(members) >= 2:
@@ -648,6 +653,14 @@ def ddmin(
             held = [p for p in _mapped(held, lo, hi) if p[0] < p[1]]
             gaps = _removed(gaps, lo, hi, len(members))
         held = _outermost(held)
+        # A chunk pass that reaches an end leaves out one interval, so it
+        # becomes a gap: [0, b) leaves out [b, width), [a, width) leaves out
+        # [0, a), and [0, width) nothing, the whole gap.
+        width = len(members)
+        ends = [(b, width) if a == 0 else (0, a) for a, b in held if a == 0 or b == width]
+        if ends:
+            held = [p for p in held if 0 < p[0] and p[1] < width]
+            gaps = _innermost(gaps + [p if p[0] < p[1] else (width, 0) for p in ends])
 
     final = Configuration.from_bits(size, current)
     return MinimizationResult(
@@ -737,7 +750,7 @@ def run_passes(
 
 def _verified_1_minimal(first: dict[int, TestRecord], final: int) -> Optional[bool]:
     """Read the 1-minimality of the bitmap ``final`` off the run log, given
-    as the first record of each bitmap asked; tests nothing.
+    as the first record of each bitmap asked or preloaded; tests nothing.
 
     The witnesses are the first record of ``final`` and of each ``final``
     minus one member (for a one-member result, the empty set of the axiom
