@@ -22,6 +22,11 @@ class SetFamilyOracle:
     def __init__(self, universe_size: int, generators: list[frozenset[int]]):
         if not generators:
             raise ValueError("need at least one generator set")
+        for gen in generators:
+            for m in gen:
+                if not 0 <= m < universe_size:
+                    # No configuration holds it, so nothing could FAIL.
+                    raise ValueError(f"generator member {m} outside universe 0..{universe_size - 1}")
         self.universe_size = universe_size
         self.generators = [
             sum(1 << m for m in gen) for gen in generators

@@ -61,7 +61,8 @@ class TestMakeOracle:
         (lambda: SetFamilyOracle(4, [frozenset([1]), frozenset()]),
          "generator sets must be nonempty"),
         (lambda: conjunction_spread(4, 0), "k must be in 1..4"),
-    ], ids=["no-generator", "empty-generator", "no-cause"])
+        (lambda: single_cause(8, cause=9), "generator member 9 outside universe 0..7"),
+    ], ids=["no-generator", "empty-generator", "no-cause", "member-outside"])
     def test_a_family_without_a_cause_is_rejected(self, make, message):
         with pytest.raises(ValueError) as info:
             make()

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -13,7 +14,11 @@ from deltadebug import (
     PassOracle,
     ddmin,
 )
+from deltadebug import core
 from deltadebug.core import (
+    _CHUNK,
+    _COMPLEMENT,
+    _LATE,
     SOURCE_AXIOM,
     SOURCE_EXACT_CACHE,
     SOURCE_FEASIBILITY,
@@ -26,6 +31,7 @@ from deltadebug.core import (
     _mapped,
     _outermost,
     _removed,
+    _round,
     as_oracle,
 )
 from deltadebug.oracles import (
@@ -492,6 +498,34 @@ class TestCachedOracle:
         oracle_tests, _, axiom_tests = result.log.test_counts()
         assert counting.calls == oracle_tests + axiom_tests
 
+    def test_a_preloaded_bitmap_outside_the_universe_is_rejected_before_any_test(self):
+        counting = CountingOracle(conjunction(8, [0, 7]))
+        with pytest.raises(ValueError, match="bitmap has bits outside the universe"):
+            ddmin(
+                Configuration.full(8), counting,
+                EngineOptions(preloaded_cache={cfg(8, 0).bits: Outcome.PASS, 1 << 8: Outcome.PASS}),
+            )
+        assert counting.calls == 0
+
+    def test_a_preloaded_late_complement_wins_over_monotony(self):
+        # The last round of TestCoveredComplements' run: monotony would
+        # answer the covered complement {0, 1, 3}, but its preload answers
+        # first, as an exact-cache record, so the result is tested 1-minimal.
+        counting = CountingOracle(conjunction(5, [0, 1, 2, 3]))
+        result = ddmin(
+            Configuration.full(5), counting,
+            EngineOptions(monotone=True, preloaded_cache={cfg(5, 0, 1, 3).bits: Outcome.PASS}),
+        )
+        last = [(rec.config, rec.source) for rec in result.log if rec.granularity == 4][-4:]
+        assert last == [
+            (cfg(5, 1, 2, 3), SOURCE_ORACLE), (cfg(5, 0, 2, 3), SOURCE_ORACLE),
+            (cfg(5, 0, 1, 3), SOURCE_EXACT_CACHE), (cfg(5, 0, 1, 2), SOURCE_EXACT_CACHE),
+        ]
+        assert SOURCE_MONOTONY not in result.log.counts_by_source()
+        assert result.verified_1_minimal is True
+        oracle_tests, _, axiom_tests = result.log.test_counts()
+        assert counting.calls == oracle_tests + axiom_tests
+
     def test_monotone_cache_reduces_calls_for_multi_cause_oracles(self):
         # Monotony pays off once singleton granularity is reached: tested
         # singletons are subsets of previously passed chunks.
@@ -903,6 +937,140 @@ class TestChunkKeptAsTwoRemovals:
         assert self.removed([], [(10, 0)], [], [], 5, 10, 10) == ([], [(5, 0)])
         # Passes of the round are merged before the removals.
         assert self.removed([], [], [(0, 5)], [(6, 8)], 5, 10, 10) == ([], [(1, 3)])
+
+
+def reference_round(current, members, n, held, gaps, chunks):
+    """``_round`` as it was while ``held`` also kept the chunk passes that
+    reach an end of ``current``: a held interval that holds every
+    position, and ``head`` and ``tail``, which cover the first and the last
+    complement, stood in for the gaps that such passes leave out.  The
+    reference for ``_round`` on the same cover with those passes moved
+    into ``gaps``."""
+    width = len(members)
+    q, r = divmod(width, n)
+    cut = r * (q + 1)
+
+    def chunk(lo, hi):
+        return current & (1 << members[hi - 1] + 1) - (1 << members[lo])
+
+    if held and held[0] == (0, width):
+        gaps = [(width, 0)]
+    if chunks:
+        end, start = (gaps[0][1] - 1, gaps[-1][0]) if gaps else (width - 1, 0)
+        i = start // (q + 1) if start < cut else r + (start - cut) // q
+        stop = (end // (q + 1) if end < cut else r + (end - cut) // q) + 1
+        lo = i * q + min(i, r)
+        for i in range(i, stop):
+            hi = lo + q + (i < r)
+            j = bisect_left(held, (lo + 1,))
+            if j == 0 or held[j - 1][1] < hi:
+                yield chunk(lo, hi), _CHUNK, lo, hi
+            lo = hi
+    head = bool(held) and held[-1][0] <= q + (r > 0) and held[-1][1] == width
+    tail = bool(held) and held[0][0] == 0 and held[0][1] >= width - q
+    j, gaps = 0, [*gaps, (width + 1, width + 1)]
+    gap_lo, gap_hi = gaps[0]
+    bounds = itertools.pairwise(itertools.chain(range(0, cut, q + 1), range(cut, width + 1, q)))
+    for lo, hi in bounds:
+        while gap_lo < lo:
+            j += 1
+            gap_lo, gap_hi = gaps[j]
+        if not (gap_hi <= hi or lo == 0 and head or hi == width and tail):
+            yield current ^ chunk(lo, hi), _COMPLEMENT, lo, hi
+    if n == width:
+        late = {lo for lo, hi in gaps if hi == lo + 1}
+        late.update([0] * head + [width - 1] * tail)
+        for lo in range(width) if gaps[0][1] == 0 else sorted(late):
+            yield current ^ chunk(lo, lo + 1), _LATE, lo, lo + 1
+
+
+def moved_to_gaps(width, held, gaps):
+    """The cover ``held``, ``gaps`` with each held interval that reaches an
+    end replaced by the one interval it leaves out, as ``ddmin`` keeps it."""
+    inner, moved = [], []
+    for lo, hi in held:
+        if (lo, hi) == (0, width):
+            moved.append((width, 0))
+        elif lo == 0:
+            moved.append((hi, width))
+        elif hi == width:
+            moved.append((0, lo))
+        else:
+            inner.append((lo, hi))
+    return inner, _innermost(gaps + moved)
+
+
+class TestChunkPassesAtAnEndAreGaps:
+    """A chunk pass that reaches an end of ``current`` leaves out a single
+    interval, so ``ddmin`` keeps it in ``gaps``; ``held`` keeps only the
+    chunk passes that reach neither end."""
+
+    def test_seeded_draws_against_the_reference_round(self):
+        rng = random.Random(4408)
+        seen = collections.Counter()
+        for draw in range(4000):
+            width = rng.randint(2, 40)
+            n = width if draw % 4 == 0 else rng.randint(2, width)
+            held = random_intervals(rng, width, rng.randint(0, 6))
+            # Passes that reach an end, most near what head and tail cover.
+            if draw % 3 == 0:
+                held.append((0, rng.randint(max(1, width - width // n - 1), width)))
+            if draw % 5 == 0:
+                held.append((rng.randint(0, min(width - 1, width // n + 1)), width))
+            held = _outermost(held)
+            if draw % 10 == 0:
+                gaps = [(width, 0)]
+            else:
+                gaps = _innermost(random_intervals(rng, width, rng.randint(0, 12)))
+            members = sorted(rng.sample(range(2 * width), width))
+            current = sum(1 << m for m in members)
+            chunks = draw % 7 != 0
+            want = list(reference_round(current, members, n, held, gaps, chunks))
+            got = list(_round(current, members, n, *moved_to_gaps(width, held, gaps), chunks))
+            assert got == want, draw
+            # Draws where an end-reaching pass covers a complement that no
+            # gap covers: the first, the last, or every one.
+            without = {(lo, hi) for _, kind, lo, hi in reference_round(
+                current, members, n, [p for p in held if 0 < p[0] and p[1] < width], gaps, chunks
+            ) if kind is _COMPLEMENT}
+            asked = {(lo, hi) for _, kind, lo, hi in want if kind is _COMPLEMENT}
+            seen["held all"] += held[:1] == [(0, width)] and gaps != [(width, 0)]
+            seen["first covered"] += (0 in {lo for lo, _ in without - asked}) and held[:1] != [(0, width)]
+            seen["last covered"] += (width in {hi for _, hi in without - asked}) and held[:1] != [(0, width)]
+            seen["late"] += any(kind is _LATE for _, kind, _, _ in want)
+        assert min(seen.values()) >= 100, seen
+
+    def test_held_reaches_neither_end_after_any_update(self, monkeypatch):
+        covers = []
+
+        def watched(current, members, n, held, gaps, chunks):
+            covers.append((len(members), held))
+            return _round(current, members, n, held, gaps, chunks)
+
+        monkeypatch.setattr(core, "_round", watched)
+        for draw, (universe, oracle, preload) in enumerate(TestEngineMatchesReference.draws()):
+            try:
+                ddmin(universe, oracle, EngineOptions(monotone=draw % 2 == 1, preloaded_cache=preload))
+            except AxiomViolation:
+                pass  # a sparse universe that passes: no round
+        assert all(0 < lo and hi < width for width, held in covers for lo, hi in held)
+        assert sum(bool(held) for _, held in covers) >= 200
+
+    def test_a_chunk_pass_that_reaches_an_end_only_after_a_removal(self):
+        # At granularity 4 over {0, ..., 5} the chunk {2, 3} passes, at
+        # positions [2, 4), and the complement {2, ..., 5} FAILs.  Removing
+        # {0, 1} moves the pass to [0, 2), the start, so it becomes the gap
+        # [2, 4).  Once {4} is gone too, the round at granularity 2 over
+        # {2, 3, 5} finds both its complements covered, {2, 3} by that gap,
+        # and asks neither.
+        result = ddmin(Configuration.full(6), conjunction(6, [2, 5]))
+        asked = [(rec.granularity, rec.config.members) for rec in result.log.records[2:]]
+        assert asked == [
+            (2, (0, 1, 2)), (2, (3, 4, 5)), (2, (3, 4, 5)), (2, (0, 1, 2)),
+            (4, (2, 3)), (4, (2, 3, 4, 5)), (3, (2, 3, 5)), (3, (2, 5)), (2, (5,)), (2, (2,)),
+        ]
+        assert result.final == cfg(6, 2, 5)
+        assert result.verified_1_minimal is True
 
 
 def bracket(n, causes):
