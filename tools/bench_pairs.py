@@ -60,15 +60,9 @@ def checked(stdout: str, returncode: int, label: str) -> tuple[dict, dict]:
     return detail, result
 
 
-def quartiles(samples: list[float]) -> tuple[float, float]:
-    if len(samples) < 2:
-        return samples[0], samples[0]
-    q1, _, q3 = statistics.quantiles(samples, n=4)
-    return q1, q3
-
-
 def summary(samples: list[float]) -> dict:
-    q1, q3 = quartiles(samples)
+    """The samples with their median and quartiles; one sample is its own."""
+    q1, _, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
     return {"samples": samples, "median": statistics.median(samples), "q1": q1, "q3": q3}
 
 
@@ -127,7 +121,7 @@ def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
 
 def extract(rev: str, into: Path) -> None:
     into.mkdir()
-    archive = git("archive", "--format=tar", rev, capture_output=True).stdout
+    archive = git("archive", "--format=tar", rev, stdout=subprocess.PIPE).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
@@ -159,7 +153,7 @@ def main(argv=None) -> int:
     runs = []
     try:
         base, change = (
-            git("rev-parse", "--verify", f"{rev}^{{commit}}", capture_output=True, text=True).stdout.strip()
+            git("rev-parse", "--verify", f"{rev}^{{commit}}", stdout=subprocess.PIPE, text=True).stdout.strip()
             for rev in (args.base, args.change or args.base)
         )
         with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
