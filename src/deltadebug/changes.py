@@ -149,13 +149,46 @@ _UNSUPPORTED_PREFIXES = (
 )
 
 
+# A path in git's C-style quotes, and each piece of what they hold: an
+# escape or a run of plain characters.
+_QUOTED_PATH = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_QUOTED_PIECE = re.compile(r"\\([0-3][0-7]{2}|.)|([^\\]+)")
+_PATH_ESCAPES = dict(zip('abtnvfr"\\', b'\a\b\t\n\v\f\r"\\'))
+
+
+def _unquote_path(quoted: str, lineno: int) -> str:
+    """A path in quotes, as git writes one that holds a byte >= 0x80, a
+    control character, ``"`` or ``\\``.  ``\\`` and three octal digits is
+    a byte, as are the C escapes ``\\a \\b \\t \\n \\v \\f \\r \\" \\\\``;
+    the bytes must spell UTF-8."""
+    match = _QUOTED_PATH.fullmatch(quoted)
+    if match is None:
+        raise DiffParseError(f"malformed quoted path {quoted}", lineno)
+    data = bytearray()
+    for escape, plain in _QUOTED_PIECE.findall(match[1]):
+        if plain:
+            data += plain.encode("utf-8")
+        elif escape in _PATH_ESCAPES:
+            data.append(_PATH_ESCAPES[escape])
+        elif len(escape) == 3:
+            data.append(int(escape, 8))
+        else:
+            raise DiffParseError(f"unknown escape \\{escape} in quoted path {quoted}", lineno)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DiffParseError(f"quoted path {quoted} is not UTF-8", lineno) from None
+
+
 def _strip_diff_path(raw: str, lineno: int) -> str:
-    """A file header's path, its ``a/`` or ``b/`` prefix stripped; one that
-    could leave the test's tree, absolute or with a ``..`` component, is an
-    error, and so is one that names no file: empty, ending in ``/`` or
-    ``.``.  ``/dev/null`` stands for no file."""
+    """A file header's path, unquoted if git quoted it, its ``a/`` or ``b/``
+    prefix stripped; one that could leave the test's tree, absolute or with
+    a ``..`` component, is an error, and so is one that names no file:
+    empty, ending in ``/`` or ``.``.  ``/dev/null`` stands for no file."""
     path = raw.split("\t")[0].strip()
-    if path == "/dev/null":
+    if path.startswith('"'):
+        path = _unquote_path(path, lineno)
+    elif path == "/dev/null":
         return path
     if path.startswith(("a/", "b/")):
         path = path[2:]

@@ -30,16 +30,6 @@ from .core import (
 PROGRESS_EVERY = 25
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the CLI reserves 2 for axiom
-    violations, so remap usage errors to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 _EXPECT_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\"}
 
 
@@ -267,7 +257,7 @@ def _add_common(p: argparse.ArgumentParser, command_oracle: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="ddmin",
         description="Delta debugging toolkit: minimize failure-inducing "
                     "inputs, change sets, and execution traces.",
@@ -346,7 +336,9 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 0 after --help and 2 on a usage error; the CLI
+        # reserves 2 for axiom violations, so a usage error exits 1.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except AxiomViolation as exc:

@@ -62,9 +62,6 @@ class Outcome(enum.Enum):
 
 
 _OUTCOME_VALUES = tuple(o.value for o in Outcome)
-# A record's source and outcome value; ``_value_`` is the plain attribute
-# behind the ``value`` descriptor, so the getter stays in C.
-_SOURCE_AND_OUTCOME = operator.attrgetter("source", "outcome._value_")
 
 
 class DeltaDebugError(Exception):
@@ -156,14 +153,6 @@ class Configuration:
         for m in delta_ids:
             bits &= ~(1 << m)
         return Configuration.from_bits(self.universe_size, bits)
-
-
-# Build a Configuration like ``from_bits`` but without its bounds check, for
-# bitmaps the engine derives from one it holds.  The slot setters bypass the
-# frozen dataclass's ``__setattr__``.
-_new_configuration = Configuration.__new__
-_set_universe_size = Configuration.universe_size.__set__
-_set_bits = Configuration.bits.__set__
 
 
 class TestOracle(Protocol):
@@ -424,7 +413,7 @@ class RunLog:
     def counts_by_source(self) -> dict[str, dict[str, int]]:
         """Outcome tallies per source, sources in order of first appearance."""
         out: dict[str, dict[str, int]] = {}
-        pairs = collections.Counter(map(_SOURCE_AND_OUTCOME, self.records))
+        pairs = collections.Counter((r.source, r.outcome.value) for r in self.records)
         for (source, outcome), count in pairs.items():
             out.setdefault(source, dict.fromkeys(_OUTCOME_VALUES, 0))[outcome] = count
         return out
@@ -571,10 +560,7 @@ def ddmin(
                 earlier.config, granularity, earlier.outcome, SOURCE_EXACT_CACHE, 0.0
             )
         else:
-            # Every bitmap here is a subset of ``universe``: no bounds check.
-            config = _new_configuration(Configuration)
-            _set_universe_size(config, size)
-            _set_bits(config, bits)
+            config = Configuration.from_bits(size, bits)
             # An ``assumed`` PASS, else ``ask``.
             start = perf_counter()
             if assumed:

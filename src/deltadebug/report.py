@@ -73,7 +73,6 @@ _TEST_LINE = (
 _TEST_FIELDS = operator.attrgetter(
     "config.bits", "granularity", "outcome._value_", "source", "duration_ms"
 )
-_SOURCE = operator.attrgetter("source")
 
 
 def _test_lines(log: RunLog, deterministic: bool, pad: str) -> str:
@@ -81,7 +80,7 @@ def _test_lines(log: RunLog, deterministic: bool, pad: str) -> str:
     # Each source's "cached" flag and quoted name, as JSON.
     columns = {
         s: (json.dumps(s in CACHED_SOURCES), json.dumps(s))
-        for s in set(map(_SOURCE, log.records))
+        for s in {r.source for r in log.records}
     }
     return pad + (",\n" + pad).join(
         _TEST_LINE % (

@@ -139,6 +139,7 @@ class TestSplitUnifiedDiff:
         ("--- a/f\n+++ b/../../../x\n", 2, "../../../x"),
         ("--- a/f\n+++ b//etc/x\n", 2, "/etc/x"),
         ("--- a/d/../../f\n+++ /dev/null\n", 1, "d/../../f"),
+        ('--- "a/\\056\\056/f"\n+++ /dev/null\n', 1, "../f"),
     ])
     def test_a_path_that_leaves_the_tree_is_rejected(self, header, line, path):
         with pytest.raises(DiffParseError) as info:
@@ -157,6 +158,33 @@ class TestSplitUnifiedDiff:
         with pytest.raises(DiffParseError) as info:
             split_unified_diff(header + "@@ -0,0 +1 @@\n+x\n")
         assert str(info.value) == f"line {line}: path {path!r} names no file"
+
+    @pytest.mark.parametrize("header, path", [
+        ('"b/f\\303\\266o.txt"', "föo.txt"),
+        ('"b/say \\"hi\\"\\tnow"', 'say "hi"\tnow'),
+        ('"b/\\101\\\\z"', "A\\z"),
+        ('"b/\\a\\b\\v\\f\\r\\n"', "\a\b\v\f\r\n"),
+        ('"b/f\\303\\266o.txt"\t2000-01-01', "föo.txt"),
+    ], ids=["non-ascii", "quote-and-tab", "octal-and-backslash", "c-escapes", "then-a-tab"])
+    def test_git_quoted_paths_are_unquoted(self, header, path):
+        # git quotes a path that holds a byte >= 0x80, a control character,
+        # a quote or a backslash, and writes each such byte as an escape.
+        diff = f"--- /dev/null\n+++ {header}\n@@ -0,0 +1 @@\n+x\n"
+        assert [ch.file for ch in split_unified_diff(diff)] == [path]
+
+    @pytest.mark.parametrize("header, message", [
+        ('"b/x', 'malformed quoted path "b/x'),
+        ('"b/x\\"', 'malformed quoted path "b/x\\"'),
+        ('"b/x" y', 'malformed quoted path "b/x" y'),
+        ('"b/\\q"', 'unknown escape \\q in quoted path "b/\\q"'),
+        ('"b/\\12"', 'unknown escape \\1 in quoted path "b/\\12"'),
+        ('"b/\\377"', 'quoted path "b/\\377" is not UTF-8'),
+    ], ids=["unterminated", "escaped-close", "text-after", "unknown-escape", "short-octal",
+            "not-utf8"])
+    def test_a_malformed_quoted_path_is_an_error_that_names_its_line(self, header, message):
+        with pytest.raises(DiffParseError) as info:
+            split_unified_diff(f"--- /dev/null\n+++ {header}\n@@ -0,0 +1 @@\n+x\n")
+        assert str(info.value) == f"line 2: {message}"
 
     def test_dotted_names_inside_the_tree_are_paths(self):
         diff = "--- /dev/null\n+++ b/d/..x/.f\n@@ -0,0 +1 @@\n+x\n"

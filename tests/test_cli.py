@@ -25,6 +25,29 @@ def common_flags(tmp_path):
     return ["--workspace", str(tmp_path / "ws"), "--deterministic-report"]
 
 
+@pytest.mark.parametrize("argv, prog, message", [
+    ([], "ddmin", "the following arguments are required: command"),
+    (["minimize-input"], "ddmin minimize-input",
+     "the following arguments are required: --input, --test"),
+    (["minimize-changes"], "ddmin minimize-changes",
+     "the following arguments are required: --baseline, --diff, --test"),
+    (["reduce-trace"], "ddmin reduce-trace",
+     "the following arguments are required: --program, --expect"),
+    (["bench"], "ddmin bench", "the following arguments are required: --oracle, --sizes"),
+    (["bench", "--oracle", "single", "--sizes", "4", "--frobnicate"], "ddmin",
+     "unrecognized arguments: --frobnicate"),
+], ids=["top-level", "minimize-input", "minimize-changes", "reduce-trace", "bench",
+        "unknown-option"])
+def test_a_usage_error_exits_1_after_the_usage_line(argv, prog, message, capsys):
+    # --help exits 0 and prints the usage line that a usage error repeats;
+    # 2 is the exit status of an axiom violation.
+    assert run([*prog.split()[1:], "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(f"usage: {prog} ")
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"{usage}\n{prog}: error: {message}\n")
+
+
 class TestMinimizeInputCommand:
     def test_reduces_to_the_substring(self, tmp_path, crash_input, grep_script, capsys):
         report = tmp_path / "report.json"
@@ -571,6 +594,50 @@ class TestMinimizeChangesCommand:
         assert code == 1
         assert f"line 2: path {path!r} names no file" in capsys.readouterr().err
         assert not (tmp_path / "dir.diff.min").exists()
+
+    def test_a_git_diff_with_a_quoted_path_is_read(self, tmp_path, make_script):
+        # git quotes a path with a byte >= 0x80 and writes the byte in octal.
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        (baseline_dir / "b.txt").write_text("two\n")
+        (baseline_dir / "föo.txt").write_text("one\n")
+        diff = tmp_path / "git.diff"
+        diff.write_text(
+            "diff --git a/b.txt b/b.txt\nindex f719efd..6333d30 100644\n"
+            "--- a/b.txt\n+++ b/b.txt\n@@ -1 +1 @@\n-two\n+TWO\n"
+            'diff --git "a/f\\303\\266o.txt" "b/f\\303\\266o.txt"\n'
+            "index 5626abf..3b1399e 100644\n"
+            '--- "a/f\\303\\266o.txt"\n+++ "b/f\\303\\266o.txt"\n@@ -1 +1 @@\n-one\n+BUG\n'
+        )
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir), "--diff", str(diff),
+            "--test", make_script('grep -q BUG "$1/föo.txt"'), *common_flags(tmp_path),
+        ])
+        assert code == 0
+        assert (tmp_path / "git.diff.min").read_text() == (
+            "--- a/föo.txt\n+++ b/föo.txt\n@@ -1,1 +1,1 @@\n-one\n+BUG\n"
+        )
+
+    def test_a_malformed_quoted_path_exits_1_before_any_test(
+        self, tmp_path, make_script, capsys
+    ):
+        baseline_dir = tmp_path / "b"
+        baseline_dir.mkdir()
+        diff = tmp_path / "quote.diff"
+        diff.write_text('--- /dev/null\n+++ "b/f\\303\n@@ -0,0 +1 @@\n+x\n')
+        runs = tmp_path / "runs"
+        code = run([
+            "minimize-changes", "--baseline", str(baseline_dir),
+            "--diff", str(diff), "--test", make_script(f"printf x >> {runs}"),
+            "--workspace", str(tmp_path / "ws"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            'error: line 2: malformed quoted path "b/f\\303\n'
+        )
+        assert not runs.exists()
+        assert not (tmp_path / "quote.diff.min").exists()
+
 
 class TestReduceTraceCommand:
     def test_default_filter_gives_13_events(self, tmp_path, sample_source, capsys):
