@@ -160,7 +160,7 @@ def _unquote_path(quoted: str, lineno: int) -> str:
     """A path in quotes, as git writes one that holds a byte >= 0x80, a
     control character, ``"`` or ``\\``.  ``\\`` and three octal digits is
     a byte, as are the C escapes ``\\a \\b \\t \\n \\v \\f \\r \\" \\\\``;
-    the bytes must spell UTF-8."""
+    the bytes must spell UTF-8 and hold no NUL, which no file name holds."""
     match = _QUOTED_PATH.fullmatch(quoted)
     if match is None:
         raise DiffParseError(f"malformed quoted path {quoted}", lineno)
@@ -174,6 +174,8 @@ def _unquote_path(quoted: str, lineno: int) -> str:
             data.append(int(escape, 8))
         else:
             raise DiffParseError(f"unknown escape \\{escape} in quoted path {quoted}", lineno)
+    if 0 in data:
+        raise DiffParseError(f"quoted path {quoted} holds a NUL byte", lineno)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError:

@@ -179,8 +179,9 @@ class TestSplitUnifiedDiff:
         ('"b/\\q"', 'unknown escape \\q in quoted path "b/\\q"'),
         ('"b/\\12"', 'unknown escape \\1 in quoted path "b/\\12"'),
         ('"b/\\377"', 'quoted path "b/\\377" is not UTF-8'),
+        ('"b/a\\000b"', 'quoted path "b/a\\000b" holds a NUL byte'),
     ], ids=["unterminated", "escaped-close", "text-after", "unknown-escape", "short-octal",
-            "not-utf8"])
+            "not-utf8", "nul"])
     def test_a_malformed_quoted_path_is_an_error_that_names_its_line(self, header, message):
         with pytest.raises(DiffParseError) as info:
             split_unified_diff(f"--- /dev/null\n+++ {header}\n@@ -0,0 +1 @@\n+x\n")
