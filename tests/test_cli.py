@@ -614,7 +614,7 @@ class TestMinimizeChangesCommand:
             "--test", make_script('grep -q BUG "$1/föo.txt"'), *common_flags(tmp_path),
         ])
         assert code == 0
-        assert (tmp_path / "git.diff.min").read_text() == (
+        assert (tmp_path / "git.diff.min").read_text(encoding="utf-8") == (
             "--- a/föo.txt\n+++ b/föo.txt\n@@ -1,1 +1,1 @@\n-one\n+BUG\n"
         )
 
