@@ -10,9 +10,9 @@ The engine is deterministic: each round tests one ordered list, the chunks
 then their complements, and the first failing candidate wins, so two runs
 against the same oracle behavior produce identical run logs.  Only the
 candidates asked are built.  A candidate that lies inside a configuration
-that passed in an earlier round is not tested, asked before or not,
-except that a round at singleton granularity tests such complements after
-its other candidates.
+that passed in an earlier round, or a preloaded PASS shaped like a
+candidate, is not tested, asked before or not, except that a round at
+singleton granularity tests such complements after its other candidates.
 
 A run may instead start with a *scan*, for a configuration that is
 expected to be nearly 1-minimal already: rounds at singleton granularity
@@ -328,6 +328,36 @@ def _round(
             yield current ^ chunk(lo, lo + 1), _LATE, lo, lo + 1
 
 
+def _preloaded_passes(
+    current: int, preloaded: Mapping[int, Outcome],
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The preloaded PASSes shaped like a candidate of a round over the
+    bitmap ``current``, as intervals [lo, hi) of its member positions: one
+    whose members in ``current`` are one interval is a chunk pass, and one
+    that leaves out one interval of them is a gap pass (see ``_round``).
+    Other shapes, FAILs and passes that hold nothing of ``current`` are
+    left out.
+
+    The shape is read off bitmaps, with no loop per position: a part of
+    ``current`` is one interval when ``current`` has no member between the
+    part's lowest and highest bit that the part lacks, and the part starts
+    at the number of members below its lowest bit.
+    """
+    chunk_passes: list[tuple[int, int]] = []
+    gap_passes: list[tuple[int, int]] = []
+    for bits, outcome in preloaded.items():
+        inside = bits & current
+        if outcome is not Outcome.PASS or not inside:
+            continue
+        for part, passes in ((inside, chunk_passes), (current ^ inside, gap_passes)):
+            low = part & -part
+            if part and current & (1 << part.bit_length()) - low == part:
+                lo = (current & low - 1).bit_count()
+                passes.append((lo, lo + part.bit_count()))
+                break
+    return chunk_passes, gap_passes
+
+
 def _mapped(intervals: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
     """Position intervals mapped to the positions left when [lo, hi) is
     removed: the removed positions collapse to ``lo``, later ones move
@@ -505,8 +535,13 @@ def ddmin(
     the universe is a ``ValueError``, raised before any test.  With
     ``monotone`` the covered complements of a round at singleton
     granularity are answered PASS as ``monotony`` records, unless asked
-    before or preloaded.  A preloaded PASS covers nothing until a round
-    asks it.
+    before or preloaded.  A preloaded PASS shaped like a candidate covers
+    from the start, as a PASS of a round before the first would: in the
+    positions of ``universe``'s members it is one interval, or it leaves
+    out exactly one interval.  So a later pass of ``run_passes`` skips the
+    candidates inside the configurations that an earlier pass saw pass.
+    A preloaded PASS of another shape covers nothing until a round asks
+    it, and neither does a preloaded FAIL or the empty configuration.
 
     The run keeps its cover as intervals of positions in the current
     configuration: ``held``, the passing chunks that reach neither end,
@@ -596,14 +631,38 @@ def ddmin(
     n = len(members) if scan else 2
     last_fail = -2  # the log length right after the scan's last FAIL; none yet
     # The PASS candidates of the earlier rounds, as intervals of positions
-    # in ``members`` (see ``_round``).  After each round the update below
-    # merges in that round's passes, maps both lists through its removals
-    # and moves each chunk pass that reaches an end into ``gaps``.
+    # in ``members`` (see ``_round``).  Before each round the update below
+    # merges in the last round's passes, maps both lists through its
+    # removals and moves each chunk pass that reaches an end into ``gaps``.
+    # Before the first round it merges the preloaded PASSes shaped like a
+    # candidate.
     held: list[tuple[int, int]] = []
     gaps: list[tuple[int, int]] = []
-    while len(members) >= 2:
-        # Recursion invariant: current is known to FAIL and n <= |current|.
+    chunk_passes, gap_passes = _preloaded_passes(current, opts.preloaded_cache or {})
+    removals: tuple[tuple[int, int], ...] = ()
+    while True:
+        # The one update, FAIL or not: merge the passes, then follow each
+        # removal.  A chunk pass with no position left holds nothing of
+        # ``current``; a gap with none left is a pass that holds all of it.
+        held = held + chunk_passes
+        if gap_passes:
+            gaps = _innermost(gaps + gap_passes)
+        for lo, hi in removals:
+            del members[lo:hi]
+            held = [p for p in _mapped(held, lo, hi) if p[0] < p[1]]
+            gaps = _removed(gaps, lo, hi, len(members))
+        held = _outermost(held)
+        # A chunk pass that reaches an end leaves out one interval, so it
+        # becomes a gap: [0, b) leaves out [b, width), [a, width) leaves out
+        # [0, a), and [0, width) nothing, the whole gap.
         width = len(members)
+        ends = [(b, width) if a == 0 else (0, a) for a, b in held if a == 0 or b == width]
+        if ends:
+            held = [p for p in held if 0 < p[0] and p[1] < width]
+            gaps = _innermost(gaps + [p if p[0] < p[1] else (width, 0) for p in ends])
+        if width < 2:
+            break
+        # Recursion invariant: current is known to FAIL and n <= |current|.
         # This round's PASS candidates, as intervals like ``held`` and ``gaps``,
         # and the position intervals that its FAIL removes, in turn.
         chunk_passes, gap_passes, removals = [], [], ()
@@ -628,25 +687,6 @@ def ddmin(
             if n >= width:
                 break
             n = min(width, 2 * n)
-        # The one update, FAIL or not: merge the round's passes, then follow
-        # each removal.  A chunk pass with no position left holds nothing of
-        # ``current``; a gap with none left is a pass that holds all of it.
-        held = held + chunk_passes
-        if gap_passes:
-            gaps = _innermost(gaps + gap_passes)
-        for lo, hi in removals:
-            del members[lo:hi]
-            held = [p for p in _mapped(held, lo, hi) if p[0] < p[1]]
-            gaps = _removed(gaps, lo, hi, len(members))
-        held = _outermost(held)
-        # A chunk pass that reaches an end leaves out one interval, so it
-        # becomes a gap: [0, b) leaves out [b, width), [a, width) leaves out
-        # [0, a), and [0, width) nothing, the whole gap.
-        width = len(members)
-        ends = [(b, width) if a == 0 else (0, a) for a, b in held if a == 0 or b == width]
-        if ends:
-            held = [p for p in held if 0 < p[0] and p[1] < width]
-            gaps = _innermost(gaps + [p if p[0] < p[1] else (width, 0) for p in ends])
 
     final = Configuration.from_bits(size, current)
     return MinimizationResult(

@@ -463,40 +463,51 @@ class TestCachedOracle:
         # {1, 6, 7} is a subset of no passed configuration before it is asked.
         assert first_records(result.log)[cfg(8, 1, 6, 7).bits].source == SOURCE_ORACLE
 
-    def test_preloaded_pass_covers_subsets_only_once_asked(self):
+    def test_a_candidate_shaped_preloaded_pass_covers_from_the_start(self):
         oracle = conjunction(8, [0, 7])
-        asked = cfg(8, 0, 1, 2, 3)
-        # {0..6} passes but is never asked: it covers no later question.
-        unasked = cfg(8, 0, 1, 2, 3, 4, 5, 6)
+        first_chunk = cfg(8, 0, 1, 2, 3)
+        # {0..6} leaves out one interval, {7}, as a complement does: it
+        # covers its subsets from the start, so neither it nor the first
+        # chunk {0..3} is asked, and a subset of it is only answered by
+        # monotony in the last round.
+        shaped = cfg(8, 0, 1, 2, 3, 4, 5, 6)
         counting = CountingOracle(oracle)
         result = ddmin(
             Configuration.full(8), counting,
-            EngineOptions(monotone=True, preloaded_cache={unasked.bits: Outcome.PASS}),
+            EngineOptions(monotone=True, preloaded_cache={shaped.bits: Outcome.PASS}),
         )
         records = first_records(result.log)
-        assert unasked.bits not in records
-        assert records[asked.bits].source == SOURCE_ORACLE
-        # {0..3} is asked first and answered from the preload, never
-        # invoked; from then on it covers its subsets: they are skipped, or
-        # answered by monotony in the last round.
-        counting = CountingOracle(oracle)
-        result = ddmin(
-            Configuration.full(8), counting,
-            EngineOptions(monotone=True, preloaded_cache={asked.bits: Outcome.PASS}),
-        )
-        records = result.log.records
-        at = [rec.config for rec in records].index(asked)
-        assert records[at].source == SOURCE_EXACT_CACHE
-        assert records[at].duration_ms == 0.0  # a preloaded answer is untimed
-        covered = [
-            rec for rec in records[at + 1:]
-            if rec.config.bits & asked.bits == rec.config.bits
-            and rec.source != SOURCE_EXACT_CACHE
+        assert first_chunk.bits not in records and shaped.bits not in records
+        inside = [
+            rec for rec in result.log
+            if rec.config.bits & shaped.bits == rec.config.bits and rec.source != SOURCE_AXIOM
         ]
-        assert {rec.config for rec in covered} == {cfg(8, 0)}
-        assert all(rec.source == SOURCE_MONOTONY for rec in covered)
+        assert {rec.config for rec in inside} == {cfg(8, 0)}
+        assert all(rec.source == SOURCE_MONOTONY for rec in inside)
+        assert result.final == cfg(8, 0, 7)
         oracle_tests, _, axiom_tests = result.log.test_counts()
         assert counting.calls == oracle_tests + axiom_tests
+        # {0..3, 5} is two intervals and leaves out two: it covers nothing
+        # until a round asks it, so the run is the one without it.
+        unshaped = cfg(8, 0, 1, 2, 3, 5)
+        plain = ddmin(Configuration.full(8), oracle, EngineOptions(monotone=True))
+        result = ddmin(
+            Configuration.full(8), oracle,
+            EngineOptions(monotone=True, preloaded_cache={unshaped.bits: Outcome.PASS}),
+        )
+        assert result.log.fingerprint() == plain.log.fingerprint()
+        assert first_records(result.log)[first_chunk.bits].source == SOURCE_ORACLE
+        # {1, 6, 7} is not shaped like a candidate of the first round; a
+        # later round asks it, and the preload answers, untimed.
+        asked = cfg(8, 1, 6, 7)
+        result = ddmin(
+            Configuration.full(8), oracle,
+            EngineOptions(monotone=True, preloaded_cache={asked.bits: Outcome.PASS}),
+        )
+        record = first_records(result.log)[asked.bits]
+        assert (record.source, record.duration_ms) == (SOURCE_EXACT_CACHE, 0.0)
+        assert plain.log.fingerprint() != result.log.fingerprint()
+        assert result.final == plain.final
 
     def test_a_preloaded_bitmap_outside_the_universe_is_rejected_before_any_test(self):
         counting = CountingOracle(conjunction(8, [0, 7]))
@@ -579,17 +590,34 @@ def reference_ddmin(universe, oracle, opts, classic=False):
     member-by-member chunks: the reference the engine must equal.
 
     A candidate not asked yet is covered when its members are a subset of
-    a PASS candidate of any earlier round.  A covered chunk is skipped, and
-    so is a covered complement, except in a round at granularity
-    ``len(current)``: it asks its covered complements after every other
-    candidate, answered PASS by monotony if ``opts.monotone``.  With
-    ``classic`` every candidate is asked in the paper's order.
+    a PASS candidate of any earlier round, or of a preloaded PASS shaped
+    like a candidate of the first round: its members in ``universe`` sit
+    at consecutive positions, or those it leaves out do.  A covered chunk
+    is skipped, and so is a covered complement, except in a round at
+    granularity ``len(current)``: it asks its covered complements after
+    every other candidate, answered PASS by monotony if ``opts.monotone``.
+    With ``classic`` every candidate is asked in the paper's order.
     """
     oracle = as_oracle(oracle)
     preload = opts.preloaded_cache or {}
     log = RunLog(universe.universe_size)
     answered = {}  # configuration -> its first record
-    passed = []  # member sets of the PASS candidates of the earlier rounds
+
+    def consecutive(positions):
+        return positions == list(range(positions[0], positions[-1] + 1))
+
+    def candidate_shaped(bits):
+        inside = [i for i, m in enumerate(universe.members) if bits >> m & 1]
+        outside = [i for i, m in enumerate(universe.members) if not bits >> m & 1]
+        return bool(inside) and (consecutive(inside) or bool(outside) and consecutive(outside))
+
+    # Member sets of the PASS candidates of the earlier rounds, and of the
+    # preloaded PASSes shaped like a candidate.
+    passed = [
+        set(Configuration.from_bits(universe.universe_size, bits).members)
+        for bits, outcome in preload.items()
+        if outcome == Outcome.PASS and candidate_shaped(bits)
+    ]
     passed_in_round = []
 
     def run_test(config, granularity, axiom=False, assumed=False):
