@@ -128,5 +128,5 @@ def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_ro
     assert all(p.result.verified_1_minimal for p in outcome.passes)
     assert [(p.label, counts(p.result.log), digest(p.result.log)) for p in outcome.passes] == [
         ("groups", (1, 2), "fe1ce501fa310c3502ff91c24f282ad463e349aac4ef5507aa686562301b8711"),
-        ("changes", (13, 0), "409f128530e682c9474a75b60570b5223f688ae6c77d16864dee25040a020f3f"),
+        ("changes", (12, 0), "26148d2209c2beb8b2520a39110ad924510387ec0d8535064bea011df40d4f6c"),
     ]

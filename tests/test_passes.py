@@ -89,8 +89,9 @@ def singletons(make_oracle):
 
 class TestCarriedAnswers:
     def test_a_later_pass_takes_every_answer_an_earlier_pass_tested(self):
-        # Both groups pass, so the members pass starts from all six ids,
-        # and its first chunks are the two groups.
+        # Both groups pass, so the members pass starts from all six ids.
+        # Its first chunks are the two groups, carried PASSes that cover
+        # from the start: the round at granularity 2 asks nothing.
         groups = [(0, 1, 2), (3, 4, 5)]
         calls = []
 
@@ -103,13 +104,15 @@ class TestCarriedAnswers:
             singletons(counted),
         ])
         assert passes[0].kept == tuple(range(6))
-        head = passes[1].result.log.records[:4]
-        assert [(r.config.members, r.outcome, r.source, r.duration_ms) for r in head] == [
-            ((), Outcome.PASS, SOURCE_EXACT_CACHE, 0.0),
-            ((0, 1, 2, 3, 4, 5), Outcome.FAIL, SOURCE_EXACT_CACHE, 0.0),
-            ((0, 1, 2), Outcome.PASS, SOURCE_EXACT_CACHE, 0.0),
-            ((3, 4, 5), Outcome.PASS, SOURCE_EXACT_CACHE, 0.0),
+        head = passes[1].result.log.records[:3]
+        assert [(r.config.members, r.granularity, r.outcome, r.source) for r in head] == [
+            ((), 0, Outcome.PASS, SOURCE_EXACT_CACHE),
+            ((0, 1, 2, 3, 4, 5), 0, Outcome.FAIL, SOURCE_EXACT_CACHE),
+            ((2, 3), 4, Outcome.PASS, SOURCE_ORACLE),
         ]
+        assert all(r.duration_ms == 0.0 for r in head[:2])
+        asked = first_by_input_ids(passes[1])
+        assert frozenset({0, 1, 2}) not in asked and frozenset({3, 4, 5}) not in asked
         assert passes[1].kept == (0, 3)
         # One oracle call per oracle and axiom record, over both passes.
         counts = [p.result.log.test_counts() for p in passes]
@@ -137,10 +140,11 @@ class TestCarriedAnswers:
         assert later[frozenset({0})].source == SOURCE_FEASIBILITY
 
     def test_a_run_of_one_pass_takes_the_preloaded_cache(self):
+        # {0, 1}, the first chunk, covers from the start: only {2} is asked.
         preload = {0b011: Outcome.PASS}
         passes = run_passes(range(3), [singletons(needs(2))], EngineOptions(preloaded_cache=preload))
-        sources = {r.config.bits: r.source for r in passes[0].result.log.records}
-        assert sources[0b011] == SOURCE_EXACT_CACHE
+        records = [(r.config.bits, r.source) for r in passes[0].result.log.records]
+        assert records == [(0, SOURCE_AXIOM), (0b111, SOURCE_AXIOM), (0b100, SOURCE_ORACLE)]
 
 
 def axiom_only_passes(input_ids, steps, options=None):
@@ -401,12 +405,11 @@ class TestNoScenarioRunsTwice:
         outcome = minimize_input(b"xA\nyB\n", spec)
         line, char = outcome.passes
         assert line.kept == tuple(range(6))
-        # The char pass's first chunks are the two lines: no process runs.
-        head = char.result.log.records[2:4]
-        assert [(r.config.members, r.outcome, r.source) for r in head] == [
-            ((0, 1, 2), Outcome.PASS, SOURCE_EXACT_CACHE),
-            ((3, 4, 5), Outcome.PASS, SOURCE_EXACT_CACHE),
-        ]
+        # The char pass's first chunks are the two lines, which passed in
+        # the line pass and cover from the start: no record, no process.
+        assert [r.granularity for r in char.result.log.records[:3]] == [0, 0, 4]
+        asked = first_by_input_ids(char)
+        assert frozenset({0, 1, 2}) not in asked and frozenset({3, 4, 5}) not in asked
         assert outcome.minimized == b"AB"
         assert len(counter.read_bytes()) == spawned(outcome.passes)
 
@@ -422,10 +425,11 @@ class TestNoScenarioRunsTwice:
         groups, changes = outcome.passes
         assert groups.kept == (0, 1, 2, 3, 8, 9, 10, 11)
         # The changes pass's first chunks are the groups of lib/a.txt and
-        # main/c.txt, which the groups pass tested.
+        # main/c.txt, which passed in the groups pass and cover from the
+        # start: neither is asked again.
         first = first_by_input_ids(changes)
         for ids in ((0, 1, 2, 3), (8, 9, 10, 11)):
-            assert first[frozenset(ids)].source == SOURCE_EXACT_CACHE
+            assert frozenset(ids) not in first
         assert changes.kept == (2, 10)
         assert len(counter.read_bytes()) == spawned(outcome.passes)
 

@@ -93,7 +93,7 @@ def test_axiom_violation_report_bytes(tmp_path, make_script, capsys):
 CHANGE_RUNS = {
     "groups-file": (
         ["--groups", "file"],
-        "16af33c88d83d0bc19a727dc9130dadf951148102d1c1af12a06bb08815233fd",
+        "0ec9d69cb769d2c386fc24052a3da2b625278da60fa546d5ae083ea919e3822b",
     ),
     "deps": (
         ["--deps", "deps.tsv"],
