@@ -182,6 +182,25 @@ def _unquote_path(quoted: str, lineno: int) -> str:
         raise DiffParseError(f"quoted path {quoted} is not UTF-8", lineno) from None
 
 
+# What git quotes in a path, byte >= 0x80 aside: a control character, ``"``
+# and ``\\``.  ``_header_path`` writes the C escapes it can, octal otherwise.
+_QUOTED_CHAR = re.compile(r'[\x00-\x1f"\\\x7f]')
+_CHAR_ESCAPES = {chr(byte): "\\" + letter for letter, byte in _PATH_ESCAPES.items()}
+
+
+def _header_path(side: str, name: str) -> str:
+    """``side`` (``a`` or ``b``) and the file ``name`` as a header writes
+    them, so that ``_strip_diff_path`` reads ``name`` back: in git's quotes
+    if the name holds a control character, ``"`` or ``\\``, or starts or
+    ends with whitespace, which a header reader strips.  Other characters
+    stay as they are, bytes >= 0x80 too, which git would write in octal."""
+    path = f"{side}/{name}"
+    if not (_QUOTED_CHAR.search(name) or name[:1].isspace() or name[-1:].isspace()):
+        return path
+    escaped = _QUOTED_CHAR.sub(lambda m: _CHAR_ESCAPES.get(m[0], f"\\{ord(m[0]):03o}"), path)
+    return f'"{escaped}"'
+
+
 def _strip_diff_path(raw: str, lineno: int) -> str:
     """A file header's path, unquoted if git quoted it, its ``a/`` or ``b/``
     prefix stripped; one that could leave the test's tree, absolute or with
@@ -335,7 +354,7 @@ def render_unified_diff(changes: Sequence[AtomicChange]) -> str:
     for ch in changes:
         per_file.setdefault(ch.file, []).append(ch)
     for file in sorted(per_file):
-        out.append(f"--- a/{file}\n+++ b/{file}\n")
+        out.append(f"--- {_header_path('a', file)}\n+++ {_header_path('b', file)}\n")
         offset = 0
         for ch in sorted(per_file[file], key=lambda c: c.anchor):
             old_len = len(ch.old_lines)

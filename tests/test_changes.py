@@ -624,6 +624,28 @@ class TestRenderUnifiedDiff:
             (c.file, c.anchor, c.old_lines, c.new_lines) for c in cs.changes
         ]
 
+    @pytest.mark.parametrize("name, header", [
+        ("x\tb.txt", '"b/x\\tb.txt"'),
+        ("x\nb.txt", '"b/x\\nb.txt"'),
+        ("x\rb.txt", '"b/x\\rb.txt"'),
+        ('say "hi".txt', '"b/say \\"hi\\".txt"'),
+        ("back\\slash.txt", '"b/back\\\\slash.txt"'),
+        ("bell\x07\x1f.txt", '"b/bell\\a\\037.txt"'),
+        ("trailing ", '"b/trailing "'),
+        (" leading", '"b/ leading"'),
+        ("d/plain.txt", "b/d/plain.txt"),
+        ("föo.txt", "b/föo.txt"),
+    ], ids=["tab", "newline", "cr", "quote", "backslash", "octal", "trailing-space",
+            "leading-space", "plain", "non-ascii"])
+    def test_a_rendered_name_reads_back(self, name, header):
+        # A name with a control character, a quote or a backslash, or with
+        # whitespace at an end, is quoted as git quotes it; any other name,
+        # one with bytes >= 0x80 too, is written as it is.
+        change = AtomicChange(file=name, anchor=1, old_lines=("one\n",), new_lines=("BUG\n",))
+        rendered = render_unified_diff([change])
+        assert rendered.splitlines()[:2] == [f"--- {header.replace('b/', 'a/', 1)}", f"+++ {header}"]
+        assert split_unified_diff(rendered) == [change]
+
 
 class ShOracleMixin:
     @staticmethod
