@@ -349,9 +349,11 @@ def _preloaded_passes(
         inside = bits & current
         if outcome is not Outcome.PASS or not inside:
             continue
+        # ``inside`` is not all of ``current`` when it is no interval, so
+        # neither part is empty.
         for part, passes in ((inside, chunk_passes), (current ^ inside, gap_passes)):
             low = part & -part
-            if part and current & (1 << part.bit_length()) - low == part:
+            if current & (1 << part.bit_length()) - low == part:
                 lo = (current & low - 1).bit_count()
                 passes.append((lo, lo + part.bit_count()))
                 break

@@ -153,6 +153,37 @@ class TestBitmapReadingMatchesShiftLoop:
         for config in seeded_bitmaps(rng):
             assert config.members == shift_loop_members(config.bits)
 
+    def test_preloaded_pass_shapes(self):
+        # The shapes read off bitmaps against member-by-member positions:
+        # intervals of positions, what they leave out, and arbitrary
+        # bitmaps, some with ids outside the configuration, some FAILs.
+        rng = random.Random(4403)
+        shaped = 0
+        for config in seeded_bitmaps(rng):
+            members, size = config.members, config.universe_size
+            preload = {}
+            for _ in range(8):
+                lo = rng.randrange(len(members))
+                hi = rng.randint(lo + 1, len(members))
+                interval = sum(1 << m for m in members[lo:hi])
+                for bits in (interval, config.bits ^ interval, rng.getrandbits(size)):
+                    preload[bits | rng.getrandbits(size) & ~config.bits] = rng.choice(
+                        [Outcome.PASS, Outcome.PASS, Outcome.FAIL]
+                    )
+            expected = ([], [])
+            for bits, outcome in preload.items():
+                inside = [i for i, m in enumerate(members) if bits >> m & 1]
+                outside = [i for i, m in enumerate(members) if not bits >> m & 1]
+                if outcome != Outcome.PASS or not inside:
+                    continue
+                for positions, passes in ((inside, expected[0]), (outside, expected[1])):
+                    if positions == list(range(positions[0], positions[-1] + 1)):
+                        passes.append((positions[0], positions[-1] + 1))
+                        shaped += 1
+                        break
+            assert core._preloaded_passes(config.bits, preload) == expected
+        assert shaped >= 500
+
 
 class TestDdmin:
     def test_an_object_that_is_no_oracle_is_rejected(self):
