@@ -734,8 +734,9 @@ def run_passes(
     union of its deltas stands for exactly.  Among them are both axiom
     answers: the empty configuration passed, and the pass's full
     configuration, the result of the pass before it, failed.  Any other
-    carried FAIL would contain that result, so none is in reach.  The
-    table replaces any preloaded cache, whose bitmaps belong to the first
+    carried FAIL would contain that result, so none is in reach; a
+    carried PASS shaped like a candidate covers from the start of the pass
+    (see ``ddmin``).  The table replaces any preloaded cache, whose bitmaps belong to the first
     pass's universe.  A ``PassOracle`` must be over its step's ids: the
     run maps the table through its id map.  An axiom violation names its pass.
     """
