@@ -816,3 +816,16 @@ class TestBenchCommand:
             ]) == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--oracle", "adversarial", "--sizes", "4..12"],
+         "n,tests_oracle,tests_cached,bound_quadratic,bound_log\n"
+         "4,6,2,28,6\n5,9,2,40,8\n6,12,2,54,8\n7,12,2,70,8\n8,14,2,88,8\n"
+         "9,19,2,108,10\n10,20,2,130,10\n11,22,2,154,10\n12,24,2,180,10\n"),
+        (["--oracle", "random-monotone:7", "--sizes", "8,16,32,64", "--monotone-cache"],
+         "n,tests_oracle,tests_cached,bound_quadratic,bound_log\n"
+         "8,3,0,88,8\n16,5,0,304,10\n32,6,0,1120,12\n64,7,0,4288,14\n"),
+    ], ids=["adversarial", "random-monotone"])
+    def test_bench_prints_the_pinned_csv(self, argv, expected, capsys):
+        assert run(["bench", *argv]) == 0
+        assert capsys.readouterr() == (expected, "")
