@@ -6,7 +6,6 @@ checked."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import Configuration, EngineOptions, ddmin
 from . import oracles
@@ -49,58 +48,26 @@ def log_bound(n: int) -> int:
     return 2 * math.ceil(math.log2(n)) + 2 if n > 1 else 2
 
 
-@dataclass
-class BenchRow:
-    n: int
-    tests_oracle: int
-    tests_cached: int
-    bound_quadratic: int
-    bound_log: int
-
-    @property
-    def within_quadratic_bound(self) -> bool:
-        return self.tests_oracle <= self.bound_quadratic
-
-    def csv(self) -> str:
-        return (
-            f"{self.n},{self.tests_oracle},{self.tests_cached},"
-            f"{self.bound_quadratic},{self.bound_log}"
-        )
-
-
 CSV_HEADER = "n,tests_oracle,tests_cached,bound_quadratic,bound_log"
-
-
-def run_one(oracle_name: str, n: int, monotone: bool = False) -> BenchRow:
-    oracle = make_oracle(oracle_name, n)
-    result = ddmin(
-        Configuration.full(n), oracle, EngineOptions(monotone=monotone)
-    )
-    tests_oracle, tests_cached, _ = result.log.test_counts()
-    return BenchRow(
-        n=n,
-        tests_oracle=tests_oracle,
-        tests_cached=tests_cached,
-        bound_quadratic=quadratic_bound(n),
-        bound_log=log_bound(n),
-    )
 
 
 def run_bench(
     oracle_name: str, sizes: list[int], monotone: bool = False
-) -> tuple[list[BenchRow], list[str]]:
-    """Run one minimization per size; returns rows plus bound violations."""
-    rows = []
-    violations = []
+) -> tuple[list[str], list[str]]:
+    """Run one minimization per size; returns one CSV line per size, without
+    ``CSV_HEADER``, and one line per bound violation."""
+    lines, violations = [], []
     for n in sizes:
-        row = run_one(oracle_name, n, monotone=monotone)
-        rows.append(row)
-        if not row.within_quadratic_bound:
+        oracle = make_oracle(oracle_name, n)
+        result = ddmin(Configuration.full(n), oracle, EngineOptions(monotone=monotone))
+        tests_oracle, tests_cached, _ = result.log.test_counts()
+        bound = quadratic_bound(n)
+        lines.append(f"{n},{tests_oracle},{tests_cached},{bound},{log_bound(n)}")
+        if tests_oracle > bound:
             violations.append(
-                f"n={n}: {row.tests_oracle} oracle tests exceed the "
-                f"n^2+3n bound of {row.bound_quadratic}"
+                f"n={n}: {tests_oracle} oracle tests exceed the n^2+3n bound of {bound}"
             )
-    return rows, violations
+    return lines, violations
 
 
 def parse_sizes(text: str) -> list[int]:

@@ -218,11 +218,10 @@ def cmd_bench(args) -> int:
     from . import bench
 
     sizes = bench.parse_sizes(args.sizes)
-    rows, violations = bench.run_bench(
+    lines, violations = bench.run_bench(
         args.oracle, sizes, monotone=args.monotone_cache
     )
-    lines = [bench.CSV_HEADER] + [row.csv() for row in rows]
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([bench.CSV_HEADER, *lines]) + "\n"
     if args.csv and args.csv != "-":
         Path(args.csv).write_text(text, encoding="utf-8")
         print(f"wrote {args.csv}")

@@ -1,6 +1,6 @@
 import pytest
 
-from deltadebug import Configuration, Outcome
+from deltadebug import Configuration, EngineOptions, Outcome, ddmin
 from deltadebug.bench import (
     CSV_HEADER,
     log_bound,
@@ -8,7 +8,6 @@ from deltadebug.bench import (
     parse_sizes,
     quadratic_bound,
     run_bench,
-    run_one,
 )
 from deltadebug.oracles import (
     SetFamilyOracle,
@@ -69,39 +68,45 @@ class TestMakeOracle:
         assert str(info.value) == message
 
 
+def oracle_tests(oracle_name, n, monotone=False):
+    """The oracle tests of one bench run, the CSV's ``tests_oracle``."""
+    result = ddmin(
+        Configuration.full(n), make_oracle(oracle_name, n), EngineOptions(monotone=monotone)
+    )
+    return result.log.test_counts()[0]
+
+
 class TestBounds:
     def test_single_cause_1024_within_logarithmic_budget(self):
-        row = run_one("single", 1024)
-        assert row.tests_oracle <= 22
+        assert oracle_tests("single", 1024) <= 22
 
     def test_adversarial_sweep_respects_quadratic_bound(self):
-        rows, violations = run_bench("adversarial", parse_sizes("4..64"))
+        lines, violations = run_bench("adversarial", parse_sizes("4..64"))
         assert violations == []
-        for row in rows:
-            assert row.tests_oracle <= quadratic_bound(row.n)
+        for line in lines:
+            n, tests_oracle = map(int, line.split(",")[:2])
+            assert tests_oracle <= quadratic_bound(n)
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_adversarial_stays_linear_without_monotony(self, n):
         # Complements that lie inside a passing configuration are asked
         # only at singleton granularity, so each reduction costs about two
         # tests.
-        assert run_one("adversarial", n).tests_oracle <= 3 * n
+        assert oracle_tests("adversarial", n) <= 3 * n
 
     def test_adversarial_16_explicit_bound(self):
-        row = run_one("adversarial", 16)
-        assert row.tests_oracle <= 304
+        assert oracle_tests("adversarial", 16) <= 304
 
     def test_random_monotone_growth_with_cache(self):
         counts = {}
         for n in (8, 16, 32, 64):
-            row = run_one("random-monotone:7", n, monotone=True)
-            counts[n] = row.tests_oracle
+            counts[n] = oracle_tests("random-monotone:7", n, monotone=True)
         for n in (8, 16, 32):
             assert counts[2 * n] <= 2.5 * counts[n]
 
     def test_csv_row_shape(self):
-        row = run_one("single", 16)
-        fields = row.csv().split(",")
+        lines, _ = run_bench("single", [16])
+        fields = lines[0].split(",")
         assert len(fields) == len(CSV_HEADER.split(","))
         assert fields[0] == "16"
         assert int(fields[3]) == quadratic_bound(16)
