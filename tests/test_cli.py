@@ -639,6 +639,64 @@ class TestMinimizeChangesCommand:
         assert not (tmp_path / "quote.diff.min").exists()
 
 
+class TestSizeVariables:
+    """What DDMIN_CONFIG_SIZE and DDMIN_UNIVERSE_SIZE count, per test."""
+
+    def test_minimize_input_counts_the_tokens_of_the_pass(self, tmp_path, make_script, capsys):
+        crash = tmp_path / "crash.txt"
+        crash.write_text("one\nBUG12345\nthree\n")
+        sizes = tmp_path / "sizes"
+        script = make_script(
+            f'echo "$DDMIN_CONFIG_SIZE $DDMIN_UNIVERSE_SIZE $(wc -l < "$1") $(wc -c < "$1")"'
+            f' >> "{sizes}"\ngrep -q BUG "$1"'
+        )
+        assert run([
+            "minimize-input", "--input", str(crash), "--test", script,
+            *common_flags(tmp_path),
+        ]) == 0
+        rows = [[int(word) for word in line.split()] for line in sizes.read_text().splitlines()]
+        # The line pass's 3 lines, then the 9 characters of the kept line
+        # "BUG12345\n" in the char pass.
+        universes = [universe for _, universe, _, _ in rows]
+        line_tests = universes.index(9)
+        assert line_tests > 0
+        assert universes == [3] * line_tests + [9] * (len(rows) - line_tests)
+        for config, universe, lines, chars in rows:
+            assert config == (lines if universe == 3 else chars)
+
+    def test_minimize_changes_counts_the_changes_in_the_group_pass_too(
+        self, tmp_path, make_script, capsys
+    ):
+        # Six changes, two in each of three files.  A changed line starts
+        # with an upper-case letter, so a test counts the changes it got.
+        baseline = tmp_path / "baseline"
+        baseline.mkdir()
+        chunks = []
+        for name, first, last in (("a", "A1", "BUG"), ("b", "B1", "B5"), ("c", "BUG", "C5")):
+            old = [f"{name}{i}\n" for i in range(1, 6)]
+            (baseline / f"{name}.txt").write_text("".join(old))
+            new = [f"{first}\n", *old[1:4], f"{last}\n"]
+            chunks.extend(difflib.unified_diff(
+                old, new, fromfile=f"a/{name}.txt", tofile=f"b/{name}.txt", n=0,
+            ))
+        diff = tmp_path / "changes.diff"
+        diff.write_text("".join(chunks))
+        sizes = tmp_path / "sizes"
+        script = make_script(
+            f'''echo "$DDMIN_CONFIG_SIZE $DDMIN_UNIVERSE_SIZE $(cat "$1"/*.txt | grep -c '^[A-Z]')"'''
+            f' >> "{sizes}"\ngrep -q BUG "$1/a.txt" && grep -q BUG "$1/c.txt"'
+        )
+        assert run([
+            "minimize-changes", "--baseline", str(baseline), "--diff", str(diff),
+            "--test", script, "--groups", "file", *common_flags(tmp_path),
+        ]) == 0
+        assert "groups pass: 3 -> 2 deltas" in capsys.readouterr().out
+        rows = [[int(word) for word in line.split()] for line in sizes.read_text().splitlines()]
+        assert {universe for _, universe, _ in rows} == {6}
+        for config, _, changed in rows:
+            assert config == changed
+
+
 class TestReduceTraceCommand:
     def test_default_filter_gives_13_events(self, tmp_path, sample_source, capsys):
         program = tmp_path / "sample.toy"
