@@ -58,7 +58,10 @@ def run_bench(
     ``CSV_HEADER``, and one line per bound violation."""
     lines, violations = [], []
     for n in sizes:
-        oracle = make_oracle(oracle_name, n)
+        try:
+            oracle = make_oracle(oracle_name, n)
+        except ValueError as exc:
+            raise ValueError(f"{oracle_name} at n={n}: {exc}") from exc
         result = ddmin(Configuration.full(n), oracle, EngineOptions(monotone=monotone))
         tests_oracle, tests_cached, _ = result.log.test_counts()
         bound = quadratic_bound(n)

@@ -221,12 +221,7 @@ def cmd_bench(args) -> int:
     lines, violations = bench.run_bench(
         args.oracle, sizes, monotone=args.monotone_cache
     )
-    text = "\n".join([bench.CSV_HEADER, *lines]) + "\n"
-    if args.csv and args.csv != "-":
-        Path(args.csv).write_text(text, encoding="utf-8")
-        print(f"wrote {args.csv}")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write("\n".join([bench.CSV_HEADER, *lines]) + "\n")
     for violation in violations:
         print(f"BOUND VIOLATION: {violation}", file=sys.stderr)
     return 1 if violations else 0
@@ -309,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sizes; A..B ranges allowed")
     p.add_argument("--monotone-cache", action="store_true",
                    help="enable the monotony shortcut")
-    p.add_argument("--csv", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 
     return parser

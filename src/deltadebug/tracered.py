@@ -21,7 +21,6 @@ from .toylang import (
     Program,
     Read,
     ReplayOutput,
-    ResolvedTrace,
     STATUS_COMPLETED,
     Statement,
     Trace,
@@ -171,12 +170,7 @@ def reduce_trace(
     def trace_step(kept: Sequence[int]):
         # Delta i is event kept[i]: replaying the kept events' own trace
         # runs the same events in the same order as the full trace would.
-        # Their actions were resolved with the full trace.
-        actions = oracle.trace.actions
-        events = ResolvedTrace(
-            program, [trace[i] for i in kept], tuple([actions[i] for i in kept])
-        )
-        own = ReplayOracle(program, events, stdin_tokens, expectation)
+        own = ReplayOracle(program, [trace[i] for i in kept], stdin_tokens, expectation)
         return "trace", [(i,) for i in kept], own, bool(sliced) and kept == tuple(sliced)
 
     passes = run_passes(replayable, [slice_step, trace_step], options)

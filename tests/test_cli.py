@@ -828,16 +828,6 @@ class TestBenchCommand:
         assert int(tests_oracle) <= 22
         assert int(bound_log) == 22
 
-    def test_adversarial_range_to_file(self, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        code = run([
-            "bench", "--oracle", "adversarial", "--sizes", "4..16",
-            "--csv", str(csv_path),
-        ])
-        assert code == 0
-        lines = csv_path.read_text().splitlines()
-        assert len(lines) == 1 + 13
-
     def test_monotone_cache_flag(self, capsys):
         code = run([
             "bench", "--oracle", "random-monotone:7", "--sizes", "8,16,32,64",
@@ -852,6 +842,10 @@ class TestBenchCommand:
     def test_unknown_oracle_exits_1(self, capsys):
         assert run(["bench", "--oracle", "bogus", "--sizes", "8"]) == 1
 
+    def test_a_size_the_oracle_cannot_take_is_named(self, capsys):
+        assert run(["bench", "--oracle", "conjunction:9", "--sizes", "4..12"]) == 1
+        assert capsys.readouterr() == ("", "error: conjunction:9 at n=4: k must be in 1..4\n")
+
     def test_a_bad_size_entry_is_named(self, capsys):
         assert run(["bench", "--oracle", "single", "--sizes", "4.."]) == 1
         assert capsys.readouterr().err == "error: bad size range '4..'\n"
@@ -864,15 +858,11 @@ class TestBenchCommand:
         assert captured.err.startswith("BOUND VIOLATION: n=8: ")
         assert captured.err.endswith(" oracle tests exceed the n^2+3n bound of 1\n")
 
-    def test_bench_runs_are_reproducible(self, tmp_path):
+    def test_bench_runs_are_reproducible(self, capsys):
         outputs = []
-        for name in ("a.csv", "b.csv"):
-            path = tmp_path / name
-            assert run([
-                "bench", "--oracle", "adversarial", "--sizes", "4..12",
-                "--csv", str(path),
-            ]) == 0
-            outputs.append(path.read_bytes())
+        for _ in range(2):
+            assert run(["bench", "--oracle", "adversarial", "--sizes", "4..12"]) == 0
+            outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("argv, expected", [

@@ -45,7 +45,7 @@ def test_importing_the_cli_loads_only_the_engine_and_the_report(tmp_path):
 
 
 def test_bench_adds_only_bench_and_the_oracles(tmp_path):
-    argv = ["bench", "--oracle", "single", "--sizes", "4", "--csv", "out.csv"]
+    argv = ["bench", "--oracle", "single", "--sizes", "4"]
     assert modules_loaded(argv, tmp_path) == (
         0, CLI_MODULES, ["deltadebug.bench", "deltadebug.oracles"]
     )

@@ -4,10 +4,10 @@ import tracemalloc
 
 import pytest
 
-from deltadebug import Configuration, Outcome, PassOracle, core, ddmin
+from deltadebug import Configuration, Outcome, PassOracle, core, ddmin, tracered
 from deltadebug.core import AxiomViolation
 from deltadebug.toylang import (
-    KIND_STATEMENT, ResolvedTrace, parse_program, replay_events, resolve_trace, trace_program,
+    KIND_STATEMENT, parse_program, replay_events, trace_program,
 )
 from deltadebug.tracered import (
     OutputExpectation,
@@ -326,12 +326,10 @@ def test_a_trace_pass_replays_its_own_events_as_the_full_trace_would():
         kept = sorted(rng.sample(range(len(trace)), rng.randint(1, len(trace))))
         full = ReplayOracle(program, trace, stdin, expectation)
         expanded = PassOracle(full, len(trace), [(i,) for i in kept])
-        # As reduce_trace builds it: the kept events with the actions the
-        # full trace resolved, which are those they resolve to on their own.
-        events = [trace[i] for i in kept]
-        actions = tuple([full.trace.actions[i] for i in kept])
-        assert actions == resolve_trace(program, events).actions
-        own = ReplayOracle(program, ResolvedTrace(program, events, actions), stdin, expectation)
+        # As reduce_trace builds it, over the kept events alone.  They
+        # resolve to the actions the full trace resolved them to.
+        own = ReplayOracle(program, [trace[i] for i in kept], stdin, expectation)
+        assert own.trace.actions == tuple([full.trace.actions[i] for i in kept])
         for _ in range(4):
             config = Configuration.from_bits(len(kept), rng.getrandbits(len(kept)))
             wide = Configuration(len(trace), [kept[i] for i in config.members])
@@ -341,6 +339,38 @@ def test_a_trace_pass_replays_its_own_events_as_the_full_trace_would():
             assert replayed == replay_events(program, full.trace, wide, stdin, budget)
             statuses[replayed.status] += 1
     assert min(statuses.values()) > 20 and len(statuses) == 3
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["desk", "seeded"])
+def test_a_trace_pass_replays_only_the_events_the_slice_pass_kept(
+    seeded, sample_program, monkeypatch
+):
+    # The README's promise: the trace pass replays a trace of the surviving
+    # events only, not the full trace with the rest left out.
+    if seeded:
+        rng = random.Random(67)
+        program = parse_program(seeded_program(rng))
+        stdin = [rng.randint(-3, 9) for _ in range(4)]
+        _, out = trace_program(program, stdin)
+        expectation = OutputExpectation.derive(filter_output(out.stdout, ["="]), ["="])
+    else:
+        program, stdin = sample_program, [0, 5]
+        expectation = OutputExpectation.derive("sum = 15\nmul = 0\n")
+    lengths = []
+
+    def spy(program, trace, *args):
+        lengths.append(len(trace))
+        return replay_events(program, trace, *args)
+
+    monkeypatch.setattr(tracered, "replay_events", spy)
+    reduction = reduce_trace(program, stdin, expectation)
+    # Every oracle and axiom record is one replay; cache answers are none.
+    first, second = reduction.passes
+    counts = [p.result.log.test_counts() for p in (first, second)]
+    replays = [oracle + axiom for oracle, _, axiom in counts]
+    assert len(lengths) == sum(replays) and replays[1] > 1
+    assert len(first.kept) < len(reduction.trace)
+    assert set(lengths[replays[0]:]) == {len(first.kept)}
 
 
 class TestTwoColumnRendering:
