@@ -6,6 +6,7 @@ checked."""
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .core import Configuration, EngineOptions, ddmin
 from . import oracles
@@ -13,31 +14,28 @@ from . import oracles
 ORACLE_NAMES = ("single", "conjunction:K", "random-monotone:SEED", "adversarial")
 
 
-def make_oracle(name: str, universe_size: int):
-    """Build a synthetic oracle from its CLI name.
+def oracle_family(name: str) -> Callable[[int], oracles.SetFamilyOracle]:
+    """Resolve an oracle's CLI name to its family: a function from the
+    universe size to the oracle.
 
     Names: ``single``, ``conjunction:K`` (K spread causes),
-    ``random-monotone:SEED``, ``adversarial``.
+    ``random-monotone:SEED``, ``adversarial``.  A name's integer parameter
+    is parsed here, once; a size the family cannot take raises when the
+    family is called.
     """
-    if name == "single":
-        return oracles.single_cause(universe_size)
-    if name == "adversarial":
-        return oracles.adversarial(universe_size)
-    if name.startswith("conjunction:"):
-        k = _int_param(name)
-        return oracles.conjunction_spread(universe_size, k)
-    if name.startswith("random-monotone:"):
-        seed = _int_param(name)
-        return oracles.random_monotone(universe_size, seed)
+    label, colon, param = name.partition(":")
+    plain = {"single": oracles.single_cause, "adversarial": oracles.adversarial}
+    with_param = {"conjunction": oracles.conjunction_spread,
+                  "random-monotone": oracles.random_monotone}
+    if colon and label in with_param:
+        try:
+            value = int(param)
+        except ValueError as exc:
+            raise ValueError(f"{label} needs an integer parameter, got {param!r}") from exc
+        return lambda n: with_param[label](n, value)
+    if name in plain:
+        return plain[name]
     raise ValueError(f"unknown oracle {name!r}; expected one of {ORACLE_NAMES}")
-
-
-def _int_param(name: str) -> int:
-    label, _, param = name.partition(":")
-    try:
-        return int(param)
-    except ValueError as exc:
-        raise ValueError(f"{label} needs an integer parameter, got {param!r}") from exc
 
 
 def quadratic_bound(n: int) -> int:
@@ -55,11 +53,14 @@ def run_bench(
     oracle_name: str, sizes: list[int], monotone: bool = False
 ) -> tuple[list[str], list[str]]:
     """Run one minimization per size; returns one CSV line per size, without
-    ``CSV_HEADER``, and one line per bound violation."""
+    ``CSV_HEADER``, and one line per bound violation.  A bad oracle name
+    raises before the first size; a size the oracle cannot take raises
+    with the oracle and the size named."""
+    family = oracle_family(oracle_name)
     lines, violations = [], []
     for n in sizes:
         try:
-            oracle = make_oracle(oracle_name, n)
+            oracle = family(n)
         except ValueError as exc:
             raise ValueError(f"{oracle_name} at n={n}: {exc}") from exc
         result = ddmin(Configuration.full(n), oracle, EngineOptions(monotone=monotone))

@@ -4,7 +4,7 @@ from deltadebug import Configuration, EngineOptions, Outcome, ddmin
 from deltadebug.bench import (
     CSV_HEADER,
     log_bound,
-    make_oracle,
+    oracle_family,
     parse_sizes,
     quadratic_bound,
     run_bench,
@@ -39,21 +39,22 @@ class TestParseSizes:
 
 class TestMakeOracle:
     def test_names(self):
-        assert make_oracle("single", 8).evaluate(Configuration(8, [4])) == Outcome.FAIL
-        conj = make_oracle("conjunction:2", 9)
+        assert oracle_family("single")(8).evaluate(Configuration(8, [4])) == Outcome.FAIL
+        conj = oracle_family("conjunction:2")(9)
         assert conj.evaluate(Configuration.full(9)) == Outcome.FAIL
-        mono = make_oracle("random-monotone:7", 16)
+        mono = oracle_family("random-monotone:7")(16)
         assert mono.evaluate(Configuration.full(16)) == Outcome.FAIL
         assert mono.evaluate(Configuration(16)) == Outcome.PASS
-        adv = make_oracle("adversarial", 6)
+        adv = oracle_family("adversarial")(6)
         assert adv.evaluate(Configuration(6, [1, 3, 5])) == Outcome.FAIL
         assert adv.evaluate(Configuration(6, [1, 3])) == Outcome.PASS
 
     def test_unknown_name(self):
+        # The name alone is enough to reject: no size is given.
         with pytest.raises(ValueError):
-            make_oracle("mystery", 8)
+            oracle_family("mystery")
         with pytest.raises(ValueError):
-            make_oracle("conjunction:x", 8)
+            oracle_family("conjunction:x")
 
     @pytest.mark.parametrize("make, message", [
         (lambda: SetFamilyOracle(4, []), "need at least one generator set"),
@@ -71,7 +72,7 @@ class TestMakeOracle:
 def oracle_tests(oracle_name, n, monotone=False):
     """The oracle tests of one bench run, the CSV's ``tests_oracle``."""
     result = ddmin(
-        Configuration.full(n), make_oracle(oracle_name, n), EngineOptions(monotone=monotone)
+        Configuration.full(n), oracle_family(oracle_name)(n), EngineOptions(monotone=monotone)
     )
     return result.log.test_counts()[0]
 

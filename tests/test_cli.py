@@ -841,6 +841,20 @@ class TestBenchCommand:
 
     def test_unknown_oracle_exits_1(self, capsys):
         assert run(["bench", "--oracle", "bogus", "--sizes", "8"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: unknown oracle 'bogus'; expected one of "
+            "('single', 'conjunction:K', 'random-monotone:SEED', 'adversarial')\n"
+        ))
+
+    @pytest.mark.parametrize("oracle, message", [
+        ("conjunction:x", "conjunction needs an integer parameter, got 'x'"),
+        ("single:3", f"unknown oracle 'single:3'; expected one of {bench.ORACLE_NAMES}"),
+        ("conjunction", f"unknown oracle 'conjunction'; expected one of {bench.ORACLE_NAMES}"),
+    ], ids=["bad-parameter", "parameter-not-taken", "parameter-missing"])
+    def test_a_bad_oracle_name_names_no_size(self, oracle, message, capsys):
+        # The name is read once, before the first size, so no size is named.
+        assert run(["bench", "--oracle", oracle, "--sizes", "8"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_a_size_the_oracle_cannot_take_is_named(self, capsys):
         assert run(["bench", "--oracle", "conjunction:9", "--sizes", "4..12"]) == 1

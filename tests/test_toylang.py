@@ -53,6 +53,12 @@ class TestParser:
         program = parse_program("")
         assert program.statements == ()
 
+    def test_a_line_outside_the_source_is_empty(self, sample_source):
+        program = parse_program(sample_source)
+        assert program.source_line(1) == sample_source.splitlines()[0]
+        assert program.source_line(0) == ""
+        assert program.source_line(len(sample_source.splitlines()) + 1) == ""
+
     def test_error_carries_line_and_column(self):
         with pytest.raises(ToyParseError) as info:
             parse_program("x = 1;\ny = $;\n")
@@ -514,6 +520,15 @@ class TestTraceFile:
             parse_trace("1\t2\n")
         with pytest.raises(ValueError):
             parse_trace("2\t1\tstatement\n")
+
+    def test_blank_lines_are_skipped(self):
+        trace = parse_trace("1\t1\tstatement\n\n \t\n2\t2\tstatement\n")
+        assert trace == [
+            Event(seq=1, line=1, kind="statement"), Event(seq=2, line=2, kind="statement")
+        ]
+        # A blank line still counts in the line number an error names.
+        with pytest.raises(ValueError, match="^line 3: "):
+            parse_trace("1\t1\tstatement\n\nbad\n")
 
     @pytest.mark.parametrize("bad", ["x\t1\tstatement", "1\ty\tstatement", "1\t\tloop-end"])
     def test_a_non_integer_field_names_the_line(self, bad):
