@@ -4,6 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import deltadebug
+from deltadebug import core
+from support import audited
+
 SAMPLE_PROGRAM = """\
 sum = 0;
 mul = 1;
@@ -17,6 +21,18 @@ while (a <= b) {
 print("sum = ", sum, "\\n");
 print("mul = ", mul, "\\n");
 """
+
+
+def pytest_configure(config):
+    """Audit the log of every ddmin run of the session, ``run_passes``'s
+    passes and the front-ends' included (see ``support.audit_log``).  The
+    wrap comes before collection, so a test module's ``from deltadebug
+    import ddmin`` reads it too."""
+    core.ddmin = deltadebug.ddmin = audited(core.ddmin)
+
+
+def pytest_unconfigure(config):
+    core.ddmin = deltadebug.ddmin = core.ddmin.__wrapped__
 
 
 @pytest.fixture
