@@ -9,10 +9,11 @@ removing any single remaining delta makes the failure disappear.
 The engine is deterministic: each round tests one ordered list, the chunks
 then their complements, and the first failing candidate wins, so two runs
 against the same oracle behavior produce identical run logs.  Only the
-candidates asked are built.  A candidate that lies inside a configuration
-that passed in an earlier round, or a preloaded PASS shaped like a
-candidate, is not tested, asked before or not, except that a round at
-singleton granularity tests such complements after its other candidates.
+candidates asked are built.  A candidate is not tested, asked before or
+not, when it lies inside an earlier PASS that leaves out at most one
+interval of the configuration that the round after it splits, except that
+a round at singleton granularity tests such complements after its other
+candidates.  A preloaded PASS counts as one of a round before the first.
 
 A run may instead start with a *scan*, for a configuration that is
 expected to be nearly 1-minimal already: rounds at singleton granularity
@@ -262,8 +263,7 @@ class PassOracle:
 
 
 def _round(
-    current: int, members: Sequence[int], n: int,
-    held: list[tuple[int, int]], gaps: list[tuple[int, int]], chunks: bool,
+    current: int, members: Sequence[int], n: int, gaps: list[tuple[int, int]], chunks: bool,
 ) -> Iterator[tuple[int, str, int, int]]:
     """The candidates of a ddmin round that splits ``current``, with the
     ascending member ids ``members``, into ``n`` contiguous chunks, as
@@ -271,22 +271,20 @@ def _round(
     the complements.  Chunk ``i`` holds ``members[lo:hi]``, and only a
     candidate that is yielded gets a bitmap.
 
-    A candidate is *covered* when it lies inside a PASS candidate of an
-    earlier round, given as intervals [lo, hi) of member positions, each
-    list ascending in both ends.  ``held`` holds the outermost positions
-    of the passing chunks that reach neither end of ``current``.  ``gaps``
-    holds the innermost positions that a passing candidate leaves out,
-    for every one that leaves out a single interval: a complement, or a
-    chunk that reaches an end.  The gap ``(width, 0)`` lies inside every
-    interval: a pass that holds all of ``current``.  A covered candidate
-    is skipped, except that a round at singleton granularity asks its
-    covered complements after all other candidates, tagged ``_LATE``.
-    Without ``chunks`` the round asks complements only.
+    A candidate is *covered* when it lies inside a PASS of the cover that
+    ``ddmin`` keeps, each of which leaves out at most one interval of
+    ``current``.  ``gaps`` holds these intervals, [lo, hi) of member
+    positions, innermost and ascending in both ends; the gap ``(width,
+    0)`` lies inside every interval: a pass that holds all of ``current``.
+    A candidate lies inside a pass when it misses the pass's gap.  A
+    covered candidate is skipped, except that a round at singleton
+    granularity asks its covered complements after all other candidates,
+    tagged ``_LATE``.  Without ``chunks`` the round asks complements only.
 
     Chunk bounds are arithmetic, and only the chunks that every gap cuts
-    are visited; ``held`` covers the rest.  One walk along ``gaps`` visits
-    the complements: one is covered when a gap lies inside it.  The
-    covered complements are listed only if nothing FAILed.
+    are visited.  One walk along ``gaps`` visits the complements: one is
+    covered when a gap lies inside it.  The covered complements are listed
+    only if nothing FAILed.
     """
     width = len(members)
     q, r = divmod(width, n)
@@ -307,9 +305,7 @@ def _round(
         lo = i * q + min(i, r)
         for i in range(i, stop):
             hi = lo + q + (i < r)
-            j = bisect_left(held, (lo + 1,))
-            if j == 0 or held[j - 1][1] < hi:
-                yield chunk(lo, hi), _CHUNK, lo, hi
+            yield chunk(lo, hi), _CHUNK, lo, hi
             lo = hi
     j, gaps = 0, [*gaps, (width + 1, width + 1)]
     gap_lo, gap_hi = gaps[0]  # the first gap that starts at lo or later
@@ -328,36 +324,30 @@ def _round(
             yield current ^ chunk(lo, lo + 1), _LATE, lo, lo + 1
 
 
-def _preloaded_passes(
-    current: int, preloaded: Mapping[int, Outcome],
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The preloaded PASSes shaped like a candidate of a round over the
-    bitmap ``current``, as intervals [lo, hi) of its member positions: one
-    whose members in ``current`` are one interval is a chunk pass, and one
-    that leaves out one interval of them is a gap pass (see ``_round``).
-    Other shapes, FAILs and passes that hold nothing of ``current`` are
-    left out.
+def _preloaded_passes(current: int, preloaded: Mapping[int, Outcome]) -> list[tuple[int, int]]:
+    """What each preloaded PASS that leaves out at most one interval of the
+    bitmap ``current`` leaves out, as an interval [lo, hi) of its member
+    positions (see ``_round``): the whole gap ``(width, 0)`` for a pass
+    that holds all of ``current``.  Other shapes, FAILs and passes that
+    hold nothing of ``current`` are left out.
 
-    The shape is read off bitmaps, with no loop per position: a part of
-    ``current`` is one interval when ``current`` has no member between the
-    part's lowest and highest bit that the part lacks, and the part starts
-    at the number of members below its lowest bit.
+    The shape is read off bitmaps, with no loop per position: what a pass
+    leaves out is one interval when ``current`` has no member between its
+    lowest and highest bit that it lacks, and it starts at the number of
+    members below its lowest bit.
     """
-    chunk_passes: list[tuple[int, int]] = []
     gap_passes: list[tuple[int, int]] = []
     for bits, outcome in preloaded.items():
-        inside = bits & current
-        if outcome is not Outcome.PASS or not inside:
+        left = current & ~bits
+        if outcome is not Outcome.PASS or left == current:
             continue
-        # ``inside`` is not all of ``current`` when it is no interval, so
-        # neither part is empty.
-        for part, passes in ((inside, chunk_passes), (current ^ inside, gap_passes)):
-            low = part & -part
-            if current & (1 << part.bit_length()) - low == part:
-                lo = (current & low - 1).bit_count()
-                passes.append((lo, lo + part.bit_count()))
-                break
-    return chunk_passes, gap_passes
+        low = left & -left
+        if not left:
+            gap_passes.append((current.bit_count(), 0))
+        elif current & (1 << left.bit_length()) - low == left:
+            lo = (current & low - 1).bit_count()
+            gap_passes.append((lo, lo + left.bit_count()))
+    return gap_passes
 
 
 def _mapped(intervals: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
@@ -388,17 +378,6 @@ def _removed(gaps: list[tuple[int, int]], lo: int, hi: int, width: int) -> list[
             return near
     d = hi - lo
     return gaps[:i] + near + [(l - d, h - d) for l, h in gaps[j:]]
-
-
-def _outermost(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The intervals that lie inside no other, ascending."""
-    out: list[tuple[int, int]] = []
-    for lo, hi in sorted(intervals):
-        if out and out[-1][0] == lo:
-            out.pop()  # it lies inside this one
-        if not out or out[-1][1] < hi:
-            out.append((lo, hi))
-    return out
 
 
 def _innermost(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -511,7 +490,11 @@ def ddmin(
 
     A candidate is *covered* when it lies inside a candidate of an earlier
     round (one that found a FAIL too) that answered PASS, from the oracle,
-    a cache or monotony.  A covered chunk is skipped, with no record, and
+    a cache or monotony, and that leaves out at most one interval of the
+    configuration that the round after it splits: each passing complement,
+    and each passing chunk that reaches an end of that configuration.  A
+    chunk that reaches neither end leaves out two intervals and covers
+    nothing.  A covered chunk is skipped, with no record, and
     so is a covered complement below singleton granularity, whether or not
     the run asked it before.  A round at singleton granularity asks its
     covered complements after all its other candidates, in list order, so
@@ -537,18 +520,17 @@ def ddmin(
     the universe is a ``ValueError``, raised before any test.  With
     ``monotone`` the covered complements of a round at singleton
     granularity are answered PASS as ``monotony`` records, unless asked
-    before or preloaded.  A preloaded PASS shaped like a candidate covers
-    from the start, as a PASS of a round before the first would: in the
-    positions of ``universe``'s members it is one interval, or it leaves
-    out exactly one interval.  So a later pass of ``run_passes`` skips the
-    candidates inside the configurations that an earlier pass saw pass.
-    A preloaded PASS of another shape covers nothing until a round asks
-    it, and neither does a preloaded FAIL or the empty configuration.
+    before or preloaded.  A preloaded PASS that leaves out at most one
+    interval of ``universe``'s members covers from the start, as a PASS of
+    a round before the first would.  So a later pass of ``run_passes``
+    skips the candidates inside the configurations that an earlier pass
+    saw pass.  A preloaded PASS of another shape covers nothing until a
+    round asks it, and neither does a preloaded FAIL or the empty
+    configuration.
 
-    The run keeps its cover as intervals of positions in the current
-    configuration: ``held``, the passing chunks that reach neither end,
-    and ``gaps``, what each other passing candidate leaves out, one
-    interval each (see ``_round``).
+    The run keeps its cover as ``gaps``: the one interval of positions in
+    the current configuration that each covering PASS leaves out (see
+    ``_round``).
 
     With ``scan`` the run starts with a scan, for a ``universe`` that is
     nearly 1-minimal: coarse rounds would find nothing to remove there.
@@ -632,43 +614,44 @@ def ddmin(
     scan = opts.scan
     n = len(members) if scan else 2
     last_fail = -2  # the log length right after the scan's last FAIL; none yet
-    # The PASS candidates of the earlier rounds, as intervals of positions
-    # in ``members`` (see ``_round``).  Before each round the update below
-    # merges in the last round's passes, maps both lists through its
-    # removals and moves each chunk pass that reaches an end into ``gaps``.
-    # Before the first round it merges the preloaded PASSes shaped like a
-    # candidate.
-    held: list[tuple[int, int]] = []
+    # The cover: what each covering PASS leaves out, as intervals of
+    # positions in ``members`` (see ``_round``).  Before each round the
+    # update below merges in what the last round's passing complements
+    # leave out, maps the gaps and its passing chunks through its removals,
+    # and adds what each chunk that then reaches an end leaves out.  Before
+    # the first round it merges the preloaded PASSes that cover.
     gaps: list[tuple[int, int]] = []
-    chunk_passes, gap_passes = _preloaded_passes(current, opts.preloaded_cache or {})
+    chunk_passes: list[tuple[int, int]] = []
+    gap_passes = _preloaded_passes(current, opts.preloaded_cache or {})
     removals: tuple[tuple[int, int], ...] = ()
     while True:
-        # The one update, FAIL or not: merge the passes, then follow each
-        # removal.  A chunk pass with no position left holds nothing of
-        # ``current``; a gap with none left is a pass that holds all of it.
-        held = held + chunk_passes
+        # The one update, FAIL or not: merge the gap passes, then follow
+        # each removal.  A gap with no position left is a pass that holds
+        # all of ``current``.
         if gap_passes:
             gaps = _innermost(gaps + gap_passes)
         for lo, hi in removals:
             del members[lo:hi]
-            held = [p for p in _mapped(held, lo, hi) if p[0] < p[1]]
             gaps = _removed(gaps, lo, hi, len(members))
-        held = _outermost(held)
-        # A chunk pass that reaches an end leaves out one interval, so it
-        # becomes a gap: [0, b) leaves out [b, width), [a, width) leaves out
-        # [0, a), and [0, width) nothing, the whole gap.
+            chunk_passes = _mapped(chunk_passes, lo, hi)
+        # A chunk pass that holds a position and reaches an end leaves out
+        # one interval, so it becomes a gap: [0, b) leaves out [b, width),
+        # [a, width) leaves out [0, a), and [0, width) nothing, the whole
+        # gap.  One that reaches neither end leaves out two and is dropped.
         width = len(members)
-        ends = [(b, width) if a == 0 else (0, a) for a, b in held if a == 0 or b == width]
+        ends = [
+            (width, 0) if b - a == width else (b, width) if a == 0 else (0, a)
+            for a, b in chunk_passes if a < b and (a == 0 or b == width)
+        ]
         if ends:
-            held = [p for p in held if 0 < p[0] and p[1] < width]
-            gaps = _innermost(gaps + [p if p[0] < p[1] else (width, 0) for p in ends])
+            gaps = _innermost(gaps + ends)
         if width < 2:
             break
         # Recursion invariant: current is known to FAIL and n <= |current|.
-        # This round's PASS candidates, as intervals like ``held`` and ``gaps``,
-        # and the position intervals that its FAIL removes, in turn.
+        # This round's PASS candidates, as intervals of positions, and the
+        # position intervals that its FAIL removes, in turn.
         chunk_passes, gap_passes, removals = [], [], ()
-        for bits, kind, lo, hi in _round(current, members, n, held, gaps, not scan):
+        for bits, kind, lo, hi in _round(current, members, n, gaps, not scan):
             outcome = run_test(bits, n, monotone and kind is _LATE)
             if outcome is Outcome.FAIL:
                 if kind is _CHUNK:
@@ -735,10 +718,11 @@ def run_passes(
     answers: the empty configuration passed, and the pass's full
     configuration, the result of the pass before it, failed.  Any other
     carried FAIL would contain that result, so none is in reach; a
-    carried PASS shaped like a candidate covers from the start of the pass
-    (see ``ddmin``).  The table replaces any preloaded cache, whose bitmaps belong to the first
-    pass's universe.  A ``PassOracle`` must be over its step's ids: the
-    run maps the table through its id map.  An axiom violation names its pass.
+    carried PASS that leaves out at most one interval of the pass's deltas
+    covers from the start of the pass (see ``ddmin``).  The table replaces
+    any preloaded cache, whose bitmaps belong to the first pass's
+    universe.  A ``PassOracle`` must be over its step's ids: the run maps
+    the table through its id map.  An axiom violation names its pass.
     """
     passes: list[Pass] = []
     kept = input_ids
