@@ -29,7 +29,6 @@ from deltadebug.core import (
     TestRecord,
     _innermost,
     _mapped,
-    _outermost,
     _removed,
     _round,
     as_oracle,
@@ -157,8 +156,10 @@ class TestBitmapReadingMatchesShiftLoop:
         # The shapes read off bitmaps against member-by-member positions:
         # intervals of positions, what they leave out, and arbitrary
         # bitmaps, some with ids outside the configuration, some FAILs.
+        # Only a pass that leaves out at most one interval is kept; an
+        # interval that reaches neither end leaves out two.
         rng = random.Random(4403)
-        shaped = 0
+        seen = collections.Counter()
         for config in seeded_bitmaps(rng):
             members, size = config.members, config.universe_size
             preload = {}
@@ -170,19 +171,22 @@ class TestBitmapReadingMatchesShiftLoop:
                     preload[bits | rng.getrandbits(size) & ~config.bits] = rng.choice(
                         [Outcome.PASS, Outcome.PASS, Outcome.FAIL]
                     )
-            expected = ([], [])
+            expected = []
             for bits, outcome in preload.items():
                 inside = [i for i, m in enumerate(members) if bits >> m & 1]
                 outside = [i for i, m in enumerate(members) if not bits >> m & 1]
                 if outcome != Outcome.PASS or not inside:
                     continue
-                for positions, passes in ((inside, expected[0]), (outside, expected[1])):
-                    if positions == list(range(positions[0], positions[-1] + 1)):
-                        passes.append((positions[0], positions[-1] + 1))
-                        shaped += 1
-                        break
+                if not outside:
+                    expected.append((len(members), 0))
+                    seen["whole"] += 1
+                elif outside == list(range(outside[0], outside[-1] + 1)):
+                    expected.append((outside[0], outside[-1] + 1))
+                    seen["one interval"] += 1
+                elif inside == list(range(inside[0], inside[-1] + 1)):
+                    seen["two intervals"] += 1
             assert core._preloaded_passes(config.bits, preload) == expected
-        assert shaped >= 500
+        assert seen["one interval"] >= 300 and seen["whole"] >= 40 and seen["two intervals"] >= 100, seen
 
 
 class TestDdmin:
@@ -620,35 +624,35 @@ def reference_ddmin(universe, oracle, opts, classic=False):
     """The ddmin loop on ``Configuration`` objects, with member sets and
     member-by-member chunks: the reference the engine must equal.
 
-    A candidate not asked yet is covered when its members are a subset of
-    a PASS candidate of any earlier round, or of a preloaded PASS shaped
-    like a candidate of the first round: its members in ``universe`` sit
-    at consecutive positions, or those it leaves out do.  A covered chunk
-    is skipped, and so is a covered complement, except in a round at
-    granularity ``len(current)``: it asks its covered complements after
-    every other candidate, answered PASS by monotony if ``opts.monotone``.
-    With ``classic`` every candidate is asked in the paper's order.
+    A candidate is covered when its members are a subset of a PASS that
+    leaves out at most one interval of the configuration that the round
+    after it splits: a PASS candidate of an earlier round, or a preloaded
+    PASS, for which that configuration is ``universe``.  The members that
+    a PASS lacks of that configuration sit at consecutive positions, or
+    there are none.  A covered chunk is skipped, and so is a covered
+    complement, except in a round at granularity ``len(current)``: it asks
+    its covered complements after every other candidate, answered PASS by
+    monotony if ``opts.monotone``.  With ``classic`` every candidate is
+    asked in the paper's order.
     """
     oracle = as_oracle(oracle)
     preload = opts.preloaded_cache or {}
     log = RunLog(universe.universe_size)
     answered = {}  # configuration -> its first record
 
-    def consecutive(positions):
-        return positions == list(range(positions[0], positions[-1] + 1))
+    def covers(passed, config):
+        """Whether the member set ``passed`` leaves out at most one
+        interval of ``config``."""
+        outside = [i for i, m in enumerate(config.members) if m not in passed]
+        return outside == list(range(outside[0], outside[-1] + 1)) if outside else True
 
-    def candidate_shaped(bits):
-        inside = [i for i, m in enumerate(universe.members) if bits >> m & 1]
-        outside = [i for i, m in enumerate(universe.members) if not bits >> m & 1]
-        return bool(inside) and (consecutive(inside) or bool(outside) and consecutive(outside))
-
-    # Member sets of the PASS candidates of the earlier rounds, and of the
-    # preloaded PASSes shaped like a candidate.
-    passed = [
-        set(Configuration.from_bits(universe.universe_size, bits).members)
-        for bits, outcome in preload.items()
-        if outcome == Outcome.PASS and candidate_shaped(bits)
-    ]
+    # Member sets of the PASSes that cover: the preloaded ones, then those
+    # of each round.
+    passed = []
+    for bits, outcome in preload.items():
+        members = set(Configuration.from_bits(universe.universe_size, bits).members)
+        if outcome == Outcome.PASS and covers(members, universe):
+            passed.append(members)
     passed_in_round = []
 
     def run_test(config, granularity, axiom=False, assumed=False):
@@ -715,7 +719,8 @@ def reference_ddmin(universe, oracle, opts, classic=False):
                 if run_test(config, n, assumed=opts.monotone) == Outcome.FAIL:
                     reduced = (config, next_n)
                     break
-        passed.extend(passed_in_round)
+        following = current if reduced is None else reduced[0]
+        passed.extend(p for p in passed_in_round if covers(p, following))
         if reduced is not None:
             current, n = reduced
             continue
@@ -789,8 +794,9 @@ class TestEngineMatchesReference:
             below = Configuration.from_bits(n, universe.bits ^ 1 << n - 1)
             preload = {below.bits: Outcome.PASS} if oracle.evaluate(below) == Outcome.PASS else {}
             yield universe, oracle, preload
-        # Tables where, at singleton granularity, a chunk pass holds every
-        # member but the first, and no gap covers the first complement.
+        # Tables where a chunk passes and reaches neither end of the
+        # configuration that its round leaves (at n = 6, 7 and 8): it covers
+        # nothing, so the next round asks it again, from the exact cache.
         for n, seed in ((4, 1273), (6, 493), (7, 187), (8, 274)):
             yield Configuration.full(n), random_table(n, seed, fail_p=0.3, unresolved_p=0.2), {}
 
@@ -934,29 +940,29 @@ class TestRemovedGaps:
 class TestChunkKeptAsTwoRemovals:
     """Keeping the chunk [lo, hi) as ``ddmin`` does, by removing [hi, width)
     and then [0, lo), against clamping every interval to the chunk in one
-    step with the reference ``_mapped``: the same ``held`` and ``gaps``."""
+    step with the reference ``_mapped``: the same chunk passes and gaps."""
 
     @staticmethod
-    def clamped(held, gaps, chunk_passes, gap_passes, lo, hi):
+    def clamped(gaps, chunk_passes, gap_passes, lo, hi):
         left = hi - lo
-        held = [p for p in reference_mapped(held + chunk_passes, lo, hi, True) if p[0] < p[1]]
+        chunk_passes = [p for p in reference_mapped(chunk_passes, lo, hi, True) if p[0] < p[1]]
         gaps = _innermost([
             p if p[0] < p[1] else (left, 0)
             for p in reference_mapped(gaps + gap_passes, lo, hi, True)
         ])
-        return _outermost(held), gaps
+        return chunk_passes, gaps
 
     @staticmethod
-    def removed(held, gaps, chunk_passes, gap_passes, lo, hi, width):
-        # ddmin's update after a round whose chunk [lo, hi) FAILed.
-        held = held + chunk_passes
+    def removed(gaps, chunk_passes, gap_passes, lo, hi, width):
+        # ddmin's update after a round whose chunk [lo, hi) FAILed, up to
+        # turning the chunk passes that reach an end into gaps.
         if gap_passes:
             gaps = _innermost(gaps + gap_passes)
         for l, h in ((hi, width), (0, lo)):
             width -= h - l
-            held = [p for p in _mapped(held, l, h) if p[0] < p[1]]
             gaps = _removed(gaps, l, h, width)
-        return _outermost(held), gaps
+            chunk_passes = _mapped(chunk_passes, l, h)
+        return [p for p in chunk_passes if p[0] < p[1]], gaps
 
     def test_seeded_draws(self):
         rng = random.Random(4407)
@@ -968,43 +974,42 @@ class TestChunkKeptAsTwoRemovals:
             i = (0, n - 1, rng.randrange(n))[draw % 3]
             lo = i * q + min(i, r)
             hi = lo + q + (i < r)
-            held = _outermost(random_intervals(rng, width, rng.randint(0, 6)))
-            chunk_passes = random_intervals(rng, width, rng.choice((0, 0, 1, 2)))
+            chunk_passes = random_intervals(rng, width, rng.randint(0, 6))
             if draw % 10 == 0:
                 gaps = [(width, 0)]
             else:
                 gaps = _innermost(random_intervals(rng, width, rng.randint(0, 12)))
             gap_passes = random_intervals(rng, width, rng.choice((0, 0, 1, 2)))
-            args = (held, gaps, chunk_passes, gap_passes, lo, hi)
+            args = (gaps, chunk_passes, gap_passes, lo, hi)
             got = self.removed(*args, width)
             assert got == self.clamped(*args), draw
             seen["lo == 0"] += lo == 0
             seen["hi == width"] += hi == width
-            outside = [p for p in held + chunk_passes + gaps + gap_passes if p[1] <= lo or hi <= p[0]]
+            outside = [p for p in chunk_passes + gaps + gap_passes if p[1] <= lo or hi <= p[0]]
             seen["emptied"] += bool(outside)
             seen["whole"] += got[1][:1] == [(hi - lo, 0)]
         assert min(seen.values()) >= 400, seen
 
     def test_edges(self):
         # The whole configuration kept: nothing moves.
-        assert self.removed([(0, 3)], [(1, 2)], [], [], 0, 5, 5) == ([(0, 3)], [(1, 2)])
-        # A held interval outside the chunk is dropped, a gap outside it
+        assert self.removed([(1, 2)], [(0, 3)], [], 0, 5, 5) == ([(0, 3)], [(1, 2)])
+        # A chunk pass outside the chunk is dropped, a gap outside it
         # becomes the whole gap, and the whole gap takes the new width.
-        assert self.removed([(0, 4), (5, 10)], [(1, 2), (4, 5), (7, 8)], [], [], 3, 6, 10) == (
+        assert self.removed([(1, 2), (4, 5), (7, 8)], [(0, 4), (5, 10)], [], 3, 6, 10) == (
             [(0, 1), (2, 3)], [(3, 0)]
         )
-        assert self.removed([], [(10, 0)], [], [], 5, 10, 10) == ([], [(5, 0)])
-        # Passes of the round are merged before the removals.
-        assert self.removed([], [], [(0, 5)], [(6, 8)], 5, 10, 10) == ([], [(1, 3)])
+        assert self.removed([(10, 0)], [], [], 5, 10, 10) == ([], [(5, 0)])
+        # Gap passes of the round are merged before the removals.
+        assert self.removed([], [(0, 5)], [(6, 8)], 5, 10, 10) == ([], [(1, 3)])
 
 
-def reference_round(current, members, n, held, gaps, chunks):
-    """``_round`` as it was while ``held`` also kept the chunk passes that
-    reach an end of ``current``: a held interval that holds every
-    position, and ``head`` and ``tail``, which cover the first and the last
-    complement, stood in for the gaps that such passes leave out.  The
-    reference for ``_round`` on the same cover with those passes moved
-    into ``gaps``."""
+def reference_round(current, members, n, ends, gaps, chunks):
+    """``_round`` as it was while a list of its own kept the chunk passes
+    that reach an end of ``current``, ``ends``, outermost and ascending: a
+    pass that holds every position, and ``head`` and ``tail``, which cover
+    the first and the last complement, stood in for the gaps that such
+    passes leave out.  The reference for ``_round`` on the same cover with
+    those passes moved into ``gaps``."""
     width = len(members)
     q, r = divmod(width, n)
     cut = r * (q + 1)
@@ -1012,7 +1017,7 @@ def reference_round(current, members, n, held, gaps, chunks):
     def chunk(lo, hi):
         return current & (1 << members[hi - 1] + 1) - (1 << members[lo])
 
-    if held and held[0] == (0, width):
+    if ends and ends[0] == (0, width):
         gaps = [(width, 0)]
     if chunks:
         end, start = (gaps[0][1] - 1, gaps[-1][0]) if gaps else (width - 1, 0)
@@ -1021,12 +1026,12 @@ def reference_round(current, members, n, held, gaps, chunks):
         lo = i * q + min(i, r)
         for i in range(i, stop):
             hi = lo + q + (i < r)
-            j = bisect_left(held, (lo + 1,))
-            if j == 0 or held[j - 1][1] < hi:
+            j = bisect_left(ends, (lo + 1,))
+            if j == 0 or ends[j - 1][1] < hi:
                 yield chunk(lo, hi), _CHUNK, lo, hi
             lo = hi
-    head = bool(held) and held[-1][0] <= q + (r > 0) and held[-1][1] == width
-    tail = bool(held) and held[0][0] == 0 and held[0][1] >= width - q
+    head = bool(ends) and ends[-1][0] <= q + (r > 0) and ends[-1][1] == width
+    tail = bool(ends) and ends[0][0] == 0 and ends[0][1] >= width - q
     j, gaps = 0, [*gaps, (width + 1, width + 1)]
     gap_lo, gap_hi = gaps[0]
     bounds = itertools.pairwise(itertools.chain(range(0, cut, q + 1), range(cut, width + 1, q)))
@@ -1043,26 +1048,19 @@ def reference_round(current, members, n, held, gaps, chunks):
             yield current ^ chunk(lo, lo + 1), _LATE, lo, lo + 1
 
 
-def moved_to_gaps(width, held, gaps):
-    """The cover ``held``, ``gaps`` with each held interval that reaches an
-    end replaced by the one interval it leaves out, as ``ddmin`` keeps it."""
-    inner, moved = [], []
-    for lo, hi in held:
-        if (lo, hi) == (0, width):
-            moved.append((width, 0))
-        elif lo == 0:
-            moved.append((hi, width))
-        elif hi == width:
-            moved.append((0, lo))
-        else:
-            inner.append((lo, hi))
-    return inner, _innermost(gaps + moved)
+def moved_to_gaps(width, ends, gaps):
+    """``gaps`` with the one interval that each chunk pass of ``ends``
+    leaves out, as ``ddmin`` keeps them."""
+    return _innermost(gaps + [
+        (width, 0) if (lo, hi) == (0, width) else (hi, width) if lo == 0 else (0, lo)
+        for lo, hi in ends
+    ])
 
 
 class TestChunkPassesAtAnEndAreGaps:
     """A chunk pass that reaches an end of ``current`` leaves out a single
-    interval, so ``ddmin`` keeps it in ``gaps``; ``held`` keeps only the
-    chunk passes that reach neither end."""
+    interval, so ``ddmin`` keeps it in ``gaps``; one that reaches neither
+    end leaves out two and covers nothing."""
 
     def test_seeded_draws_against_the_reference_round(self):
         rng = random.Random(4408)
@@ -1070,13 +1068,15 @@ class TestChunkPassesAtAnEndAreGaps:
         for draw in range(4000):
             width = rng.randint(2, 40)
             n = width if draw % 4 == 0 else rng.randint(2, width)
-            held = random_intervals(rng, width, rng.randint(0, 6))
-            # Passes that reach an end, most near what head and tail cover.
+            # Passes that reach an end, most near what head and tail cover:
+            # at most one from each end, or one that holds every position.
+            ends = []
             if draw % 3 == 0:
-                held.append((0, rng.randint(max(1, width - width // n - 1), width)))
+                ends.append((0, rng.randint(max(1, width - width // n - 1), width)))
             if draw % 5 == 0:
-                held.append((rng.randint(0, min(width - 1, width // n + 1)), width))
-            held = _outermost(held)
+                ends.append((rng.randint(0, min(width - 1, width // n + 1)), width))
+            if (0, width) in ends:
+                ends = [(0, width)]
             if draw % 10 == 0:
                 gaps = [(width, 0)]
             else:
@@ -1084,36 +1084,20 @@ class TestChunkPassesAtAnEndAreGaps:
             members = sorted(rng.sample(range(2 * width), width))
             current = sum(1 << m for m in members)
             chunks = draw % 7 != 0
-            want = list(reference_round(current, members, n, held, gaps, chunks))
-            got = list(_round(current, members, n, *moved_to_gaps(width, held, gaps), chunks))
+            want = list(reference_round(current, members, n, ends, gaps, chunks))
+            got = list(_round(current, members, n, moved_to_gaps(width, ends, gaps), chunks))
             assert got == want, draw
             # Draws where an end-reaching pass covers a complement that no
             # gap covers: the first, the last, or every one.
             without = {(lo, hi) for _, kind, lo, hi in reference_round(
-                current, members, n, [p for p in held if 0 < p[0] and p[1] < width], gaps, chunks
+                current, members, n, [], gaps, chunks
             ) if kind is _COMPLEMENT}
             asked = {(lo, hi) for _, kind, lo, hi in want if kind is _COMPLEMENT}
-            seen["held all"] += held[:1] == [(0, width)] and gaps != [(width, 0)]
-            seen["first covered"] += (0 in {lo for lo, _ in without - asked}) and held[:1] != [(0, width)]
-            seen["last covered"] += (width in {hi for _, hi in without - asked}) and held[:1] != [(0, width)]
+            seen["holds all"] += ends == [(0, width)] and gaps != [(width, 0)]
+            seen["first covered"] += (0 in {lo for lo, _ in without - asked}) and ends != [(0, width)]
+            seen["last covered"] += (width in {hi for _, hi in without - asked}) and ends != [(0, width)]
             seen["late"] += any(kind is _LATE for _, kind, _, _ in want)
         assert min(seen.values()) >= 100, seen
-
-    def test_held_reaches_neither_end_after_any_update(self, monkeypatch):
-        covers = []
-
-        def watched(current, members, n, held, gaps, chunks):
-            covers.append((len(members), held))
-            return _round(current, members, n, held, gaps, chunks)
-
-        monkeypatch.setattr(core, "_round", watched)
-        for draw, (universe, oracle, preload) in enumerate(TestEngineMatchesReference.draws()):
-            try:
-                ddmin(universe, oracle, EngineOptions(monotone=draw % 2 == 1, preloaded_cache=preload))
-            except AxiomViolation:
-                pass  # a sparse universe that passes: no round
-        assert all(0 < lo and hi < width for width, held in covers for lo, hi in held)
-        assert sum(bool(held) for _, held in covers) >= 200
 
     def test_a_chunk_pass_that_reaches_an_end_only_after_a_removal(self):
         # At granularity 4 over {0, ..., 5} the chunk {2, 3} passes, at
