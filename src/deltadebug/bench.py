@@ -20,8 +20,9 @@ def oracle_family(name: str) -> Callable[[int], oracles.SetFamilyOracle]:
 
     Names: ``single``, ``conjunction:K`` (K spread causes),
     ``random-monotone:SEED``, ``adversarial``.  A name's integer parameter
-    is parsed here, once; a size the family cannot take raises when the
-    family is called.
+    is parsed here, once, and a K below 1, which no size takes, raises
+    here too; a size the family cannot take raises when the family is
+    called.
     """
     label, colon, param = name.partition(":")
     plain = {"single": oracles.single_cause, "adversarial": oracles.adversarial}
@@ -32,6 +33,8 @@ def oracle_family(name: str) -> Callable[[int], oracles.SetFamilyOracle]:
             value = int(param)
         except ValueError as exc:
             raise ValueError(f"{label} needs an integer parameter, got {param!r}") from exc
+        if label == "conjunction" and value < 1:
+            raise ValueError(f"conjunction needs K >= 1, got {value}")
         return lambda n: with_param[label](n, value)
     if name in plain:
         return plain[name]

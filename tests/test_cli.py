@@ -848,9 +848,10 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("oracle, message", [
         ("conjunction:x", "conjunction needs an integer parameter, got 'x'"),
+        ("conjunction:0", "conjunction needs K >= 1, got 0"),
         ("single:3", f"unknown oracle 'single:3'; expected one of {bench.ORACLE_NAMES}"),
         ("conjunction", f"unknown oracle 'conjunction'; expected one of {bench.ORACLE_NAMES}"),
-    ], ids=["bad-parameter", "parameter-not-taken", "parameter-missing"])
+    ], ids=["bad-parameter", "parameter-below-1", "parameter-not-taken", "parameter-missing"])
     def test_a_bad_oracle_name_names_no_size(self, oracle, message, capsys):
         # The name is read once, before the first size, so no size is named.
         assert run(["bench", "--oracle", oracle, "--sizes", "8"]) == 1
