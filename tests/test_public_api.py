@@ -48,13 +48,24 @@ def public_definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item.name
 
 
+def private_functions(tree: ast.Module):
+    """Each private module-level function, by name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if not node.name.endswith("__"):
+                yield node.name
+
+
 def test_every_public_name_has_a_reader():
     """A public function, class or method is read somewhere in src/, or the
-    allowlist names the file outside src/ that reads it."""
-    defined, read = set(), set()
+    allowlist names the file outside src/ that reads it.  A private
+    module-level function is read in src/, with no allowlist: a helper
+    kept only for the tests has no place in the package."""
+    defined, private, read = set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined.update(public_definitions(tree))
+        private.update(private_functions(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -62,6 +73,7 @@ def test_every_public_name_has_a_reader():
                 read.add(node.attr)
     unread = {qualified for qualified, name in defined if name not in read}
     assert unread == set(OUTSIDE_READERS), "unread in src/ and not allowlisted"
+    assert private - read == set(), "private functions unread in src/"
     for qualified, reader in OUTSIDE_READERS.items():
         name = qualified.rpartition(".")[2]
         assert re.search(rf"\b{name}\b", (ROOT / reader).read_text(encoding="utf-8")), (
