@@ -532,8 +532,17 @@ class TestCachedOracle:
         )
         assert result.log.fingerprint() == plain.log.fingerprint()
         assert first_records(result.log)[first_chunk.bits].source == SOURCE_ORACLE
-        # {1, 6, 7} is not shaped like a candidate of the first round; a
-        # later round asks it, and the preload answers, untimed.
+        # So does {1, 2}, one interval that reaches neither end: the last
+        # round over {0, 1} still asks the chunk {1}.
+        interior = cfg(8, 1, 2)
+        pair = conjunction(8, [0, 1])
+        result = ddmin(
+            Configuration.full(8), pair, EngineOptions(preloaded_cache={interior.bits: Outcome.PASS})
+        )
+        assert result.log.fingerprint() == ddmin(Configuration.full(8), pair).log.fingerprint()
+        assert first_records(result.log)[cfg(8, 1).bits].source == SOURCE_ORACLE
+        # {1, 6, 7} leaves out two intervals, {0} and {2..5}; a later round
+        # asks it, and the preload answers, untimed.
         asked = cfg(8, 1, 6, 7)
         result = ddmin(
             Configuration.full(8), oracle,

@@ -211,9 +211,10 @@ def witnesses(p: Pass) -> list:
 
 
 def test_carried_answers_keep_results_seeded():
-    # A carried PASS shaped like a candidate covers from the start of the
-    # next pass, so a later pass may skip tests, but never FAIL ones: each
-    # pass keeps its final, verified flag and FAILs in order.
+    # A carried PASS that leaves out at most one interval of the next
+    # pass's deltas covers from the start of that pass, so a later pass
+    # may skip tests, but never FAIL ones: each pass keeps its final,
+    # verified flag and FAILs in order.
     rng = random.Random(20261019)
     passes = fewer = 0
     for _ in range(300):

@@ -115,10 +115,11 @@ class TestCacheFile:
     """A saved outcome table, preloaded, answers a whole run."""
 
     def test_replaying_cache_reproduces_the_original_outcomes(self):
-        # A preloaded PASS shaped like a candidate covers from the start, so
-        # a replay may skip a candidate that the original asked, but never
-        # one that FAILed: the final, the FAILs in order and the verified
-        # flag stay, and every configuration it logs is the original's.
+        # A preloaded PASS that leaves out at most one interval covers from
+        # the start, so a replay may skip a candidate that the original
+        # asked, but never one that FAILed: the final, the FAILs in order
+        # and the verified flag stay, and every configuration it logs is
+        # the original's.
         def poisoned(config):
             raise AssertionError("the underlying oracle must not be consulted")
 
