@@ -226,10 +226,11 @@ def audit_log(
         low = rest & -rest
         witnesses.append(first.get(final ^ low))
         rest ^= low
+    own, *others = witnesses
     if any(w is None or w[1] == SOURCE_MONOTONY for w in witnesses):
         recomputed = None
     else:
-        recomputed = witnesses[0][0] is Outcome.FAIL and all(w[0] is not Outcome.FAIL for w in witnesses[1:])
+        recomputed = own[0] is Outcome.FAIL and all(w[0] is not Outcome.FAIL for w in others)
     if verified is not recomputed:
         problems.append(f"verified_1_minimal is {verified}, recomputed {recomputed}")
     size = universe.bit_count()
