@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import AxiomViolation, Configuration, EngineOptions, Pass, PassOracle, run_passes
-from .proc import CommandOracle, CommandOracleSpec, MaterializeConflict
+from .core import AxiomViolation, Configuration, EngineOptions, PassOracle, run_passes
+from .proc import CommandOracle, CommandOracleSpec, CommandRun, MaterializeConflict
 
 FileTree = dict[str, str]
 
@@ -504,21 +504,17 @@ def parse_group_map(text: str) -> dict[int, str]:
 
 # --- driver -------------------------------------------------------------------
 
-@dataclass
-class ChangeMinimization:
-    passes: list[Pass]  # each pass's ids are change ids of the diff
-    diff_text: str
-    kept_workspace: Optional[str]  # the last failing test's, with keep_failing
-
-
 def minimize_changes(
     baseline: FileTree,
     changeset: ChangeSet,
     spec: CommandOracleSpec,
     groups: Optional[GroupKey] = None,
     options: Optional[EngineOptions] = None,
-) -> ChangeMinimization:
+) -> CommandRun:
     """Shrink the change set to a 1-minimal failure-inducing subset.
+
+    Each pass's ids are change ids of ``changeset``: the result is the
+    changes at the last pass's ``kept``.
 
     With ``groups``, a first pass minimizes over group deltas and a second
     pass then minimizes over the winning groups' member changes, taking both
@@ -549,5 +545,4 @@ def minimize_changes(
                 f"{exc}; the full diff does not apply: {conflict}", exc.log
             ) from exc
         raise
-    diff_text = render_unified_diff([changeset.changes[i] for i in passes[-1].kept])
-    return ChangeMinimization(passes, diff_text, command.kept_workspace)
+    return CommandRun(passes, command.kept_workspace)

@@ -103,9 +103,16 @@ def _write_run_report(args, passes) -> None:
     print(f"report: {args.report}")
 
 
-def _conclude(args, passes, lines, kept_workspace: Optional[str] = None) -> int:
-    """Print a summary of each pass, then ``lines``, then the kept failing
-    workspace, and write the report of the passes."""
+def _conclude(args, passes, render, kept_workspace: Optional[str] = None) -> int:
+    """Write the files that ``render`` makes of the last pass's kept input
+    ids, print a summary of each pass, then render's lines, then the kept
+    failing workspace, and write the report of the passes.
+
+    ``render(kept)`` returns the ``(path, bytes)`` pairs to write and the
+    summary lines."""
+    files, lines = render(passes[-1].kept)
+    for path, data in files:
+        Path(path).write_bytes(data)
     for p in passes:
         oracle, cached, axiom = p.result.log.test_counts()
         print(
@@ -126,23 +133,25 @@ def cmd_minimize_input(args) -> int:
 
     data = Path(args.input).read_bytes()
     schedule = [g.strip() for g in args.granularity.split(",") if g.strip()]
-    spec = _command_spec(args)
-    options = _engine_options(args)
+    output = args.output or f"{args.input}.min"
     outcome = inputmin.minimize_input(
         data,
-        spec,
+        _command_spec(args),
         schedule=schedule,
         candidate_name=Path(args.input).name,
-        options=options,
+        options=_engine_options(args),
     )
-    output = args.output or f"{args.input}.min"
-    Path(output).write_bytes(outcome.minimized)
     last = outcome.passes[-1]
-    return _conclude(args, outcome.passes, [
-        f"minimized input: {output} ({len(outcome.minimized)} bytes)",
-        f"verified 1-minimal at {last.label} granularity: "
-        f"{last.result.verified_1_minimal}",
-    ], outcome.kept_workspace)
+
+    def render(kept):
+        minimized = bytes(map(data.__getitem__, kept))
+        return [(output, minimized)], [
+            f"minimized input: {output} ({len(minimized)} bytes)",
+            f"verified 1-minimal at {last.label} granularity: "
+            f"{last.result.verified_1_minimal}",
+        ]
+
+    return _conclude(args, outcome.passes, render, outcome.kept_workspace)
 
 
 # --- minimize-changes --------------------------------------------------------
@@ -168,16 +177,19 @@ def cmd_minimize_changes(args) -> int:
         else:
             groups = changes.parse_group_map(_read_text(args.groups))
 
-    spec = _command_spec(args)
-    options = _engine_options(args)
-    outcome = changes.minimize_changes(
-        baseline, changeset, spec, groups=groups, options=options
-    )
     output = args.output_diff or f"{args.diff}.min"
-    Path(output).write_text(outcome.diff_text, encoding="utf-8")
-    return _conclude(args, outcome.passes, [
-        f"minimal failure-inducing diff: {output} ({len(outcome.passes[-1].kept)} changes)",
-    ], outcome.kept_workspace)
+    outcome = changes.minimize_changes(
+        baseline, changeset, _command_spec(args), groups=groups,
+        options=_engine_options(args),
+    )
+
+    def render(kept):
+        diff = changes.render_unified_diff([changeset.changes[i] for i in kept])
+        return [(output, diff.encode("utf-8"))], [
+            f"minimal failure-inducing diff: {output} ({len(kept)} changes)",
+        ]
+
+    return _conclude(args, outcome.passes, render, outcome.kept_workspace)
 
 
 # --- reduce-trace ------------------------------------------------------------
@@ -196,20 +208,26 @@ def cmd_reduce_trace(args) -> int:
         [p for p in args.filter.split(",") if p] if args.filter else None
     )
     expectation = tracered.OutputExpectation.derive(_unescape(args.expect), prefixes)
-    options = _engine_options(args)
-    reduction = tracered.reduce_trace(program, tokens, expectation, options=options)
-
     trace_out = args.trace_out or f"{args.program}.trace"
-    toylang.write_trace(reduction.trace, trace_out)
     slice_out = args.slice_out or f"{args.program}.slice"
-    Path(slice_out).write_text(tracered.render_two_column(reduction), encoding="utf-8")
+    reduction = tracered.reduce_trace(
+        program, tokens, expectation, options=_engine_options(args)
+    )
+    trace = reduction.trace
 
-    labels = " ".join(reduction.slice_labels)
-    return _conclude(args, reduction.passes, [
-        f"critical slice ({len(reduction.slice_events)} events): {labels}",
-        f"trace file: {trace_out}",
-        f"slice: {slice_out}",
-    ])
+    def render(kept):
+        labels = " ".join(trace[i].label for i in kept)
+        two_column = tracered.render_two_column(program, trace, kept)
+        return [
+            (trace_out, toylang.format_trace(trace).encode("utf-8")),
+            (slice_out, two_column.encode("utf-8")),
+        ], [
+            f"critical slice ({len(kept)} events): {labels}",
+            f"trace file: {trace_out}",
+            f"slice: {slice_out}",
+        ]
+
+    return _conclude(args, reduction.passes, render)
 
 
 # --- bench -------------------------------------------------------------------

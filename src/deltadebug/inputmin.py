@@ -13,12 +13,11 @@ from __future__ import annotations
 import functools
 import io
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import Configuration, EngineOptions, Pass, run_passes
-from .proc import CommandOracle, CommandOracleSpec
+from .core import Configuration, EngineOptions, run_passes
+from .proc import CommandOracle, CommandOracleSpec, CommandRun
 
 GRANULARITIES = ("line", "char", "byte")
 DEFAULT_SCHEDULE = ("line", "char")
@@ -72,21 +71,17 @@ def candidate_materializer(tokens: tuple[bytes, ...], filename: str):
     return materialize
 
 
-@dataclass
-class InputMinimization:
-    minimized: bytes
-    passes: list[Pass]  # each pass's ids are byte offsets of the input
-    kept_workspace: Optional[str]  # the last failing test's, with keep_failing
-
-
 def minimize_input(
     data: bytes,
     spec: CommandOracleSpec,
     schedule: Sequence[str] = DEFAULT_SCHEDULE,
     candidate_name: str = DEFAULT_CANDIDATE_NAME,
     options: Optional[EngineOptions] = None,
-) -> InputMinimization:
+) -> CommandRun:
     """Run one ddmin pass per schedule entry, re-tokenizing between passes.
+
+    Each pass's ids are byte offsets of ``data``: the minimized input is
+    the bytes at the last pass's ``kept``.
 
     The test command must declare the original input failing and the empty
     input passing; an axiom violation aborts with a diagnostic naming the
@@ -118,5 +113,4 @@ def minimize_input(
     steps = [functools.partial(step, g, k == 0) for k, g in enumerate(schedule)]
     with CommandOracle(spec) as oracle:
         passes = run_passes(range(len(data)), steps, options)
-    minimized = bytes(map(data.__getitem__, passes[-1].kept))
-    return InputMinimization(minimized, passes, oracle.kept_workspace)
+    return CommandRun(passes, oracle.kept_workspace)

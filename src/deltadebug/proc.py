@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .core import Configuration, DeltaDebugError, Outcome
+from .core import Configuration, DeltaDebugError, Outcome, Pass
 
 DEFAULT_TIMEOUT_MS = 60_000
 
@@ -83,6 +83,14 @@ class CommandOracleSpec:
             raise ValueError("timeout must be positive")
         if self.timeout_ms > 2**31 - 1:  # ``poll`` takes a C int of milliseconds
             raise ValueError(f"timeout must be at most {2**31 - 1} ms")
+
+
+@dataclass
+class CommandRun:
+    """What a front-end over a command oracle returns."""
+
+    passes: list[Pass]
+    kept_workspace: Optional[str]  # the last failing test's, with keep_failing
 
 
 @dataclass

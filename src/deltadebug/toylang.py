@@ -644,9 +644,5 @@ def parse_trace(text: str) -> Trace:
     return events
 
 
-def write_trace(trace: Trace, path: Union[str, Path]) -> None:
-    Path(path).write_text(format_trace(trace), encoding="utf-8")
-
-
 def read_trace(path: Union[str, Path]) -> Trace:
     return parse_trace(Path(path).read_text(encoding="utf-8"))

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from .core import Configuration, EngineOptions, Outcome, Pass, PassOracle, run_passes
 from .toylang import (
-    Event,
     KIND_STATEMENT,
     Program,
     Read,
@@ -129,11 +128,6 @@ class TraceReduction:
     program: Program
     trace: Trace
     passes: list[Pass]  # the slice pass, then the trace pass; ids are event numbers
-    slice_events: list[Event]
-
-    @property
-    def slice_labels(self) -> list[str]:
-        return [e.label for e in self.slice_events]
 
 
 def reduce_trace(
@@ -174,21 +168,17 @@ def reduce_trace(
         return "trace", [(i,) for i in kept], own, bool(sliced) and kept == tuple(sliced)
 
     passes = run_passes(replayable, [slice_step, trace_step], options)
-    return TraceReduction(
-        program=program,
-        trace=trace,
-        passes=passes,
-        slice_events=[trace[i] for i in passes[-1].kept],
-    )
+    return TraceReduction(program, trace, passes)
 
 
-def render_two_column(reduction: TraceReduction) -> str:
-    """Original and reduced trace side by side, one row per event."""
+def render_two_column(program: Program, trace: Trace, kept: Sequence[int]) -> str:
+    """Original and reduced trace side by side, one row per event; the
+    reduced column shows the events numbered in ``kept``."""
     rows = [("event", "original", "reduced")]
-    included = {e.seq for e in reduction.slice_events}
-    for event in reduction.trace:
-        text = reduction.program.source_line(event.line).strip()
-        rows.append((event.label, text, text if event.seq in included else ""))
+    included = set(kept)
+    for i, event in enumerate(trace):
+        text = program.source_line(event.line).strip()
+        rows.append((event.label, text, text if i in included else ""))
     width_label = max(len(r[0]) for r in rows)
     width_orig = max(len(r[1]) for r in rows)
     lines = [

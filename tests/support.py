@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
+from deltadebug.changes import render_unified_diff
 from deltadebug.core import (
     SOURCE_AXIOM,
     SOURCE_EXACT_CACHE,
@@ -266,6 +267,23 @@ def audited(engine):
         return result
 
     return ddmin
+
+
+# --- front-end results --------------------------------------------------------
+
+def minimized(data: bytes, run) -> bytes:
+    """The bytes of ``data`` that a ``minimize_input`` run kept."""
+    return bytes(data[i] for i in run.passes[-1].kept)
+
+
+def kept_diff(changeset, run) -> str:
+    """The changes that a ``minimize_changes`` run kept, as a unified diff."""
+    return render_unified_diff([changeset.changes[i] for i in run.passes[-1].kept])
+
+
+def slice_labels(reduction) -> list[str]:
+    """The labels of the trace events that a ``reduce_trace`` run kept."""
+    return [reduction.trace[i].label for i in reduction.passes[-1].kept]
 
 
 # --- run reports --------------------------------------------------------------

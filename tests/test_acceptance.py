@@ -36,7 +36,9 @@ from deltadebug.proc import (
 from deltadebug.report import write_report
 from deltadebug.toylang import parse_program, trace_program
 from deltadebug.tracered import OutputExpectation, reduce_trace
-from support import Report, passes_of, random_table, read_report, verify_n_minimal
+from support import (
+    Report, passes_of, random_table, read_report, slice_labels, verify_n_minimal,
+)
 
 
 def verdict(criterion: int, text: str) -> None:
@@ -161,7 +163,7 @@ def test_criterion_6_trace_reduction_desk_scale(sample_source):
 
     both = reduce_trace(program, [0, 5],
                         OutputExpectation.derive("sum = 15\nmul = 0\n"))
-    labels = set(both.slice_labels)
+    labels = set(slice_labels(both))
     assert len(labels) == 13
     assert sum_core <= labels
     assert {"10_36", "11_37"} <= labels
@@ -170,14 +172,15 @@ def test_criterion_6_trace_reduction_desk_scale(sample_source):
 
     sum_only = reduce_trace(program, [0, 5],
                             OutputExpectation.derive("sum = 15\n", ["sum"]))
-    assert set(sum_only.slice_labels) == sum_core | {"10_36"}
+    assert set(slice_labels(sum_only)) == sum_core | {"10_36"}
     assert sum_only.passes[-1].result.verified_1_minimal is True
 
     mul_only = reduce_trace(program, [0, 5],
                             OutputExpectation.derive("mul = 0\n", ["mul"]))
-    assert len(mul_only.slice_events) == 2
-    assert "11_37" in mul_only.slice_labels
-    assert sum(1 for l in mul_only.slice_labels if l.startswith("7_")) == 1
+    mul_labels = slice_labels(mul_only)
+    assert len(mul_labels) == 2
+    assert "11_37" in mul_labels
+    assert sum(1 for l in mul_labels if l.startswith("7_")) == 1
     assert mul_only.passes[-1].result.verified_1_minimal is True
 
     elapsed = time.perf_counter() - started

@@ -19,9 +19,9 @@ from deltadebug.toylang import (
     read_trace,
     replay_events,
     trace_program,
-    write_trace,
 )
 from deltadebug.tracered import OutputExpectation, ReplayOracle, reduce_trace
+from support import slice_labels
 
 
 class TestParser:
@@ -374,7 +374,7 @@ class TestNoPythonErrorEscapes:
         assert program != parse_program(source)
         assert hash(program.statements[1]) == hash(program.statements[1])
         reduction = reduce_trace(program, [], OutputExpectation.derive("3000"))
-        assert reduction.slice_labels == ["1_1", "2_2", "3_3"]
+        assert slice_labels(reduction) == ["1_1", "2_2", "3_3"]
         assert "TraceReduction(program=<deltadebug.toylang.Program" in repr(reduction)
 
     def test_loops_nest_to_any_depth(self):
@@ -510,7 +510,7 @@ class TestTraceFile:
         program = parse_program(sample_source)
         trace, _ = trace_program(program, [0, 5])
         path = tmp_path / "sample.trace"
-        write_trace(trace, path)
+        path.write_text(format_trace(trace), encoding="utf-8")
         assert read_trace(path) == trace
         first = path.read_text().splitlines()[0]
         assert first == "1\t1\tstatement"

@@ -17,7 +17,7 @@ from deltadebug.tracered import (
     reduce_trace,
     render_two_column,
 )
-from support import verify_n_minimal
+from support import slice_labels, verify_n_minimal
 from test_toylang import random_program, seeded_program
 
 SUM_CORE = {"8_8", "6_11", "8_13", "6_16", "8_18", "6_21", "8_23", "6_26", "8_28", "6_31"}
@@ -84,8 +84,8 @@ class TestReduceTrace:
         reduction = reduce_trace(
             sample_program, [0, 5], OutputExpectation.derive("sum = 15\nmul = 0\n")
         )
-        labels = set(reduction.slice_labels)
-        assert len(reduction.slice_events) == 13
+        labels = set(slice_labels(reduction))
+        assert len(reduction.passes[-1].kept) == 13
         assert SUM_CORE <= labels
         assert "10_36" in labels and "11_37" in labels
         mul_events = [l for l in labels if l.startswith("7_")]
@@ -96,14 +96,14 @@ class TestReduceTrace:
         reduction = reduce_trace(
             sample_program, [0, 5], OutputExpectation.derive("sum = 15\n", ["sum"])
         )
-        assert set(reduction.slice_labels) == SUM_CORE | {"10_36"}
+        assert set(slice_labels(reduction)) == SUM_CORE | {"10_36"}
         assert reduction.passes[-1].result.verified_1_minimal is True
 
     def test_mul_filter_gives_a_2_event_slice(self, sample_program):
         reduction = reduce_trace(
             sample_program, [0, 5], OutputExpectation.derive("mul = 0\n", ["mul"])
         )
-        labels = reduction.slice_labels
+        labels = slice_labels(reduction)
         assert len(labels) == 2
         assert "11_37" in labels
         assert any(l.startswith("7_") for l in labels)
@@ -378,7 +378,7 @@ class TestTwoColumnRendering:
         reduction = reduce_trace(
             sample_program, [0, 5], OutputExpectation.derive("mul = 0\n", ["mul"])
         )
-        text = render_two_column(reduction)
+        text = render_two_column(reduction.program, reduction.trace, reduction.passes[-1].kept)
         lines = text.splitlines()
         assert len(lines) == 38  # header plus one row per event
         assert lines[0].startswith("event")
