@@ -173,16 +173,24 @@ def reduce_trace(
 
 def render_two_column(program: Program, trace: Trace, kept: Sequence[int]) -> str:
     """Original and reduced trace side by side, one row per event; the
-    reduced column shows the events numbered in ``kept``."""
-    rows = [("event", "original", "reduced")]
+    reduced column shows the events numbered in ``kept``.
+
+    Each source line is stripped and padded once, so a row is its event's
+    padded label and one of its line's two rests, without or with the
+    reduced column.  A row ends where its text does: a line without text
+    leaves the bare label.
+    """
+    texts = {line: program.source_line(line).strip() for line in {e.line for e in trace}}
+    width = max(map(len, ["original", *texts.values()]))
+    rests = {
+        line: (f"  {text}", f"  {text:<{width}}  {text}") if text else ("", "")
+        for line, text in texts.items()
+    }
+    labels = [e.label for e in trace]
+    label_width = max(map(len, ["event", *labels]))
     included = set(kept)
-    for i, event in enumerate(trace):
-        text = program.source_line(event.line).strip()
-        rows.append((event.label, text, text if i in included else ""))
-    width_label = max(len(r[0]) for r in rows)
-    width_orig = max(len(r[1]) for r in rows)
-    lines = [
-        f"{label:<{width_label}}  {orig:<{width_orig}}  {red}".rstrip()
-        for label, orig, red in rows
-    ]
-    return "\n".join(lines) + "\n"
+    rows = [f"{'event':<{label_width}}  {'original':<{width}}  reduced"]
+    for i, (label, event) in enumerate(zip(labels, trace)):
+        rest = rests[event.line][i in included]
+        rows.append(label.ljust(label_width) + rest if rest else label)
+    return "\n".join(rows) + "\n"

@@ -7,7 +7,7 @@ import pytest
 from deltadebug import Configuration, Outcome, PassOracle, core, ddmin, tracered
 from deltadebug.core import AxiomViolation
 from deltadebug.toylang import (
-    KIND_STATEMENT, parse_program, replay_events, trace_program,
+    KIND_STATEMENT, Event, parse_program, replay_events, trace_program,
 )
 from deltadebug.tracered import (
     OutputExpectation,
@@ -373,6 +373,39 @@ def test_a_trace_pass_replays_only_the_events_the_slice_pass_kept(
     assert set(lengths[replays[0]:]) == {len(first.kept)}
 
 
+# The loop of 128,006 events that ``reduce-trace --stdin 7,32000 --filter
+# x=`` reduces to its first and last event.
+LONG_LOOP = """\
+x = input();
+n = input();
+i = 0;
+junk = 0;
+while (i < n) {
+    junk = junk + i;
+    i = i + 1;
+}
+print("x=", x, "\\n");
+"""
+
+
+def reference_two_column(program, trace, kept) -> str:
+    """The two-column renderer as it was before its per-line table: each
+    event's source line is stripped and padded on its own, and a second
+    pass over the rows takes the widths."""
+    rows = [("event", "original", "reduced")]
+    included = set(kept)
+    for i, event in enumerate(trace):
+        text = program.source_line(event.line).strip()
+        rows.append((event.label, text, text if i in included else ""))
+    width_label = max(len(r[0]) for r in rows)
+    width_orig = max(len(r[1]) for r in rows)
+    lines = [
+        f"{label:<{width_label}}  {orig:<{width_orig}}  {red}".rstrip()
+        for label, orig, red in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class TestTwoColumnRendering:
     def test_rows_cover_every_event(self, sample_program):
         reduction = reduce_trace(
@@ -386,3 +419,28 @@ class TestTwoColumnRendering:
         assert row_11_37.count('print("mul = "') == 2  # original and reduced
         row_1_1 = next(l for l in lines if l.startswith("1_1 "))
         assert row_1_1.count("sum = 0;") == 1  # excluded from the slice
+
+    def test_matches_the_reference_on_seeded_programs(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            # Indented lines with trailing blanks, which a row strips.
+            lines = [
+                " " * rng.randint(0, 6) + line + " " * rng.randint(0, 2)
+                for line in seeded_program(rng).splitlines()
+            ]
+            program = parse_program("\n".join(lines) + "\n")
+            trace, _ = trace_program(program, [rng.randint(-2, 9) for _ in range(8)])
+            # A line past the end has no text: its row is the bare label.
+            trace.append(Event(len(lines) + 1, len(trace) + 1, KIND_STATEMENT))
+            kept = sorted(rng.sample(range(len(trace)), rng.randint(0, len(trace))))
+            expected = reference_two_column(program, trace, kept)
+            assert render_two_column(program, trace, kept) == expected
+        assert render_two_column(program, [], []) == reference_two_column(program, [], [])
+
+    def test_matches_the_reference_on_the_long_loop(self):
+        program = parse_program(LONG_LOOP)
+        trace, _ = trace_program(program, [7, 32000])
+        assert len(trace) == 128_006
+        kept = [0, *range(5, len(trace), 997), len(trace) - 1]
+        expected = reference_two_column(program, trace, kept)
+        assert render_two_column(program, trace, kept) == expected
