@@ -103,6 +103,20 @@ def _write_run_report(args, passes) -> None:
     print(f"report: {args.report}")
 
 
+def _check_outputs(args, *paths: str) -> None:
+    """Name an output that could not be written, before the first test:
+    one whose directory does not exist, or that is a directory."""
+    outputs = [("", path) for path in paths]
+    if args.report:
+        outputs.append(("report ", args.report))
+    for kind, path in outputs:
+        target = Path(path)
+        if target.is_dir():
+            raise ValueError(f"cannot write {kind}{path}: it is a directory")
+        if not target.parent.is_dir():
+            raise ValueError(f"cannot write {kind}{path}: no directory {target.parent}")
+
+
 def _conclude(args, passes, render, kept_workspace: Optional[str] = None) -> int:
     """Write the files that ``render`` makes of the last pass's kept input
     ids, print a summary of each pass, then render's lines, then the kept
@@ -134,6 +148,7 @@ def cmd_minimize_input(args) -> int:
     data = Path(args.input).read_bytes()
     schedule = [g.strip() for g in args.granularity.split(",") if g.strip()]
     output = args.output or f"{args.input}.min"
+    _check_outputs(args, output)
     outcome = inputmin.minimize_input(
         data,
         _command_spec(args),
@@ -178,6 +193,7 @@ def cmd_minimize_changes(args) -> int:
             groups = changes.parse_group_map(_read_text(args.groups))
 
     output = args.output_diff or f"{args.diff}.min"
+    _check_outputs(args, output)
     outcome = changes.minimize_changes(
         baseline, changeset, _command_spec(args), groups=groups,
         options=_engine_options(args),
@@ -210,6 +226,7 @@ def cmd_reduce_trace(args) -> int:
     expectation = tracered.OutputExpectation.derive(_unescape(args.expect), prefixes)
     trace_out = args.trace_out or f"{args.program}.trace"
     slice_out = args.slice_out or f"{args.program}.slice"
+    _check_outputs(args, trace_out, slice_out)
     reduction = tracered.reduce_trace(
         program, tokens, expectation, options=_engine_options(args)
     )
@@ -356,7 +373,10 @@ def run(argv=None) -> int:
         print(f"axiom violation: {exc}", file=sys.stderr)
         if exc.log is not None:
             aborted = MinimizationResult(Configuration(exc.log.universe_size), exc.log)
-            _write_run_report(args, [Pass("aborted", aborted, ())])
+            try:
+                _write_run_report(args, [Pass("aborted", aborted, ())])
+            except OSError as error:
+                print(f"error: {error}", file=sys.stderr)
         return 2
     except (DeltaDebugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
