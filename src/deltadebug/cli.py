@@ -105,14 +105,15 @@ def _write_run_report(args, passes) -> None:
 
 def _check_outputs(args, *paths: str) -> None:
     """Name an output that could not be written, before the first test:
-    one whose directory does not exist, or that is a directory."""
+    one whose directory does not exist, or that names a directory (a
+    trailing ``/`` does, which ``Path`` would drop)."""
     outputs = [("", path) for path in paths]
     if args.report:
         outputs.append(("report ", args.report))
     for kind, path in outputs:
         target = Path(path)
-        if target.is_dir():
-            raise ValueError(f"cannot write {kind}{path}: it is a directory")
+        if path.endswith("/") or target.is_dir():
+            raise ValueError(f"cannot write {kind}{path}: it names a directory")
         if not target.parent.is_dir():
             raise ValueError(f"cannot write {kind}{path}: no directory {target.parent}")
 

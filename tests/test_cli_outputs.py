@@ -65,18 +65,22 @@ def command(tmp_path, make_script, monkeypatch):
     ("reduce-trace", "--slice-out"),
     ("reduce-trace", "--report"),
 ])
-@pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+@pytest.mark.parametrize("bad, reason", [
+    ("no-such-dir/out", "no directory {tmp_path}/no-such-dir"),
+    ("out", "it names a directory"),  # made below
+    ("new/", "it names a directory"),
+])
 def test_an_output_that_cannot_be_written_exits_1_before_any_test(
-    name, flag, bad, command, tmp_path, capsys
+    name, flag, bad, reason, command, tmp_path, capsys
 ):
-    path = tmp_path / "no-such-dir" / "out"
-    if bad == "directory":
-        path = tmp_path / "out"
-        path.mkdir()
+    (tmp_path / "out").mkdir()
+    path = f"{tmp_path}/{bad}"
     before = sorted(tmp_path.iterdir())
-    assert run([*command(name), flag, str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {'report ' if flag == '--report' else ''}{path}: ")
+    assert run([*command(name), flag, path]) == 1
+    kind = "report " if flag == "--report" else ""
+    assert capsys.readouterr().err == (
+        f"error: cannot write {kind}{path}: {reason.format(tmp_path=tmp_path)}\n"
+    )
     # No test ran (``runs`` is absent), no workspace was made, and no
     # other output was written.
     assert sorted(tmp_path.iterdir()) == before
@@ -95,7 +99,7 @@ def test_a_default_output_that_is_a_directory_exits_1_before_any_test(
     before = sorted(tmp_path.iterdir())
     assert run(command(name)) == 1
     assert capsys.readouterr().err == (
-        f"error: cannot write {tmp_path / default}: it is a directory\n"
+        f"error: cannot write {tmp_path / default}: it names a directory\n"
     )
     assert sorted(tmp_path.iterdir()) == before
 
