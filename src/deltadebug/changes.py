@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import AxiomViolation, Configuration, EngineOptions, PassOracle, run_passes
-from .proc import CommandOracle, CommandOracleSpec, CommandRun, MaterializeConflict
+from .core import AxiomViolation, Configuration, EngineOptions, Pass, PassOracle, run_passes
+from .proc import CommandOracle, MaterializeConflict
 
 FileTree = dict[str, str]
 
@@ -507,10 +507,10 @@ def parse_group_map(text: str) -> dict[int, str]:
 def minimize_changes(
     baseline: FileTree,
     changeset: ChangeSet,
-    spec: CommandOracleSpec,
+    command: CommandOracle,
     groups: Optional[GroupKey] = None,
     options: Optional[EngineOptions] = None,
-) -> CommandRun:
+) -> list[Pass]:
     """Shrink the change set to a 1-minimal failure-inducing subset.
 
     Each pass's ids are change ids of ``changeset``: the result is the
@@ -520,8 +520,9 @@ def minimize_changes(
     pass then minimizes over the winning groups' member changes, taking both
     axiom answers from the group pass.  Infeasible subsets (per the
     dependency relation) are rejected before any process is spawned.  Both
-    passes share one command oracle and its workspace, which is removed
-    when the run ends, also on an exception.  An axiom violation says so
+    passes are one run of ``command`` and share its workspace, which is
+    removed when the run ends, also on an exception; a kept failing
+    workspace is ``command.kept_workspace``.  An axiom violation says so
     when the full diff does not apply to the baseline.
     """
     n = len(changeset)
@@ -534,9 +535,9 @@ def minimize_changes(
         grouped = list(group_deltas(changeset, groups).values())
         steps.insert(0, lambda kept: step("groups", grouped))
     try:
-        with CommandOracle(spec) as command:
+        with command:
             command.materializer = change_materializer(baseline, changeset)
-            passes = run_passes(range(n), steps, options)
+            return run_passes(range(n), steps, options)
     except AxiomViolation as exc:
         try:
             apply_subset(baseline, changeset, Configuration.full(n))
@@ -545,4 +546,3 @@ def minimize_changes(
                 f"{exc}; the full diff does not apply: {conflict}", exc.log
             ) from exc
         raise
-    return CommandRun(passes, command.kept_workspace)

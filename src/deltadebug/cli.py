@@ -79,7 +79,7 @@ def _engine_options(args) -> EngineOptions:
     )
 
 
-def _command_spec(args):
+def _command_oracle(args):
     from . import proc
 
     argv = list(args.test)
@@ -88,12 +88,7 @@ def _command_spec(args):
     # commands (./check.sh) down now.  Bare names still resolve via PATH.
     if "/" in argv[0]:
         argv[0] = str(Path(argv[0]).resolve())
-    return proc.CommandOracleSpec(
-        argv=argv,
-        timeout_ms=args.timeout,
-        workspace_root=args.workspace,
-        keep_failing=args.keep_failing,
-    )
+    return proc.CommandOracle(argv, args.timeout, args.workspace, args.keep_failing)
 
 
 def _write_run_report(args, passes) -> None:
@@ -150,14 +145,15 @@ def cmd_minimize_input(args) -> int:
     schedule = [g.strip() for g in args.granularity.split(",") if g.strip()]
     output = args.output or f"{args.input}.min"
     _check_outputs(args, output)
-    outcome = inputmin.minimize_input(
+    command = _command_oracle(args)
+    passes = inputmin.minimize_input(
         data,
-        _command_spec(args),
+        command,
         schedule=schedule,
         candidate_name=Path(args.input).name,
         options=_engine_options(args),
     )
-    last = outcome.passes[-1]
+    last = passes[-1]
 
     def render(kept):
         minimized = bytes(map(data.__getitem__, kept))
@@ -167,7 +163,7 @@ def cmd_minimize_input(args) -> int:
             f"{last.result.verified_1_minimal}",
         ]
 
-    return _conclude(args, outcome.passes, render, outcome.kept_workspace)
+    return _conclude(args, passes, render, command.kept_workspace)
 
 
 # --- minimize-changes --------------------------------------------------------
@@ -195,9 +191,9 @@ def cmd_minimize_changes(args) -> int:
 
     output = args.output_diff or f"{args.diff}.min"
     _check_outputs(args, output)
-    outcome = changes.minimize_changes(
-        baseline, changeset, _command_spec(args), groups=groups,
-        options=_engine_options(args),
+    command = _command_oracle(args)
+    passes = changes.minimize_changes(
+        baseline, changeset, command, groups=groups, options=_engine_options(args),
     )
 
     def render(kept):
@@ -206,7 +202,7 @@ def cmd_minimize_changes(args) -> int:
             f"minimal failure-inducing diff: {output} ({len(kept)} changes)",
         ]
 
-    return _conclude(args, outcome.passes, render, outcome.kept_workspace)
+    return _conclude(args, passes, render, command.kept_workspace)
 
 
 # --- reduce-trace ------------------------------------------------------------

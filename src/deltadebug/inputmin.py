@@ -16,8 +16,8 @@ import itertools
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import Configuration, EngineOptions, run_passes
-from .proc import CommandOracle, CommandOracleSpec, CommandRun
+from .core import Configuration, EngineOptions, Pass, run_passes
+from .proc import CommandOracle
 
 GRANULARITIES = ("line", "char", "byte")
 DEFAULT_SCHEDULE = ("line", "char")
@@ -73,11 +73,11 @@ def candidate_materializer(tokens: tuple[bytes, ...], filename: str):
 
 def minimize_input(
     data: bytes,
-    spec: CommandOracleSpec,
+    command: CommandOracle,
     schedule: Sequence[str] = DEFAULT_SCHEDULE,
     candidate_name: str = DEFAULT_CANDIDATE_NAME,
     options: Optional[EngineOptions] = None,
-) -> CommandRun:
+) -> list[Pass]:
     """Run one ddmin pass per schedule entry, re-tokenizing between passes.
 
     Each pass's ids are byte offsets of ``data``: the minimized input is
@@ -87,10 +87,11 @@ def minimize_input(
     input passing; an axiom violation aborts with a diagnostic naming the
     pass.  Later passes take both axiom answers from the first, and a
     later char pass over bytes that are not UTF-8 runs at byte granularity
-    (and is labelled so).  One command oracle serves every pass, so test
+    (and is labelled so).  The passes are one run of ``command``, so test
     numbers run on across passes, the passes share one workspace, and at
-    most one failing workspace is kept per run.  The run's workspace is
-    removed when the run ends, also on an exception.
+    most one failing workspace is kept, as ``command.kept_workspace``.
+    The run's workspace is removed when the run ends, also on an
+    exception.
     """
     if not schedule:
         raise ValueError("schedule must contain at least one granularity")
@@ -105,12 +106,11 @@ def minimize_input(
             if first:
                 raise
             granularity, tokens = "byte", tokenize(current, "byte")
-        oracle.materializer = candidate_materializer(tokens, candidate_name)
+        command.materializer = candidate_materializer(tokens, candidate_name)
         # Token i is current[lo:hi], the input's bytes at kept[lo:hi].
         bounds = list(itertools.accumulate(map(len, tokens), initial=0))
-        return granularity, [kept[lo:hi] for lo, hi in zip(bounds, bounds[1:])], oracle
+        return granularity, [kept[lo:hi] for lo, hi in zip(bounds, bounds[1:])], command
 
     steps = [functools.partial(step, g, k == 0) for k, g in enumerate(schedule)]
-    with CommandOracle(spec) as oracle:
-        passes = run_passes(range(len(data)), steps, options)
-    return CommandRun(passes, oracle.kept_workspace)
+    with command:
+        return run_passes(range(len(data)), steps, options)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .core import Configuration, DeltaDebugError, Outcome, Pass
+from .core import Configuration, DeltaDebugError, Outcome
 
 DEFAULT_TIMEOUT_MS = 60_000
 
@@ -63,34 +63,6 @@ def map_exit_status(returncode: Optional[int]) -> Outcome:
     if returncode is None or returncode < 0 or returncode == 125 or returncode >= 128:
         return Outcome.UNRESOLVED
     return Outcome.PASS
-
-
-@dataclass
-class CommandOracleSpec:
-    """How to run the external test command; ``argv`` is extended per test
-    with whatever the oracle's materializer returns (e.g. the candidate
-    path)."""
-
-    argv: list[str]
-    timeout_ms: int = DEFAULT_TIMEOUT_MS
-    workspace_root: Optional[Union[str, Path]] = None
-    keep_failing: bool = False
-
-    def __post_init__(self):
-        if not self.argv:
-            raise ValueError("argv must not be empty")
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout must be positive")
-        if self.timeout_ms > 2**31 - 1:  # ``poll`` takes a C int of milliseconds
-            raise ValueError(f"timeout must be at most {2**31 - 1} ms")
-
-
-@dataclass
-class CommandRun:
-    """What a front-end over a command oracle returns."""
-
-    passes: list[Pass]
-    kept_workspace: Optional[str]  # the last failing test's, with keep_failing
 
 
 @dataclass
@@ -176,7 +148,6 @@ def evaluate_command(
     ``keep_failing``, a FAIL's workspace becomes the oracle's
     ``kept_workspace``.
     """
-    spec = oracle.spec
     if oracle.materializer is None:
         raise ValueError("oracle has no materializer")
     oracle.tests_run += 1
@@ -187,7 +158,7 @@ def evaluate_command(
     except MaterializeConflict as exc:
         return Outcome.UNRESOLVED, ExecutionEvidence(None, str(exc))
 
-    argv = list(spec.argv) + [str(a) for a in (extra or [])]
+    argv = list(oracle.argv) + [str(a) for a in (extra or [])]
     env = {
         **oracle._environ,
         b"DDMIN_TEST_SEQ": b"%d" % oracle.tests_run,
@@ -210,53 +181,67 @@ def evaluate_command(
         except OSError as exc:
             raise OracleExecutionError(f"cannot execute {argv[0]!r}: {exc}") from exc
     try:
-        exited = _wait_for_exit(proc, spec.timeout_ms)
+        exited = _wait_for_exit(proc, oracle.timeout_ms)
     finally:
         returncode = _kill_group_and_reap(proc)
     if not exited:
         returncode = None
 
     outcome = map_exit_status(returncode)
-    if spec.keep_failing and outcome == Outcome.FAIL:
+    if oracle.keep_failing and outcome == Outcome.FAIL:
         oracle._keep_workspace()
     return outcome, ExecutionEvidence(returncode)
 
 
 class CommandOracle:
-    """TestOracle over ``evaluate_command`` that owns the run's workspace.
+    """TestOracle over ``evaluate_command``: how to run the external test
+    command, and the workspace of the run in progress.  ``argv`` is
+    extended per test with whatever the materializer returns (e.g. the
+    candidate path).
 
-    The workspace root is resolved and created, and the command's
-    environment taken, once, when the oracle is made.  Test after test then
-    runs in one workspace whose tree is recreated empty before each test;
-    if something in it cannot be removed, the workspace is given up for a
-    new one, so the command never sees a file from an earlier test.
+    Entering the oracle as a context manager starts a run: its tests are
+    numbered from 1, the workspace root is resolved and created and the
+    command's environment taken as they are now, and nothing is kept yet.  Test after test then runs in one workspace
+    whose tree is recreated empty before each test; if something in it
+    cannot be removed, the workspace is given up for a new one, so the
+    command never sees a file from an earlier test.
 
     With ``keep_failing``, a FAIL's workspace is set aside as
-    ``kept_workspace``, replacing (and removing) the one kept before, and
-    the next test gets a new workspace.  After a run the surviving
-    workspace thus belongs to the last failing test, i.e. the final
-    configuration.
+    ``kept_workspace``, replacing (and removing) the one kept before in the
+    same run, and the next test gets a new workspace.  After a run the
+    surviving workspace thus belongs to the last failing test, i.e. the
+    final configuration.  A later run of the same oracle leaves it alone.
 
-    Use the oracle as a context manager: leaving the block removes the
-    run's workspace, and on an exception the kept one too, since the run
-    then reports no result.
+    Leaving the block removes the run's workspace, and on an exception the
+    kept one too, since the run then reports no result.  One oracle serves
+    one run at a time.
     """
 
-    def __init__(self, spec: CommandOracleSpec):
-        self.spec = spec
+    def __init__(self, argv: list[str], timeout_ms: int = DEFAULT_TIMEOUT_MS,
+                 workspace_root: Optional[Union[str, Path]] = None, keep_failing: bool = False):
+        if not argv:
+            raise ValueError("argv must not be empty")
+        if timeout_ms <= 0:
+            raise ValueError("timeout must be positive")
+        if timeout_ms > 2**31 - 1:  # ``poll`` takes a C int of milliseconds
+            raise ValueError(f"timeout must be at most {2**31 - 1} ms")
+        self.argv = argv
+        self.timeout_ms = timeout_ms
+        self.workspace_root = workspace_root
+        self.keep_failing = keep_failing
         self.materializer: Optional[Materializer] = None  # set by the front-end
+        self._workspace: Optional[Path] = None
+
+    def __enter__(self) -> "CommandOracle":
         self.tests_run = 0
         self.kept_workspace: Optional[str] = None
         # The command's cwd is the workspace's tree, so the tree path (and
         # anything derived from it, like the candidate file argument) must
         # be absolute.
-        root = spec.workspace_root
+        root = self.workspace_root
         self._root = Path(root).resolve() if root else Path(tempfile.gettempdir())
         self._root.mkdir(parents=True, exist_ok=True)
         self._environ = dict(os.environb)
-        self._workspace: Optional[Path] = None
-
-    def __enter__(self) -> "CommandOracle":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -271,14 +271,15 @@ def audited(engine):
 
 # --- front-end results --------------------------------------------------------
 
-def minimized(data: bytes, run) -> bytes:
-    """The bytes of ``data`` that a ``minimize_input`` run kept."""
-    return bytes(data[i] for i in run.passes[-1].kept)
+def minimized(data: bytes, passes) -> bytes:
+    """The bytes of ``data`` that the ``passes`` of a ``minimize_input`` run kept."""
+    return bytes(data[i] for i in passes[-1].kept)
 
 
-def kept_diff(changeset, run) -> str:
-    """The changes that a ``minimize_changes`` run kept, as a unified diff."""
-    return render_unified_diff([changeset.changes[i] for i in run.passes[-1].kept])
+def kept_diff(changeset, passes) -> str:
+    """The changes that the ``passes`` of a ``minimize_changes`` run kept,
+    as a unified diff."""
+    return render_unified_diff([changeset.changes[i] for i in passes[-1].kept])
 
 
 def slice_labels(reduction) -> list[str]:

@@ -29,7 +29,6 @@ from deltadebug.inputmin import render, tokenize
 from deltadebug.oracles import random_monotone, single_cause
 from deltadebug.proc import (
     CommandOracle,
-    CommandOracleSpec,
     evaluate_command,
     map_exit_status,
 )
@@ -271,12 +270,10 @@ def test_criterion_8_exit_code_protocol(make_script, workspace_root):
     config = Configuration(1, [0])
 
     def run_script(body, timeout_ms=60_000):
-        spec = CommandOracleSpec(
-            argv=[make_script(body)],
-            workspace_root=workspace_root,
-            timeout_ms=timeout_ms,
+        oracle = CommandOracle(
+            [make_script(body)], workspace_root=workspace_root, timeout_ms=timeout_ms
         )
-        with CommandOracle(spec) as oracle:
+        with oracle:
             oracle.materializer = lambda c, w: []
             return evaluate_command(oracle, config)
 

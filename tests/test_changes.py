@@ -21,7 +21,7 @@ from deltadebug.changes import (
 )
 from deltadebug.core import SOURCE_EXACT_CACHE, SOURCE_FEASIBILITY, SOURCE_ORACLE
 from deltadebug.oracles import CountingOracle
-from deltadebug.proc import CommandOracle, CommandOracleSpec, evaluate_command
+from deltadebug.proc import CommandOracle, evaluate_command
 from support import kept_diff
 
 
@@ -650,9 +650,9 @@ class TestRenderUnifiedDiff:
 
 class ShOracleMixin:
     @staticmethod
-    def bug_spec(make_script, workspace_root):
+    def bug_oracle(make_script, workspace_root):
         script = make_script('grep -rq BUG "$1"')
-        return CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        return CommandOracle([script], workspace_root=workspace_root)
 
 
 class TestMinimizeChanges(ShOracleMixin):
@@ -672,19 +672,19 @@ class TestMinimizeChanges(ShOracleMixin):
     def test_two_level_refinement_matches_direct_run(self, make_script, workspace_root):
         baseline, cs = self.fixture_20()
         assert len(cs) == 20
-        spec = self.bug_spec(make_script, workspace_root)
-        direct = minimize_changes(baseline, cs, spec)
-        grouped = minimize_changes(baseline, cs, spec, groups="file")
-        assert direct.passes[-1].kept == grouped.passes[-1].kept
-        assert len(direct.passes[-1].kept) == 1
+        oracle = self.bug_oracle(make_script, workspace_root)
+        direct = minimize_changes(baseline, cs, oracle)
+        grouped = minimize_changes(baseline, cs, oracle, groups="file")
+        assert direct[-1].kept == grouped[-1].kept
+        assert len(direct[-1].kept) == 1
         assert "BUG" in kept_diff(cs, direct)
 
     def test_member_pass_takes_axiom_answers_from_the_group_pass(
         self, make_script, workspace_root
     ):
         baseline, cs = self.fixture_20()
-        spec = self.bug_spec(make_script, workspace_root)
-        groups, members = minimize_changes(baseline, cs, spec, groups="file").passes
+        oracle = self.bug_oracle(make_script, workspace_root)
+        groups, members = minimize_changes(baseline, cs, oracle, groups="file")
         assert groups.result.log.test_counts()[2] == 2
         assert members.result.log.test_counts()[2] == 0
         head = [(r.source, r.outcome) for r in members.result.log.records[:2]]
@@ -693,9 +693,9 @@ class TestMinimizeChanges(ShOracleMixin):
 
     def test_emitted_diff_contains_exactly_the_culprit(self, make_script, workspace_root):
         baseline, cs = self.fixture_20()
-        spec = self.bug_spec(make_script, workspace_root)
-        outcome = minimize_changes(baseline, cs, spec)
-        reparsed = split_unified_diff(kept_diff(cs, outcome))
+        oracle = self.bug_oracle(make_script, workspace_root)
+        passes = minimize_changes(baseline, cs, oracle)
+        reparsed = split_unified_diff(kept_diff(cs, passes))
         assert len(reparsed) == 1
         assert any("BUG" in line for line in reparsed[0].new_lines)
 
@@ -704,18 +704,17 @@ class TestMinimizeChanges(ShOracleMixin):
 
         baseline = {"a.txt": "x\n"}
         cs = ChangeSet(tuple(split_unified_diff("")))
-        spec = self.bug_spec(make_script, workspace_root)
+        oracle = self.bug_oracle(make_script, workspace_root)
         with pytest.raises(AxiomViolation):
-            minimize_changes(baseline, cs, spec)
+            minimize_changes(baseline, cs, oracle)
 
     def test_a_change_outside_its_file_is_unresolved_without_a_process(
         self, make_script, workspace_root, tmp_path
     ):
         runs = tmp_path / "runs"
         script = make_script(f'echo >> "{runs}"')
-        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
         beyond = ChangeSet((AtomicChange("f", anchor=5, old_lines=("x\n",), new_lines=("y\n",)),))
-        with CommandOracle(spec) as command:
+        with CommandOracle([script], workspace_root=workspace_root) as command:
             command.materializer = change_materializer({"f": "a\n"}, beyond)
             outcome, evidence = evaluate_command(command, Configuration.full(1))
         assert outcome == Outcome.UNRESOLVED
@@ -735,8 +734,8 @@ class TestMinimizeChanges(ShOracleMixin):
         cs1 = changeset_for(baseline, step1)
         cs2 = changeset_for(step1, step2)
         stacked = ChangeSet(changes=(cs1.changes[0], cs2.changes[0]))
-        spec = self.bug_spec(make_script, workspace_root)
-        outcome = minimize_changes(baseline, stacked, spec)
-        assert outcome.passes[-1].kept == (0, 1)
-        records = outcome.passes[-1].result.log.records
+        oracle = self.bug_oracle(make_script, workspace_root)
+        passes = minimize_changes(baseline, stacked, oracle)
+        assert passes[-1].kept == (0, 1)
+        records = passes[-1].result.log.records
         assert any(r.outcome == Outcome.UNRESOLVED for r in records)

@@ -17,7 +17,7 @@ from deltadebug.changes import (
     ChangeSet, minimize_changes, parse_dependencies, split_unified_diff,
 )
 from deltadebug.oracles import adversarial, conjunction_spread
-from deltadebug.proc import CommandOracleSpec
+from deltadebug.proc import CommandOracle
 from deltadebug.toylang import parse_program
 from deltadebug.tracered import OutputExpectation, reduce_trace
 from support import random_table
@@ -122,11 +122,11 @@ def test_minimize_changes_run_logs_are_unchanged(two_cause_changes, workspace_ro
     # rejecting subsets that are not closed under the dependencies.
     baseline, diff, deps, test = two_cause_changes
     changeset = ChangeSet(tuple(split_unified_diff(diff)), parse_dependencies(deps))
-    spec = CommandOracleSpec(argv=[test], workspace_root=workspace_root)
-    outcome = minimize_changes(baseline, changeset, spec, groups="file")
-    assert outcome.passes[-1].kept == (1, 2, 4, 5, 10)
-    assert all(p.result.verified_1_minimal for p in outcome.passes)
-    assert [(p.label, counts(p.result.log), digest(p.result.log)) for p in outcome.passes] == [
+    oracle = CommandOracle([test], workspace_root=workspace_root)
+    passes = minimize_changes(baseline, changeset, oracle, groups="file")
+    assert passes[-1].kept == (1, 2, 4, 5, 10)
+    assert all(p.result.verified_1_minimal for p in passes)
+    assert [(p.label, counts(p.result.log), digest(p.result.log)) for p in passes] == [
         ("groups", (1, 2), "fe1ce501fa310c3502ff91c24f282ad463e349aac4ef5507aa686562301b8711"),
         ("changes", (12, 0), "26148d2209c2beb8b2520a39110ad924510387ec0d8535064bea011df40d4f6c"),
     ]

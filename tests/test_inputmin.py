@@ -9,7 +9,7 @@ from deltadebug.inputmin import (
     render,
     tokenize,
 )
-from deltadebug.proc import CommandOracleSpec
+from deltadebug.proc import CommandOracle
 from support import minimized
 
 
@@ -93,24 +93,24 @@ class TestRoundTripProperty:
 
 
 @pytest.fixture
-def substring_spec(make_script, workspace_root):
+def substring_oracle(make_script, workspace_root):
     # FAIL iff the candidate file contains the byte substring "78".
     script = make_script('grep -q 78 "$1"')
-    return CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+    return CommandOracle([script], workspace_root=workspace_root)
 
 
 class TestMinimizeInput:
-    def test_thousand_line_input_reduces_to_the_substring(self, substring_spec):
+    def test_thousand_line_input_reduces_to_the_substring(self, substring_oracle):
         data = "".join(f"{i}\n" for i in range(1000)).encode()
-        outcome = minimize_input(data, substring_spec)
-        assert minimized(data, outcome) == b"78"
-        assert [p.label for p in outcome.passes] == ["line", "char"]
+        passes = minimize_input(data, substring_oracle)
+        assert minimized(data, passes) == b"78"
+        assert [p.label for p in passes] == ["line", "char"]
 
-    def test_each_pass_never_grows_the_input(self, substring_spec):
+    def test_each_pass_never_grows_the_input(self, substring_oracle):
         data = "".join(f"{i}\n" for i in range(200)).encode()
-        outcome = minimize_input(data, substring_spec)
+        passes = minimize_input(data, substring_oracle)
         length = len(data)
-        for p in outcome.passes:
+        for p in passes:
             assert len(p.kept) <= length
             length = len(p.kept)
 
@@ -118,47 +118,43 @@ class TestMinimizeInput:
         # FAIL on everything except the empty input: the ascending scan
         # keeps the first token.
         script = make_script('test -s "$1"')
-        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        oracle = CommandOracle([script], workspace_root=workspace_root)
         data = b"x\ny\n"
-        outcome = minimize_input(data, spec, schedule=["line"])
-        assert minimized(data, outcome) == b"x\n"
+        passes = minimize_input(data, oracle, schedule=["line"])
+        assert minimized(data, passes) == b"x\n"
 
-    def test_later_pass_takes_axiom_answers_from_the_first(self, substring_spec):
+    def test_later_pass_takes_axiom_answers_from_the_first(self, substring_oracle):
         data = "".join(f"{i}\n" for i in range(100)).encode()
-        line, char = minimize_input(data, substring_spec).passes
+        line, char = minimize_input(data, substring_oracle)
         assert line.result.log.test_counts()[2] == 2
         assert char.result.log.test_counts()[2] == 0
         head = [(r.source, r.outcome) for r in char.result.log.records[:2]]
         assert head == [(SOURCE_EXACT_CACHE, Outcome.PASS), (SOURCE_EXACT_CACHE, Outcome.FAIL)]
         # Only those two records differ from a char pass run on its own.
         line_minimized = bytes(data[i] for i in line.kept)
-        alone = minimize_input(line_minimized, substring_spec, schedule=["char"])
-        assert alone.passes[0].result.log.test_counts()[2] == 2
-        assert (
-            char.result.log.fingerprint()[2:]
-            == alone.passes[0].result.log.fingerprint()[2:]
-        )
+        (alone,) = minimize_input(line_minimized, substring_oracle, schedule=["char"])
+        assert alone.result.log.test_counts()[2] == 2
+        assert char.result.log.fingerprint()[2:] == alone.result.log.fingerprint()[2:]
 
     def test_an_empty_schedule_is_rejected_before_any_test(self, make_script, workspace_root):
-        spec = CommandOracleSpec(argv=[make_script("exit 0")], workspace_root=workspace_root)
+        oracle = CommandOracle([make_script("exit 0")], workspace_root=workspace_root)
         with pytest.raises(ValueError, match="at least one granularity"):
-            minimize_input(b"a\n", spec, schedule=())
+            minimize_input(b"a\n", oracle, schedule=())
         assert list(workspace_root.iterdir()) == []
 
     def test_axiom_violation_names_the_pass(self, make_script, workspace_root):
         script = make_script("exit 1")  # never fails
-        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        oracle = CommandOracle([script], workspace_root=workspace_root)
         with pytest.raises(AxiomViolation, match="line pass"):
-            minimize_input(b"a\nb\n", spec)
+            minimize_input(b"a\nb\n", oracle)
 
-    def test_minimized_output_still_fails(self, substring_spec):
+    def test_minimized_output_still_fails(self, substring_oracle):
         from deltadebug import Outcome
         from deltadebug.inputmin import candidate_materializer
-        from deltadebug.proc import CommandOracle
 
         data = "junk\n778玉\nmore\n".encode("utf-8")
-        outcome = minimize_input(data, substring_spec)
-        tokenized = tokenize(minimized(data, outcome), "char")
-        with CommandOracle(substring_spec) as oracle:
+        passes = minimize_input(data, substring_oracle)
+        tokenized = tokenize(minimized(data, passes), "char")
+        with substring_oracle as oracle:
             oracle.materializer = candidate_materializer(tokenized, "candidate.dat")
             assert oracle.evaluate(Configuration.full(len(tokenized))) == Outcome.FAIL

@@ -19,7 +19,7 @@ from deltadebug.core import (
 )
 from deltadebug.inputmin import minimize_input
 from deltadebug.oracles import conjunction
-from deltadebug.proc import CommandOracleSpec
+from deltadebug.proc import CommandOracle
 from deltadebug.toylang import parse_program
 from deltadebug.tracered import OutputExpectation, reduce_trace
 from support import minimized
@@ -321,10 +321,10 @@ def test_carried_passes_cut_later_pass_tests_seeded(runs, seed, count, totals):
 
 
 @pytest.fixture
-def two_token_spec(make_script, workspace_root):
+def two_token_oracle(make_script, workspace_root):
     # FAIL iff the candidate holds both planted tokens.
     script = make_script('grep -q AB "$1" && grep -q CD "$1"')
-    return CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+    return CommandOracle([script], workspace_root=workspace_root)
 
 
 def seeded_input(seed: int, lines: int, odd: bytes = b"") -> bytes:
@@ -339,10 +339,10 @@ def seeded_input(seed: int, lines: int, odd: bytes = b"") -> bytes:
     return b"".join(row + b"\n" for row in rows)
 
 
-def check_input_ids(data: bytes, outcome) -> None:
+def check_input_ids(data: bytes, passes) -> None:
     # Each pass's ids split what the pass before it kept, in order.
     kept = tuple(range(len(data)))
-    for p in outcome.passes:
+    for p in passes:
         assert tuple(itertools.chain.from_iterable(p.ids)) == kept
         assert set(p.kept) <= set(kept)
         kept = p.kept
@@ -350,25 +350,25 @@ def check_input_ids(data: bytes, outcome) -> None:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 class TestInputIds:
-    def test_line_then_char(self, seed, two_token_spec):
+    def test_line_then_char(self, seed, two_token_oracle):
         data = seeded_input(seed, 12)
-        outcome = minimize_input(data, two_token_spec)
-        assert [p.label for p in outcome.passes] == ["line", "char"]
-        assert minimized(data, outcome) in (b"ABCD", b"CDAB")
-        check_input_ids(data, outcome)
+        passes = minimize_input(data, two_token_oracle)
+        assert [p.label for p in passes] == ["line", "char"]
+        assert minimized(data, passes) in (b"ABCD", b"CDAB")
+        check_input_ids(data, passes)
 
-    def test_char_only(self, seed, two_token_spec):
+    def test_char_only(self, seed, two_token_oracle):
         data = seeded_input(seed, 3)
-        outcome = minimize_input(data, two_token_spec, schedule=["char"])
-        assert minimized(data, outcome) in (b"ABCD", b"CDAB")
-        check_input_ids(data, outcome)
+        passes = minimize_input(data, two_token_oracle, schedule=["char"])
+        assert minimized(data, passes) in (b"ABCD", b"CDAB")
+        check_input_ids(data, passes)
 
-    def test_byte_fallback_over_bytes_that_are_not_utf8(self, seed, two_token_spec):
+    def test_byte_fallback_over_bytes_that_are_not_utf8(self, seed, two_token_oracle):
         data = seeded_input(seed, 12, odd=b"\xff")
-        outcome = minimize_input(data, two_token_spec)
-        assert [p.label for p in outcome.passes] == ["line", "byte"]
-        assert minimized(data, outcome) in (b"ABCD", b"CDAB")
-        check_input_ids(data, outcome)
+        passes = minimize_input(data, two_token_oracle)
+        assert [p.label for p in passes] == ["line", "byte"]
+        assert minimized(data, passes) in (b"ABCD", b"CDAB")
+        check_input_ids(data, passes)
 
 
 def test_change_ids_through_a_group_map_out_of_id_order(two_cause_changes, workspace_root):
@@ -380,9 +380,8 @@ def test_change_ids_through_a_group_map_out_of_id_order(two_cause_changes, works
         "10\tp\n1\tq\n5\tp\n0\tp\n2\tq\n4\tp\n"
         + "".join(f"{i}\tr\n" for i in (11, 3, 9, 6, 8, 7))
     )
-    spec = CommandOracleSpec(argv=[test], workspace_root=workspace_root)
-    outcome = minimize_changes(baseline, changeset, spec, groups=group_map)
-    groups, changes = outcome.passes
+    oracle = CommandOracle([test], workspace_root=workspace_root)
+    groups, changes = minimize_changes(baseline, changeset, oracle, groups=group_map)
     assert [list(ids) for ids in groups.ids] == [[0, 4, 5, 10], [1, 2], [3, 6, 7, 8, 9, 11]]
     assert groups.result.final.members == (0, 1)
     assert groups.kept == (0, 1, 2, 4, 5, 10)
@@ -401,18 +400,18 @@ class TestNoScenarioRunsTwice:
     def test_the_char_pass_takes_the_line_answers(self, make_script, workspace_root, tmp_path):
         counter = tmp_path / "runs"
         script = make_script(f'printf x >> {counter}; grep -q A "$1" && grep -q B "$1"')
-        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        oracle = CommandOracle([script], workspace_root=workspace_root)
         data = b"xA\nyB\n"
-        outcome = minimize_input(data, spec)
-        line, char = outcome.passes
+        passes = minimize_input(data, oracle)
+        line, char = passes
         assert line.kept == tuple(range(6))
         # The char pass's first chunks are the two lines, which passed in
         # the line pass and cover from the start: no record, no process.
         assert [r.granularity for r in char.result.log.records[:3]] == [0, 0, 4]
         asked = first_by_input_ids(char)
         assert frozenset({0, 1, 2}) not in asked and frozenset({3, 4, 5}) not in asked
-        assert minimized(data, outcome) == b"AB"
-        assert len(counter.read_bytes()) == spawned(outcome.passes)
+        assert minimized(data, passes) == b"AB"
+        assert len(counter.read_bytes()) == spawned(passes)
 
     def test_a_grouped_change_run_spawns_once_per_record(
         self, two_cause_changes, make_script, workspace_root, tmp_path
@@ -420,10 +419,10 @@ class TestNoScenarioRunsTwice:
         baseline, diff, _, test = two_cause_changes
         counter = tmp_path / "runs"
         script = make_script(f'printf x >> {counter}; exec {test} "$1"')
-        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
+        oracle = CommandOracle([script], workspace_root=workspace_root)
         changeset = ChangeSet(tuple(split_unified_diff(diff)))
-        outcome = minimize_changes(baseline, changeset, spec, groups="file")
-        groups, changes = outcome.passes
+        passes = minimize_changes(baseline, changeset, oracle, groups="file")
+        groups, changes = passes
         assert groups.kept == (0, 1, 2, 3, 8, 9, 10, 11)
         # The changes pass's first chunks are the groups of lib/a.txt and
         # main/c.txt, which passed in the groups pass and cover from the
@@ -432,7 +431,7 @@ class TestNoScenarioRunsTwice:
         for ids in ((0, 1, 2, 3), (8, 9, 10, 11)):
             assert frozenset(ids) not in first
         assert changes.kept == (2, 10)
-        assert len(counter.read_bytes()) == spawned(outcome.passes)
+        assert len(counter.read_bytes()) == spawned(passes)
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from deltadebug import Configuration, Outcome
 from deltadebug.inputmin import minimize_input
 from deltadebug.proc import (
     CommandOracle,
-    CommandOracleSpec,
     MaterializeConflict,
     OracleExecutionError,
     evaluate_command,
@@ -24,14 +23,10 @@ def null_materializer(config, workspace):
     return []
 
 
-def spec_for(argv, workspace_root, **kwargs):
-    return CommandOracleSpec(argv=argv, workspace_root=workspace_root, **kwargs)
-
-
-def oracle_for(spec, materializer=null_materializer):
-    """A command oracle over ``spec`` whose tests write ``materializer``'s
+def oracle_for(argv, workspace_root, materializer=null_materializer, **kwargs):
+    """A command oracle over ``argv`` whose tests write ``materializer``'s
     scenario."""
-    oracle = CommandOracle(spec)
+    oracle = CommandOracle(argv, workspace_root=workspace_root, **kwargs)
     oracle.materializer = materializer
     return oracle
 
@@ -67,9 +62,9 @@ def recording(materializer=null_materializer):
     return record, workspaces
 
 
-def run_once(spec, config, test_seq=1, materializer=null_materializer):
+def run_once(oracle, config, test_seq=1):
     """Run ``config`` as test number ``test_seq`` of a run of its own."""
-    with oracle_for(spec, materializer) as oracle:
+    with oracle:
         oracle.tests_run = test_seq - 1
         return evaluate_command(oracle, config)
 
@@ -154,24 +149,24 @@ class TestMapExitStatus:
         assert map_exit_status(status) == expected
 
 
-class TestCommandOracleSpec:
+class TestCommandOracleSettings:
     @pytest.mark.parametrize("fields, message", [
         ({"argv": []}, "argv must not be empty"),
         ({"argv": ["true"], "timeout_ms": 0}, "timeout must be positive"),
         ({"argv": ["true"], "timeout_ms": 2**31}, "timeout must be at most 2147483647 ms"),
     ], ids=["no-argv", "zero-timeout", "timeout-beyond-poll"])
-    def test_a_spec_that_cannot_run_is_rejected(self, fields, message):
+    def test_an_oracle_that_cannot_run_is_rejected(self, fields, message, workspace_root):
         with pytest.raises(ValueError) as info:
-            CommandOracleSpec(**fields)
+            CommandOracle(**fields, workspace_root=workspace_root)
         assert str(info.value) == message
+        assert list(workspace_root.iterdir()) == []
 
 
 class TestEvaluateCommand:
     def test_exit_zero_is_fail_regardless_of_config(
         self, make_script, workspace_root, wait_path
     ):
-        spec = spec_for([make_script("exit 0")], workspace_root)
-        with oracle_for(spec) as oracle:
+        with oracle_for([make_script("exit 0")], workspace_root) as oracle:
             for members in ([], [0], [0, 1]):
                 outcome, _ = evaluate_command(oracle, Configuration(2, members))
                 assert outcome == Outcome.FAIL
@@ -179,9 +174,9 @@ class TestEvaluateCommand:
     def test_timeout_returns_unresolved_with_duration(
         self, make_script, workspace_root, wait_path
     ):
-        spec = spec_for([make_script("sleep 30")], workspace_root, timeout_ms=300)
+        oracle = oracle_for([make_script("sleep 30")], workspace_root, timeout_ms=300)
         start = time.monotonic()
-        outcome, evidence = run_once(spec, Configuration(1, [0]))
+        outcome, evidence = run_once(oracle, Configuration(1, [0]))
         elapsed = time.monotonic() - start
         assert outcome == Outcome.UNRESOLVED
         assert evidence.returncode is None
@@ -194,8 +189,8 @@ class TestEvaluateCommand:
         marker = tmp_path / "marker"
         # The child spawns a grandchild that would write after 2 s.
         body = f"(sleep 2; echo alive > {marker}) &\nsleep 30"
-        spec = spec_for([make_script(body)], workspace_root, timeout_ms=300)
-        outcome, _ = run_once(spec, Configuration(1, [0]))
+        oracle = oracle_for([make_script(body)], workspace_root, timeout_ms=300)
+        outcome, _ = run_once(oracle, Configuration(1, [0]))
         assert outcome == Outcome.UNRESOLVED
         time.sleep(2.2)
         assert not marker.exists()
@@ -206,8 +201,8 @@ class TestEvaluateCommand:
         marker = tmp_path / "marker"
         # The command exits at once, leaving a child that would write after 1 s.
         body = f"(sleep 1; echo alive > {marker}) &\nexit 1"
-        spec = spec_for([make_script(body)], workspace_root)
-        outcome, _ = run_once(spec, Configuration(1, [0]))
+        oracle = oracle_for([make_script(body)], workspace_root)
+        outcome, _ = run_once(oracle, Configuration(1, [0]))
         assert outcome == Outcome.PASS
         time.sleep(1.5)
         assert not marker.exists()
@@ -219,10 +214,10 @@ class TestEvaluateCommand:
         ready = tmp_path / "ready"
         body = f"(sleep 1; echo alive > {marker}) &\ntouch {ready}\nsleep 30"
         # An interrupted test has no outcome, so even keep_failing drops it.
-        spec = spec_for([make_script(body)], workspace_root, keep_failing=True)
+        oracle = oracle_for([make_script(body)], workspace_root, keep_failing=True)
         interrupt_wait_when(ready, monkeypatch)
         with pytest.raises(KeyboardInterrupt):
-            run_once(spec, Configuration(1, [0]))
+            run_once(oracle, Configuration(1, [0]))
         assert ready.exists()
         assert list(workspace_root.iterdir()) == []
         time.sleep(1.5)
@@ -242,12 +237,12 @@ class TestEvaluateCommand:
             f"  (sleep 0.5; echo alive > {marker}) &\n  touch {ready}\n  sleep 30\nfi\n"
             'grep -q BUG "$1"'
         )
-        spec = CommandOracleSpec(
-            argv=[make_script(body)], workspace_root=workspace_root, keep_failing=keep_failing
+        oracle = CommandOracle(
+            [make_script(body)], workspace_root=workspace_root, keep_failing=keep_failing
         )
         interrupt_wait_when(ready, monkeypatch)
         with pytest.raises(KeyboardInterrupt):
-            minimize_input(b"a\nBUG\nb\nc\n", spec, schedule=["line"])
+            minimize_input(b"a\nBUG\nb\nc\n", oracle, schedule=["line"])
         assert ready.exists()
         assert list(workspace_root.iterdir()) == []
         time.sleep(0.8)
@@ -259,23 +254,20 @@ class TestEvaluateCommand:
         def conflicting(config, workspace):
             raise MaterializeConflict("change 1 does not apply")
 
-        spec = CommandOracleSpec(
-            argv=["/bin/sh", "-c", f"touch {witness}"],
-            workspace_root=workspace_root,
-        )
-        outcome, evidence = run_once(spec, Configuration(2, [1]), materializer=conflicting)
+        oracle = oracle_for(["/bin/sh", "-c", f"touch {witness}"], workspace_root, conflicting)
+        outcome, evidence = run_once(oracle, Configuration(2, [1]))
         assert outcome == Outcome.UNRESOLVED
         assert evidence.returncode is None
         assert evidence.conflict == "change 1 does not apply"
         assert not witness.exists()
 
     def test_missing_command_is_a_hard_error(self, workspace_root):
-        spec = spec_for(["/no/such/binary"], workspace_root)
+        oracle = oracle_for(["/no/such/binary"], workspace_root)
         with pytest.raises(OracleExecutionError):
-            run_once(spec, Configuration(1, [0]))
+            run_once(oracle, Configuration(1, [0]))
 
     def test_an_oracle_without_a_materializer_is_an_error(self, workspace_root):
-        with CommandOracle(spec_for(["true"], workspace_root)) as oracle:
+        with CommandOracle(["true"], workspace_root=workspace_root) as oracle:
             with pytest.raises(ValueError, match="oracle has no materializer"):
                 oracle.evaluate(Configuration(1, [0]))
         assert list(workspace_root.iterdir()) == []
@@ -283,8 +275,8 @@ class TestEvaluateCommand:
     def test_environment_variables(self, make_script, workspace_root, tmp_path):
         out = tmp_path / "env.txt"
         body = f'echo "$DDMIN_TEST_SEQ $DDMIN_CONFIG_SIZE $DDMIN_UNIVERSE_SIZE" > {out}; exit 1'
-        spec = spec_for([make_script(body)], workspace_root)
-        run_once(spec, Configuration(5, [1, 2]), test_seq=7)
+        oracle = oracle_for([make_script(body)], workspace_root)
+        run_once(oracle, Configuration(5, [1, 2]), test_seq=7)
         assert out.read_text().split() == ["7", "2", "5"]
 
     def test_relative_workspace_root_still_yields_absolute_paths(
@@ -299,12 +291,9 @@ class TestEvaluateCommand:
             candidate.write_text("payload 78\n")
             return [str(candidate)]
 
-        spec = CommandOracleSpec(
-            argv=[make_script('grep -q 78 "$1"')],
-            workspace_root="ws",
-        )
         materializer, workspaces = recording(materializer)
-        outcome, _ = run_once(spec, Configuration(1, [0]), materializer=materializer)
+        oracle = oracle_for([make_script('grep -q 78 "$1"')], "ws", materializer)
+        outcome, _ = run_once(oracle, Configuration(1, [0]))
         assert outcome == Outcome.FAIL
         assert workspaces[0].is_absolute()
 
@@ -312,16 +301,15 @@ class TestEvaluateCommand:
         monkeypatch.setenv("DDMIN_PROBE", "hello")
         out = tmp_path / "probe.txt"
         body = f'echo "[$DDMIN_PROBE]" > {out}; exit 1'
-        spec = spec_for([make_script(body)], workspace_root)
-        run_once(spec, Configuration(1, [0]))
+        oracle = oracle_for([make_script(body)], workspace_root)
+        run_once(oracle, Configuration(1, [0]))
         assert out.read_text().strip() == "[hello]"
 
     def test_command_runs_in_fresh_workspace(self, make_script, workspace_root):
         # Both tests run in the run's one workspace, its tree emptied between.
         script = make_script('test ! -e stale || exit 1; touch stale; exit 0')
-        spec = spec_for([script], workspace_root)
         materializer, workspaces = recording()
-        with oracle_for(spec, materializer) as oracle:
+        with oracle_for([script], workspace_root, materializer) as oracle:
             first, _ = evaluate_command(oracle, Configuration(1, [0]))
             second, _ = evaluate_command(oracle, Configuration(1, []))
         # If workspace files leaked between tests the second run would PASS.
@@ -336,9 +324,9 @@ class TestEvaluateCommand:
 
         # Exits 0 (FAIL) only if its working directory holds a.txt alone.
         script = make_script('test "$(ls -A)" = a.txt')
-        spec = spec_for([script], workspace_root, keep_failing=True)
         materializer, workspaces = recording(materializer)
-        outcome, _ = run_once(spec, Configuration(1, [0]), materializer=materializer)
+        oracle = oracle_for([script], workspace_root, materializer, keep_failing=True)
+        outcome, _ = run_once(oracle, Configuration(1, [0]))
         assert outcome == Outcome.FAIL
         kept = sorted(p.name for p in workspaces[0].iterdir())
         assert kept == ["stderr.log", "stdout.log", "tree"]
@@ -346,26 +334,29 @@ class TestEvaluateCommand:
     def test_workspace_paths_never_repeat(self, make_script, workspace_root):
         # A kept FAIL's workspace is never used again, and two runs over one
         # root never share a workspace.
-        spec = spec_for([make_script("exit 0")], workspace_root, keep_failing=True)
+        argv = [make_script("exit 0")]
         materializer, workspaces = recording()
-        with oracle_for(spec, materializer) as first, oracle_for(spec, materializer) as second:
+        with oracle_for(argv, workspace_root, materializer, keep_failing=True) as first, \
+                oracle_for(argv, workspace_root, materializer, keep_failing=True) as second:
             for oracle in (first, second, first, second):
                 evaluate_command(oracle, Configuration(1, [0]))
         assert len(set(workspaces)) == 4
 
     def test_workspace_deleted_unless_keep_failing_and_fail(self, make_script, workspace_root):
         materializer, workspaces = recording()
-        spec = spec_for([make_script("exit 0")], workspace_root)
-        run_once(spec, Configuration(1, [0]), materializer=materializer)
+        oracle = oracle_for([make_script("exit 0")], workspace_root, materializer)
+        run_once(oracle, Configuration(1, [0]))
         assert not workspaces[-1].exists()
 
-        keep = spec_for([make_script("echo boom; exit 0")], workspace_root, keep_failing=True)
-        run_once(keep, Configuration(1, [0]), materializer=materializer)
+        keep = [make_script("echo boom; exit 0")]
+        oracle = oracle_for(keep, workspace_root, materializer, keep_failing=True)
+        run_once(oracle, Configuration(1, [0]))
         assert workspaces[-1].exists()
         assert "boom" in (workspaces[-1] / "stdout.log").read_text()
 
-        keep_pass = spec_for([make_script("exit 1")], workspace_root, keep_failing=True)
-        run_once(keep_pass, Configuration(1, [0]), materializer=materializer)
+        keep_pass = [make_script("exit 1")]
+        oracle = oracle_for(keep_pass, workspace_root, materializer, keep_failing=True)
+        run_once(oracle, Configuration(1, [0]))
         assert not workspaces[-1].exists()
 
     def test_materializer_extra_args_are_appended(self, make_script, workspace_root, tmp_path):
@@ -377,8 +368,7 @@ class TestEvaluateCommand:
             return [str(candidate)]
 
         script = make_script(f'echo "$1" > {out}; exit 1')
-        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
-        run_once(spec, Configuration(1, [0]), materializer=materializer)
+        run_once(oracle_for([script], workspace_root, materializer), Configuration(1, [0]))
         assert out.read_text().strip().endswith("input.bin")
 
 
@@ -399,9 +389,9 @@ class TestRunWorkspace:
         outside.mkdir()
         (outside / "keep.txt").write_text("keep\n")
         leave = f"echo x > file; mkdir -p sub/deeper; echo y > sub/deeper/f; ln -s {outside} link"
-        spec = spec_for([self.script(make_script, leave)], workspace_root)
         materializer, workspaces = recording()
-        with oracle_for(spec, materializer) as oracle:
+        script = self.script(make_script, leave)
+        with oracle_for([script], workspace_root, materializer) as oracle:
             first, _ = evaluate_command(oracle, Configuration(1, [0]))
             tree = workspaces[0] / "tree"
             assert sorted(p.name for p in tree.iterdir()) == ["file", "link", "sub"]
@@ -418,9 +408,9 @@ class TestRunWorkspace:
         outside.mkdir()
         (outside / "keep.txt").write_text("keep\n")
         leave = f"cd ..; rm -r tree; ln -s {outside} tree"
-        spec = spec_for([self.script(make_script, leave)], workspace_root)
         materializer, workspaces = recording()
-        with oracle_for(spec, materializer) as oracle:
+        script = self.script(make_script, leave)
+        with oracle_for([script], workspace_root, materializer) as oracle:
             first, _ = evaluate_command(oracle, Configuration(1, [0]))
             second, _ = evaluate_command(oracle, Configuration(1, [0]))
             assert not workspaces[0].exists()
@@ -431,9 +421,9 @@ class TestRunWorkspace:
 
     def test_a_tree_replaced_by_a_file_gives_the_workspace_up(self, make_script, workspace_root):
         leave = "cd ..; rm -r tree; echo x > tree"
-        spec = spec_for([self.script(make_script, leave)], workspace_root)
         materializer, workspaces = recording()
-        with oracle_for(spec, materializer) as oracle:
+        script = self.script(make_script, leave)
+        with oracle_for([script], workspace_root, materializer) as oracle:
             first, _ = evaluate_command(oracle, Configuration(1, [0]))
             second, _ = evaluate_command(oracle, Configuration(1, [0]))
             assert not workspaces[0].exists()
@@ -445,8 +435,7 @@ class TestRunWorkspace:
         # Without write permission on ro/, only the superuser can empty it;
         # anyone else gets a new workspace.  Either way the tree is empty.
         leave = "mkdir ro; echo stale > ro/f; chmod a-w ro"
-        spec = spec_for([self.script(make_script, leave)], workspace_root)
-        with oracle_for(spec) as oracle:
+        with oracle_for([self.script(make_script, leave)], workspace_root) as oracle:
             outcomes = [evaluate_command(oracle, Configuration(1, [0]))[0] for _ in range(2)]
         assert outcomes == [Outcome.PASS, Outcome.FAIL]
 
@@ -460,8 +449,7 @@ class TestRunWorkspace:
         if os.geteuid() == 0:
             refuse_removal_like_a_user(monkeypatch)
         script = make_script('test -z "$(ls -A)" || exit 1\nmkdir ro; echo x > ro/f; chmod a-w ro')
-        spec = spec_for([script], workspace_root)
-        with oracle_for(spec) as oracle:
+        with oracle_for([script], workspace_root) as oracle:
             for _ in range(3):
                 assert oracle.evaluate(Configuration(1, [0])) == Outcome.FAIL
                 assert len(list(workspace_root.iterdir())) == 1
@@ -473,8 +461,7 @@ class TestRunWorkspace:
         if os.geteuid() == 0:
             refuse_removal_like_a_user(monkeypatch)
         script = make_script("mkdir ro; echo x > ro/f; chmod a-w ro")
-        spec = spec_for([script], workspace_root, keep_failing=True)
-        with oracle_for(spec) as oracle:
+        with oracle_for([script], workspace_root, keep_failing=True) as oracle:
             for _ in range(3):
                 assert oracle.evaluate(Configuration(1, [0])) == Outcome.FAIL
                 assert len(list(workspace_root.iterdir())) == 1
@@ -484,12 +471,12 @@ class TestRunWorkspace:
     def test_sequence_numbers_count_across_passes(self, make_script, workspace_root, tmp_path):
         seqs = tmp_path / "seqs"
         script = make_script(f'echo "$DDMIN_TEST_SEQ" >> {seqs}; grep -q BUG "$1"')
-        spec = CommandOracleSpec(argv=[script], workspace_root=workspace_root)
-        run = minimize_input(b"a\nxBUGx\nb\n", spec, schedule=["line", "char"])
-        assert [p.label for p in run.passes] == ["line", "char"]
+        command = CommandOracle([script], workspace_root=workspace_root)
+        passes = minimize_input(b"a\nxBUGx\nb\n", command, schedule=["line", "char"])
+        assert [p.label for p in passes] == ["line", "char"]
         spawned = sum(
             oracle + axiom
-            for oracle, _, axiom in (p.result.log.test_counts() for p in run.passes)
+            for oracle, _, axiom in (p.result.log.test_counts() for p in passes)
         )
         assert seqs.read_text().split() == [str(i) for i in range(1, spawned + 1)]
         assert list(workspace_root.iterdir()) == []
@@ -501,9 +488,8 @@ class TestRunWorkspace:
             'echo "out $DDMIN_TEST_SEQ"; echo "err $DDMIN_TEST_SEQ" >&2; '
             'echo "$DDMIN_TEST_SEQ" > seq; test "$DDMIN_TEST_SEQ" = 2'
         )
-        spec = spec_for([script], workspace_root, keep_failing=True)
         materializer, workspaces = recording()
-        with oracle_for(spec, materializer) as oracle:
+        with oracle_for([script], workspace_root, materializer, keep_failing=True) as oracle:
             runs = [evaluate_command(oracle, Configuration(1, [0])) for _ in range(4)]
             kept = Path(oracle.kept_workspace)
         assert [outcome for outcome, _ in runs] == [
@@ -526,11 +512,10 @@ class TestRunWorkspace:
         script = make_script(
             f'echo "$RUN" >> {seen}; test -z "$(ls -A)" || exit 1; touch "left-by-$RUN"'
         )
-        spec = spec_for([script], workspace_root)
         materializer, paths = recording()
-        with oracle_for(spec, materializer) as a:
+        with oracle_for([script], workspace_root, materializer) as a:
             monkeypatch.setenv("RUN", "b")
-            with oracle_for(spec, materializer) as b:
+            with oracle_for([script], workspace_root, materializer) as b:
                 monkeypatch.setenv("RUN", "c")
                 runs = [
                     evaluate_command(oracle, Configuration(1, [0]))
@@ -544,8 +529,7 @@ class TestRunWorkspace:
 
 class TestCommandOracle:
     def test_keeps_only_the_last_failing_workspace(self, make_script, workspace_root):
-        spec = spec_for([make_script("exit 0")], workspace_root, keep_failing=True)
-        with oracle_for(spec) as oracle:
+        with oracle_for([make_script("exit 0")], workspace_root, keep_failing=True) as oracle:
             oracle.evaluate(Configuration(2, [0]))
             first_kept = oracle.kept_workspace
             oracle.evaluate(Configuration(2, [1]))
@@ -556,10 +540,31 @@ class TestCommandOracle:
 
     def test_sequence_numbers_increment(self, make_script, workspace_root, tmp_path):
         out = tmp_path / "seqs.txt"
-        spec = spec_for(
-            [make_script(f'echo "$DDMIN_TEST_SEQ" >> {out}; exit 1')], workspace_root
-        )
-        with oracle_for(spec) as oracle:
+        script = make_script(f'echo "$DDMIN_TEST_SEQ" >> {out}; exit 1')
+        with oracle_for([script], workspace_root) as oracle:
             for _ in range(3):
                 oracle.evaluate(Configuration(1, [0]))
         assert out.read_text().split() == ["1", "2", "3"]
+
+    def test_one_oracle_serves_two_runs_in_turn(
+        self, make_script, workspace_root, tmp_path, monkeypatch
+    ):
+        # Each run numbers its tests from 1 and takes the environment as it
+        # is when the run starts; the second run leaves the workspace that
+        # the first one kept.
+        seen = tmp_path / "seen"
+        script = make_script(f'echo "$RUN $DDMIN_TEST_SEQ" >> {seen}; grep -q BUG "$1"')
+        oracle = CommandOracle([script], workspace_root=workspace_root, keep_failing=True)
+        kept, tests = [], []
+        for run, data in (("1", b"a\nBUG 1\n"), ("2", b"BUG 2\nb\nc\n")):
+            monkeypatch.setenv("RUN", run)
+            minimize_input(data, oracle, schedule=["line"])
+            kept.append(Path(oracle.kept_workspace))
+            tests.append(seen.read_text().split("\n")[:-1])
+            seen.unlink()
+        for run, lines in zip("12", tests):
+            assert lines == [f"{run} {i}" for i in range(1, len(lines) + 1)]
+        assert sorted(workspace_root.iterdir()) == sorted(kept)
+        assert [(k / "tree" / "candidate.dat").read_bytes() for k in kept] == [
+            b"BUG 1\n", b"BUG 2\n"
+        ]
