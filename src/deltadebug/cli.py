@@ -9,6 +9,7 @@ one does).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import signal
 import sys
@@ -91,38 +92,58 @@ def _command_oracle(args):
     return proc.CommandOracle(argv, args.timeout, args.workspace, args.keep_failing)
 
 
-def _write_run_report(args, passes) -> None:
+def _write_run_report(args, passes) -> bool:
+    """Write the report asked for, if any; False, with the error on
+    stderr, if it cannot be written."""
     if not getattr(args, "report", None):
-        return
-    report_mod.write_report(passes, args.report, args.deterministic_report)
+        return True
+    try:
+        report_mod.write_report(passes, args.report, args.deterministic_report)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
     print(f"report: {args.report}")
+    return True
 
 
 def _check_outputs(args, *paths: str) -> None:
     """Name an output that could not be written, before the first test:
-    one whose directory does not exist, or that names a directory (a
-    trailing ``/`` does, which ``Path`` would drop)."""
+    one whose directory does not exist, that names a directory (a
+    trailing ``/`` does, which ``Path`` would drop), or whose file an
+    earlier output already names."""
     outputs = [("", path) for path in paths]
     if args.report:
         outputs.append(("report ", args.report))
+    seen = {}
     for kind, path in outputs:
         target = Path(path)
         if path.endswith("/") or target.is_dir():
             raise ValueError(f"cannot write {kind}{path}: it names a directory")
         if not target.parent.is_dir():
             raise ValueError(f"cannot write {kind}{path}: no directory {target.parent}")
+        file = os.path.realpath(path)
+        if file in seen:
+            raise ValueError(f"cannot write {kind}{path}: output {seen[file]} names the same file")
+        seen[file] = path
 
 
 def _conclude(args, passes, render, kept_workspace: Optional[str] = None) -> int:
     """Write the files that ``render`` makes of the last pass's kept input
     ids, print a summary of each pass, then render's lines, then the kept
-    failing workspace, and write the report of the passes.
+    failing workspace, and write the report of the passes.  A file that
+    cannot be written is named on stderr, the rest are still written, and
+    the run exits 1.
 
     ``render(kept)`` returns the ``(path, bytes)`` pairs to write and the
     summary lines."""
+    status = 0
     files, lines = render(passes[-1].kept)
     for path, data in files:
-        Path(path).write_bytes(data)
+        try:
+            Path(path).write_bytes(data)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            status = 1
     for p in passes:
         oracle, cached, axiom = p.result.log.test_counts()
         print(
@@ -132,8 +153,9 @@ def _conclude(args, passes, render, kept_workspace: Optional[str] = None) -> int
     print(*lines, sep="\n")
     if kept_workspace:
         print(f"failing workspace kept: {kept_workspace}")
-    _write_run_report(args, passes)
-    return 0
+    if not _write_run_report(args, passes):
+        status = 1
+    return status
 
 
 # --- minimize-input ----------------------------------------------------------
@@ -370,10 +392,7 @@ def run(argv=None) -> int:
         print(f"axiom violation: {exc}", file=sys.stderr)
         if exc.log is not None:
             aborted = MinimizationResult(Configuration(exc.log.universe_size), exc.log)
-            try:
-                _write_run_report(args, [Pass("aborted", aborted, ())])
-            except OSError as error:
-                print(f"error: {error}", file=sys.stderr)
+            _write_run_report(args, [Pass("aborted", aborted, ())])
         return 2
     except (DeltaDebugError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
